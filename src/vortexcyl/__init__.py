@@ -28,7 +28,6 @@ from .dynamics import (
     active_backend,
     diagnostics,
     integrate,
-    reconstruct_poses,
     rhs,
 )
 from .maps import (
@@ -42,7 +41,7 @@ from .maps import (
     shift_map,
 )
 from .oracle import FdSpec, fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
-from .se2 import Se2Algebra, Se2Costate, Se2Element, se2_body_to_inertial, se2_compose, se2_exp
+from .se2 import Se2Costate, Se2Element, se2_body_to_inertial, se2_compose
 from .state import MOMENTUM, VELOCITY, ChartState
 from .structures import (
     interaction_bracket_coefficients,
@@ -65,7 +64,6 @@ __all__ = [
     "FdSpec",
     "FluidParams",
     "MOMENTUM",
-    "Se2Algebra",
     "Se2Costate",
     "Se2Element",
     "SimConfig",
@@ -96,12 +94,10 @@ __all__ = [
     "momentum_map",
     "momentum_structure_matrix",
     "pushforward_check",
-    "reconstruct_poses",
     "regularized_self",
     "rhs",
     "se2_body_to_inertial",
     "se2_compose",
-    "se2_exp",
     "shift_jacobian",
     "shift_map",
     "structure_matrix",

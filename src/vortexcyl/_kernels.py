@@ -1,31 +1,37 @@
 """Hot inner loops: fused right-hand sides and the fixed-step drive loop.
 
-Every kernel exists twice: the plain-Python source below (scalar loops over
-numpy arrays) and, when numba is importable, an @njit-compiled twin. The
-integration driver picks the compiled path unless the environment variable
-VCL_PURE_NUMPY is set to a nonempty value, in which case the pure-numpy
-reference path in ``dynamics`` is used instead. Tests pin the two paths
-against each other and against the structure-matrix formulation.
+Each chart's right-hand side is written once, as scalar loops over numpy
+arrays, and evaluates the product ``structure_matrix @ grad H`` without
+assembling the matrix. ``dynamics.rhs`` keeps that literal product as the
+test oracle. Every function here is wrapped by ``_jit``, which compiles it
+with numba when numba is importable and leaves it plain Python otherwise.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+from .fluid import MIN_CLEARANCE
+
 try:
-    from numba import njit
+    import numba
 
     HAVE_NUMBA = True
+    _jit = numba.njit(cache=True)
 except ImportError:  # pragma: no cover - exercised only without numba
     HAVE_NUMBA = False
+
+    def _jit(fn):
+        return fn
+
 
 HALT_NONE = 0
 HALT_BODY = 1
 HALT_PAIR = 2
 HALT_NO_CONVERGENCE = 3
 HALT_NONFINITE = 4
+HALT_DOMAIN = 5
 
 RK4 = 0
 MIDPOINT = 1
@@ -33,12 +39,12 @@ MIDPOINT = 1
 CHART_MOMENTUM = 0
 CHART_VELOCITY = 1
 
+# Implicit midpoint: fixed-point iterations stop once the increment is this small.
+MIDPOINT_TOL = 1e-12
+MIDPOINT_MAX_ITER = 50
 
-def numba_enabled() -> bool:
-    """True when the compiled path is available and not disabled by env flag."""
-    return HAVE_NUMBA and not os.environ.get("VCL_PURE_NUMPY")
 
-
+@_jit
 def _kr_grad(x, g, r2, out):
     """dW_G/dX_k into out (N,2); x is (N,2) body-frame positions."""
     n = g.shape[0]
@@ -64,6 +70,7 @@ def _kr_grad(x, g, r2, out):
         out[k, 1] = gy
 
 
+@_jit
 def _omv_from_momentum(z, g, r2, c, inertia):
     """(Omega, Vx, Vy) recovered from a flat momentum-chart state."""
     n = g.shape[0]
@@ -83,6 +90,7 @@ def _omv_from_momentum(z, g, r2, c, inertia):
     return om, vx, vy
 
 
+@_jit
 def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
     """Fused structure-times-gradient product for the momentum chart."""
     n = g.shape[0]
@@ -107,6 +115,7 @@ def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
         out[4 + 2 * i] = hx / g[i]
 
 
+@_jit
 def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
     """Fused structure-times-gradient product for the velocity chart."""
     n = g.shape[0]
@@ -153,6 +162,7 @@ def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
     out[2] = d_vy
 
 
+@_jit
 def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     """One exact screw increment with compensated accumulation.
 
@@ -186,257 +196,154 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     return beta, comp_b, x0, comp_x, y0, comp_y
 
 
-def _make_run(rhs_momentum, rhs_velocity, omv_from_momentum, pose_step):
-    def run(
-        chart_id,
-        z0,
-        g,
-        r2,
-        c,
-        inertia,
-        gtot,
-        dt,
-        nsteps,
-        stride,
-        body_limit2,
-        pair_limit2,
-        integ_id,
-        mp_tol,
-        mp_max,
-    ):
-        dim = z0.shape[0]
-        n = g.shape[0]
-        n_rec_max = nsteps // stride + 2
-        rec_states = np.empty((n_rec_max, dim))
-        rec_poses = np.empty((n_rec_max, 3))
-        rec_steps = np.empty(n_rec_max, dtype=np.int64)
+@_jit
+def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
+    """Chart right-hand side of the flat state u into out.
 
-        z = z0.copy()
-        wg = np.empty((n, 2))
-        k1 = np.empty(dim)
-        k2 = np.empty(dim)
-        k3 = np.empty(dim)
-        k4 = np.empty(dim)
-        tmp = np.empty(dim)
-        umid = np.empty(dim)
-        uprev = np.empty(dim)
+    Returns -1, or, leaving out untouched, the index of the first vortex at
+    distance <= R (1 + MIN_CLEARANCE), where the flow is not defined.
+    """
+    domain2 = r2 * (1.0 + MIN_CLEARANCE) ** 2
+    for i in range(g.shape[0]):
+        px, py = u[3 + 2 * i], u[4 + 2 * i]
+        if px * px + py * py <= domain2:
+            return i
+    if chart_id == CHART_MOMENTUM:
+        _rhs_momentum(u, g, r2, c, inertia, gtot, wg, out)
+    else:
+        _rhs_velocity(u, g, r2, c, inertia, gtot, wg, out)
+    return -1
 
-        beta = 0.0
-        comp_b = 0.0
-        px0 = 0.0
-        comp_x = 0.0
-        py0 = 0.0
-        comp_y = 0.0
 
-        rec_states[0] = z
-        rec_poses[0, 0] = beta
-        rec_poses[0, 1] = px0
-        rec_poses[0, 2] = py0
-        rec_steps[0] = 0
-        n_rec = 1
+@_jit
+def _body_velocity(chart_id, z, g, r2, c, inertia):
+    """(Omega, Vx, Vy) of a flat state in either chart."""
+    if chart_id == CHART_MOMENTUM:
+        return _omv_from_momentum(z, g, r2, c, inertia)
+    return z[0], z[1], z[2]
 
-        halt_code = HALT_NONE
-        halt_index = -1
-        halt_step = nsteps
 
-        for step in range(nsteps):
-            if chart_id == CHART_MOMENTUM:
-                om0, vx0, vy0 = omv_from_momentum(z, g, r2, c, inertia)
-            else:
-                om0, vx0, vy0 = z[0], z[1], z[2]
+@_jit
+def _collision(z, n, body_limit2, pair_limit2):
+    """Halt code and vortex index of a clearance violation in z.
 
-            if integ_id == RK4:
-                if chart_id == CHART_MOMENTUM:
-                    rhs_momentum(z, g, r2, c, inertia, gtot, wg, k1)
-                    for d in range(dim):
-                        tmp[d] = z[d] + 0.5 * dt * k1[d]
-                    rhs_momentum(tmp, g, r2, c, inertia, gtot, wg, k2)
-                    for d in range(dim):
-                        tmp[d] = z[d] + 0.5 * dt * k2[d]
-                    rhs_momentum(tmp, g, r2, c, inertia, gtot, wg, k3)
-                    for d in range(dim):
-                        tmp[d] = z[d] + dt * k3[d]
-                    rhs_momentum(tmp, g, r2, c, inertia, gtot, wg, k4)
-                else:
-                    rhs_velocity(z, g, r2, c, inertia, gtot, wg, k1)
-                    for d in range(dim):
-                        tmp[d] = z[d] + 0.5 * dt * k1[d]
-                    rhs_velocity(tmp, g, r2, c, inertia, gtot, wg, k2)
-                    for d in range(dim):
-                        tmp[d] = z[d] + 0.5 * dt * k2[d]
-                    rhs_velocity(tmp, g, r2, c, inertia, gtot, wg, k3)
-                    for d in range(dim):
-                        tmp[d] = z[d] + dt * k3[d]
-                    rhs_velocity(tmp, g, r2, c, inertia, gtot, wg, k4)
-                for d in range(dim):
-                    z[d] = z[d] + (dt / 6.0) * (k1[d] + 2.0 * k2[d] + 2.0 * k3[d] + k4[d])
-            else:
-                # implicit midpoint by fixed-point iteration on the midpoint state
-                for d in range(dim):
-                    umid[d] = z[d]
-                converged = False
-                for _ in range(mp_max):
-                    if chart_id == CHART_MOMENTUM:
-                        rhs_momentum(umid, g, r2, c, inertia, gtot, wg, k1)
-                    else:
-                        rhs_velocity(umid, g, r2, c, inertia, gtot, wg, k1)
-                    delta = 0.0
-                    bad = False
-                    for d in range(dim):
-                        uprev[d] = umid[d]
-                        umid[d] = z[d] + 0.5 * dt * k1[d]
-                        if not np.isfinite(umid[d]):
-                            bad = True
-                        diff = abs(umid[d] - uprev[d])
-                        if diff > delta:
-                            delta = diff
-                    if bad:
-                        break
-                    if delta <= mp_tol:
-                        converged = True
-                        break
-                if not converged:
-                    halt_code = HALT_NO_CONVERGENCE
-                    halt_step = step
+    A body violation names the vortex nearest the body; a pair violation
+    names the lower index of the first pair found.
+    """
+    nearest, d2min = -1, math.inf
+    for i in range(n):
+        qx, qy = z[3 + 2 * i], z[4 + 2 * i]
+        d2 = qx * qx + qy * qy
+        if d2 < d2min:
+            nearest, d2min = i, d2
+    if d2min < body_limit2:
+        return HALT_BODY, nearest
+    for i in range(n):
+        for j in range(i + 1, n):
+            ddx = z[3 + 2 * i] - z[3 + 2 * j]
+            ddy = z[4 + 2 * i] - z[4 + 2 * j]
+            if ddx * ddx + ddy * ddy < pair_limit2:
+                return HALT_PAIR, i
+    return HALT_NONE, -1
+
+
+@_jit
+def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id):
+    """Fixed-step RK4 or implicit midpoint with exact screw pose steps.
+
+    Returns the recorded states, poses (beta, x0_x, x0_y) and step numbers,
+    then the halt code, vortex index and step.
+    """
+    dim = z0.shape[0]
+    n = g.shape[0]
+    n_rec_max = nsteps // stride + 2
+    rec_states = np.empty((n_rec_max, dim))
+    rec_poses = np.zeros((n_rec_max, 3))
+    rec_steps = np.empty(n_rec_max, dtype=np.int64)
+
+    z = z0.copy()
+    wg = np.empty((n, 2))
+    k1 = np.empty(dim)
+    k2 = np.empty(dim)
+    k3 = np.empty(dim)
+    k4 = np.empty(dim)
+    beta, comp_b, px0, comp_x, py0, comp_y = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+
+    rec_states[0] = z
+    rec_steps[0] = 0
+    n_rec = 1
+
+    halt_code = HALT_NONE
+    halt_index = -1
+    halt_step = nsteps
+
+    for step in range(nsteps):
+        om0, vx0, vy0 = _body_velocity(chart_id, z, g, r2, c, inertia)
+
+        converged = True
+        if integ_id == RK4:
+            hit = _rhs(chart_id, z, g, r2, c, inertia, gtot, wg, k1)
+            if hit < 0:
+                hit = _rhs(chart_id, z + 0.5 * dt * k1, g, r2, c, inertia, gtot, wg, k2)
+            if hit < 0:
+                hit = _rhs(chart_id, z + 0.5 * dt * k2, g, r2, c, inertia, gtot, wg, k3)
+            if hit < 0:
+                hit = _rhs(chart_id, z + dt * k3, g, r2, c, inertia, gtot, wg, k4)
+            if hit < 0:
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            # fixed-point iteration on the midpoint state; a non-finite iterate
+            # counts as non-convergence
+            umid = z
+            hit = -1
+            converged = False
+            for _ in range(MIDPOINT_MAX_ITER):
+                hit = _rhs(chart_id, umid, g, r2, c, inertia, gtot, wg, k1)
+                if hit >= 0:
                     break
-                for d in range(dim):
-                    z[d] = 2.0 * umid[d] - z[d]
-
-            if chart_id == CHART_MOMENTUM:
-                om1, vx1, vy1 = omv_from_momentum(z, g, r2, c, inertia)
-            else:
-                om1, vx1, vy1 = z[0], z[1], z[2]
-            beta, comp_b, px0, comp_x, py0, comp_y = pose_step(
-                beta,
-                comp_b,
-                px0,
-                comp_x,
-                py0,
-                comp_y,
-                0.5 * (om0 + om1),
-                0.5 * (vx0 + vx1),
-                0.5 * (vy0 + vy1),
-                dt,
-            )
-
-            ok = True
-            for d in range(dim):
-                if not np.isfinite(z[d]):
-                    ok = False
-            if not ok:
-                halt_code = HALT_NONFINITE
-                halt_step = step
-                break
-            for i in range(n):
-                qx, qy = z[3 + 2 * i], z[4 + 2 * i]
-                if qx * qx + qy * qy < body_limit2:
-                    halt_code = HALT_BODY
-                    halt_index = i
-                    halt_step = step
+                unew = z + 0.5 * dt * k1
+                if not np.all(np.isfinite(unew)):
                     break
-            if halt_code == HALT_NONE:
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        ddx = z[3 + 2 * i] - z[3 + 2 * j]
-                        ddy = z[4 + 2 * i] - z[4 + 2 * j]
-                        if ddx * ddx + ddy * ddy < pair_limit2:
-                            halt_code = HALT_PAIR
-                            halt_index = i
-                            halt_step = step
-                            break
-                    if halt_code != HALT_NONE:
-                        break
-            if halt_code != HALT_NONE:
-                break
+                delta = np.max(np.abs(unew - umid))
+                umid = unew
+                if delta <= MIDPOINT_TOL:
+                    converged = True
+                    break
+            if converged:
+                z = 2.0 * umid - z
 
-            if (step + 1) % stride == 0 or step + 1 == nsteps:
-                rec_states[n_rec] = z
-                rec_poses[n_rec, 0] = beta
-                rec_poses[n_rec, 1] = px0
-                rec_poses[n_rec, 2] = py0
-                rec_steps[n_rec] = step + 1
-                n_rec += 1
+        if hit >= 0:
+            halt_code, halt_index = HALT_DOMAIN, hit
+        elif not converged:
+            halt_code = HALT_NO_CONVERGENCE
+        elif not np.all(np.isfinite(z)):
+            halt_code = HALT_NONFINITE
+        else:
+            halt_code, halt_index = _collision(z, n, body_limit2, pair_limit2)
+        if halt_code != HALT_NONE:
+            halt_step = step
+            break
 
-        return rec_states, rec_poses, rec_steps, n_rec, halt_code, halt_index, halt_step
+        om1, vx1, vy1 = _body_velocity(chart_id, z, g, r2, c, inertia)
+        beta, comp_b, px0, comp_x, py0, comp_y = _pose_step(
+            beta,
+            comp_b,
+            px0,
+            comp_x,
+            py0,
+            comp_y,
+            0.5 * (om0 + om1),
+            0.5 * (vx0 + vx1),
+            0.5 * (vy0 + vy1),
+            dt,
+        )
 
-    return run
+        if (step + 1) % stride == 0 or step + 1 == nsteps:
+            rec_states[n_rec] = z
+            rec_poses[n_rec, 0] = beta
+            rec_poses[n_rec, 1] = px0
+            rec_poses[n_rec, 2] = py0
+            rec_steps[n_rec] = step + 1
+            n_rec += 1
 
-
-run_python = _make_run(_rhs_momentum, _rhs_velocity, _omv_from_momentum, _pose_step)
-
-if HAVE_NUMBA:
-    _kr_grad_nb = njit(cache=True)(_kr_grad)
-    _omv_nb = njit(cache=True)(_omv_from_momentum)
-
-    @njit(cache=True)
-    def _rhs_momentum_nb(z, g, r2, c, inertia, gtot, wg, out):
-        n = g.shape[0]
-        lx, ly = z[1], z[2]
-        om, vx, vy = _omv_nb(z, g, r2, c, inertia)
-        _kr_grad_nb(z[3:].reshape(n, 2), g, r2, wg)
-        out[0] = -ly * vx + lx * vy
-        out[1] = ly * om + gtot * vy
-        out[2] = -lx * om - gtot * vx
-        for i in range(n):
-            px, py = z[3 + 2 * i], z[4 + 2 * i]
-            d2 = px * px + py * py
-            d4 = d2 * d2
-            split = r2 * (px * px - py * py)
-            dphix_dx = -2.0 * g[i] * r2 * px * py / d4
-            dphix_dy = -g[i] * (d4 - split) / d4
-            dphiy_dx = g[i] * (d4 + split) / d4
-            dphiy_dy = 2.0 * g[i] * r2 * px * py / d4
-            hx = vx * dphix_dx + vy * dphiy_dx + om * g[i] * px - wg[i, 0]
-            hy = vx * dphix_dy + vy * dphiy_dy + om * g[i] * py - wg[i, 1]
-            out[3 + 2 * i] = -hy / g[i]
-            out[4 + 2 * i] = hx / g[i]
-
-    @njit(cache=True)
-    def _rhs_velocity_nb(w, g, r2, c, inertia, gtot, wg, out):
-        n = g.shape[0]
-        om, vx, vy = w[0], w[1], w[2]
-        _kr_grad_nb(w[3:].reshape(n, 2), g, r2, wg)
-        sum_xlam = 0.0
-        sum_ylam = 0.0
-        sum_ff = 0.0
-        for i in range(n):
-            px, py = w[3 + 2 * i], w[4 + 2 * i]
-            d2 = px * px + py * py
-            d4 = d2 * d2
-            lam = 1.0 - r2 / d2
-            sum_xlam += g[i] * px * lam
-            sum_ylam += g[i] * py * lam
-            sum_ff += g[i] * (d4 - r2 * r2) / d4
-        l_ov1 = (-c * vy + 2.0 * sum_xlam) / (c * inertia)
-        l_ov2 = (c * vx + 2.0 * sum_ylam) / (c * inertia)
-        l_v12 = (gtot - sum_ff) / (c * c)
-        h_om = inertia * om
-        h_vx = c * vx
-        h_vy = c * vy
-        d_om = l_ov1 * h_vx + l_ov2 * h_vy
-        d_vx = -l_ov1 * h_om + l_v12 * h_vy
-        d_vy = -l_ov2 * h_om - l_v12 * h_vx
-        for i in range(n):
-            px, py = w[3 + 2 * i], w[4 + 2 * i]
-            d2 = px * px + py * py
-            d4 = d2 * d2
-            split = r2 * (px * px - py * py)
-            l_v1x = -(d4 - split) / (c * d4)
-            l_v1y = 2.0 * r2 * px * py / (c * d4)
-            l_v2x = 2.0 * r2 * px * py / (c * d4)
-            l_v2y = -(d4 + split) / (c * d4)
-            hx = -wg[i, 0]
-            hy = -wg[i, 1]
-            d_om += (py * hx - px * hy) / inertia
-            d_vx += l_v1x * hx + l_v1y * hy
-            d_vy += l_v2x * hx + l_v2y * hy
-            out[3 + 2 * i] = -(py / inertia) * h_om - l_v1x * h_vx - l_v2x * h_vy - hy / g[i]
-            out[4 + 2 * i] = (px / inertia) * h_om - l_v1y * h_vx - l_v2y * h_vy + hx / g[i]
-        out[0] = d_om
-        out[1] = d_vx
-        out[2] = d_vy
-
-    _pose_step_nb = njit(cache=True)(_pose_step)
-    run_numba = njit()(_make_run(_rhs_momentum_nb, _rhs_velocity_nb, _omv_nb, _pose_step_nb))
-else:  # pragma: no cover
-    run_numba = None
+    return rec_states[:n_rec], rec_poses[:n_rec], rec_steps[:n_rec], halt_code, halt_index, halt_step

@@ -2,12 +2,8 @@
 
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
-Exit codes: 0 success, 2 bad config or usage, 3 halted run (collision or
-non-convergence).
-
-The environment variable VCL_SEED is reserved for future stochastic
-features; the core is deterministic and ignores it. VCL_PURE_NUMPY=1 forces
-the pure-numpy backend (see README).
+Exit codes: 0 success, 2 bad config or usage, 3 halted run (collision,
+a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
 

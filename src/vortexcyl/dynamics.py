@@ -1,10 +1,11 @@
 """Time integration of either chart, pose reconstruction, and diagnostics.
 
-The public ``rhs`` is the literal structure-matrix-times-gradient product;
-``integrate`` drives it with fixed-step RK4 or implicit midpoint through one
-of two equivalent backends (compiled kernels or the pure-numpy reference,
-see ``_kernels``). Poses are reconstructed during integration by exact screw
-increments using each step's midpoint body velocity.
+The public ``rhs`` is the literal structure-matrix-times-gradient product,
+kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
+midpoint through the fused kernels of ``_kernels``, which evaluate the same
+product without assembling the matrix. Poses are reconstructed during
+integration by exact screw increments using each step's midpoint body
+velocity.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import _kernels
 from .energetics import BodyParams, effective_mass, hamiltonian, hamiltonian_gradient
 from .fluid import ValidationError, VortexSet
 from .maps import shift_map
-from .se2 import Se2Algebra, Se2Element, rotation, se2_exp
+from .se2 import rotation
 from .state import MOMENTUM, ChartState, canonical_chart
 from .structures import structure_matrix
 
@@ -31,7 +32,6 @@ __all__ = [
     "DiagnosticsReport",
     "rhs",
     "integrate",
-    "reconstruct_poses",
     "diagnostics",
     "active_backend",
 ]
@@ -41,6 +41,7 @@ _HALT_REASONS = {
     _kernels.HALT_PAIR: "two vortices closer than the clearance",
     _kernels.HALT_NO_CONVERGENCE: "implicit midpoint iteration did not converge",
     _kernels.HALT_NONFINITE: "state became non-finite",
+    _kernels.HALT_DOMAIN: "stage left the fluid domain",
 }
 
 
@@ -128,7 +129,8 @@ class DiagnosticsReport:
 
 
 def active_backend() -> str:
-    return "numba" if _kernels.numba_enabled() else "numpy"
+    """Which compiler runs ``_kernels``: "numba" when importable, else "numpy"."""
+    return "numba" if _kernels.HAVE_NUMBA else "numpy"
 
 
 def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> FloatArray:
@@ -142,141 +144,26 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
     return lam @ grad
 
 
-def _rhs_flat(chart: str, z: FloatArray, body: BodyParams, strengths: FloatArray) -> FloatArray:
-    state = ChartState.from_flat(chart, z)
-    lam = structure_matrix(state, strengths, body)
-    grad = hamiltonian_gradient(chart, state, body, strengths)
-    return lam @ grad
-
-
-def _integrate_python(config: SimConfig):
-    """Reference loop: structure-matrix rhs, python step loop."""
-    chart = config.chart
-    body = config.body
-    g = config.vortices.strengths
-    dt = config.dt
-    nsteps = config.nsteps
-    n = config.vortices.n
-    body_limit2 = (body.radius + config.clearance) ** 2
-    pair_limit2 = config.clearance**2
-
-    z = np.concatenate([config.body_state, config.vortices.positions.reshape(-1)])
-    pose = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # beta, comp, x, comp, y, comp
-
-    rec_states = [z.copy()]
-    rec_poses = [(0.0, 0.0, 0.0)]
-    rec_steps = [0]
-    halt_code, halt_index, halt_step = _kernels.HALT_NONE, -1, nsteps
-
-    def omv(zz: FloatArray) -> tuple[float, float, float]:
-        if chart == MOMENTUM:
-            return _kernels._omv_from_momentum(zz, g, body.radius**2, effective_mass(body).c, body.inertia)
-        return float(zz[0]), float(zz[1]), float(zz[2])
-
-    def _try_step(z):
-        """One integrator step; None signals a domain escape or no convergence."""
-        # overflow of a diverging iterate is detected explicitly, not raised
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if config.integrator == "rk4":
-                try:
-                    k1 = _rhs_flat(chart, z, body, g)
-                    k2 = _rhs_flat(chart, z + 0.5 * dt * k1, body, g)
-                    k3 = _rhs_flat(chart, z + 0.5 * dt * k2, body, g)
-                    k4 = _rhs_flat(chart, z + dt * k3, body, g)
-                except ValueError:  # a stage left the fluid domain
-                    return None, _kernels.HALT_NONFINITE
-                return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), _kernels.HALT_NONE
-            umid = z.copy()
-            for _ in range(50):
-                try:
-                    unew = z + 0.5 * dt * _rhs_flat(chart, umid, body, g)
-                except ValueError:
-                    break
-                if not np.all(np.isfinite(unew)):
-                    break
-                if float(np.max(np.abs(unew - umid), initial=0.0)) <= 1e-12:
-                    return 2.0 * unew - z, _kernels.HALT_NONE
-                umid = unew
-            return None, _kernels.HALT_NO_CONVERGENCE
-
-    for step in range(nsteps):
-        om0, vx0, vy0 = omv(z)
-        znew, code = _try_step(z)
-        if znew is None:
-            halt_code, halt_step = code, step
-            break
-        z = znew
-        om1, vx1, vy1 = omv(z)
-        pose = _kernels._pose_step(
-            *pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt
-        )
-        if not np.all(np.isfinite(z)):
-            halt_code, halt_step = _kernels.HALT_NONFINITE, step
-            break
-        pos = z[3:].reshape(-1, 2)
-        d2 = np.sum(pos * pos, axis=1)
-        if n and float(d2.min()) < body_limit2:
-            halt_code = _kernels.HALT_BODY
-            halt_index = int(np.argmin(d2))
-            halt_step = step
-            break
-        hit = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(np.sum((pos[i] - pos[j]) ** 2)) < pair_limit2:
-                    halt_code, halt_index, halt_step = _kernels.HALT_PAIR, i, step
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            break
-        if (step + 1) % config.stride == 0 or step + 1 == nsteps:
-            rec_states.append(z.copy())
-            rec_poses.append((pose[0], pose[2], pose[4]))
-            rec_steps.append(step + 1)
-
-    return (
-        np.asarray(rec_states),
-        np.asarray(rec_poses),
-        np.asarray(rec_steps, dtype=np.int64),
-        halt_code,
-        halt_index,
-        halt_step,
-    )
-
-
-def _integrate_numba(config: SimConfig):
-    chart_id = _kernels.CHART_MOMENTUM if config.chart == MOMENTUM else _kernels.CHART_VELOCITY
-    integ_id = _kernels.RK4 if config.integrator == "rk4" else _kernels.MIDPOINT
-    body = config.body
-    z0 = np.concatenate([config.body_state, config.vortices.positions.reshape(-1)])
-    states, poses, steps, n_rec, halt_code, halt_index, halt_step = _kernels.run_numba(
-        chart_id,
-        z0,
-        config.vortices.strengths,
-        body.radius**2,
-        effective_mass(body).c,
-        body.inertia,
-        config.vortices.total_strength,
-        config.dt,
-        config.nsteps,
-        config.stride,
-        (body.radius + config.clearance) ** 2,
-        config.clearance**2,
-        integ_id,
-        1e-12,
-        50,
-    )
-    return states[:n_rec], poses[:n_rec], steps[:n_rec], halt_code, halt_index, halt_step
-
-
 def integrate(config: SimConfig) -> Trajectory:
     """Run one simulation; deterministic for a given config and backend."""
-    if _kernels.numba_enabled():
-        states, poses, steps, halt_code, halt_index, halt_step = _integrate_numba(config)
-    else:
-        states, poses, steps, halt_code, halt_index, halt_step = _integrate_python(config)
+    body = config.body
+    # a diverging midpoint iterate is detected explicitly, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states, poses, steps, halt_code, halt_index, halt_step = _kernels.run(
+            _kernels.CHART_MOMENTUM if config.chart == MOMENTUM else _kernels.CHART_VELOCITY,
+            np.concatenate([config.body_state, config.vortices.positions.reshape(-1)]),
+            config.vortices.strengths,
+            body.radius**2,
+            effective_mass(body).c,
+            body.inertia,
+            config.vortices.total_strength,
+            config.dt,
+            config.nsteps,
+            config.stride,
+            (body.radius + config.clearance) ** 2,
+            config.clearance**2,
+            _kernels.RK4 if config.integrator == "rk4" else _kernels.MIDPOINT,
+        )
 
     times = steps * config.dt
     n = config.vortices.n
@@ -315,26 +202,6 @@ def integrate(config: SimConfig) -> Trajectory:
         halt=halt,
         config=config,
     )
-
-
-def reconstruct_poses(
-    times: FloatArray, omegas: FloatArray, velocities: FloatArray, g0: Se2Element | None = None
-) -> list[Se2Element]:
-    """Integrate g' = g xi through exact screw steps with midpoint velocities.
-
-    ``omegas`` is (M,), ``velocities`` (M, 2); returns one pose per sample.
-    """
-    g = g0 if g0 is not None else Se2Element()
-    poses = [g]
-    for k in range(len(times) - 1):
-        dt = float(times[k + 1] - times[k])
-        xi = Se2Algebra(
-            0.5 * (float(omegas[k]) + float(omegas[k + 1])),
-            0.5 * (velocities[k] + velocities[k + 1]),
-        )
-        g = g.compose(se2_exp(xi, dt))
-        poses.append(g)
-    return poses
 
 
 def diagnostics(traj: Trajectory) -> DiagnosticsReport:

@@ -1,4 +1,7 @@
-"""SE(2) group and algebra arithmetic: poses, frame changes, exact screw steps.
+"""SE(2) group arithmetic: poses, costates and frame changes.
+
+The exact screw step that advances a pose during integration is
+``_kernels._pose_step``.
 
 Poses are stored as (angle, center) rather than matrices so repeated
 composition cannot drift away from orthogonality; rotation matrices are
@@ -15,7 +18,6 @@ FloatArray = NDArray[np.float64]
 
 __all__ = [
     "Se2Element",
-    "Se2Algebra",
     "Se2Costate",
     "identity",
     "normalize_angle",
@@ -23,7 +25,6 @@ __all__ = [
     "se2_compose",
     "se2_inverse",
     "se2_body_to_inertial",
-    "se2_exp",
 ]
 
 
@@ -71,18 +72,6 @@ class Se2Element:
 
 
 @dataclass(frozen=True)
-class Se2Algebra:
-    """Body velocity: angular rate ``omega`` and translational velocity ``v``."""
-
-    omega: float = 0.0
-    v: FloatArray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.float64).reshape(2))
-
-
-@dataclass(frozen=True)
 class Se2Costate:
     """Momentum covector: angular part ``pi_omega`` and linear part ``pi_xy``."""
 
@@ -124,30 +113,3 @@ def se2_body_to_inertial(g: Se2Element, point: FloatArray, inverse: bool = False
         return (p - g.x0) @ rotation(g.beta)  # right-multiplying by R equals R^T p
     return p @ rotation(g.beta).T + g.x0
 
-
-# Below this |omega*dt| the screw integral switches to its series expansion.
-_SMALL_ANGLE = 1e-8
-
-
-def _screw_translation(omega: float, v: FloatArray, dt: float) -> FloatArray:
-    """Exact integral of R(omega*s) v over s in [0, dt]."""
-    theta = omega * dt
-    if abs(theta) < _SMALL_ANGLE:
-        # 2nd-order series of (sin(th)/w, -(1-cos th)/w; ...) in theta
-        a = dt * (1.0 - theta * theta / 6.0)
-        b = dt * (theta / 2.0 - theta**3 / 24.0)
-        return np.array([a * v[0] - b * v[1], b * v[0] + a * v[1]])
-    a = np.sin(theta) / omega
-    b = (1.0 - np.cos(theta)) / omega
-    return np.array([a * v[0] - b * v[1], b * v[0] + a * v[1]])
-
-
-def se2_exp(xi: Se2Algebra, dt: float = 1.0) -> Se2Element:
-    """Closed-form screw displacement for constant body velocity over dt.
-
-    This is the exact flow increment of g' = g * xi, so composing
-    ``g_next = g.compose(se2_exp(xi, dt))`` reconstructs the pose.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    return Se2Element(xi.omega * dt, _screw_translation(xi.omega, xi.v, dt))

@@ -12,12 +12,12 @@ from vortexcyl import (
     image_vortex_velocity,
     integrate,
     inverse_shift_map,
-    reconstruct_poses,
     rhs,
     shift_map,
     structure_matrix,
 )
-from vortexcyl.dynamics import SimConfig
+from vortexcyl._kernels import _pose_step
+from vortexcyl.dynamics import HaltInfo, SimConfig
 from vortexcyl.fluid import ValidationError
 
 TWO_VORTEX = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
@@ -198,6 +198,24 @@ def test_collision_halt_pair(body):
     assert "vortices" in traj.halt.reason
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+def test_stage_leaving_fluid_domain_halts(body, integrator):
+    # a strong vortex hugging the body: the first RK4 stage or midpoint
+    # iterate lands inside it
+    cfg = SimConfig(
+        chart="velocity",
+        body=body,
+        vortices=VortexSet([6.0], [[1.02, 0.0]]),
+        body_state=[0.0, 0.0, 0.0],
+        dt=0.05,
+        t_end=0.5,
+        integrator=integrator,
+    )
+    traj = integrate(cfg)
+    assert traj.halt == HaltInfo("stage left the fluid domain", 0, 0.0)
+    assert traj.n_samples == 1
+
+
 def test_initial_state_validation(body):
     with pytest.raises(ValidationError):
         SimConfig(
@@ -210,20 +228,27 @@ def test_initial_state_validation(body):
         )
 
 
-def test_reconstruct_constant_velocity_cases():
-    ts = np.linspace(0.0, 2.0, 21)
-    still = reconstruct_poses(ts, np.zeros(21), np.zeros((21, 2)))
-    assert all(p.beta == 0.0 and np.all(p.x0 == 0.0) for p in still)
+def _pose_track(dt, nsteps, omega, velocity):
+    """Poses (beta, x0_x, x0_y) after each of nsteps screw steps at constant velocity."""
+    carry = (0.0,) * 6
+    poses = [(0.0, 0.0, 0.0)]
+    for _ in range(nsteps):
+        carry = _pose_step(*carry, omega, velocity[0], velocity[1], dt)
+        poses.append(carry[::2])
+    return np.array(poses)
 
-    moving = reconstruct_poses(ts, np.zeros(21), np.tile([1.0, 0.0], (21, 1)))
-    npt.assert_allclose(moving[-1].x0, [2.0, 0.0], atol=1e-13)
+
+def test_reconstruct_constant_velocity_cases():
+    still = _pose_track(0.1, 20, 0.0, [0.0, 0.0])
+    assert np.all(still == 0.0)
+
+    moving = _pose_track(0.1, 20, 0.0, [1.0, 0.0])
+    npt.assert_allclose(moving[-1, 1:], [2.0, 0.0], atol=1e-13)
 
 
 def test_reconstruct_screw_traces_circle():
-    ts = np.linspace(0.0, 2 * np.pi, 4001)
-    poses = reconstruct_poses(ts, np.ones(ts.size), np.tile([1.0, 0.0], (ts.size, 1)))
-    centers = np.array([p.x0 for p in poses])
-    radius = np.linalg.norm(centers - np.array([0.0, 1.0]), axis=1)
+    poses = _pose_track(2 * np.pi / 4000, 4000, 1.0, [1.0, 0.0])
+    radius = np.linalg.norm(poses[:, 1:] - np.array([0.0, 1.0]), axis=1)
     npt.assert_allclose(radius, 1.0, atol=1e-10)
 
 

@@ -1,118 +1,169 @@
-"""Backend parity: compiled kernels against the structure-matrix reference."""
+"""Fused kernels and the drive loop against the structure-matrix route."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
-from vortexcyl import hamiltonian_gradient, structure_matrix
+from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, structure_matrix
 from vortexcyl import _kernels
-from vortexcyl.dynamics import SimConfig, _integrate_python, active_backend, integrate
+from vortexcyl.dynamics import SimConfig, integrate
 from vortexcyl.energetics import effective_mass
 from vortexcyl.fluid import VortexSet
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
+CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VELOCITY}
 
-def _kernel_rhs(chart, st, body, g):
-    z = st.flat()
+
+def _kernel_rhs(chart, state, body, g):
+    z = state.flat()
     out = np.empty_like(z)
-    wg = np.empty((st.n, 2))
+    wg = np.empty((state.n, 2))
     args = (z, g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), wg, out)
-    if chart == "momentum":
-        _kernels._rhs_momentum(*args)
-    else:
-        _kernels._rhs_velocity(*args)
+    assert _kernels._rhs(CHART_IDS[chart], *args) == -1
     return out
+
+
+def _matrix_rhs(chart, state, body, g):
+    return structure_matrix(state, g, body) @ hamiltonian_gradient(chart, state, body, g)
 
 
 def test_python_kernel_matches_matrix_route(body, rng):
     for chart in ("momentum", "velocity"):
         for _ in range(20):
-            st, g = random_state(rng, chart)
-            reference = structure_matrix(st, g, body) @ hamiltonian_gradient(chart, st, body, g)
-            npt.assert_allclose(_kernel_rhs(chart, st, body, g), reference, atol=1e-12)
+            state, g = random_state(rng, chart)
+            npt.assert_allclose(_kernel_rhs(chart, state, body, g), _matrix_rhs(chart, state, body, g), atol=1e-12)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A chart, body and admissible state: N in 1..6, any radius, vortices
+    hugging the body or far out, body variables up to 1e4."""
+    chart = draw(st.sampled_from(["momentum", "velocity"]))
+    unit = st.floats(-1.0, 1.0)
+    radius = draw(st.floats(0.3, 3.0))
+    body = BodyParams(mass=draw(st.floats(0.5, 20.0)), inertia=draw(st.floats(0.1, 10.0)), radius=radius)
+    n = draw(st.integers(1, 6))
+    ring = st.one_of(st.floats(1.0001, 1.01), st.floats(1.01, 4.0), st.floats(1e3, 1e4))
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    strengths, positions = [], []
+    for i in range(n):
+        strengths.append(draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
+        # angular spacing keeps every pair apart
+        angle = phase + 2.0 * np.pi * i / n + 0.2 * draw(unit)
+        positions.append(radius * draw(ring) * np.array([np.cos(angle), np.sin(angle)]))
+    scale = draw(st.sampled_from([1.0, 1e4]))
+    body_vars = [scale * draw(unit) for _ in range(3)]
+    return chart, body, ChartState(chart, body_vars, np.array(positions)), np.array(strengths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_matrix_route_everywhere(case):
+    chart, body, state, g = case
+    VortexSet(g, state.positions).validate(body.fluid)
+    reference = _matrix_rhs(chart, state, body, g)
+    atol = 1e-11 * max(1.0, float(np.max(np.abs(reference))))
+    npt.assert_allclose(_kernel_rhs(chart, state, body, g), reference, rtol=0, atol=atol)
 
 
 @needs_numba
 def test_numba_kernel_matches_python_kernel(body, rng):
-    for chart, fn in (("momentum", _kernels._rhs_momentum_nb), ("velocity", _kernels._rhs_velocity_nb)):
+    for chart, fn in (("momentum", _kernels._rhs_momentum), ("velocity", _kernels._rhs_velocity)):
         for _ in range(10):
-            st, g = random_state(rng, chart)
-            z = st.flat()
-            out = np.empty_like(z)
-            wg = np.empty((st.n, 2))
-            fn(z, g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), wg, out)
-            npt.assert_array_equal(out, _kernel_rhs(chart, st, body, g))
+            state, g = random_state(rng, chart)
+            args = (state.flat(), g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+            compiled, python = np.empty(state.flat().size), np.empty(state.flat().size)
+            fn(*args, np.empty((state.n, 2)), compiled)
+            fn.py_func(*args, np.empty((state.n, 2)), python)
+            npt.assert_array_equal(compiled, python)
 
 
 @needs_numba
 def test_run_loops_agree_bitwise(body):
     z0 = np.array([0.1, -0.2, 0.3, 2.0, 0.5, -1.8, 1.1])
     g = np.array([1.3, -0.7])
-    args = (
-        _kernels.CHART_MOMENTUM,
-        z0,
-        g,
-        1.0,
-        effective_mass(body).c,
-        body.inertia,
-        float(g.sum()),
-        1e-3,
-        500,
-        25,
-        (1.0 + 1e-3) ** 2,
-        1e-6,
-        _kernels.RK4,
-        1e-12,
-        50,
-    )
-    sa, pa, ka, na, ha, ia, ta = _kernels.run_numba(*args)
-    sb, pb, kb, nb_, hb, ib, tb = _kernels.run_python(*args)
-    assert (na, ha, ia, ta) == (nb_, hb, ib, tb)
-    npt.assert_array_equal(sa[:na], sb[:nb_])
-    npt.assert_array_equal(pa[:na], pb[:nb_])
+    for integ_id in (_kernels.RK4, _kernels.MIDPOINT):
+        args = (
+            _kernels.CHART_MOMENTUM,
+            z0,
+            g,
+            1.0,
+            effective_mass(body).c,
+            body.inertia,
+            float(g.sum()),
+            1e-3,
+            500,
+            25,
+            (1.0 + 1e-3) ** 2,
+            1e-6,
+            integ_id,
+        )
+        compiled = _kernels.run(*args)
+        python = _kernels.run.py_func(*args)
+        assert compiled[3:] == python[3:]
+        for a, b in zip(compiled[:3], python[:3]):
+            npt.assert_array_equal(a, b)
 
 
-def test_pure_numpy_env_flag(monkeypatch, body):
-    monkeypatch.setenv("VCL_PURE_NUMPY", "1")
-    assert active_backend() == "numpy"
-    monkeypatch.delenv("VCL_PURE_NUMPY")
-    if _kernels.HAVE_NUMBA:
-        assert active_backend() == "numba"
+def _oracle_integrate(cfg):
+    """States and poses at every step, from RK4 or implicit midpoint on ``vortexcyl.rhs``."""
+    g = cfg.vortices.strengths
+
+    def f(z):
+        return rhs(cfg.chart, ChartState.from_flat(cfg.chart, z), cfg.body, g)
+
+    def body_velocity(z):
+        if cfg.chart == "velocity":
+            return z[:3]
+        return hamiltonian_gradient("momentum", ChartState.from_flat("momentum", z), cfg.body, g)[:3]
+
+    z = cfg.initial_state.flat()
+    carry = (0.0,) * 6
+    states, poses = [z], [carry[::2]]
+    for _ in range(cfg.nsteps):
+        v0 = body_velocity(z)
+        if cfg.integrator == "rk4":
+            k1 = f(z)
+            k2 = f(z + 0.5 * cfg.dt * k1)
+            k3 = f(z + 0.5 * cfg.dt * k2)
+            k4 = f(z + cfg.dt * k3)
+            z = z + (cfg.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            umid = z
+            for _ in range(50):
+                unew = z + 0.5 * cfg.dt * f(umid)
+                done = np.max(np.abs(unew - umid)) <= 1e-12
+                umid = unew
+                if done:
+                    break
+            z = 2.0 * umid - z
+        vm = 0.5 * (v0 + body_velocity(z))
+        carry = _kernels._pose_step(*carry, vm[0], vm[1], vm[2], cfg.dt)
+        states.append(z)
+        poses.append(carry[::2])
+    return np.array(states), np.array(poses)
 
 
-def test_backends_produce_same_trajectory(body, monkeypatch):
-    vs = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_integrate_matches_matrix_route_loop(body, chart, integrator):
     cfg = SimConfig(
-        chart="velocity",
+        chart=chart,
         body=body,
-        vortices=vs,
+        vortices=VortexSet([1.0, -1.0, 0.6], [[3.0, 0.0], [0.0, 3.0], [-2.0, -1.5]]),
         body_state=[0.05, 0.1, -0.08],
         dt=5e-3,
-        t_end=1.0,
+        t_end=0.5,
+        integrator=integrator,
         stride=20,
     )
-    monkeypatch.setenv("VCL_PURE_NUMPY", "1")
-    traj_np = integrate(cfg)
-    monkeypatch.delenv("VCL_PURE_NUMPY")
-    traj_default = integrate(cfg)
-    npt.assert_allclose(traj_default.states, traj_np.states, rtol=0, atol=1e-11)
-    npt.assert_allclose(traj_default.poses, traj_np.poses, rtol=0, atol=1e-11)
-
-
-def test_reference_python_loop_direct(body):
-    # exercise _integrate_python regardless of the active backend
-    vs = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
-    cfg = SimConfig(
-        chart="momentum",
-        body=body,
-        vortices=vs,
-        body_state=[0.0, 0.0, 0.0],
-        dt=0.01,
-        t_end=0.2,
-        stride=5,
-    )
-    states, poses, steps, halt_code, _, _ = _integrate_python(cfg)
-    assert halt_code == _kernels.HALT_NONE
-    assert states.shape[0] == steps.size == poses.shape[0]
-    assert steps[-1] == 20
+    traj = integrate(cfg)
+    assert traj.halt is None
+    states, poses = _oracle_integrate(cfg)
+    steps = np.rint(traj.times / cfg.dt).astype(int)
+    assert steps[-1] == cfg.nsteps
+    npt.assert_allclose(traj.states, states[steps], rtol=0, atol=1e-11)
+    npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
