@@ -92,6 +92,29 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def _floats(raw: dict, key: str, default: list, shape: tuple[int | None, ...]) -> np.ndarray:
+    """raw[key] (or default, when absent) as a float array of this shape; None is any length."""
+    try:
+        arr = np.asarray(raw.get(key, default), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be an array of numbers") from None
+    if arr.size == 0 and None in shape:
+        arr = arr.reshape([d or 0 for d in shape])
+    if arr.ndim != len(shape) or any(d is not None and d != a for d, a in zip(shape, arr.shape)):
+        want = " x ".join("N" if d is None else str(d) for d in shape)
+        got = " x ".join(map(str, arr.shape)) or "a scalar"
+        raise ValidationError(f"{key} must have shape {want}, got {got}")
+    return arr
+
+
+def _number(raw: dict, key: str, default: float | None = None) -> float:
+    """raw[key] (or default, when absent) as a float."""
+    try:
+        return float(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be a number") from None
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Validate a parsed config dictionary; unknown keys are rejected."""
     unknown = set(raw) - _CONFIG_KEYS
@@ -100,35 +123,44 @@ def config_from_dict(raw: dict) -> SimConfig:
     missing = {"chart", "radius", "mass", "inertia", "dt", "t_end"} - set(raw)
     if missing:
         raise ValidationError(f"missing config keys: {sorted(missing)}")
-    body = BodyParams(mass=raw["mass"], inertia=raw["inertia"], radius=raw["radius"])
-    vortices = VortexSet(
-        np.asarray(raw.get("strengths", []), dtype=np.float64),
-        np.asarray(raw.get("positions", []), dtype=np.float64).reshape(-1, 2),
-    )
+    if not (isinstance(raw["chart"], str) and raw["chart"].lower() in CHART_ALIASES):
+        raise ValidationError(f"chart must be one of {sorted(CHART_ALIASES)}")
+    body = BodyParams(mass=_number(raw, "mass"), inertia=_number(raw, "inertia"), radius=_number(raw, "radius"))
+    vortices = VortexSet(_floats(raw, "strengths", [], (None,)), _floats(raw, "positions", [], (None, 2)))
     return SimConfig(
         chart=raw["chart"],
         body=body,
         vortices=vortices,
-        body_state=np.asarray(raw.get("body", [0.0, 0.0, 0.0]), dtype=np.float64),
-        dt=float(raw["dt"]),
-        t_end=float(raw["t_end"]),
+        body_state=_floats(raw, "body", [0.0, 0.0, 0.0], (3,)),
+        dt=_number(raw, "dt"),
+        t_end=_number(raw, "t_end"),
         integrator=raw.get("integrator", "rk4"),
-        stride=int(raw.get("stride", 1)),
-        clearance=raw.get("clearance"),
+        stride=_number(raw, "stride", 1),
+        clearance=None if raw.get("clearance") is None else _number(raw, "clearance"),
         name=raw.get("name", ""),
     )
 
 
-def load_config(path: str | Path) -> SimConfig:
-    """Parse and validate a JSON scenario file."""
-    text = Path(path).read_text()
+def _read_config(path: str | Path) -> dict:
+    """The parsed JSON object of a scenario file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise ValidationError(f"line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
-    return config_from_dict(raw)
+        raise ValidationError("top level must be a JSON object")
+    return raw
+
+
+def load_config(path: str | Path) -> SimConfig:
+    """Parse and validate a JSON scenario file."""
+    return config_from_dict(_read_config(path))
 
 
 def _fmt(x: float) -> str:
@@ -307,10 +339,24 @@ def _run_one(args: tuple[str, str]) -> tuple[str, int]:
     return path, code
 
 
+def _output_names(paths: list[str]) -> list[str]:
+    """One distinct output directory name per input: its file stem, numbered where stems repeat."""
+    stems = [Path(p).stem for p in paths]
+    names: list[str] = []
+    for stem in stems:
+        name, k = stem, 1
+        if stems.count(stem) > 1:
+            while f"{stem}-{k}" in stems or f"{stem}-{k}" in names:
+                k += 1
+            name = f"{stem}-{k}"
+        names.append(name)
+    return names
+
+
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
     """Run several scenarios concurrently with isolated output directories."""
     outroot = Path(outroot)
-    tasks = [(p, str(outroot / Path(p).stem)) for p in paths]
+    tasks = [(p, str(outroot / name)) for p, name in zip(paths, _output_names(paths))]
     worst = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for path, code in pool.map(_run_one, tasks):
@@ -319,7 +365,7 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
     return worst
 
 
-def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
+def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     overrides = {}
     if args.chart:
         overrides["chart"] = args.chart
@@ -329,7 +375,7 @@ def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
         overrides["t_end"] = args.t_end
     if args.integrator:
         overrides["integrator"] = args.integrator
-    return config.with_overrides(**overrides) if overrides else config
+    return {**raw, **overrides}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,10 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            config = (
-                config_from_dict(PRESETS[args.preset]) if args.preset else load_config(args.config)
-            )
-            return run(_apply_overrides(config, args), args.out)
+            raw = PRESETS[args.preset] if args.preset else _read_config(args.config)
+            return run(config_from_dict(_apply_overrides(raw, args)), args.out)
         if args.command == "verify":
             return verify(args)
         if args.command == "sweep":

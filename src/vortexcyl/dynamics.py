@@ -3,9 +3,11 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
 midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product without assembling the matrix. Poses are reconstructed during
-integration by exact screw increments using each step's midpoint body
-velocity.
+product without assembling the matrix; without numba, their O(N^2) pair
+scans run as array expressions from ``_kernels.PAIR_ARRAY_MIN`` vortices up.
+Poses are reconstructed during integration by exact screw increments using
+each step's midpoint body velocity. Energy, Casimir, momentum drift and
+inertial positions are then computed for all recorded samples at once.
 """
 from __future__ import annotations
 
@@ -16,10 +18,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .energetics import BodyParams, effective_mass, hamiltonian, hamiltonian_gradient
-from .fluid import ValidationError, VortexSet
-from .maps import shift_map
-from .se2 import rotation
+from .energetics import BodyParams, effective_mass, hamiltonian_gradient
+from .fluid import ValidationError, VortexSet, batch_kirchhoff_routh, batch_momentum_shift, min_pair_distance
 from .state import MOMENTUM, ChartState, canonical_chart
 from .structures import structure_matrix
 
@@ -69,8 +69,9 @@ class SimConfig:
             raise ValidationError("t_end must be nonnegative")
         if self.integrator not in ("rk4", "midpoint"):
             raise ValidationError("integrator must be 'rk4' or 'midpoint'")
-        if self.stride < 1:
+        if not (float(self.stride).is_integer() and self.stride >= 1):
             raise ValidationError("stride must be a positive integer")
+        object.__setattr__(self, "stride", int(self.stride))
         eps = self.clearance if self.clearance is not None else 1e-3 * self.body.radius
         if not (np.isfinite(eps) and eps > 0):
             raise ValidationError("clearance must be positive")
@@ -168,20 +169,29 @@ def integrate(config: SimConfig) -> Trajectory:
     times = steps * config.dt
     n = config.vortices.n
     g = config.vortices.strengths
-    m = states.shape[0]
+    em = effective_mass(body)
+    pos = states[:, 3:].reshape(states.shape[0], n, 2)
 
-    inertial = np.empty((m, n, 2))
-    energy = np.empty(m)
-    l_mom = np.empty((m, 2))
-    for k in range(m):
-        st = ChartState.from_flat(config.chart, states[k])
-        rot = rotation(poses[k, 0])
-        inertial[k] = st.positions @ rot.T + poses[k, 1:]
-        energy[k] = hamiltonian(config.chart, st, config.body, g)
-        zm = st if config.chart == MOMENTUM else shift_map(st, g, config.body)
-        l_mom[k] = zm.body[1:]
+    phi_xy, phi_om = batch_momentum_shift(pos, g, body.radius)
+    if config.chart == MOMENTUM:
+        omega = (states[:, 0] + phi_om) / em.i_eff
+        v = (states[:, 1:3] + phi_xy) / em.c
+        l_mom = states[:, 1:3]
+    else:
+        omega, v = states[:, 0], states[:, 1:3]
+        l_mom = em.c * v - phi_xy
+    kinetic = 0.5 * em.c * np.sum(v * v, axis=1) + 0.5 * em.i_eff * omega**2
+    energy = kinetic - batch_kirchhoff_routh(pos, g, body.radius)
     casimir = np.sum(l_mom * l_mom, axis=1)
     l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
+    cos_b, sin_b = np.cos(poses[:, 0:1]), np.sin(poses[:, 0:1])
+    inertial = np.stack(
+        [
+            cos_b * pos[:, :, 0] - sin_b * pos[:, :, 1] + poses[:, 1:2],
+            sin_b * pos[:, :, 0] + cos_b * pos[:, :, 1] + poses[:, 2:3],
+        ],
+        axis=2,
+    )
 
     halt = None
     if halt_code != _kernels.HALT_NONE:
@@ -213,20 +223,13 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
     rel_h = float(np.max(np.abs(traj.energy - e0))) / scale
     cas = float(np.max(np.abs(traj.casimir - traj.casimir[0])))
     ldr = float(np.max(traj.l_drift))
-    n = traj.states.shape[1] - 3
-    if n:
-        pos = traj.states[:, 3:].reshape(traj.n_samples, -1, 2)
-        d = np.linalg.norm(pos, axis=2)
+    pos = traj.states[:, 3:].reshape(traj.n_samples, -1, 2)
+    if pos.shape[1]:
         radius = traj.config.body.radius if traj.config else 0.0
-        min_clear = float(d.min()) - radius
-        nv = pos.shape[1]
-        min_pair = math.inf
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                min_pair = min(min_pair, float(np.min(np.linalg.norm(pos[:, i] - pos[:, j], axis=1))))
+        min_clear = float(np.linalg.norm(pos, axis=2).min()) - radius
     else:
         min_clear = math.inf
-        min_pair = math.inf
+    min_pair = min_pair_distance(pos)
     return DiagnosticsReport(
         max_rel_energy_drift=rel_h,
         max_casimir_drift=cas,

@@ -12,6 +12,7 @@ forms are recovered exactly).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,11 @@ __all__ = [
     "green_regular_part",
     "regularized_self",
     "kirchhoff_routh",
+    "batch_kirchhoff_routh",
     "grad_kirchhoff_routh",
     "momentum_shift_terms",
+    "batch_momentum_shift",
+    "min_pair_distance",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -88,18 +92,25 @@ class VortexSet:
         return float(self.strengths.sum())
 
     def validate(self, params: FluidParams) -> None:
-        r = params.radius
-        for i, gamma in enumerate(self.strengths):
-            if gamma == 0.0 or not np.isfinite(gamma):
-                raise ValidationError(f"vortex {i}: strength must be finite and nonzero")
-        d = np.linalg.norm(self.positions, axis=1)
-        for i, di in enumerate(d):
-            if not di > r * (1.0 + MIN_CLEARANCE):
-                raise ValidationError(f"vortex {i}: position must lie strictly outside the body")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if np.array_equal(self.positions[i], self.positions[j]):
-                    raise ValidationError(f"vortices {i} and {j} coincide")
+        """Raise ValidationError naming the first offending vortex or pair."""
+        g = self.strengths
+        if not (np.isfinite(g).all() and g.all()):
+            bad = ~np.isfinite(g) | (g == 0.0)
+            raise ValidationError(f"vortex {bad.argmax()}: strength must be finite and nonzero")
+        x = self.positions
+        outside = np.hypot(x[:, 0], x[:, 1]) > params.radius * (1.0 + MIN_CLEARANCE)
+        if not outside.all():
+            raise ValidationError(f"vortex {(~outside).argmax()}: position must lie strictly outside the body")
+        if self.n > 1:
+            # a stable sort puts equal rows next to each other in index order,
+            # so the first of each run of equal rows is its lowest index
+            order = np.lexsort(x.T)
+            xs = x[order]
+            same = (xs[1:] == xs[:-1]).all(axis=1)
+            if same.any():
+                k = same.nonzero()[0]
+                k = k[order[k].argmin()]
+                raise ValidationError(f"vortices {order[k]} and {order[k + 1]} coincide")
 
     def with_positions(self, positions: FloatArray) -> "VortexSet":
         return VortexSet(self.strengths, positions)
@@ -172,14 +183,66 @@ def regularized_self(point: FloatArray, params: FluidParams) -> float:
 def kirchhoff_routh(vortices: VortexSet, params: FluidParams) -> float:
     """Interaction energy W_G: pairwise Green's terms plus quadratic self terms."""
     vortices.validate(params)
-    g = vortices.strengths
-    x = vortices.positions
-    total = 0.0
-    for i in range(vortices.n):
-        total += 0.5 * g[i] ** 2 * regularized_self(x[i], params)
-        for j in range(i):
-            total += g[i] * g[j] * green_function(x[i], x[j], params)
-    return total
+    return float(batch_kirchhoff_routh(vortices.positions, vortices.strengths, params.radius))
+
+
+def _sample_blocks(x: FloatArray):
+    """Slices of the sample axis of x (M, N, 2), each holding at most 65536 pair
+    entries (samples x N^2), so that memory does not grow with the samples."""
+    m, n = x.shape[0], x.shape[1]
+    step = max(1, 65536 // (n * n))
+    return [slice(s, s + step) for s in range(0, m, step)]
+
+
+def _diagonal(n: int) -> slice:
+    """The diagonal of an (N, N) grid flattened to N^2 entries."""
+    return slice(None, None, n + 1)
+
+
+def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
+    """W_G of each configuration in positions (..., N, 2), unvalidated; shape (...).
+
+    The self terms g_i^2 regularized_self(X_i) / 2 plus green_function(X_i, X_j)
+    summed over the (N, N) grid of pairs with its diagonal masked, and halved.
+    """
+    g = np.asarray(strengths, dtype=np.float64)
+    n = g.shape[0]
+    x = np.asarray(positions, dtype=np.float64)
+    lead = x.shape[:-2]
+    x = x.reshape(math.prod(lead), n, 2)
+    r2 = radius**2
+    px, py = x[:, :, 0], x[:, :, 1]
+    d2 = px * px + py * py
+    total = (g * g * np.log(d2 / (d2 - r2))).sum(axis=1) / FOUR_PI
+    if n > 1:
+        gg = np.multiply.outer(g, g).reshape(-1)
+        gg[_diagonal(n)] = 0.0
+        for blk in _sample_blocks(x):
+            qx, qy, a2 = px[blk, :, None], py[blk, :, None], d2[blk, :, None]
+            dx, dy = qx - px[blk, None, :], qy - py[blk, None, :]
+            sep2 = (dx * dx + dy * dy).reshape(-1, n * n)
+            sep2[:, _diagonal(n)] = 1.0  # carries zero weight; keeps the log finite
+            a2b2 = a2 * d2[blk, None, :]
+            denom = a2b2 - 2.0 * r2 * (qx * px[blk, None, :] + qy * py[blk, None, :]) + r2 * r2
+            terms = np.log(sep2) + np.log(a2b2 / denom).reshape(-1, n * n)
+            total[blk] += (terms @ gg) / (2.0 * FOUR_PI)
+    return total.reshape(lead)
+
+
+def min_pair_distance(positions: FloatArray) -> float:
+    """Smallest distance between two vortices over every configuration in positions (..., N, 2)."""
+    x = np.asarray(positions, dtype=np.float64)
+    n = x.shape[-2]
+    if n < 2 or x.size == 0:
+        return math.inf
+    x = x.reshape(-1, n, 2)
+    best = math.inf
+    for blk in _sample_blocks(x):
+        diff = x[blk, :, None, :] - x[blk, None, :, :]
+        sep2 = (diff * diff).sum(axis=-1).reshape(-1, n * n)
+        sep2[:, _diagonal(n)] = math.inf
+        best = min(best, float(sep2.min()))
+    return math.sqrt(best)
 
 
 def _grad_green_first(p: FloatArray, q: FloatArray, r2: float) -> FloatArray:
@@ -218,11 +281,20 @@ def momentum_shift_terms(vortices: VortexSet, params: FluidParams) -> tuple[Floa
     These are the identity-evaluation components of the magnetic potential and
     the exact offsets between body momenta and velocities in the momentum chart.
     """
-    if vortices.n == 0:
-        return np.zeros(2), 0.0
-    g = vortices.strengths
-    x = vortices.positions
-    d2 = np.sum(x * x, axis=1)
-    lam = 1.0 - params.radius**2 / d2
-    phi_xy = np.array([-np.sum(g * x[:, 1] * lam), np.sum(g * x[:, 0] * lam)])
-    return phi_xy, float(0.5 * np.sum(g * d2))
+    phi_xy, phi_om = batch_momentum_shift(vortices.positions, vortices.strengths, params.radius)
+    return phi_xy, float(phi_om)
+
+
+def batch_momentum_shift(positions: FloatArray, strengths: FloatArray, radius: float) -> tuple[FloatArray, FloatArray]:
+    """``momentum_shift_terms`` of each configuration in positions (..., N, 2).
+
+    Returns phi_xy of shape (..., 2) and phi_omega of shape (...).
+    """
+    x = np.asarray(positions, dtype=np.float64)
+    g = np.asarray(strengths, dtype=np.float64)
+    d2 = (x * x).sum(axis=-1)
+    lam = 1.0 - radius**2 / d2
+    phi_xy = np.empty(x.shape[:-2] + (2,))
+    phi_xy[..., 0] = (-g * x[..., 1] * lam).sum(axis=-1)
+    phi_xy[..., 1] = (g * x[..., 0] * lam).sum(axis=-1)
+    return phi_xy, 0.5 * (g * d2).sum(axis=-1)

@@ -172,3 +172,52 @@ def test_sweep(tmp_path):
     assert cli.main(["sweep", str(p1), str(p2), "--out", str(out), "--jobs", "2"]) == 0
     assert (out / "one" / "trajectory.csv").exists()
     assert (out / "two" / "trajectory.csv").exists()
+
+
+def test_sweep_keys_output_dirs_uniquely(tmp_path):
+    # two inputs with one file stem must not share (and overwrite) an output directory
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    p1 = _write(tmp_path, _minimal_config(t_end=0.1, name="first"), "a/run.json")
+    p2 = _write(tmp_path, _minimal_config(t_end=0.1, name="second"), "b/run.json")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(p1), str(p2), "--out", str(out), "--jobs", "2"]) == 0
+    names = sorted(p.read_text().splitlines()[0] for p in out.glob("*/summary.txt"))
+    assert names == ["scenario = first", "scenario = second"]
+
+
+def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd):
+    good = _write(tmp_path, _minimal_config(t_end=0.1), "good.json")
+    missing = tmp_path / "missing.json"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", str(missing), str(good), str(binary), "--out", str(out), "--jobs", "2"])
+    assert code == cli.EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert captured.out.splitlines() == [f"{missing}: exit 2", f"{good}: exit 0", f"{binary}: exit 2"]
+    reasons = captured.err.splitlines()
+    assert len(reasons) == 2 and all("cannot read" in line for line in reasons)
+    assert (out / "good" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("body", [0.0, 0.0]),
+        ("positions", [[2.0, 0.0, 1.0]]),
+        ("positions", [2.0, 0.0, 1.0]),
+        ("positions", [[2.0, 0.0], [3.0]]),
+        ("strengths", 1.0),
+        ("stride", 2.7),
+        ("mass", "heavy"),
+        ("chart", "cartesian"),
+    ],
+)
+def test_config_shape_errors_exit_2_with_one_line(tmp_path, capsys, key, value):
+    path = _write(tmp_path, _minimal_config(**{key: value}))
+    with pytest.raises(ValidationError, match=key):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err

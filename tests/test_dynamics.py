@@ -2,12 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_state
+from conftest import random_state, random_vortices
 from vortexcyl import (
     BodyParams,
     ChartState,
     VortexSet,
     diagnostics,
+    hamiltonian,
     hamiltonian_gradient,
     image_vortex_velocity,
     integrate,
@@ -19,6 +20,7 @@ from vortexcyl import (
 from vortexcyl._kernels import _pose_step
 from vortexcyl.dynamics import HaltInfo, SimConfig
 from vortexcyl.fluid import ValidationError
+from vortexcyl.se2 import rotation
 
 TWO_VORTEX = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
 
@@ -226,6 +228,10 @@ def test_initial_state_validation(body):
             dt=1e-3,
             t_end=1.0,
         )
+    for stride in (0, 2.7, np.nan):
+        with pytest.raises(ValidationError, match="stride"):
+            SimConfig("momentum", body, TWO_VORTEX, [0, 0, 0], dt=1e-3, t_end=1.0, stride=stride)
+    assert SimConfig("momentum", body, TWO_VORTEX, [0, 0, 0], dt=1e-3, t_end=1.0, stride=4.0).stride == 4
 
 
 def _pose_track(dt, nsteps, omega, velocity):
@@ -266,3 +272,26 @@ def test_diagnostics_two_vortex_conservation(body):
     assert rep.max_casimir_drift <= 1e-8
     assert rep.max_l_drift <= 1e-9
     assert rep.min_body_clearance > 0.5
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 12])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_post_processing_matches_per_row_oracle(body, rng, chart, n):
+    vortices = random_vortices(rng, n, r_min=2.0, r_max=6.0)
+    cfg = SimConfig(chart, body, vortices, rng.uniform(-0.5, 0.5, 3), dt=5e-3, t_end=0.1, stride=2)
+    traj = integrate(cfg)
+    assert traj.halt is None and traj.n_samples == 11
+    g = vortices.strengths
+    energy, l_mom, inertial = [], [], []
+    for k in range(traj.n_samples):
+        st = traj.state_at(k)
+        energy.append(hamiltonian(chart, st, body, g))
+        l_mom.append((st if chart == "momentum" else shift_map(st, g, body)).body[1:])
+        inertial.append(st.positions @ rotation(traj.poses[k, 0]).T + traj.poses[k, 1:])
+    l_mom = np.array(l_mom)
+    scale = np.max(np.abs(l_mom))
+    npt.assert_allclose(traj.energy, energy, rtol=1e-12)
+    npt.assert_allclose(traj.casimir, np.sum(l_mom * l_mom, axis=1), rtol=1e-12)
+    npt.assert_allclose(traj.l_drift, np.linalg.norm(l_mom - l_mom[0], axis=1), rtol=1e-12, atol=1e-12 * scale)
+    inertial = np.array(inertial).reshape(traj.n_samples, n, 2)
+    npt.assert_allclose(traj.inertial_positions, inertial, rtol=1e-12, atol=1e-14)

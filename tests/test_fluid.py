@@ -7,11 +7,13 @@ from vortexcyl.fluid import (
     FluidParams,
     ValidationError,
     VortexSet,
+    batch_kirchhoff_routh,
     elementary_potentials,
     elementary_streams,
     grad_kirchhoff_routh,
     green_function,
     kirchhoff_routh,
+    min_pair_distance,
     momentum_shift_terms,
     regularized_self,
 )
@@ -150,6 +152,32 @@ def test_kirchhoff_routh_single_vortex():
     assert abs(wg - expected) < 1e-15
 
 
+@pytest.mark.parametrize("radius", [0.7, 1.3])
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_kirchhoff_routh_matches_literal_sum(rng, n, radius):
+    params = FluidParams(radius)
+    g = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    pos = _exterior_points(rng, n, params, r_min=1.01)
+    terms = [0.5 * g[i] ** 2 * regularized_self(pos[i], params) for i in range(n)]
+    terms += [g[i] * g[j] * green_function(pos[i], pos[j], params) for i in range(n) for j in range(i)]
+    scale = sum(abs(t) for t in terms)
+    npt.assert_allclose(kirchhoff_routh(VortexSet(g, pos), params), sum(terms), rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_batched_pair_sums_match_one_configuration_at_a_time(rng):
+    # more rows than one block holds, so the block boundaries are crossed
+    n, m = 12, 1000
+    g = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    stack = np.array([_exterior_points(rng, n, UNIT) for _ in range(m)])
+    energies = batch_kirchhoff_routh(stack.reshape(2, m // 2, n, 2), g, UNIT.radius)
+    assert energies.shape == (2, m // 2)
+    per_row = [kirchhoff_routh(VortexSet(g, x), UNIT) for x in stack]
+    npt.assert_allclose(energies.reshape(-1), per_row, rtol=0, atol=1e-14 * np.max(np.abs(per_row)))
+    closest = min(np.sqrt(np.sum((x[i] - x[j]) ** 2)) for x in stack for i in range(n) for j in range(i))
+    assert min_pair_distance(stack) == closest
+    assert min_pair_distance(stack[:, :1]) == np.inf
+
+
 def test_kirchhoff_routh_rotation_invariance(rng):
     g = np.array([1.0, -0.5, 2.0])
     pos = _exterior_points(rng, 3, UNIT)
@@ -193,6 +221,18 @@ def test_vortex_set_validation():
         VortexSet([1.0, 1.0], [[2.0, 0.0], [0.5, 0.0]]).validate(UNIT)
     with pytest.raises(ValidationError, match="coincide"):
         VortexSet([1.0, 1.0], [[2.0, 0.0], [2.0, 0.0]]).validate(UNIT)
+    # several offenders: the message names the first one, or the lowest pair (i, j)
+    with pytest.raises(ValidationError, match=r"^vortex 1: strength"):
+        VortexSet([1.0, 0.0, np.nan, 0.0], [[2.0, 0.0], [2.0, 1.0], [2.0, 2.0], [2.0, 3.0]]).validate(UNIT)
+    with pytest.raises(ValidationError, match=r"^vortex 1: position"):
+        VortexSet([1.0, 1.0, 1.0], [[2.0, 0.0], [np.nan, 0.0], [0.5, 0.0]]).validate(UNIT)
+    crowd = [[5.0, 0.0], [2.0, 0.0], [3.0, 1.0], [2.0, 0.0], [5.0, 0.0], [3.0, 1.0]]
+    with pytest.raises(ValidationError, match=r"^vortices 0 and 4 coincide$"):
+        VortexSet(np.ones(6), crowd).validate(UNIT)
+    with pytest.raises(ValidationError, match=r"^vortices 0 and 2 coincide$"):
+        VortexSet(np.ones(5), crowd[1:]).validate(UNIT)
+    with pytest.raises(ValidationError, match=r"^vortices 0 and 2 coincide$"):
+        VortexSet(np.ones(3), [[0.0, 2.0], [-0.0, 3.0], [-0.0, 2.0]]).validate(UNIT)
 
 
 def test_momentum_shift_terms_single_vortex():

@@ -39,13 +39,14 @@ def test_python_kernel_matches_matrix_route(body, rng):
 
 @st.composite
 def _kernel_cases(draw):
-    """A chart, body and admissible state: N in 1..6, any radius, vortices
-    hugging the body or far out, body variables up to 1e4."""
+    """A chart, body and admissible state: N in 1..12, on both sides of
+    PAIR_ARRAY_MIN, any radius, vortices hugging the body or far out, body
+    variables up to 1e4."""
     chart = draw(st.sampled_from(["momentum", "velocity"]))
     unit = st.floats(-1.0, 1.0)
     radius = draw(st.floats(0.3, 3.0))
     body = BodyParams(mass=draw(st.floats(0.5, 20.0)), inertia=draw(st.floats(0.1, 10.0)), radius=radius)
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     ring = st.one_of(st.floats(1.0001, 1.01), st.floats(1.01, 4.0), st.floats(1e3, 1e4))
     phase = draw(st.floats(0.0, 2.0 * np.pi))
     strengths, positions = [], []
@@ -67,6 +68,32 @@ def test_kernel_matches_matrix_route_everywhere(case):
     reference = _matrix_rhs(chart, state, body, g)
     atol = 1e-11 * max(1.0, float(np.max(np.abs(reference))))
     npt.assert_allclose(_kernel_rhs(chart, state, body, g), reference, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n", [_kernels.PAIR_ARRAY_MIN, 16])
+def test_collision_array_matches_loops(rng, n):
+    radius, body_limit2, pair_limit2 = 1.0, 1.1**2, 0.2**2
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    cases = {"none": ring.copy()}
+    body_hit = ring.copy()
+    body_hit[[3, 5]] = [[1.05, 0.0], [0.0, -1.05]]  # a tie: the lower index is nearest
+    cases["body"] = body_hit
+    pairs = ring.copy()
+    for i, j in ((n - 1, 4), (2, n - 2), (3, 1)):
+        pairs[i] = pairs[j] + 0.1
+    cases["pairs"] = pairs
+    crowd = rng.uniform(-4.0, 4.0, (n, 2))
+    cases["random"] = crowd * (1.5 / np.linalg.norm(crowd, axis=1, keepdims=True)).clip(1.0)
+    found = {}
+    for name, pos in cases.items():
+        z = np.concatenate([[0.1, 0.2, 0.3], pos.reshape(-1)])
+        loops = _kernels._collision_loops(z, n, body_limit2, pair_limit2)
+        assert _kernels._collision_array(z, n, body_limit2, pair_limit2) == loops
+        found[name] = loops
+    assert found["none"] == (_kernels.HALT_NONE, -1)
+    assert found["body"] == (_kernels.HALT_BODY, 3)
+    assert found["pairs"] == (_kernels.HALT_PAIR, 1)
 
 
 @needs_numba
@@ -147,23 +174,33 @@ def _oracle_integrate(cfg):
     return np.array(states), np.array(poses)
 
 
+_ANGLES8 = np.arange(8) * np.pi / 4 + 0.3
+_RING8 = np.tile([3.5, 4.5], 4)[:, None] * np.stack([np.cos(_ANGLES8), np.sin(_ANGLES8)], axis=1)
+# N = 3 runs the pair scans as loops, N = 8 (>= PAIR_ARRAY_MIN) as arrays
+SYSTEMS = (
+    VortexSet([1.0, -1.0, 0.6], [[3.0, 0.0], [0.0, 3.0], [-2.0, -1.5]]),
+    VortexSet([1.0, -0.8, 0.6, -1.2, 0.9, -0.7, 1.1, -0.5], _RING8),
+)
+
+
 @pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
 def test_integrate_matches_matrix_route_loop(body, chart, integrator):
-    cfg = SimConfig(
-        chart=chart,
-        body=body,
-        vortices=VortexSet([1.0, -1.0, 0.6], [[3.0, 0.0], [0.0, 3.0], [-2.0, -1.5]]),
-        body_state=[0.05, 0.1, -0.08],
-        dt=5e-3,
-        t_end=0.5,
-        integrator=integrator,
-        stride=20,
-    )
-    traj = integrate(cfg)
-    assert traj.halt is None
-    states, poses = _oracle_integrate(cfg)
-    steps = np.rint(traj.times / cfg.dt).astype(int)
-    assert steps[-1] == cfg.nsteps
-    npt.assert_allclose(traj.states, states[steps], rtol=0, atol=1e-11)
-    npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
+    for vortices in SYSTEMS:
+        cfg = SimConfig(
+            chart=chart,
+            body=body,
+            vortices=vortices,
+            body_state=[0.05, 0.1, -0.08],
+            dt=5e-3,
+            t_end=0.5,
+            integrator=integrator,
+            stride=20,
+        )
+        traj = integrate(cfg)
+        assert traj.halt is None
+        states, poses = _oracle_integrate(cfg)
+        steps = np.rint(traj.times / cfg.dt).astype(int)
+        assert steps[-1] == cfg.nsteps
+        npt.assert_allclose(traj.states, states[steps], rtol=0, atol=1e-11)
+        npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
