@@ -6,10 +6,12 @@ assembling the matrix. ``dynamics.rhs`` keeps that literal product as the
 test oracle. Every loop here is compiled by ``_jit`` (numba's ``njit``) when
 numba is importable and left plain Python otherwise.
 
-The two O(N^2) pair scans, the Kirchhoff-Routh gradient ``_kr_grad`` and the
-clearance scan ``_collision``, also have an array form. Without numba they
-switch to it from ``PAIR_ARRAY_MIN`` vortices up, where numpy's per-call
-overhead costs less than N^2 interpreted iterations; numba compiles the loops.
+Without numba, from ``PAIR_ARRAY_MIN`` vortices up, the whole chart
+right-hand side ``_rhs`` (with the body velocity ``_body_velocity``) and the
+clearance scan ``_collision`` switch to array forms, where numpy's per-call
+overhead costs less than the interpreted loops. ``_rhs_array`` works on
+complex positions X + i Y, with the Kirchhoff-Routh gradient as one (N, N)
+grid and one matvec (``_kr_grad_complex``). Under numba the loops run, compiled.
 """
 from __future__ import annotations
 
@@ -48,14 +50,16 @@ CHART_VELOCITY = 1
 MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
-# Without numba, the pair scans run as array expressions from this many
-# vortices up. Measured crossover (numpy 2.4, Python 3.11, 2 shared vCPUs):
-# the gradient takes 37 us as loops and 51 us as arrays at N = 4, 62 us and
-# 55 us at N = 5; the clearance scan takes 12 us either way at N = 6.
+# Without numba, the right-hand side and the clearance scan run as array
+# expressions from this many vortices up. Measured as loops / arrays (numpy 2.4,
+# Python 3.11, Intel Xeon, 2 shared vCPUs, best of 15): the momentum-chart RHS
+# 20 / 35 us at N = 2, 40 / 40 at N = 3, 55 / 33 at N = 4, 115 / 35 at N = 6
+# (velocity chart alike); the clearance scan, which sets the threshold, 12 / 12 us at N = 6.
 PAIR_ARRAY_MIN = 6
 
 
-def _kr_grad_loops(x, g, r2, out):
+@_jit
+def _kr_grad(x, g, r2, out):
     """dW_G/dX_k into out (N,2); x is (N,2) body-frame positions."""
     n = g.shape[0]
     four_pi = 4.0 * math.pi
@@ -85,36 +89,19 @@ def _pair_grid(v):
     return v[:, None] - v[None, :]
 
 
-def _kr_grad_array(x, g, r2, out):
-    """``_kr_grad_loops`` as (N, N) array expressions; the diagonal carries zero weight."""
-    n = g.shape[0]
-    px, py = x[:, 0], x[:, 1]
-    d2 = px * px + py * py
-    dx, dy = _pair_grid(px), _pair_grid(py)
-    sep2 = dx * dx + dy * dy
-    sep2.flat[:: n + 1] = 1.0
-    cc = np.multiply.outer(g, g) / (4.0 * math.pi)
-    cc.flat[:: n + 1] = 0.0
-    b2 = d2[None, :]
-    denom = d2[:, None] * b2 - 2.0 * r2 * (np.multiply.outer(px, px) + np.multiply.outer(py, py)) + r2 * r2
-    coef = 0.5 * g * g * (1.0 / d2 - 1.0 / (d2 - r2)) / math.pi
-    pxk, pyk = px[:, None], py[:, None]
-    gx = cc * (2.0 * dx / sep2 + 2.0 * pxk / d2[:, None] - (2.0 * b2 * pxk - 2.0 * r2 * px[None, :]) / denom)
-    gy = cc * (2.0 * dy / sep2 + 2.0 * pyk / d2[:, None] - (2.0 * b2 * pyk - 2.0 * r2 * py[None, :]) / denom)
-    out[:, 0] = coef * px + gx.sum(axis=1)
-    out[:, 1] = coef * py + gy.sum(axis=1)
+def _kr_grad_complex(p, d2, g, r2, gtot):
+    """(dW_G/dX_k + i dW_G/dY_k) / g_k of ``_kr_grad``, with p = X + i Y and d2 = |p|^2.
 
-
-if HAVE_NUMBA:
-    _kr_grad = _jit(_kr_grad_loops)
-else:
-
-    def _kr_grad(x, g, r2, out):
-        """dW_G/dX_k into out (N,2); x is (N,2) body-frame positions."""
-        if g.shape[0] >= PAIR_ARRAY_MIN:
-            _kr_grad_array(x, g, r2, out)
-        else:
-            _kr_grad_loops(x, g, r2, out)
+    Pair j adds g_j (1/p_k* + 1/(p_k* - p_j*) - 1/(p_k* - R^2/p_j)) / (2 pi), the
+    last term from its image; the two fractions combine to (d2_j - R^2)/p_j over
+    (p_k* - p_j*)(p_k* - R^2/p_j), one (N, N) grid and one matvec. The self term
+    is -g_k R^2 / (2 pi p_k* (d2_k - R^2)).
+    """
+    pc = p.conj()
+    grid = _pair_grid(pc) * (pc[:, None] - r2 / p)
+    grid.flat[:: p.shape[0] + 1] = np.inf
+    gap = d2 - r2
+    return ((gtot - g - g * r2 / gap) / pc + (1.0 / grid) @ (g * gap / p)) / (2.0 * math.pi)
 
 
 @_jit
@@ -244,7 +231,7 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
 
 
 @_jit
-def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
+def _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out):
     """Chart right-hand side of the flat state u into out.
 
     Returns -1, or, leaving out untouched, the index of the first vortex at
@@ -263,11 +250,72 @@ def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
 
 
 @_jit
-def _body_velocity(chart_id, z, g, r2, c, inertia):
+def _body_velocity_loops(chart_id, z, g, r2, c, inertia):
     """(Omega, Vx, Vy) of a flat state in either chart."""
     if chart_id == CHART_MOMENTUM:
         return _omv_from_momentum(z, g, r2, c, inertia)
     return z[0], z[1], z[2]
+
+
+def _omv_array(z, d2, g, r2, c, inertia):
+    """``_omv_from_momentum`` as dot products with g; d2 holds |X_i|^2."""
+    phi = (g - g * r2 / d2) @ z[3:].reshape(-1, 2)
+    return (z[0] + 0.5 * (g @ d2)) / inertia, (z[1] - phi[1]) / c, (z[2] + phi[0]) / c
+
+
+def _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out):
+    """``_rhs_loops`` as array expressions over the vortices, in complex form.
+
+    In both charts the vortex rates are V - R^2/p*^2 V* + i (Omega p - G/g),
+    with p = X + i Y, V = Vx + i Vy and G = dW_G/dX + i dW_G/dY; the velocity
+    chart's body rates are sums of G against the same coefficients.
+    """
+    p = u[3:].view(np.complex128)
+    d2 = p.real * p.real + p.imag * p.imag
+    inside = d2 <= r2 * (1.0 + MIN_CLEARANCE) ** 2
+    if inside.any():
+        return int(inside.argmax())
+    grad_g = _kr_grad_complex(p, d2, g, r2, gtot)
+    image = r2 / (p * p).conj()
+    if chart_id == CHART_MOMENTUM:
+        om, vx, vy = _omv_array(u, d2, g, r2, c, inertia)
+        lx, ly = u[1], u[2]
+        out[0] = -ly * vx + lx * vy
+        out[1] = ly * om + gtot * vy
+        out[2] = -lx * om - gtot * vx
+    else:
+        om, vx, vy = u[0], u[1], u[2]
+        sum_lam = (g - g * r2 / d2) @ u[3:].reshape(-1, 2)
+        l_ov1 = (-c * vy + 2.0 * sum_lam[0]) / (c * inertia)
+        l_ov2 = (c * vx + 2.0 * sum_lam[1]) / (c * inertia)
+        # gtot - sum g (1 - R^4/d2^2), without the cancellation
+        l_v12 = r2 * r2 * (g @ (1.0 / (d2 * d2))) / (c * c)
+        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
+        d_v = ((grad_g - image * grad_g.conj()) @ g) / c
+        out[0] = l_ov1 * h_vx + l_ov2 * h_vy + ((p.conj() * grad_g).imag @ g) / inertia
+        out[1] = -l_ov1 * h_om + l_v12 * h_vy + d_v.real
+        out[2] = -l_ov2 * h_om - l_v12 * h_vx + d_v.imag
+    v = complex(vx, vy)
+    out[3:].view(np.complex128)[:] = v - image * v.conjugate() + 1j * (om * p - grad_g)
+    return -1
+
+
+if HAVE_NUMBA:
+    _rhs = _rhs_loops
+    _body_velocity = _body_velocity_loops
+else:
+
+    def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
+        """Chart right-hand side of the flat state u into out; see ``_rhs_loops``."""
+        if g.shape[0] >= PAIR_ARRAY_MIN:
+            return _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out)
+        return _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out)
+
+    def _body_velocity(chart_id, z, g, r2, c, inertia):
+        """(Omega, Vx, Vy) of a flat state in either chart."""
+        if chart_id == CHART_MOMENTUM and g.shape[0] >= PAIR_ARRAY_MIN:
+            return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
+        return _body_velocity_loops(chart_id, z, g, r2, c, inertia)
 
 
 def _collision_loops(z, n, body_limit2, pair_limit2):
@@ -352,9 +400,8 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
     halt_index = -1
     halt_step = nsteps
 
+    om0, vx0, vy0 = _body_velocity(chart_id, z, g, r2, c, inertia)
     for step in range(nsteps):
-        om0, vx0, vy0 = _body_velocity(chart_id, z, g, r2, c, inertia)
-
         converged = True
         if integ_id == RK4:
             hit = _rhs(chart_id, z, g, r2, c, inertia, gtot, wg, k1)
@@ -412,6 +459,7 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
             0.5 * (vy0 + vy1),
             dt,
         )
+        om0, vx0, vy0 = om1, vx1, vy1
 
         if (step + 1) % stride == 0 or step + 1 == nsteps:
             rec_states[n_rec] = z

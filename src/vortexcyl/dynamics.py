@@ -3,8 +3,9 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
 midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product without assembling the matrix; without numba, their O(N^2) pair
-scans run as array expressions from ``_kernels.PAIR_ARRAY_MIN`` vortices up.
+product without assembling the matrix; without numba, the whole right-hand
+side and the clearance scan run as array expressions from
+``_kernels.PAIR_ARRAY_MIN`` vortices up.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity. Energy, Casimir, momentum drift and
 inertial positions are then computed for all recorded samples at once.

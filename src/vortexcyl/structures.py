@@ -19,7 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energetics import BodyParams, effective_mass
-from .fluid import ValidationError, VortexSet
+from .fluid import MIN_CLEARANCE, FluidParams, ValidationError, VortexSet, batch_momentum_shift
+from .oracle import _STENCILS, FdSpec, fd_gradient
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -122,6 +123,27 @@ def _vortex_bracket(grad_f: FloatArray, grad_k: FloatArray, strengths: FloatArra
     return float(np.sum((-1.0 / strengths) * (gx_f * gy_k - gx_k * gy_f)))
 
 
+def _validate_stencil(vset: VortexSet, params: FluidParams, spec: FdSpec) -> None:
+    """Validate at once every configuration ``fd_gradient`` visits around valid
+    positions (one coordinate of one vortex moved by +-k h per stencil offset k),
+    raising the ValidationError of the first inadmissible one in visiting order."""
+    x = vset.positions
+    shifts = np.array([s * k for k in _STENCILS[spec.order][0] for s in (1, -1)]) * spec.h
+    # moved[m, s]: vortex m // 2 with coordinate m % 2 shifted by shifts[s]
+    moved = np.broadcast_to(np.repeat(x, 2, axis=0)[:, None], (2 * vset.n, shifts.size, 2)).copy()
+    moved[0::2, :, 0] += shifts
+    moved[1::2, :, 1] += shifts
+    bad = ~(np.hypot(moved[..., 0], moved[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE))
+    same = (moved[:, :, None, :] == x).all(axis=-1)
+    same[np.arange(2 * vset.n), :, np.arange(2 * vset.n) // 2] = False
+    bad |= same.any(axis=-1)
+    if bad.any():
+        m, s = np.unravel_index(bad.argmax(), bad.shape)
+        config = x.copy()
+        config[m // 2] = moved[m, s]
+        VortexSet(vset.strengths, config).validate(params)
+
+
 def interaction_bracket_coefficients(
     state: ChartState, strengths: FloatArray, body: BodyParams
 ) -> dict[tuple[str, str], float]:
@@ -134,7 +156,6 @@ def interaction_bracket_coefficients(
     {Pi_a, Pi_b}, {Pi_a, X_i}, {X_i, Y_j} for translations a, b.
     """
     from .maps import magnetic_pairing
-    from .oracle import FdSpec, fd_gradient
 
     g = _check_strengths(strengths)
     vset = VortexSet(g, state.positions)
@@ -142,14 +163,12 @@ def interaction_bracket_coefficients(
     pos = state.positions.reshape(-1)
     n = state.n
     spec = FdSpec(h=1e-3 * (1.0 + float(np.max(np.abs(pos), initial=0.0))), order=6)
+    _validate_stencil(vset, body.fluid, spec)
 
     def phi_component(idx: int) -> Callable[[FloatArray], float]:
-        from .maps import magnetic_potential
-
         def f(flat_pos: FloatArray) -> float:
-            vs = VortexSet(g, flat_pos.reshape(-1, 2))
-            phi = magnetic_potential(vs, body.fluid)
-            return float(phi.pi_xy[idx])
+            phi_xy, _ = batch_momentum_shift(flat_pos.reshape(-1, 2), g, body.radius)
+            return float(phi_xy[idx])
 
         return f
 

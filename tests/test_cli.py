@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vortexcyl import cli
+from vortexcyl.dynamics import integrate
 from vortexcyl.fluid import ValidationError
 
 
@@ -90,6 +91,28 @@ def test_simulate_two_vortex_preset_is_deterministic(tmp_path):
     assert cli.main(["simulate", "--preset", "two-vortex-free", "--out", str(out1), "--t-end", "1.0"]) == 0
     assert cli.main(["simulate", "--preset", "two-vortex-free", "--out", str(out2), "--t-end", "1.0"]) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_csv_bytes_match_per_row_formatting(tmp_path, n):
+    angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
+    raw = _minimal_config(
+        strengths=list(np.linspace(-1.0, 1.2, n) + 0.05),
+        positions=(3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)).tolist(),
+        body=[0.2, -0.1, 0.3],
+        t_end=0.1,
+        stride=7,
+    )
+    traj = integrate(cli.config_from_dict(raw))
+    traj.energy[0], traj.casimir[-1], traj.l_drift[-1] = -0.0, np.nan, np.inf
+    path = tmp_path / "trajectory.csv"
+    cli.write_trajectory_csv(traj, path)
+    lines = [",".join(cli._csv_header(traj.config))]
+    for k in range(traj.n_samples):
+        row = [traj.times[k], *traj.states[k], *traj.poses[k], *traj.inertial_positions[k].reshape(-1)]
+        row += [traj.energy[k], traj.casimir[k], traj.l_drift[k]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_flag_overrides(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from conftest import random_state
 from vortexcyl import (
@@ -12,6 +13,7 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl.energetics import effective_mass
+from vortexcyl.fluid import ValidationError
 
 
 def test_momentum_matrix_algebra_block(rng):
@@ -108,6 +110,23 @@ def test_interaction_star_term(body, rng):
         d4 = np.sum(st.positions**2, axis=1) ** 2
         expected = -np.sum(g * (d4 - body.radius**4) / d4)
         assert abs(star - expected) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        # h = 4e-3: the stencil moves vortex 1 to y = 0.998, inside the body
+        ([[3.0, 0.0], [0.0, 1.002]], "vortex 1: position must lie strictly outside the body"),
+        # moving vortex 0 by +2h in x lands exactly on vortex 1
+        ([[1.5, 3.0], [1.5 + 2 * 4e-3, 3.0]], "vortices 0 and 1 coincide"),
+    ],
+)
+def test_interaction_rejects_inadmissible_stencil_points(body, positions, message):
+    g = np.array([1.0, -0.7])
+    st = ChartState("velocity", [0.1, 0.2, 0.3], positions)
+    VortexSet(g, st.positions).validate(body.fluid)
+    with pytest.raises(ValidationError, match=message):
+        interaction_bracket_coefficients(st, g, body)
 
 
 def test_jacobi_constant_structures():
