@@ -1,17 +1,20 @@
 """Hot inner loops: fused right-hand sides and the fixed-step drive loop.
 
-Each chart's right-hand side is written once, as scalar loops over numpy
-arrays, and evaluates the product ``structure_matrix @ grad H`` without
-assembling the matrix. ``dynamics.rhs`` keeps that literal product as the
-test oracle. Every loop here is compiled by ``_jit`` (numba's ``njit``) when
-numba is importable and left plain Python otherwise.
+Each chart's right-hand side is written once, as scalar loops that index the
+flat chart state (any flat sequence: an ndarray or a list), and evaluates the
+product ``structure_matrix @ grad H`` without assembling the matrix.
+``dynamics.rhs`` keeps that literal product as the test oracle. Every loop
+here is compiled by ``_jit`` (numba's ``njit``) when numba is importable and
+left plain Python otherwise.
 
-Without numba, from ``PAIR_ARRAY_MIN`` vortices up, the whole chart
-right-hand side ``_rhs`` (with the body velocity ``_body_velocity``) and the
-clearance scan ``_collision`` switch to array forms, where numpy's per-call
-overhead costs less than the interpreted loops. ``_rhs_array`` works on
-complex positions X + i Y, with the Kirchhoff-Routh gradient as one (N, N)
-grid and one matvec (``_kr_grad_complex``). Under numba the loops run, compiled.
+Without numba, the dispatchers ``_rhs``, ``_body_velocity`` and ``_collision``
+run the loops on Python floats (``tolist``) below ``PAIR_ARRAY_MIN`` vortices:
+the same IEEE operations as on numpy scalars, so the same bits, three to
+five times faster. From ``PAIR_ARRAY_MIN`` up they switch to array forms,
+where numpy's per-call overhead costs less than the interpreted loops.
+``_rhs_array`` works on complex positions X + i Y, with the Kirchhoff-Routh
+gradient as one (N, N) grid and one matvec (``_kr_grad_complex``). Under
+numba the loops run, compiled, on the arrays.
 """
 from __future__ import annotations
 
@@ -51,20 +54,23 @@ MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
 # Without numba, the right-hand side and the clearance scan run as array
-# expressions from this many vortices up. Measured as loops / arrays (numpy 2.4,
-# Python 3.11, Intel Xeon, 2 shared vCPUs, best of 15): the momentum-chart RHS
-# 20 / 35 us at N = 2, 40 / 40 at N = 3, 55 / 33 at N = 4, 115 / 35 at N = 6
-# (velocity chart alike); the clearance scan, which sets the threshold, 12 / 12 us at N = 6.
+# expressions from this many vortices up, and as loops on Python floats below.
+# Measured as lists / arrays (numpy 2.4, Python 3.11, Intel Xeon, 2 shared vCPUs,
+# best of 15): the momentum-chart RHS 20 / 35 us at N = 4, 29 / 36 at N = 5,
+# 38 / 35 at N = 6, 49 / 35 at N = 7, 60 / 40 at N = 8 (velocity chart alike);
+# the clearance scan 5 / 12 us at N = 6, 11 / 13 at N = 10, 16 / 13 at N = 12.
+# One threshold for both keeps the arithmetic, and so the output bytes, of
+# every run from 6 vortices up as it was.
 PAIR_ARRAY_MIN = 6
 
 
 @_jit
-def _kr_grad(x, g, r2, out):
-    """dW_G/dX_k into out (N,2); x is (N,2) body-frame positions."""
-    n = g.shape[0]
+def _kr_grad(u, g, r2, out):
+    """dW_G/dX_k into out[2k], out[2k + 1]; u is the flat chart state."""
+    n = len(g)
     four_pi = 4.0 * math.pi
     for k in range(n):
-        px, py = x[k, 0], x[k, 1]
+        px, py = u[3 + 2 * k], u[4 + 2 * k]
         d2 = px * px + py * py
         coef = 0.5 * g[k] * g[k] * (1.0 / d2 - 1.0 / (d2 - r2)) / math.pi
         gx = coef * px
@@ -72,7 +78,7 @@ def _kr_grad(x, g, r2, out):
         for j in range(n):
             if j == k:
                 continue
-            qx, qy = x[j, 0], x[j, 1]
+            qx, qy = u[3 + 2 * j], u[4 + 2 * j]
             dx, dy = px - qx, py - qy
             sep2 = dx * dx + dy * dy
             b2 = qx * qx + qy * qy
@@ -80,8 +86,8 @@ def _kr_grad(x, g, r2, out):
             cc = g[k] * g[j] / four_pi
             gx += cc * (2.0 * dx / sep2 + 2.0 * px / d2 - (2.0 * b2 * px - 2.0 * r2 * qx) / denom)
             gy += cc * (2.0 * dy / sep2 + 2.0 * py / d2 - (2.0 * b2 * py - 2.0 * r2 * qy) / denom)
-        out[k, 0] = gx
-        out[k, 1] = gy
+        out[2 * k] = gx
+        out[2 * k + 1] = gy
 
 
 def _pair_grid(v):
@@ -107,7 +113,7 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 @_jit
 def _omv_from_momentum(z, g, r2, c, inertia):
     """(Omega, Vx, Vy) recovered from a flat momentum-chart state."""
-    n = g.shape[0]
+    n = len(g)
     phix = 0.0
     phiy = 0.0
     s2 = 0.0
@@ -127,10 +133,10 @@ def _omv_from_momentum(z, g, r2, c, inertia):
 @_jit
 def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
     """Fused structure-times-gradient product for the momentum chart."""
-    n = g.shape[0]
+    n = len(g)
     lx, ly = z[1], z[2]
     om, vx, vy = _omv_from_momentum(z, g, r2, c, inertia)
-    _kr_grad(z[3:].reshape(n, 2), g, r2, wg)
+    _kr_grad(z, g, r2, wg)
     out[0] = -ly * vx + lx * vy
     out[1] = ly * om + gtot * vy
     out[2] = -lx * om - gtot * vx
@@ -143,8 +149,8 @@ def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
         dphix_dy = -g[i] * (d4 - split) / d4
         dphiy_dx = g[i] * (d4 + split) / d4
         dphiy_dy = 2.0 * g[i] * r2 * px * py / d4
-        hx = vx * dphix_dx + vy * dphiy_dx + om * g[i] * px - wg[i, 0]
-        hy = vx * dphix_dy + vy * dphiy_dy + om * g[i] * py - wg[i, 1]
+        hx = vx * dphix_dx + vy * dphiy_dx + om * g[i] * px - wg[2 * i]
+        hy = vx * dphix_dy + vy * dphiy_dy + om * g[i] * py - wg[2 * i + 1]
         out[3 + 2 * i] = -hy / g[i]
         out[4 + 2 * i] = hx / g[i]
 
@@ -152,9 +158,9 @@ def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
 @_jit
 def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
     """Fused structure-times-gradient product for the velocity chart."""
-    n = g.shape[0]
+    n = len(g)
     om, vx, vy = w[0], w[1], w[2]
-    _kr_grad(w[3:].reshape(n, 2), g, r2, wg)
+    _kr_grad(w, g, r2, wg)
     sum_xlam = 0.0
     sum_ylam = 0.0
     sum_ff = 0.0
@@ -184,8 +190,8 @@ def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
         l_v1y = 2.0 * r2 * px * py / (c * d4)
         l_v2x = 2.0 * r2 * px * py / (c * d4)
         l_v2y = -(d4 + split) / (c * d4)
-        hx = -wg[i, 0]
-        hy = -wg[i, 1]
+        hx = -wg[2 * i]
+        hy = -wg[2 * i + 1]
         d_om += (py * hx - px * hy) / inertia
         d_vx += l_v1x * hx + l_v1y * hy
         d_vy += l_v2x * hx + l_v2y * hy
@@ -238,7 +244,7 @@ def _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out):
     distance <= R (1 + MIN_CLEARANCE), where the flow is not defined.
     """
     domain2 = r2 * (1.0 + MIN_CLEARANCE) ** 2
-    for i in range(g.shape[0]):
+    for i in range(len(g)):
         px, py = u[3 + 2 * i], u[4 + 2 * i]
         if px * px + py * py <= domain2:
             return i
@@ -300,24 +306,6 @@ def _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out):
     return -1
 
 
-if HAVE_NUMBA:
-    _rhs = _rhs_loops
-    _body_velocity = _body_velocity_loops
-else:
-
-    def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
-        """Chart right-hand side of the flat state u into out; see ``_rhs_loops``."""
-        if g.shape[0] >= PAIR_ARRAY_MIN:
-            return _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out)
-        return _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out)
-
-    def _body_velocity(chart_id, z, g, r2, c, inertia):
-        """(Omega, Vx, Vy) of a flat state in either chart."""
-        if chart_id == CHART_MOMENTUM and g.shape[0] >= PAIR_ARRAY_MIN:
-            return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
-        return _body_velocity_loops(chart_id, z, g, r2, c, inertia)
-
-
 def _collision_loops(z, n, body_limit2, pair_limit2):
     """Halt code and vortex index of a clearance violation in z.
 
@@ -360,14 +348,32 @@ def _collision_array(z, n, body_limit2, pair_limit2):
 
 
 if HAVE_NUMBA:
+    _rhs = _rhs_loops
+    _body_velocity = _body_velocity_loops
     _collision = _jit(_collision_loops)
 else:
+
+    def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
+        """Chart right-hand side of the flat state u into out; see ``_rhs_loops``."""
+        if len(g) >= PAIR_ARRAY_MIN:
+            return _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out)
+        res = [0.0] * len(u)
+        hit = _rhs_loops(chart_id, u.tolist(), g.tolist(), r2, c, inertia, gtot, [0.0] * len(wg), res)
+        if hit < 0:
+            out[:] = res
+        return hit
+
+    def _body_velocity(chart_id, z, g, r2, c, inertia):
+        """(Omega, Vx, Vy) of a flat state in either chart."""
+        if chart_id == CHART_MOMENTUM and len(g) >= PAIR_ARRAY_MIN:
+            return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
+        return _body_velocity_loops(chart_id, z.tolist(), g.tolist(), r2, c, inertia)
 
     def _collision(z, n, body_limit2, pair_limit2):
         """Halt code and vortex index of a clearance violation in z."""
         if n >= PAIR_ARRAY_MIN:
             return _collision_array(z, n, body_limit2, pair_limit2)
-        return _collision_loops(z, n, body_limit2, pair_limit2)
+        return _collision_loops(z.tolist(), n, body_limit2, pair_limit2)
 
 
 @_jit
@@ -385,7 +391,7 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
 
     z = z0.copy()
-    wg = np.empty((n, 2))
+    wg = np.empty(2 * n)
     k1 = np.empty(dim)
     k2 = np.empty(dim)
     k3 = np.empty(dim)
@@ -424,9 +430,9 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
                 if hit >= 0:
                     break
                 unew = z + 0.5 * dt * k1
-                if not np.all(np.isfinite(unew)):
+                if not np.isfinite(unew).all():
                     break
-                delta = np.max(np.abs(unew - umid))
+                delta = np.abs(unew - umid).max()
                 umid = unew
                 if delta <= MIDPOINT_TOL:
                     converged = True
@@ -438,7 +444,7 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
             halt_code, halt_index = HALT_DOMAIN, hit
         elif not converged:
             halt_code = HALT_NO_CONVERGENCE
-        elif not np.all(np.isfinite(z)):
+        elif not np.isfinite(z).all():
             halt_code = HALT_NONFINITE
         else:
             halt_code, halt_index = _collision(z, n, body_limit2, pair_limit2)

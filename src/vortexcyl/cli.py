@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 import time
@@ -378,7 +379,9 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     return {**raw, **overrides}
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of ``main``."""
     parser = argparse.ArgumentParser(
         prog="vortexcyl",
         description="Circular body + point vortices in a 2D ideal fluid, two equivalent Hamiltonian charts.",
@@ -396,15 +399,17 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--t-end", dest="t_end", type=float, help="override the final time")
     sim.add_argument("--integrator", choices=["rk4", "midpoint"], help="override the integrator")
 
-    ver = sub.add_parser("verify", help="run the structure/Jacobi/pushforward certification suite")
-    ver.set_defaults(func=verify)
+    sub.add_parser("verify", help="run the structure/Jacobi/pushforward certification suite")
 
     sw = sub.add_parser("sweep", help="run several scenarios concurrently")
     sw.add_argument("configs", nargs="+", help="JSON scenario files")
     sw.add_argument("--out", required=True, help="root output directory")
     sw.add_argument("--jobs", type=int, default=None, help="worker processes")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             raw = PRESETS[args.preset] if args.preset else _read_config(args.config)

@@ -3,9 +3,9 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
 midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product without assembling the matrix; without numba, the whole right-hand
-side and the clearance scan run as array expressions from
-``_kernels.PAIR_ARRAY_MIN`` vortices up.
+product without assembling the matrix; without numba, the loops run on
+Python floats below ``_kernels.PAIR_ARRAY_MIN`` vortices, and the whole
+right-hand side and the clearance scan run as array expressions from there up.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity. Energy, Casimir, momentum drift and
 inertial positions are then computed for all recorded samples at once.
@@ -149,21 +149,22 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
 def integrate(config: SimConfig) -> Trajectory:
     """Run one simulation; deterministic for a given config and backend."""
     body = config.body
-    # a diverging midpoint iterate is detected explicitly, not warned about
+    # a diverging midpoint iterate is detected explicitly, not warned about;
+    # scalars go in as Python floats, as numpy scalars would slow the loops
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states, poses, steps, halt_code, halt_index, halt_step = _kernels.run(
             _kernels.CHART_MOMENTUM if config.chart == MOMENTUM else _kernels.CHART_VELOCITY,
             np.concatenate([config.body_state, config.vortices.positions.reshape(-1)]),
             config.vortices.strengths,
-            body.radius**2,
-            effective_mass(body).c,
-            body.inertia,
-            config.vortices.total_strength,
-            config.dt,
+            float(body.radius**2),
+            float(effective_mass(body).c),
+            float(body.inertia),
+            float(config.vortices.total_strength),
+            float(config.dt),
             config.nsteps,
             config.stride,
-            (body.radius + config.clearance) ** 2,
-            config.clearance**2,
+            float((body.radius + config.clearance) ** 2),
+            float(config.clearance**2),
             _kernels.RK4 if config.integrator == "rk4" else _kernels.MIDPOINT,
         )
 

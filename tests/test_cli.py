@@ -186,6 +186,24 @@ def test_verify_subcommand(capsys):
     assert all("pass" in line for line in lines[1:])
 
 
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
+    out = tmp_path / "first"
+    assert cli.main(["simulate", str(_write(tmp_path, _minimal_config())), "--out", str(out)]) == cli.EXIT_OK
+    first = (out / "trajectory.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    assert all("pass" in line for line in capsys.readouterr().out.strip().splitlines()[1:])
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["simulate", "--preset", "kirchhoff"])
+    assert usage.value.code == cli.EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    # an earlier call leaves no state behind: the same arguments give the same bytes
+    again = tmp_path / "again"
+    assert cli.main(["simulate", str(tmp_path / "scenario.json"), "--out", str(again)]) == cli.EXIT_OK
+    assert (again / "trajectory.csv").read_bytes() == first
+    assert cli.main(["simulate", "--preset", "kirchhoff", "--out", str(tmp_path / "k"), "--t-end", "0.01"]) == cli.EXIT_OK
+
+
 def test_sweep(tmp_path):
     p1 = _write(tmp_path, _minimal_config(t_end=0.2), "one.json")
     p2 = _write(

@@ -17,6 +17,7 @@ from vortexcyl import (
     shift_map,
     structure_matrix,
 )
+from vortexcyl import dynamics
 from vortexcyl._kernels import _pose_step
 from vortexcyl.dynamics import HaltInfo, SimConfig
 from vortexcyl.fluid import ValidationError
@@ -96,6 +97,28 @@ def test_integrate_deterministic(body):
     b = integrate(_two_vortex_config(body, t_end=2.0))
     npt.assert_array_equal(a.states, b.states)
     npt.assert_array_equal(a.poses, b.poses)
+
+
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
+    def config(num):
+        body = BodyParams(mass=num(np.pi), inertia=num(1.3), radius=num(1.1))
+        return _two_vortex_config(body, chart, dt=num(1e-3), t_end=num(0.5), stride=10, clearance=num(1e-3))
+
+    scalars = []
+
+    def spy(*args):
+        scalars.append([type(a) for a in args if not isinstance(a, np.ndarray)])
+        return run(*args)
+
+    run = dynamics._kernels.run
+    monkeypatch.setattr(dynamics._kernels, "run", spy)
+    plain, numpy_scalars = integrate(config(float)), integrate(config(np.float64))
+    npt.assert_array_equal(numpy_scalars.states, plain.states)
+    npt.assert_array_equal(numpy_scalars.poses, plain.poses)
+    # numpy scalars would make every loop operation several times slower
+    assert scalars[0] == scalars[1]
+    assert set(scalars[1]) == {int, float}
 
 
 def test_rk4_observed_order(body):

@@ -20,7 +20,7 @@ CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VEL
 def _kernel_rhs(chart, state, body, g):
     z = state.flat()
     out = np.empty_like(z)
-    wg = np.empty((state.n, 2))
+    wg = np.empty(2 * state.n)
     args = (z, g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), wg, out)
     assert _kernels._rhs(CHART_IDS[chart], *args) == -1
     return out
@@ -38,15 +38,15 @@ def test_python_kernel_matches_matrix_route(body, rng):
 
 
 @st.composite
-def _kernel_cases(draw):
-    """A chart, body and admissible state: N in 1..40, on both sides of
-    PAIR_ARRAY_MIN, any radius, vortices hugging the body or far out, body
-    variables up to 1e4."""
+def _kernel_cases(draw, sizes=st.integers(1, 40)):
+    """A chart, body and admissible state: N drawn from sizes (1..40, on both
+    sides of PAIR_ARRAY_MIN), any radius, vortices hugging the body or far out,
+    body variables up to 1e4."""
     chart = draw(st.sampled_from(["momentum", "velocity"]))
     unit = st.floats(-1.0, 1.0)
     radius = draw(st.floats(0.3, 3.0))
     body = BodyParams(mass=draw(st.floats(0.5, 20.0)), inertia=draw(st.floats(0.1, 10.0)), radius=radius)
-    n = draw(st.integers(1, 40))
+    n = draw(sizes)
     ring = st.one_of(st.floats(1.0001, 1.01), st.floats(1.01, 4.0), st.floats(1e3, 1e4))
     phase = draw(st.floats(0.0, 2.0 * np.pi))
     strengths, positions = [], []
@@ -57,7 +57,7 @@ def _kernel_cases(draw):
         positions.append(radius * draw(ring) * np.array([np.cos(angle), np.sin(angle)]))
     scale = draw(st.sampled_from([1.0, 1e4]))
     body_vars = [scale * draw(unit) for _ in range(3)]
-    return chart, body, ChartState(chart, body_vars, np.array(positions)), np.array(strengths)
+    return chart, body, ChartState(chart, body_vars, np.array(positions).reshape(n, 2)), np.array(strengths)
 
 
 def _flake_case():
@@ -116,10 +116,67 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
         rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
         loops, array = np.full(z.size, 7.0), np.full(z.size, 7.0)
-        hit = _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, np.empty((n, 2)), loops)
+        hit = _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), loops)
         assert hit == min(inside)
         assert _kernels._rhs_array(CHART_IDS[chart], z, g, *rest, array) == hit
         assert (array == 7.0).all() and (loops == 7.0).all()
+
+
+def _python(fn):
+    """The plain Python source of a kernel, compiled by numba or not."""
+    return getattr(fn, "py_func", fn)
+
+
+_SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases(sizes=_SMALL))
+def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
+    chart, body, state, g = case
+    z, n = state.flat(), state.n
+    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+    rhs_loops = _python(_kernels._rhs_loops)
+    on_arrays = np.empty(z.size)
+    assert rhs_loops(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), on_arrays) == -1
+    on_lists = [0.0] * z.size
+    assert rhs_loops(CHART_IDS[chart], z.tolist(), g.tolist(), *rest, [0.0] * (2 * n), on_lists) == -1
+    npt.assert_array_equal(np.array(on_lists), on_arrays)
+    # the dispatcher used by ``run``: Python floats below PAIR_ARRAY_MIN without numba
+    dispatched = np.empty(z.size)
+    assert _kernels._rhs(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), dispatched) == -1
+    npt.assert_array_equal(dispatched, on_arrays)
+
+    omv_args = (body.radius**2, effective_mass(body).c, body.inertia)
+    body_velocity = _python(_kernels._body_velocity_loops)
+    on_arrays = body_velocity(CHART_IDS[chart], z, g, *omv_args)
+    npt.assert_array_equal(body_velocity(CHART_IDS[chart], z.tolist(), g.tolist(), *omv_args), on_arrays)
+    npt.assert_array_equal(_kernels._body_velocity(CHART_IDS[chart], z, g, *omv_args), on_arrays)
+
+    # limits between the closest and the farthest vortex hit every outcome
+    d2 = np.sum(state.positions**2, axis=1)
+    for body_limit2 in (0.0, float(np.median(d2)) if n else 1.0):
+        for pair_limit2 in (0.0, 1.0, float(np.max(d2)) if n else 1.0):
+            limits = (n, body_limit2, pair_limit2)
+            on_arrays = _kernels._collision_loops(z, *limits)
+            assert _kernels._collision_loops(z.tolist(), *limits) == on_arrays
+            assert _kernels._collision(z, *limits) == on_arrays
+
+
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_list_path_reports_the_domain_halt(body, chart):
+    n = _kernels.PAIR_ARRAY_MIN - 1
+    angles = 2.0 * np.pi * np.arange(n) / n
+    radii = np.full(n, 2.5 * body.radius)
+    limit = body.radius * (1.0 + MIN_CLEARANCE)
+    radii[[3, 1]] = limit, 0.5 * limit
+    pos = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
+    g = np.linspace(-1.0, 1.5, n)
+    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+    out = np.full(z.size, 7.0)
+    assert _kernels._rhs(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), out) == 1
+    assert (out == 7.0).all()
 
 
 @pytest.mark.parametrize("n", [_kernels.PAIR_ARRAY_MIN, 16])
@@ -155,8 +212,8 @@ def test_numba_kernel_matches_python_kernel(body, rng):
             state, g = random_state(rng, chart)
             args = (state.flat(), g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
             compiled, python = np.empty(state.flat().size), np.empty(state.flat().size)
-            fn(*args, np.empty((state.n, 2)), compiled)
-            fn.py_func(*args, np.empty((state.n, 2)), python)
+            fn(*args, np.empty(2 * state.n), compiled)
+            fn.py_func(*args, np.empty(2 * state.n), python)
             npt.assert_array_equal(compiled, python)
 
 
