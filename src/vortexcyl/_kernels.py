@@ -1,40 +1,27 @@
 """Hot inner loops: fused right-hand sides and the fixed-step drive loop.
 
-Each chart's right-hand side is written once, as scalar loops that index the
-flat chart state (any flat sequence: an ndarray or a list), and evaluates the
-product ``structure_matrix @ grad H`` without assembling the matrix.
-``dynamics.rhs`` keeps that literal product as the test oracle. Every loop
-here is compiled by ``_jit`` (numba's ``njit``) when numba is importable and
-left plain Python otherwise.
-
-Without numba, the dispatchers ``_rhs``, ``_body_velocity`` and ``_collision``
-run the loops on Python floats (``tolist``) below ``PAIR_ARRAY_MIN`` vortices:
-the same IEEE operations as on numpy scalars, so the same bits, three to
-five times faster. From ``PAIR_ARRAY_MIN`` up they switch to array forms,
-where numpy's per-call overhead costs less than the interpreted loops.
-``_rhs_array`` works on complex positions X + i Y, with the Kirchhoff-Routh
-gradient as one (N, N) grid and one matvec (``_kr_grad_complex``). Under
-numba the loops run, compiled, on the arrays.
+Each chart's right-hand side evaluates the product ``structure_matrix @ grad H``
+without assembling the matrix; ``dynamics.rhs`` keeps that literal product as
+the test oracle. It is written twice, once per size regime, and ``run`` picks
+one per run from the number of vortices (``_ops``). Below ``PAIR_ARRAY_MIN``
+the state is a Python list from start to finish: the right-hand side, the body
+velocity and the clearance scan are scalar loops over the flat state
+(``_rhs_loops``, ``_body_velocity_loops``, ``_collision_loops``), and the stage
+arithmetic is list comprehensions in the operation order of the array
+expressions, so both give the same bits. From ``PAIR_ARRAY_MIN`` up the state is
+an ndarray and everything is an array expression, where numpy's per-call
+overhead costs less than the interpreted loops; ``_rhs_array`` works on complex
+positions X + i Y, with the Kirchhoff-Routh gradient as one (N, N) grid and one
+matvec (``_kr_grad_complex``).
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .fluid import MIN_CLEARANCE
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-    _jit = numba.njit(cache=True)
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def _jit(fn):
-        return fn
-
 
 HALT_NONE = 0
 HALT_BODY = 1
@@ -53,8 +40,8 @@ CHART_VELOCITY = 1
 MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
-# Without numba, the right-hand side and the clearance scan run as array
-# expressions from this many vortices up, and as loops on Python floats below.
+# ``run`` works on ndarrays with array expressions from this many vortices up,
+# and on Python lists with loops below.
 # Measured as lists / arrays (numpy 2.4, Python 3.11, Intel Xeon, 2 shared vCPUs,
 # best of 15): the momentum-chart RHS 20 / 35 us at N = 4, 29 / 36 at N = 5,
 # 38 / 35 at N = 6, 49 / 35 at N = 7, 60 / 40 at N = 8 (velocity chart alike);
@@ -64,10 +51,10 @@ MIDPOINT_MAX_ITER = 50
 PAIR_ARRAY_MIN = 6
 
 
-@_jit
-def _kr_grad(u, g, r2, out):
-    """dW_G/dX_k into out[2k], out[2k + 1]; u is the flat chart state."""
+def _kr_grad(u, g, r2):
+    """dW_G/dX_k, dW_G/dY_k of the flat chart state u, as a flat list."""
     n = len(g)
+    out = [0.0] * (2 * n)
     four_pi = 4.0 * math.pi
     for k in range(n):
         px, py = u[3 + 2 * k], u[4 + 2 * k]
@@ -88,6 +75,7 @@ def _kr_grad(u, g, r2, out):
             gy += cc * (2.0 * dy / sep2 + 2.0 * py / d2 - (2.0 * b2 * py - 2.0 * r2 * qy) / denom)
         out[2 * k] = gx
         out[2 * k + 1] = gy
+    return out
 
 
 def _pair_grid(v):
@@ -110,7 +98,6 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
     return ((gtot - g - g * r2 / gap) / pc + (1.0 / grid) @ (g * gap / p)) / (2.0 * math.pi)
 
 
-@_jit
 def _omv_from_momentum(z, g, r2, c, inertia):
     """(Omega, Vx, Vy) recovered from a flat momentum-chart state."""
     n = len(g)
@@ -130,13 +117,12 @@ def _omv_from_momentum(z, g, r2, c, inertia):
     return om, vx, vy
 
 
-@_jit
-def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
+def _rhs_momentum(z, g, r2, c, inertia, gtot, out):
     """Fused structure-times-gradient product for the momentum chart."""
     n = len(g)
     lx, ly = z[1], z[2]
     om, vx, vy = _omv_from_momentum(z, g, r2, c, inertia)
-    _kr_grad(z, g, r2, wg)
+    wg = _kr_grad(z, g, r2)
     out[0] = -ly * vx + lx * vy
     out[1] = ly * om + gtot * vy
     out[2] = -lx * om - gtot * vx
@@ -155,12 +141,11 @@ def _rhs_momentum(z, g, r2, c, inertia, gtot, wg, out):
         out[4 + 2 * i] = hx / g[i]
 
 
-@_jit
-def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
+def _rhs_velocity(w, g, r2, c, inertia, gtot, out):
     """Fused structure-times-gradient product for the velocity chart."""
     n = len(g)
     om, vx, vy = w[0], w[1], w[2]
-    _kr_grad(w, g, r2, wg)
+    wg = _kr_grad(w, g, r2)
     sum_xlam = 0.0
     sum_ylam = 0.0
     sum_ff = 0.0
@@ -202,7 +187,6 @@ def _rhs_velocity(w, g, r2, c, inertia, gtot, wg, out):
     out[2] = d_vy
 
 
-@_jit
 def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     """One exact screw increment with compensated accumulation.
 
@@ -236,8 +220,7 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     return beta, comp_b, x0, comp_x, y0, comp_y
 
 
-@_jit
-def _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out):
+def _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, out):
     """Chart right-hand side of the flat state u into out.
 
     Returns -1, or, leaving out untouched, the index of the first vortex at
@@ -249,13 +232,12 @@ def _rhs_loops(chart_id, u, g, r2, c, inertia, gtot, wg, out):
         if px * px + py * py <= domain2:
             return i
     if chart_id == CHART_MOMENTUM:
-        _rhs_momentum(u, g, r2, c, inertia, gtot, wg, out)
+        _rhs_momentum(u, g, r2, c, inertia, gtot, out)
     else:
-        _rhs_velocity(u, g, r2, c, inertia, gtot, wg, out)
+        _rhs_velocity(u, g, r2, c, inertia, gtot, out)
     return -1
 
 
-@_jit
 def _body_velocity_loops(chart_id, z, g, r2, c, inertia):
     """(Omega, Vx, Vy) of a flat state in either chart."""
     if chart_id == CHART_MOMENTUM:
@@ -347,78 +329,90 @@ def _collision_array(z, n, body_limit2, pair_limit2):
     return HALT_NONE, -1
 
 
-if HAVE_NUMBA:
-    _rhs = _rhs_loops
-    _body_velocity = _body_velocity_loops
-    _collision = _jit(_collision_loops)
-else:
-
-    def _rhs(chart_id, u, g, r2, c, inertia, gtot, wg, out):
-        """Chart right-hand side of the flat state u into out; see ``_rhs_loops``."""
-        if len(g) >= PAIR_ARRAY_MIN:
-            return _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out)
-        res = [0.0] * len(u)
-        hit = _rhs_loops(chart_id, u.tolist(), g.tolist(), r2, c, inertia, gtot, [0.0] * len(wg), res)
-        if hit < 0:
-            out[:] = res
-        return hit
-
-    def _body_velocity(chart_id, z, g, r2, c, inertia):
-        """(Omega, Vx, Vy) of a flat state in either chart."""
-        if chart_id == CHART_MOMENTUM and len(g) >= PAIR_ARRAY_MIN:
-            return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
-        return _body_velocity_loops(chart_id, z.tolist(), g.tolist(), r2, c, inertia)
-
-    def _collision(z, n, body_limit2, pair_limit2):
-        """Halt code and vortex index of a clearance violation in z."""
-        if n >= PAIR_ARRAY_MIN:
-            return _collision_array(z, n, body_limit2, pair_limit2)
-        return _collision_loops(z.tolist(), n, body_limit2, pair_limit2)
+def _body_velocity_array(chart_id, z, g, r2, c, inertia):
+    """``_body_velocity_loops`` of an ndarray state."""
+    if chart_id == CHART_MOMENTUM:
+        return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
+    return z[:3].tolist()
 
 
-@_jit
-def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id):
-    """Fixed-step RK4 or implicit midpoint with exact screw pose steps.
+# How ``run`` works, chosen once per run by ``_ops``. Both namespaces do the same
+# IEEE operations in the same order: stage(z, h, k) = z + h k,
+# rk4(z, h, k1..k4) = z + h (((k1 + 2 k2) + 2 k3) + k4), reflect(m, z) = 2 m - z,
+# increment(a, b) = max |a - b|, and finite(z) tests every entry.
+_LISTS = SimpleNamespace(
+    load=np.ndarray.tolist,
+    rhs=_rhs_loops,
+    body_velocity=_body_velocity_loops,
+    collision=_collision_loops,
+    stage=lambda z, h, k: [a + h * b for a, b in zip(z, k)],
+    rk4=lambda z, h, k1, k2, k3, k4: [
+        a + h * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(z, k1, k2, k3, k4)
+    ],
+    reflect=lambda m, z: [2.0 * a - b for a, b in zip(m, z)],
+    increment=lambda u, v: max([abs(a - b) for a, b in zip(u, v)]),
+    finite=lambda z: all(map(math.isfinite, z)),
+)
+_ARRAYS = SimpleNamespace(
+    load=np.array,
+    rhs=_rhs_array,
+    body_velocity=_body_velocity_array,
+    collision=_collision_array,
+    stage=lambda z, h, k: z + h * k,
+    rk4=lambda z, h, k1, k2, k3, k4: z + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+    reflect=lambda m, z: 2.0 * m - z,
+    increment=lambda u, v: np.abs(u - v).max(),
+    finite=lambda z: np.isfinite(z).all(),
+)
+
+
+def _ops(n):
+    """How ``run`` works on n vortices: Python lists and loops below
+    ``PAIR_ARRAY_MIN``, ndarrays and array expressions from there up."""
+    return _LISTS if n < PAIR_ARRAY_MIN else _ARRAYS
+
+
+def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id, beta, px0, py0):
+    """Fixed-step RK4 or implicit midpoint with exact screw pose steps, from the pose (beta, px0, py0).
 
     Returns the recorded states, poses (beta, x0_x, x0_y) and step numbers,
     then the halt code, vortex index and step.
     """
-    dim = z0.shape[0]
-    n = g.shape[0]
+    n = len(g)
+    ops = _ops(n)
+    rhs, stage, finite = ops.rhs, ops.stage, ops.finite
+    z, g = ops.load(z0), ops.load(g)
+    dim = len(z)
     n_rec_max = nsteps // stride + 2
     rec_states = np.empty((n_rec_max, dim))
-    rec_poses = np.zeros((n_rec_max, 3))
-    rec_steps = np.empty(n_rec_max, dtype=np.int64)
+    rec_poses = np.empty((n_rec_max, 3))
 
-    z = z0.copy()
-    wg = np.empty(2 * n)
-    k1 = np.empty(dim)
-    k2 = np.empty(dim)
-    k3 = np.empty(dim)
-    k4 = np.empty(dim)
-    beta, comp_b, px0, comp_x, py0, comp_y = 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    k1, k2, k3, k4 = (ops.load(np.zeros(dim)) for _ in range(4))
+    half, sixth = 0.5 * dt, dt / 6.0
+    # (beta, its compensation, x0_x, its compensation, x0_y, its compensation)
+    pose = (beta, 0.0, px0, 0.0, py0, 0.0)
 
     rec_states[0] = z
-    rec_steps[0] = 0
+    rec_poses[0] = pose[::2]
     n_rec = 1
 
     halt_code = HALT_NONE
     halt_index = -1
     halt_step = nsteps
 
-    om0, vx0, vy0 = _body_velocity(chart_id, z, g, r2, c, inertia)
+    om0, vx0, vy0 = ops.body_velocity(chart_id, z, g, r2, c, inertia)
     for step in range(nsteps):
         converged = True
         if integ_id == RK4:
-            hit = _rhs(chart_id, z, g, r2, c, inertia, gtot, wg, k1)
+            hit = rhs(chart_id, z, g, r2, c, inertia, gtot, k1)
             if hit < 0:
-                hit = _rhs(chart_id, z + 0.5 * dt * k1, g, r2, c, inertia, gtot, wg, k2)
+                hit = rhs(chart_id, stage(z, half, k1), g, r2, c, inertia, gtot, k2)
             if hit < 0:
-                hit = _rhs(chart_id, z + 0.5 * dt * k2, g, r2, c, inertia, gtot, wg, k3)
+                hit = rhs(chart_id, stage(z, half, k2), g, r2, c, inertia, gtot, k3)
             if hit < 0:
-                hit = _rhs(chart_id, z + dt * k3, g, r2, c, inertia, gtot, wg, k4)
+                hit = rhs(chart_id, stage(z, dt, k3), g, r2, c, inertia, gtot, k4)
             if hit < 0:
-                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z = ops.rk4(z, sixth, k1, k2, k3, k4)
         else:
             # fixed-point iteration on the midpoint state; a non-finite iterate
             # counts as non-convergence
@@ -426,53 +420,41 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
             hit = -1
             converged = False
             for _ in range(MIDPOINT_MAX_ITER):
-                hit = _rhs(chart_id, umid, g, r2, c, inertia, gtot, wg, k1)
+                hit = rhs(chart_id, umid, g, r2, c, inertia, gtot, k1)
                 if hit >= 0:
                     break
-                unew = z + 0.5 * dt * k1
-                if not np.isfinite(unew).all():
+                unew = stage(z, half, k1)
+                if not finite(unew):
                     break
-                delta = np.abs(unew - umid).max()
+                delta = ops.increment(unew, umid)
                 umid = unew
                 if delta <= MIDPOINT_TOL:
                     converged = True
                     break
             if converged:
-                z = 2.0 * umid - z
+                z = ops.reflect(umid, z)
 
         if hit >= 0:
             halt_code, halt_index = HALT_DOMAIN, hit
         elif not converged:
             halt_code = HALT_NO_CONVERGENCE
-        elif not np.isfinite(z).all():
+        elif not finite(z):
             halt_code = HALT_NONFINITE
         else:
-            halt_code, halt_index = _collision(z, n, body_limit2, pair_limit2)
+            halt_code, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
         if halt_code != HALT_NONE:
             halt_step = step
             break
 
-        om1, vx1, vy1 = _body_velocity(chart_id, z, g, r2, c, inertia)
-        beta, comp_b, px0, comp_x, py0, comp_y = _pose_step(
-            beta,
-            comp_b,
-            px0,
-            comp_x,
-            py0,
-            comp_y,
-            0.5 * (om0 + om1),
-            0.5 * (vx0 + vx1),
-            0.5 * (vy0 + vy1),
-            dt,
-        )
+        om1, vx1, vy1 = ops.body_velocity(chart_id, z, g, r2, c, inertia)
+        pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt)
         om0, vx0, vy0 = om1, vx1, vy1
 
         if (step + 1) % stride == 0 or step + 1 == nsteps:
             rec_states[n_rec] = z
-            rec_poses[n_rec, 0] = beta
-            rec_poses[n_rec, 1] = px0
-            rec_poses[n_rec, 2] = py0
-            rec_steps[n_rec] = step + 1
+            rec_poses[n_rec] = pose[::2]
             n_rec += 1
 
-    return rec_states[:n_rec], rec_poses[:n_rec], rec_steps[:n_rec], halt_code, halt_index, halt_step
+    # sample k is taken after step min(k stride, nsteps)
+    rec_steps = np.minimum(np.arange(n_rec, dtype=np.int64) * stride, nsteps)
+    return rec_states[:n_rec], rec_poses[:n_rec], rec_steps, halt_code, halt_index, halt_step

@@ -42,6 +42,7 @@ _CONFIG_KEYS = {
     "stride",
     "integrator",
     "clearance",
+    "pose",
 }
 
 PRESETS: dict[str, dict] = {
@@ -139,6 +140,7 @@ def config_from_dict(raw: dict) -> SimConfig:
         stride=_number(raw, "stride", 1),
         clearance=None if raw.get("clearance") is None else _number(raw, "clearance"),
         name=raw.get("name", ""),
+        pose=_floats(raw, "pose", [0.0, 0.0, 0.0], (3,)),
     )
 
 

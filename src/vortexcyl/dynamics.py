@@ -3,12 +3,12 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
 midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product without assembling the matrix; without numba, the loops run on
-Python floats below ``_kernels.PAIR_ARRAY_MIN`` vortices, and the whole
-right-hand side and the clearance scan run as array expressions from there up.
+product without assembling the matrix: as loops on Python lists below
+``_kernels.PAIR_ARRAY_MIN`` vortices, as array expressions from there up.
 Poses are reconstructed during integration by exact screw increments using
-each step's midpoint body velocity. Energy, Casimir, momentum drift and
-inertial positions are then computed for all recorded samples at once.
+each step's midpoint body velocity, from the config's starting pose. Energy,
+Casimir, momentum drift and inertial positions are then computed for all
+recorded samples at once.
 """
 from __future__ import annotations
 
@@ -60,10 +60,14 @@ class SimConfig:
     stride: int = 1
     clearance: float | None = None
     name: str = ""
+    pose: FloatArray = (0.0, 0.0, 0.0)  # (beta, x0_x, x0_y) at t = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chart", canonical_chart(self.chart))
         object.__setattr__(self, "body_state", np.asarray(self.body_state, dtype=np.float64).reshape(3))
+        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=np.float64).reshape(3))
+        if not np.isfinite(self.pose).all():
+            raise ValidationError("pose must be 3 finite numbers")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("dt must be positive")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
@@ -131,8 +135,8 @@ class DiagnosticsReport:
 
 
 def active_backend() -> str:
-    """Which compiler runs ``_kernels``: "numba" when importable, else "numpy"."""
-    return "numba" if _kernels.HAVE_NUMBA else "numpy"
+    """What runs ``_kernels``: always "numpy" (Python and numpy, nothing compiled)."""
+    return "numpy"
 
 
 def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> FloatArray:
@@ -166,6 +170,7 @@ def integrate(config: SimConfig) -> Trajectory:
             float((body.radius + config.clearance) ** 2),
             float(config.clearance**2),
             _kernels.RK4 if config.integrator == "rk4" else _kernels.MIDPOINT,
+            *config.pose.tolist(),
         )
 
     times = steps * config.dt

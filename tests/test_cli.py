@@ -139,6 +139,7 @@ def test_csv_restart_continues_trajectory(tmp_path):
     restart = dict(raw)
     restart["body"] = [last["A"], last["Lx"], last["Ly"]]
     restart["positions"] = [[last[f"X{i}"], last[f"Y{i}"]] for i in range(1, n + 1)]
+    restart["pose"] = [last["beta"], last["x0_x"], last["x0_y"]]
     out_b = tmp_path / "second"
     assert cli.main(["simulate", str(_write(tmp_path, restart, "restart.json")), "--out", str(out_b)]) == 0
 
@@ -152,8 +153,9 @@ def test_csv_restart_continues_trajectory(tmp_path):
     end_b = [float(v) for v in rows_b[-1].split(",")]
     end_c = [float(v) for v in rows_c[-1].split(",")]
     cols = head_b.split(",")
-    state_cols = [cols.index(c) for c in ("A", "Lx", "Ly", "X1", "Y1", "X2", "Y2")]
-    for idx in state_cols:
+    state_cols = ("A", "Lx", "Ly", "X1", "Y1", "X2", "Y2")
+    pose_cols = ("beta", "x0_x", "x0_y", "x1_in", "y1_in", "x2_in", "y2_in")
+    for idx in [cols.index(c) for c in state_cols + pose_cols]:
         assert abs(end_b[idx] - end_c[idx]) <= 1e-10
 
 
@@ -253,6 +255,8 @@ def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd):
         ("stride", 2.7),
         ("mass", "heavy"),
         ("chart", "cartesian"),
+        ("pose", [0.1, 0.2]),
+        ("pose", [0.0, float("nan"), 0.0]),
     ],
 )
 def test_config_shape_errors_exit_2_with_one_line(tmp_path, capsys, key, value):

@@ -12,18 +12,16 @@ from vortexcyl.dynamics import SimConfig, integrate
 from vortexcyl.energetics import effective_mass
 from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
 CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VELOCITY}
 
 
 def _kernel_rhs(chart, state, body, g):
-    z = state.flat()
-    out = np.empty_like(z)
-    wg = np.empty(2 * state.n)
-    args = (z, g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), wg, out)
-    assert _kernels._rhs(CHART_IDS[chart], *args) == -1
-    return out
+    """The right-hand side as ``run`` evaluates it at this size."""
+    ops = _kernels._ops(state.n)
+    out = ops.load(np.empty(state.flat().size))
+    args = (ops.load(g), body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), out)
+    assert ops.rhs(CHART_IDS[chart], ops.load(state.flat()), *args) == -1
+    return np.array(out)
 
 
 def _matrix_rhs(chart, state, body, g):
@@ -88,15 +86,17 @@ def test_body_velocity_matches_loops(case):
     chart, body, state, g = case
     args = (CHART_IDS[chart], state.flat(), g, body.radius**2, effective_mass(body).c, body.inertia)
     loops = np.array(_kernels._body_velocity_loops(*args))
+    ops = _kernels._ops(state.n)
+    run_args = (CHART_IDS[chart], ops.load(state.flat()), ops.load(g), *args[3:])
     # (A + sum g |X|^2 / 2) / I and (L -+ phi) / c sum terms as large as these
     d2 = np.sum(state.positions**2, axis=1)
     scale = max(
         (abs(state.body[0]) + np.abs(g) @ d2) / body.inertia,
         (np.abs(state.body[1:]).max() + np.abs(g) @ np.sqrt(d2)) / effective_mass(body).c,
     )
-    npt.assert_allclose(_kernels._body_velocity(*args), loops, rtol=0, atol=1e-13 * scale)
+    npt.assert_allclose(ops.body_velocity(*run_args), loops, rtol=0, atol=1e-13 * scale)
     if chart == "velocity":
-        npt.assert_array_equal(_kernels._body_velocity(*args), state.body)
+        npt.assert_array_equal(ops.body_velocity(*run_args), state.body)
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -116,15 +116,10 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
         rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
         loops, array = np.full(z.size, 7.0), np.full(z.size, 7.0)
-        hit = _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), loops)
+        hit = _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, loops)
         assert hit == min(inside)
         assert _kernels._rhs_array(CHART_IDS[chart], z, g, *rest, array) == hit
         assert (array == 7.0).all() and (loops == 7.0).all()
-
-
-def _python(fn):
-    """The plain Python source of a kernel, compiled by numba or not."""
-    return getattr(fn, "py_func", fn)
 
 
 _SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
@@ -136,22 +131,23 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     chart, body, state, g = case
     z, n = state.flat(), state.n
     rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
-    rhs_loops = _python(_kernels._rhs_loops)
     on_arrays = np.empty(z.size)
-    assert rhs_loops(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), on_arrays) == -1
+    assert _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, on_arrays) == -1
     on_lists = [0.0] * z.size
-    assert rhs_loops(CHART_IDS[chart], z.tolist(), g.tolist(), *rest, [0.0] * (2 * n), on_lists) == -1
+    assert _kernels._rhs_loops(CHART_IDS[chart], z.tolist(), g.tolist(), *rest, on_lists) == -1
     npt.assert_array_equal(np.array(on_lists), on_arrays)
-    # the dispatcher used by ``run``: Python floats below PAIR_ARRAY_MIN without numba
-    dispatched = np.empty(z.size)
-    assert _kernels._rhs(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), dispatched) == -1
-    npt.assert_array_equal(dispatched, on_arrays)
+    # what ``run`` calls below PAIR_ARRAY_MIN, on what it loads: Python lists
+    ops = _kernels._ops(n)
+    dispatched = ops.load(np.empty(z.size))
+    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.load(g), *rest, dispatched) == -1
+    assert type(dispatched) is list and all(type(v) is float for v in dispatched)
+    npt.assert_array_equal(np.array(dispatched), on_arrays)
 
     omv_args = (body.radius**2, effective_mass(body).c, body.inertia)
-    body_velocity = _python(_kernels._body_velocity_loops)
+    body_velocity = _kernels._body_velocity_loops
     on_arrays = body_velocity(CHART_IDS[chart], z, g, *omv_args)
     npt.assert_array_equal(body_velocity(CHART_IDS[chart], z.tolist(), g.tolist(), *omv_args), on_arrays)
-    npt.assert_array_equal(_kernels._body_velocity(CHART_IDS[chart], z, g, *omv_args), on_arrays)
+    npt.assert_array_equal(ops.body_velocity(CHART_IDS[chart], ops.load(z), ops.load(g), *omv_args), on_arrays)
 
     # limits between the closest and the farthest vortex hit every outcome
     d2 = np.sum(state.positions**2, axis=1)
@@ -160,7 +156,7 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
             limits = (n, body_limit2, pair_limit2)
             on_arrays = _kernels._collision_loops(z, *limits)
             assert _kernels._collision_loops(z.tolist(), *limits) == on_arrays
-            assert _kernels._collision(z, *limits) == on_arrays
+            assert ops.collision(ops.load(z), *limits) == on_arrays
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -174,9 +170,10 @@ def test_list_path_reports_the_domain_halt(body, chart):
     z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
     g = np.linspace(-1.0, 1.5, n)
     rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
-    out = np.full(z.size, 7.0)
-    assert _kernels._rhs(CHART_IDS[chart], z, g, *rest, np.empty(2 * n), out) == 1
-    assert (out == 7.0).all()
+    ops = _kernels._ops(n)
+    out = ops.load(np.full(z.size, 7.0))
+    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.load(g), *rest, out) == 1
+    assert out == [7.0] * z.size
 
 
 @pytest.mark.parametrize("n", [_kernels.PAIR_ARRAY_MIN, 16])
@@ -203,45 +200,6 @@ def test_collision_array_matches_loops(rng, n):
     assert found["none"] == (_kernels.HALT_NONE, -1)
     assert found["body"] == (_kernels.HALT_BODY, 3)
     assert found["pairs"] == (_kernels.HALT_PAIR, 1)
-
-
-@needs_numba
-def test_numba_kernel_matches_python_kernel(body, rng):
-    for chart, fn in (("momentum", _kernels._rhs_momentum), ("velocity", _kernels._rhs_velocity)):
-        for _ in range(10):
-            state, g = random_state(rng, chart)
-            args = (state.flat(), g, body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
-            compiled, python = np.empty(state.flat().size), np.empty(state.flat().size)
-            fn(*args, np.empty(2 * state.n), compiled)
-            fn.py_func(*args, np.empty(2 * state.n), python)
-            npt.assert_array_equal(compiled, python)
-
-
-@needs_numba
-def test_run_loops_agree_bitwise(body):
-    z0 = np.array([0.1, -0.2, 0.3, 2.0, 0.5, -1.8, 1.1])
-    g = np.array([1.3, -0.7])
-    for integ_id in (_kernels.RK4, _kernels.MIDPOINT):
-        args = (
-            _kernels.CHART_MOMENTUM,
-            z0,
-            g,
-            1.0,
-            effective_mass(body).c,
-            body.inertia,
-            float(g.sum()),
-            1e-3,
-            500,
-            25,
-            (1.0 + 1e-3) ** 2,
-            1e-6,
-            integ_id,
-        )
-        compiled = _kernels.run(*args)
-        python = _kernels.run.py_func(*args)
-        assert compiled[3:] == python[3:]
-        for a, b in zip(compiled[:3], python[:3]):
-            npt.assert_array_equal(a, b)
 
 
 def _oracle_integrate(cfg):
@@ -313,3 +271,139 @@ def test_integrate_matches_matrix_route_loop(body, chart, integrator):
         assert steps[-1] == cfg.nsteps
         npt.assert_allclose(traj.states, states[steps], rtol=0, atol=1e-11)
         npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
+
+
+def _reference_run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id, *pose):
+    """``_kernels.run`` as an ndarray loop: the state is an array throughout, the
+    stages are array expressions, and the kernels are the loops (on arrays)
+    below PAIR_ARRAY_MIN and the array forms from there up."""
+    n = len(g)
+    loops = n < _kernels.PAIR_ARRAY_MIN
+    rhs = _kernels._rhs_loops if loops else _kernels._rhs_array
+    collision = _kernels._collision_loops if loops else _kernels._collision_array
+
+    def body_velocity(z):
+        if not loops and chart_id == _kernels.CHART_MOMENTUM:
+            return _kernels._omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
+        return _kernels._body_velocity_loops(chart_id, z, g, r2, c, inertia)
+
+    z = z0.copy()
+    k1, k2, k3, k4 = (np.empty(z.size) for _ in range(4))
+    states, poses, steps = [z], [pose], [0]
+    carry = (pose[0], 0.0, pose[1], 0.0, pose[2], 0.0)
+    halt = (_kernels.HALT_NONE, -1, nsteps)
+    v0 = body_velocity(z)
+    for step in range(nsteps):
+        converged = True
+        if integ_id == _kernels.RK4:
+            hit = rhs(chart_id, z, g, r2, c, inertia, gtot, k1)
+            if hit < 0:
+                hit = rhs(chart_id, z + 0.5 * dt * k1, g, r2, c, inertia, gtot, k2)
+            if hit < 0:
+                hit = rhs(chart_id, z + 0.5 * dt * k2, g, r2, c, inertia, gtot, k3)
+            if hit < 0:
+                hit = rhs(chart_id, z + dt * k3, g, r2, c, inertia, gtot, k4)
+            if hit < 0:
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            umid, converged = z, False
+            for _ in range(_kernels.MIDPOINT_MAX_ITER):
+                hit = rhs(chart_id, umid, g, r2, c, inertia, gtot, k1)
+                if hit >= 0:
+                    break
+                unew = z + 0.5 * dt * k1
+                if not np.isfinite(unew).all():
+                    break
+                delta = np.abs(unew - umid).max()
+                umid = unew
+                if delta <= _kernels.MIDPOINT_TOL:
+                    converged = True
+                    break
+            if converged:
+                z = 2.0 * umid - z
+        if hit >= 0:
+            halt = (_kernels.HALT_DOMAIN, hit, step)
+        elif not converged:
+            halt = (_kernels.HALT_NO_CONVERGENCE, -1, step)
+        elif not np.isfinite(z).all():
+            halt = (_kernels.HALT_NONFINITE, -1, step)
+        elif (hit := collision(z, n, body_limit2, pair_limit2))[0] != _kernels.HALT_NONE:
+            halt = (*hit, step)
+        if halt[0] != _kernels.HALT_NONE:
+            break
+        v1 = body_velocity(z)
+        carry = _kernels._pose_step(*carry, *(0.5 * (a + b) for a, b in zip(v0, v1)), dt)
+        v0 = v1
+        if (step + 1) % stride == 0 or step + 1 == nsteps:
+            states.append(z)
+            poses.append(carry[::2])
+            steps.append(step + 1)
+    return (np.array(states), np.array(poses, dtype=np.float64), np.array(steps, dtype=np.int64), *halt)
+
+
+def _pinned_integrate(monkeypatch, cfg):
+    """``integrate(cfg)``, checking that ``_kernels.run`` gives bit for bit what
+    ``_reference_run`` gives on the arguments ``integrate`` passes it."""
+    run = _kernels.run
+
+    def checked(*args):
+        got, want = run(*args), _reference_run(*args)
+        for a, b in zip(got[:3], want[:3]):
+            npt.assert_array_equal(a, b, strict=True)
+            assert a.tobytes() == b.tobytes()
+        assert got[3:] == want[3:]
+        return got
+
+    monkeypatch.setattr(_kernels, "run", checked)
+    return integrate(cfg)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+@pytest.mark.parametrize("n", range(_kernels.PAIR_ARRAY_MIN + 1))
+def test_run_matches_array_reference_bitwise(monkeypatch, body, n, chart, integrator):
+    i = np.arange(n)
+    angles = 2.0 * np.pi * i / n + 0.3
+    radii = 2.5 + 0.4 * (i % 3)
+    cfg = SimConfig(
+        chart=chart,
+        body=body,
+        vortices=VortexSet((1.0 + 0.1 * i) * (-1.0) ** i, radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)),
+        body_state=[0.05, 0.1, -0.08],
+        dt=5e-3,
+        t_end=0.2,
+        integrator=integrator,
+        stride=7,
+        pose=[0.3, -1.0, 2.0],
+    )
+    traj = _pinned_integrate(monkeypatch, cfg)
+    assert traj.halt is None and traj.n_samples == 7
+
+
+# one run of each halt kind, and a body-only overflow (no vortices):
+# (reason, chart, integrator, strengths, positions, body state, dt, t_end, clearance)
+HALTS = {
+    "domain": ("stage left the fluid domain", "velocity", "midpoint", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
+    "body": (
+        "vortex reached the body clearance", "momentum", "rk4", [2.0, -2.0], [[2.5, 0.35], [2.5, -0.35]], [0, 0, 0],
+        4e-3, 30.0, 0.4,
+    ),
+    "pair": (
+        "two vortices closer than the clearance", "velocity", "rk4", [1.0, 1.0], [[2.5, 0.0], [2.75, 0.0]], [0, 0, 0],
+        1e-3, 1.0, 0.3,
+    ),
+    "nonfinite": ("state became non-finite", "velocity", "rk4", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]], [0, 0, 0], 1.0, 5.0, None),
+    "nonfinite-body": ("state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1, 0, 1], 1e300, 1e301, None),
+    "no-convergence": (
+        "implicit midpoint iteration did not converge", "momentum", "midpoint", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]],
+        [0, 0, 0], 1.0, 5.0, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HALTS)
+def test_run_matches_array_reference_bitwise_on_halts(monkeypatch, body, case):
+    reason, chart, integrator, strengths, positions, body_state, dt, t_end, clearance = HALTS[case]
+    cfg = SimConfig(chart, body, VortexSet(strengths, positions), body_state, dt, t_end, integrator, 10, clearance)
+    traj = _pinned_integrate(monkeypatch, cfg)
+    assert traj.halt is not None and traj.halt.reason == reason
