@@ -2,8 +2,9 @@
 
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
-Exit codes: 0 success, 2 bad config or usage, 3 halted run (collision,
-a stage outside the fluid domain, or non-convergence).
+Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
+usage, 3 halted run (collision, a stage outside the fluid domain, or
+non-convergence).
 """
 from __future__ import annotations
 

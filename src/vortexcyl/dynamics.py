@@ -66,6 +66,8 @@ class SimConfig:
         object.__setattr__(self, "chart", canonical_chart(self.chart))
         object.__setattr__(self, "body_state", np.asarray(self.body_state, dtype=np.float64).reshape(3))
         object.__setattr__(self, "pose", np.asarray(self.pose, dtype=np.float64).reshape(3))
+        if not np.isfinite(self.body_state).all():
+            raise ValidationError("body state must be 3 finite numbers")
         if not np.isfinite(self.pose).all():
             raise ValidationError("pose must be 3 finite numbers")
         if not (np.isfinite(self.dt) and self.dt > 0):

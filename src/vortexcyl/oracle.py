@@ -6,6 +6,11 @@ velocity is built from first principles (two image vortices), not from the
 Green's function, and the pushforward check sandwiches the momentum-chart
 structure through the shift Jacobian instead of reusing the closed-form
 velocity-chart matrix.
+
+Central differences are built in one place: ``fd_stencil`` stacks every point
+a stencil visits and ``fd_combine`` turns field values there into derivatives.
+``fd_gradient`` and ``fd_jacobian`` evaluate a one-point field on the stack;
+a caller with a batched field evaluates the whole stack in one call.
 """
 from __future__ import annotations
 
@@ -17,7 +22,9 @@ from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
 
-__all__ = ["FdSpec", "fd_gradient", "fd_jacobian", "image_vortex_velocity", "pushforward_check"]
+__all__ = [
+    "FdSpec", "fd_stencil", "fd_combine", "fd_gradient", "fd_jacobian", "image_vortex_velocity", "pushforward_check",
+]
 
 # Central-difference weights for first derivatives, by order of accuracy.
 _STENCILS = {
@@ -41,38 +48,41 @@ class FdSpec:
             raise ValueError(f"order must be one of {sorted(_STENCILS)}")
 
 
+def fd_stencil(point: FloatArray, spec: FdSpec) -> FloatArray:
+    """Every point a central difference visits around ``point``, stacked as one
+    (size * offsets * 2, *point.shape) array in visiting order: flat coordinate,
+    then offset, then sign (+ before -). Evaluate a field on all of them at
+    once, then hand the values to ``fd_combine``."""
+    z = np.asarray(point, dtype=np.float64)
+    offsets, _ = _STENCILS[spec.order]
+    steps = np.zeros((z.size, len(offsets), z.size))
+    steps[np.arange(z.size), :, np.arange(z.size)] = np.array(offsets) * spec.h
+    flat = z.reshape(-1)
+    return np.stack([flat + steps, flat - steps], axis=2).reshape(2 * len(offsets) * z.size, *z.shape)
+
+
+def fd_combine(values: FloatArray, spec: FdSpec) -> FloatArray:
+    """Derivatives from field values at the ``fd_stencil`` points (leading axis in
+    its order), shape (dim, *value shape): sum of w (f+ - f-) over offsets, over h."""
+    offsets, weights = _STENCILS[spec.order]
+    v = np.asarray(values)
+    v = v.reshape(-1, len(offsets), 2, *v.shape[1:])
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w * (v[:, k, 0] - v[:, k, 1])
+    return acc / spec.h
+
+
 def fd_gradient(f: Callable[[FloatArray], float], point: FloatArray, spec: FdSpec = FdSpec()) -> FloatArray:
     """Central-difference gradient of a scalar field."""
-    z = np.asarray(point, dtype=np.float64)
-    offsets, weights = _STENCILS[spec.order]
-    grad = np.zeros_like(z)
-    for i in range(z.size):
-        step = np.zeros_like(z)
-        acc = 0.0
-        for k, w in zip(offsets, weights):
-            step[i] = k * spec.h
-            acc += w * (f(z + step) - f(z - step))
-        step[i] = 0.0
-        grad[i] = acc / spec.h
-    return grad
+    return fd_combine([f(p) for p in fd_stencil(point, spec)], spec)
 
 
 def fd_jacobian(
     f: Callable[[FloatArray], FloatArray], point: FloatArray, spec: FdSpec = FdSpec()
 ) -> FloatArray:
     """Central-difference Jacobian of a vector field (rows = outputs)."""
-    z = np.asarray(point, dtype=np.float64)
-    offsets, weights = _STENCILS[spec.order]
-    cols = []
-    for i in range(z.size):
-        step = np.zeros_like(z)
-        acc = None
-        for k, w in zip(offsets, weights):
-            step[i] = k * spec.h
-            term = w * (np.asarray(f(z + step)) - np.asarray(f(z - step)))
-            acc = term if acc is None else acc + term
-        cols.append(acc / spec.h)
-    return np.stack(cols, axis=1)
+    return fd_combine([np.asarray(f(p)) for p in fd_stencil(point, spec)], spec).T
 
 
 def image_vortex_velocity(point: FloatArray, gamma: float, radius: float) -> FloatArray:

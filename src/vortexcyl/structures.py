@@ -10,6 +10,11 @@ chart is {A, Lx} = -Ly, {A, Ly} = Lx, the cocycle contributes
 BOTH charts (the shift map is the identity on vortex coordinates, so the two
 charts cannot differ there). Every entry of the velocity-chart matrix is the
 exact pushforward of this structure through the shift map.
+
+The certification helpers take their stencils from ``oracle.fd_stencil``: the
+interaction bracket validates all order-6 stencil configurations at once and
+evaluates the magnetic potential on them in one batched call, and the Jacobi
+verifier sums the cyclic terms of all index triples as whole tensors.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from numpy.typing import NDArray
 
 from .energetics import BodyParams, effective_mass
 from .fluid import MIN_CLEARANCE, FluidParams, ValidationError, VortexSet, batch_momentum_shift
-from .oracle import _STENCILS, FdSpec, fd_gradient
+from .oracle import FdSpec, fd_combine, fd_stencil
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -123,25 +128,17 @@ def _vortex_bracket(grad_f: FloatArray, grad_k: FloatArray, strengths: FloatArra
     return float(np.sum((-1.0 / strengths) * (gx_f * gy_k - gx_k * gy_f)))
 
 
-def _validate_stencil(vset: VortexSet, params: FluidParams, spec: FdSpec) -> None:
-    """Validate at once every configuration ``fd_gradient`` visits around valid
-    positions (one coordinate of one vortex moved by +-k h per stencil offset k),
-    raising the ValidationError of the first inadmissible one in visiting order."""
-    x = vset.positions
-    shifts = np.array([s * k for k in _STENCILS[spec.order][0] for s in (1, -1)]) * spec.h
-    # moved[m, s]: vortex m // 2 with coordinate m % 2 shifted by shifts[s]
-    moved = np.broadcast_to(np.repeat(x, 2, axis=0)[:, None], (2 * vset.n, shifts.size, 2)).copy()
-    moved[0::2, :, 0] += shifts
-    moved[1::2, :, 1] += shifts
-    bad = ~(np.hypot(moved[..., 0], moved[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE))
-    same = (moved[:, :, None, :] == x).all(axis=-1)
-    same[np.arange(2 * vset.n), :, np.arange(2 * vset.n) // 2] = False
-    bad |= same.any(axis=-1)
+def _validate_stencil(configs: FloatArray, strengths: FloatArray, params: FluidParams) -> None:
+    """Validate at once the (M, N, 2) ``fd_stencil`` configurations around valid
+    positions, raising the ValidationError of the first inadmissible one in
+    visiting order."""
+    n = configs.shape[1]
+    bad = ~(np.hypot(configs[..., 0], configs[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE)).all(axis=-1)
+    same = (configs[:, :, None] == configs[:, None]).all(axis=-1)
+    same[:, np.arange(n), np.arange(n)] = False
+    bad |= same.any(axis=(1, 2))
     if bad.any():
-        m, s = np.unravel_index(bad.argmax(), bad.shape)
-        config = x.copy()
-        config[m // 2] = moved[m, s]
-        VortexSet(vset.strengths, config).validate(params)
+        VortexSet(strengths, configs[bad.argmax()]).validate(params)
 
 
 def interaction_bracket_coefficients(
@@ -163,19 +160,11 @@ def interaction_bracket_coefficients(
     pos = state.positions.reshape(-1)
     n = state.n
     spec = FdSpec(h=1e-3 * (1.0 + float(np.max(np.abs(pos), initial=0.0))), order=6)
-    _validate_stencil(vset, body.fluid, spec)
-
-    def phi_component(idx: int) -> Callable[[FloatArray], float]:
-        def f(flat_pos: FloatArray) -> float:
-            phi_xy, _ = batch_momentum_shift(flat_pos.reshape(-1, 2), g, body.radius)
-            return float(phi_xy[idx])
-
-        return f
-
-    grad_phi = {
-        "x": fd_gradient(phi_component(0), pos, spec),
-        "y": fd_gradient(phi_component(1), pos, spec),
-    }
+    configs = fd_stencil(state.positions, spec)
+    _validate_stencil(configs, g, body.fluid)
+    phi_xy, _ = batch_momentum_shift(configs, g, body.radius)
+    grad_x, grad_y = fd_combine(phi_xy, spec).T
+    grad_phi = {"x": grad_x, "y": grad_y}
 
     def coord_grad(i: int, comp: int) -> FloatArray:
         e = np.zeros(2 * n)
@@ -203,23 +192,14 @@ def jacobi_residual(
 ) -> float:
     """Max over index triples of the cyclic Jacobi sum, derivatives by central differences."""
     z = np.asarray(point, dtype=np.float64)
-    dim = z.size
     lam = structure_field(z)
-    dlam = np.empty((dim, dim, dim))
-    for l in range(dim):
-        step = np.zeros(dim)
-        step[l] = h
-        dlam[l] = (structure_field(z + step) - structure_field(z - step)) / (2.0 * h)
-    worst = 0.0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                total = 0.0
-                for l in range(dim):
-                    total += (
-                        lam[i, l] * dlam[l, j, k]
-                        + lam[j, l] * dlam[l, k, i]
-                        + lam[k, l] * dlam[l, i, j]
-                    )
-                worst = max(worst, abs(total))
-    return worst
+    spec = FdSpec(h=h, order=2)
+    dlam = fd_combine([structure_field(p) for p in fd_stencil(z, spec)], spec)
+    # every triple's cyclic sum at once; summing over l in index order, term by
+    # term (not in one einsum), fixes the rounding to that of the scalar sum
+    total = np.zeros(dlam.shape)
+    for l, d in enumerate(dlam):
+        a = lam[:, l]
+        total += a[:, None, None] * d + a[:, None] * d.T[:, None, :] + a * d[:, :, None]
+    i, j, k = np.ogrid[: z.size, : z.size, : z.size]
+    return np.max(np.abs(total[(i < j) & (j < k)]), initial=0.0)

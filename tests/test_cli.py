@@ -188,6 +188,14 @@ def test_verify_subcommand(capsys):
     assert all("pass" in line for line in lines[1:])
 
 
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    rows = [("jacobi momentum chart", 0.0, 1e-6, True), ("cocycle components", 2e-9, 1e-10, False)]
+    monkeypatch.setattr(cli, "_verify_report", lambda: (rows, False))
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].endswith("pass") and lines[2].startswith("cocycle components") and lines[2].endswith("FAIL")
+
+
 def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
     out = tmp_path / "first"
     assert cli.main(["simulate", str(_write(tmp_path, _minimal_config())), "--out", str(out)]) == cli.EXIT_OK
@@ -257,6 +265,8 @@ def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd):
         ("chart", "cartesian"),
         ("pose", [0.1, 0.2]),
         ("pose", [0.0, float("nan"), 0.0]),
+        ("body", [float("nan"), 0.0, 0.0]),
+        ("body", [0.0, float("inf"), 0.0]),
     ],
 )
 def test_config_shape_errors_exit_2_with_one_line(tmp_path, capsys, key, value):

@@ -9,12 +9,14 @@ from vortexcyl import (
     FluidParams,
     VortexSet,
     fd_gradient,
+    fd_jacobian,
     grad_kirchhoff_routh,
     image_vortex_velocity,
     kirchhoff_routh,
     pushforward_check,
 )
 from vortexcyl.maps import shift_jacobian, shift_map
+from vortexcyl.oracle import _STENCILS
 from vortexcyl.structures import momentum_structure_matrix, velocity_structure_matrix
 
 
@@ -37,6 +39,61 @@ def test_fd_gradient_orders(order):
     grad = fd_gradient(f, z, FdSpec(h=1e-3, order=order))
     tol = {2: 1e-6, 4: 1e-10, 6: 1e-12}[order]
     npt.assert_allclose(grad, expected, atol=tol)
+
+
+def _fd_gradient_loop(f, z, spec):
+    """Reference: one stencil point at a time, the per-coordinate loop."""
+    offsets, weights = _STENCILS[spec.order]
+    grad = np.zeros_like(z)
+    for i in range(z.size):
+        step = np.zeros_like(z)
+        acc = 0.0
+        for k, w in zip(offsets, weights):
+            step[i] = k * spec.h
+            acc += w * (f(z + step) - f(z - step))
+        step[i] = 0.0
+        grad[i] = acc / spec.h
+    return grad
+
+
+def _fd_jacobian_loop(f, z, spec):
+    offsets, weights = _STENCILS[spec.order]
+    cols = []
+    for i in range(z.size):
+        step = np.zeros_like(z)
+        acc = None
+        for k, w in zip(offsets, weights):
+            step[i] = k * spec.h
+            term = w * (np.asarray(f(z + step)) - np.asarray(f(z - step)))
+            acc = term if acc is None else acc + term
+        cols.append(acc / spec.h)
+    return np.stack(cols, axis=1)
+
+
+_A = np.random.default_rng(7).normal(size=(4, 5))
+
+_SCALAR_FIELDS = {
+    "polynomial": lambda z: float(z @ _A[:, :4] @ z + (z**3) @ _A[0, :4] - 0.5 * z[0] * z[3] ** 2),
+    "trigonometric": lambda z: float(np.sin(z @ _A[0, :4]) * np.cos(z[1]) + np.exp(0.3 * z[2])),
+}
+_VECTOR_FIELDS = {
+    "polynomial": lambda z: _A.T @ z + (_A.T @ z**2) * z[0] - z[1] ** 3,
+    "trigonometric": lambda z: np.sin(_A.T @ z) * np.cos(z[2]),
+}
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("field", ["polynomial", "trigonometric"])
+def test_fd_stencil_matches_per_point_loop_bitwise(order, field, rng):
+    for h in (1e-3, 1e-5):
+        spec = FdSpec(h=h, order=order)
+        for _ in range(5):
+            z = rng.normal(size=4)
+            grad = fd_gradient(_SCALAR_FIELDS[field], z, spec)
+            assert grad.shape == z.shape and (grad == _fd_gradient_loop(_SCALAR_FIELDS[field], z, spec)).all()
+            jac = fd_jacobian(_VECTOR_FIELDS[field], z, spec)
+            ref = _fd_jacobian_loop(_VECTOR_FIELDS[field], z, spec)
+            assert jac.shape == ref.shape == (5, 4) and (jac == ref).all()
 
 
 def test_fd_gradient_cross_checks_kirchhoff_routh(rng):

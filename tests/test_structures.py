@@ -1,19 +1,24 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from vortexcyl import (
     ChartState,
     VortexSet,
+    fd_gradient,
     interaction_bracket_coefficients,
     jacobi_residual,
     magnetic_pairing,
     momentum_structure_matrix,
     velocity_structure_matrix,
 )
-from vortexcyl.energetics import effective_mass
-from vortexcyl.fluid import ValidationError
+from vortexcyl import structures
+from vortexcyl.energetics import BodyParams, effective_mass
+from vortexcyl.fluid import ValidationError, batch_momentum_shift
+from vortexcyl.oracle import FdSpec
 
 
 def test_momentum_matrix_algebra_block(rng):
@@ -112,6 +117,40 @@ def test_interaction_star_term(body, rng):
         assert abs(star - expected) <= 1e-10
 
 
+@st.composite
+def _admissible_sets(draw):
+    """N = 1..4 vortices between 1.1 R and 4 R, kept apart by angular spacing."""
+    n = draw(st.integers(1, 4))
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    strengths, positions = [], []
+    for i in range(n):
+        strengths.append(draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
+        angle = phase + 2.0 * np.pi * (i + 0.3 * draw(st.floats(-1.0, 1.0))) / n
+        positions.append(draw(st.floats(1.1, 4.0)) * np.array([np.cos(angle), np.sin(angle)]))
+    return np.array(strengths), np.array(positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_admissible_sets())
+def test_interaction_phi_gradient_matches_fd_gradient_bitwise(case):
+    g, pos = case
+    body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
+    combine, seen = structures.fd_combine, []
+
+    def spy(values, spec):
+        seen.append(combine(values, spec))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "fd_combine", spy)
+        interaction_bracket_coefficients(ChartState("velocity", [0.1, 0.2, 0.3], pos), g, body)
+    flat = pos.reshape(-1)
+    spec = FdSpec(h=1e-3 * (1.0 + float(np.max(np.abs(flat)))), order=6)
+    for idx in (0, 1):
+        ref = fd_gradient(lambda p: float(batch_momentum_shift(p.reshape(-1, 2), g, 1.0)[0][idx]), flat, spec)
+        assert (seen[0][:, idx] == ref).all()
+
+
 @pytest.mark.parametrize(
     "positions, message",
     [
@@ -119,6 +158,11 @@ def test_interaction_star_term(body, rng):
         ([[3.0, 0.0], [0.0, 1.002]], "vortex 1: position must lie strictly outside the body"),
         # moving vortex 0 by +2h in x lands exactly on vortex 1
         ([[1.5, 3.0], [1.5 + 2 * 4e-3, 3.0]], "vortices 0 and 1 coincide"),
+        # only the last stencil point, -3h on Y1, lands inside: 1.01 - 3 * 4e-3 = 0.998
+        ([[3.0, 0.0], [0.0, 1.01]], "vortex 1: position must lie strictly outside the body"),
+        # h = 2.005e-3: Y0 + 3h (visited at coordinate 1) and X1 - h (coordinate 2)
+        # both land inside; the first in visiting order is reported
+        ([[0.0, -1.005], [1.001, 0.0]], "vortex 0: position must lie strictly outside the body"),
     ],
 )
 def test_interaction_rejects_inadmissible_stencil_points(body, positions, message):
@@ -129,12 +173,66 @@ def test_interaction_rejects_inadmissible_stencil_points(body, positions, messag
         interaction_bracket_coefficients(st, g, body)
 
 
+def _jacobi_loop(structure_field, z, h):
+    """Reference: the scalar quadruple loop over (i < j < k, l)."""
+    dim = z.size
+    lam = structure_field(z)
+    dlam = np.empty((dim, dim, dim))
+    for l in range(dim):
+        step = np.zeros(dim)
+        step[l] = h
+        dlam[l] = (structure_field(z + step) - structure_field(z - step)) / (2.0 * h)
+    worst = 0.0
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                total = 0.0
+                for l in range(dim):
+                    total += lam[i, l] * dlam[l, j, k] + lam[j, l] * dlam[l, k, i] + lam[k, l] * dlam[l, i, j]
+                worst = max(worst, abs(total))
+    return worst
+
+
+def _jacobi_cases(body, rng):
+    const = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
+    yield (lambda z: const), np.zeros(3)
+    canonical = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    yield (lambda z: canonical), np.zeros(4)
+    for dim in (3, 4, 6):
+        coef = rng.normal(size=(dim, dim, dim))
+
+        def skew(z, coef=coef):
+            u = np.sin(coef @ z) + (coef @ z) ** 2
+            return u - u.T
+
+        yield skew, rng.normal(size=dim)
+    for n in range(4):
+        for chart in ("momentum", "velocity"):
+            state, g = random_state(rng, chart, n=n)
+
+            def field(z, chart=chart, g=g):
+                zs = ChartState.from_flat(chart, z)
+                if chart == "momentum":
+                    return momentum_structure_matrix(zs, g)
+                return velocity_structure_matrix(zs, g, body)
+
+            yield field, state.flat()
+
+
+def test_jacobi_residual_matches_scalar_loop_bitwise(body, rng):
+    for field, z in _jacobi_cases(body, rng):
+        for h in (1e-5 * (1.0 + float(np.max(np.abs(z)))), 1e-3):
+            assert jacobi_residual(field, z, h) == _jacobi_loop(field, z, h)
+
+
 def test_jacobi_constant_structures():
     const = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
     assert jacobi_residual(lambda z: const, np.zeros(3), 1e-5) <= 1e-12
 
     canonical = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert jacobi_residual(lambda z: canonical, np.zeros(4), 1e-5) <= 1e-12
+    # a non-finite structure cannot pass for an exact one
+    assert np.isnan(jacobi_residual(lambda z: np.full((3, 3), np.nan), np.zeros(3), 1e-5))
 
 
 def test_jacobi_both_charts(body, rng):
