@@ -212,6 +212,8 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
         f"min_body_clearance = {_fmt(rep.min_body_clearance)}",
         f"min_pair_distance = {_fmt(rep.min_pair_distance)}",
         f"halt = {traj.halt.reason if traj.halt else 'none'}",
+        f"rhs_evals = {traj.rhs_evals}",
+        f"max_midpoint_iterations = {traj.max_midpoint_iterations}",
     ]
     if config.vortices.n == 1 and config.body.mass > 1e3 * np.pi * config.body.radius**2:
         # near-fixed body: compare the orbit against the image-system oracle

@@ -3,8 +3,9 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
 midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product without assembling the matrix: as loops on Python lists below
-``_kernels.PAIR_ARRAY_MIN`` vortices, as array expressions from there up.
+product in complex form without assembling the matrix: as scalar loops on
+Python lists below ``_kernels.PAIR_ARRAY_MIN`` vortices, as array expressions
+from there up.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity, from the config's starting pose. Energy,
 Casimir, momentum drift and inertial positions are then computed for all
@@ -118,6 +119,8 @@ class Trajectory:
     l_drift: FloatArray  # |L(t) - L(0)| in momentum variables
     halt: HaltInfo | None = None
     config: SimConfig | None = None
+    rhs_evals: int = 0  # right-hand side evaluations of the drive loop
+    max_midpoint_iterations: int = 0  # most fixed-point iterations in one step; 0 under RK4
 
     @property
     def n_samples(self) -> int:
@@ -158,7 +161,7 @@ def integrate(config: SimConfig) -> Trajectory:
     # a diverging midpoint iterate is detected explicitly, not warned about;
     # scalars go in as Python floats, as numpy scalars would slow the loops
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        states, poses, steps, halt_code, halt_index, halt_step = _kernels.run(
+        states, poses, steps, halt_code, halt_index, halt_step, rhs_evals, max_iters = _kernels.run(
             _kernels.CHART_MOMENTUM if config.chart == MOMENTUM else _kernels.CHART_VELOCITY,
             np.concatenate([config.body_state, config.vortices.positions.reshape(-1)]),
             config.vortices.strengths,
@@ -220,6 +223,8 @@ def integrate(config: SimConfig) -> Trajectory:
         l_drift=l_drift,
         halt=halt,
         config=config,
+        rhs_evals=rhs_evals,
+        max_midpoint_iterations=max_iters,
     )
 
 

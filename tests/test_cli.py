@@ -70,6 +70,8 @@ def test_simulate_kirchhoff_preset(tmp_path):
     summary = (out / "summary.txt").read_text()
     drift = float(summary.split("max_rel_H_drift = ")[1].splitlines()[0])
     assert drift <= 1e-12
+    nsteps = cli.config_from_dict(cli.PRESETS["kirchhoff"]).nsteps
+    assert f"\nrhs_evals = {4 * nsteps}\nmax_midpoint_iterations = 0\n" in summary
     header, first, *_, last = (out / "trajectory.csv").read_text().splitlines()
     assert header.startswith("t,Omega,Vx,Vy,beta,x0_x,x0_y,H")
     final = dict(zip(header.split(","), (float(v) for v in last.split(","))))

@@ -142,6 +142,59 @@ def test_midpoint_integrator_conserves_energy(body):
     assert diagnostics(traj).max_rel_energy_drift <= 1e-6
 
 
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+@pytest.mark.parametrize("n", [2, dynamics._kernels.PAIR_ARRAY_MIN], ids=["lists", "arrays"])
+def test_rk4_counts_four_rhs_evaluations_per_step(body, chart, n):
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = VortexSet(np.resize([1.0, -0.8], n), 3.5 * np.stack([np.cos(angles), np.sin(angles)], 1))
+    cfg = _two_vortex_config(body, chart, vortices=ring, t_end=0.05, stride=7)
+    traj = integrate(cfg)
+    assert traj.halt is None
+    assert traj.rhs_evals == 4 * cfg.nsteps
+    assert traj.max_midpoint_iterations == 0
+
+
+# a system of perfbench's dense-midpoint workload (seed 1, draw 0, momentum chart)
+DENSE_MIDPOINT = VortexSet(
+    [0.8318723918681005, -1.1118959736456588, 1.0076326598924166, -0.6562981762723916],
+    [
+        [3.6220700815258775, 0.4313287705202047],
+        [-1.679098943922724, 0.6966280459187538],
+        [1.5434023849956382, -3.6018052119922968],
+        [-2.1243107120371447, -1.2865161862470553],
+    ],
+)
+
+
+def test_midpoint_extrapolated_start_saves_iterations(body):
+    # started from z, every step of this run takes 5 fixed-point iterations;
+    # started from the extrapolated midpoint, 2 once three slopes are known
+    cfg = _two_vortex_config(
+        body, vortices=DENSE_MIDPOINT, body_state=[-9.698327592051486, -4.189350039029367, -9.671280995510939],
+        dt=1e-3, t_end=0.2, integrator="midpoint", stride=10,
+    )
+    traj = integrate(cfg)
+    assert traj.halt is None and cfg.nsteps == 200
+    assert traj.rhs_evals <= 2.5 * cfg.nsteps
+    assert 2 <= traj.max_midpoint_iterations <= 5
+
+
+@pytest.mark.parametrize("dt", [3e-5, 1e-4])
+def test_midpoint_stops_only_where_the_fixed_point_map_does_not_contract(body, dt):
+    # A = 3e4 spins the body at Omega ~ 3e4, and the fixed-point map contracts
+    # at about the rate Omega dt / 2: 0.45 at dt = 3e-5, where the run reaches
+    # its end, and 1.5 at dt = 1e-4, where it cannot converge at step 0
+    vortices = VortexSet([1.0, -0.7], [[3.0, 0.0], [0.0, 3.0]])
+    cfg = _two_vortex_config(body, vortices=vortices, body_state=[3e4, 0.0, 0.0], dt=dt, t_end=100 * dt,
+                             integrator="midpoint", stride=10)
+    traj = integrate(cfg)
+    assert cfg.nsteps == 100
+    if dt < 1e-4:
+        assert traj.halt is None and traj.times[-1] == cfg.nsteps * dt
+    else:
+        assert traj.halt == HaltInfo("implicit midpoint iteration did not converge", -1, 0.0)
+
+
 def test_momentum_chart_ode_form_along_trajectory(body, rng):
     # dA/dt = -(V x L) . e3 with V = dH/dL, at recorded states of a live run
     cfg = _two_vortex_config(body, body_state=[0.2, 0.5, -0.3], t_end=2.0, stride=20)

@@ -1,4 +1,6 @@
 """Fused kernels and the drive loop against the structure-matrix route."""
+import cmath
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,12 +18,14 @@ CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VEL
 
 
 def _kernel_rhs(chart, state, body, g):
-    """The right-hand side as ``run`` evaluates it at this size."""
+    """The right-hand side as ``run`` evaluates it at this size, in the flat layout."""
     ops = _kernels._ops(state.n)
-    out = ops.load(np.empty(state.flat().size))
-    args = (ops.load(g), body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), out)
+    flat = np.empty(state.flat().size)
+    out = ops.load(flat)
+    args = (ops.strengths(g), body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), out)
     assert ops.rhs(CHART_IDS[chart], ops.load(state.flat()), *args) == -1
-    return np.array(out)
+    ops.store(flat, out)
+    return flat
 
 
 def _matrix_rhs(chart, state, body, g):
@@ -83,20 +87,25 @@ def test_kernel_matches_matrix_route_everywhere(case):
 @settings(max_examples=100, deadline=None)
 @given(_kernel_cases())
 def test_body_velocity_matches_loops(case):
+    """The scalar loops on the list layout and the array form on the flat layout
+    agree, and ``run`` calls the one of its layout."""
     chart, body, state, g = case
-    args = (CHART_IDS[chart], state.flat(), g, body.radius**2, effective_mass(body).c, body.inertia)
-    loops = np.array(_kernels._body_velocity_loops(*args))
+    z, rest = state.flat(), (body.radius**2, effective_mass(body).c, body.inertia)
+    loops = np.array(_kernels._body_velocity_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest))
+    array = np.array(_kernels._body_velocity_array(CHART_IDS[chart], z, g, *rest))
     ops = _kernels._ops(state.n)
-    run_args = (CHART_IDS[chart], ops.load(state.flat()), ops.load(g), *args[3:])
+    dispatched = ops.body_velocity(CHART_IDS[chart], ops.load(z), ops.strengths(g), *rest)
+    npt.assert_array_equal(dispatched, loops if state.n < _kernels.PAIR_ARRAY_MIN else array)
     # (A + sum g |X|^2 / 2) / I and (L -+ phi) / c sum terms as large as these
     d2 = np.sum(state.positions**2, axis=1)
     scale = max(
         (abs(state.body[0]) + np.abs(g) @ d2) / body.inertia,
         (np.abs(state.body[1:]).max() + np.abs(g) @ np.sqrt(d2)) / effective_mass(body).c,
     )
-    npt.assert_allclose(ops.body_velocity(*run_args), loops, rtol=0, atol=1e-13 * scale)
+    npt.assert_allclose(loops, array, rtol=0, atol=1e-13 * scale)
     if chart == "velocity":
-        npt.assert_array_equal(ops.body_velocity(*run_args), state.body)
+        npt.assert_array_equal(loops, state.body)
+        npt.assert_array_equal(array, state.body)
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -115,48 +124,58 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
     for inside, pos in cases.items():
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
         rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
-        loops, array = np.full(z.size, 7.0), np.full(z.size, 7.0)
-        hit = _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, loops)
+        untouched = _kernels._load_list(np.full(z.size, 7.0))
+        loops, array = list(untouched), np.full(z.size, 7.0)
+        hit = _kernels._rhs_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest, loops)
         assert hit == min(inside)
         assert _kernels._rhs_array(CHART_IDS[chart], z, g, *rest, array) == hit
-        assert (array == 7.0).all() and (loops == 7.0).all()
+        assert (array == 7.0).all() and loops == untouched
 
 
 _SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
 
 
+def _bits(values):
+    """The bytes of a sequence of Python floats and complex numbers."""
+    return np.array([complex(v) for v in values], dtype=np.complex128).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases(sizes=_SMALL))
 def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
+    """Below PAIR_ARRAY_MIN ``run`` loads a list of three body floats and N
+    complex positions. Its scalar loops give the same bits on an object ndarray
+    of the same Python scalars, the layout ``_reference_run`` drives, and its
+    clearance scan finds what the array scan finds on the flat layout."""
     chart, body, state, g = case
     z, n = state.flat(), state.n
-    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
-    on_arrays = np.empty(z.size)
-    assert _kernels._rhs_loops(CHART_IDS[chart], z, g, *rest, on_arrays) == -1
-    on_lists = [0.0] * z.size
-    assert _kernels._rhs_loops(CHART_IDS[chart], z.tolist(), g.tolist(), *rest, on_lists) == -1
-    npt.assert_array_equal(np.array(on_lists), on_arrays)
-    # what ``run`` calls below PAIR_ARRAY_MIN, on what it loads: Python lists
     ops = _kernels._ops(n)
-    dispatched = ops.load(np.empty(z.size))
-    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.load(g), *rest, dispatched) == -1
-    assert type(dispatched) is list and all(type(v) is float for v in dispatched)
-    npt.assert_array_equal(np.array(dispatched), on_arrays)
+    assert ops is _kernels._LISTS
+    loaded = ops.load(z)
+    assert [type(v) for v in loaded] == [float] * 3 + [complex] * n
+    flat = np.empty(z.size)
+    ops.store(flat, loaded)
+    assert flat.tobytes() == z.tobytes()
 
-    omv_args = (body.radius**2, effective_mass(body).c, body.inertia)
-    body_velocity = _kernels._body_velocity_loops
-    on_arrays = body_velocity(CHART_IDS[chart], z, g, *omv_args)
-    npt.assert_array_equal(body_velocity(CHART_IDS[chart], z.tolist(), g.tolist(), *omv_args), on_arrays)
-    npt.assert_array_equal(ops.body_velocity(CHART_IDS[chart], ops.load(z), ops.load(g), *omv_args), on_arrays)
+    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+    on_list = ops.load(np.empty(z.size))
+    assert ops.rhs(CHART_IDS[chart], loaded, ops.strengths(g), *rest, on_list) == -1
+    assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
+    on_objects = np.empty(len(loaded), dtype=object)
+    assert ops.rhs(CHART_IDS[chart], np.array(loaded, dtype=object), g.tolist(), *rest, on_objects) == -1
+    assert _bits(on_objects) == _bits(on_list)
+
+    on_objects = ops.body_velocity(CHART_IDS[chart], np.array(loaded, dtype=object), g.tolist(), *rest[:3])
+    assert _bits(on_objects) == _bits(ops.body_velocity(CHART_IDS[chart], loaded, g.tolist(), *rest[:3]))
 
     # limits between the closest and the farthest vortex hit every outcome
     d2 = np.sum(state.positions**2, axis=1)
     for body_limit2 in (0.0, float(np.median(d2)) if n else 1.0):
         for pair_limit2 in (0.0, 1.0, float(np.max(d2)) if n else 1.0):
             limits = (n, body_limit2, pair_limit2)
-            on_arrays = _kernels._collision_loops(z, *limits)
-            assert _kernels._collision_loops(z.tolist(), *limits) == on_arrays
-            assert ops.collision(ops.load(z), *limits) == on_arrays
+            on_flat = _kernels._collision_array(z, *limits) if n else (_kernels.HALT_NONE, -1)
+            assert ops.collision(loaded, *limits) == on_flat
+            assert ops.collision(np.array(loaded, dtype=object), *limits) == on_flat
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -172,8 +191,8 @@ def test_list_path_reports_the_domain_halt(body, chart):
     rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
     ops = _kernels._ops(n)
     out = ops.load(np.full(z.size, 7.0))
-    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.load(g), *rest, out) == 1
-    assert out == [7.0] * z.size
+    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.strengths(g), *rest, out) == 1
+    assert out == [7.0] * 3 + [7.0 + 7.0j] * n
 
 
 @pytest.mark.parametrize("n", [_kernels.PAIR_ARRAY_MIN, 16])
@@ -194,7 +213,7 @@ def test_collision_array_matches_loops(rng, n):
     found = {}
     for name, pos in cases.items():
         z = np.concatenate([[0.1, 0.2, 0.3], pos.reshape(-1)])
-        loops = _kernels._collision_loops(z, n, body_limit2, pair_limit2)
+        loops = _kernels._collision_scalar(_kernels._load_list(z), n, body_limit2, pair_limit2)
         assert _kernels._collision_array(z, n, body_limit2, pair_limit2) == loops
         found[name] = loops
     assert found["none"] == (_kernels.HALT_NONE, -1)
@@ -243,7 +262,7 @@ def _oracle_integrate(cfg):
 
 _ANGLES8 = np.arange(8) * np.pi / 4 + 0.3
 _RING8 = np.tile([3.5, 4.5], 4)[:, None] * np.stack([np.cos(_ANGLES8), np.sin(_ANGLES8)], axis=1)
-# N = 3 runs the pair scans as loops, N = 8 (>= PAIR_ARRAY_MIN) as arrays
+# N = 3 runs on lists with scalar loops, N = 8 (>= PAIR_ARRAY_MIN) on arrays
 SYSTEMS = (
     VortexSet([1.0, -1.0, 0.6], [[3.0, 0.0], [0.0, 3.0], [-2.0, -1.5]]),
     VortexSet([1.0, -0.8, 0.6, -1.2, 0.9, -0.7, 1.1, -0.5], _RING8),
@@ -274,71 +293,104 @@ def test_integrate_matches_matrix_route_loop(body, chart, integrator):
 
 
 def _reference_run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id, *pose):
-    """``_kernels.run`` as an ndarray loop: the state is an array throughout, the
-    stages are array expressions, and the kernels are the loops (on arrays)
-    below PAIR_ARRAY_MIN and the array forms from there up."""
+    """``_kernels.run`` as an ndarray loop: the state is an array throughout and
+    the stages and the midpoint start are array expressions. From
+    PAIR_ARRAY_MIN up the array is the flat float state and the kernels are
+    the array forms. Below, it is an object array of the Python scalars that
+    ``run`` holds in a list (three body floats, N complex positions), so the
+    same expressions do the same Python arithmetic, and the kernels are the
+    scalar loops."""
     n = len(g)
     loops = n < _kernels.PAIR_ARRAY_MIN
-    rhs = _kernels._rhs_loops if loops else _kernels._rhs_array
-    collision = _kernels._collision_loops if loops else _kernels._collision_array
+    if loops:
+        rhs, collision, body_velocity = _kernels._rhs_scalar, _kernels._collision_scalar, _kernels._body_velocity_scalar
+        z = np.array([*z0[:3].tolist(), *(complex(x, y) for x, y in z0[3:].reshape(-1, 2).tolist())], dtype=object)
+        g = g.tolist()
+    else:
+        rhs, collision, body_velocity = _kernels._rhs_array, _kernels._collision_array, _kernels._body_velocity_array
+        z = z0.copy()
 
-    def body_velocity(z):
-        if not loops and chart_id == _kernels.CHART_MOMENTUM:
-            return _kernels._omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
-        return _kernels._body_velocity_loops(chart_id, z, g, r2, c, inertia)
+    def flat(z):
+        if not loops:
+            return z
+        return np.array([*z[:3], *(part for p in z[3:] for part in (p.real, p.imag))], dtype=np.float64)
 
-    z = z0.copy()
-    k1, k2, k3, k4 = (np.empty(z.size) for _ in range(4))
-    states, poses, steps = [z], [pose], [0]
+    def finite(z):
+        return all(cmath.isfinite(v) for v in z.tolist())
+
+    def increment(u, v):
+        return max(max(abs(d.real), abs(d.imag)) for d in (u - v).tolist())
+
+    k1, k2, k3, k4 = (np.empty(z.size, dtype=z.dtype) for _ in range(4))
+    states, poses, steps = [flat(z)], [pose], [0]
     carry = (pose[0], 0.0, pose[1], 0.0, pose[2], 0.0)
     halt = (_kernels.HALT_NONE, -1, nsteps)
-    v0 = body_velocity(z)
+    slopes, n_evals, max_iters = [], 0, 0
+    v0 = body_velocity(chart_id, z, g, r2, c, inertia)
     for step in range(nsteps):
         converged = True
         if integ_id == _kernels.RK4:
             hit = rhs(chart_id, z, g, r2, c, inertia, gtot, k1)
+            n_evals += 1
             if hit < 0:
                 hit = rhs(chart_id, z + 0.5 * dt * k1, g, r2, c, inertia, gtot, k2)
+                n_evals += 1
             if hit < 0:
                 hit = rhs(chart_id, z + 0.5 * dt * k2, g, r2, c, inertia, gtot, k3)
+                n_evals += 1
             if hit < 0:
                 hit = rhs(chart_id, z + dt * k3, g, r2, c, inertia, gtot, k4)
+                n_evals += 1
             if hit < 0:
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            umid, converged = z, False
-            for _ in range(_kernels.MIDPOINT_MAX_ITER):
+            # z + h k1, z + h (2 k1 - k2), then z + h (3 k1 - 3 k2 + k3), with the
+            # differences formed as in _kernels._predict
+            umid = z
+            if len(slopes) == 1:
+                umid = z + 0.5 * dt * slopes[0]
+            elif len(slopes) == 2:
+                umid = z + 0.5 * dt * (slopes[0] + 1.0 * (slopes[0] + -1.0 * slopes[1]))
+            elif len(slopes) == 3:
+                umid = z + 0.5 * dt * (slopes[2] + 3.0 * (slopes[0] + -1.0 * slopes[1]))
+            converged = False
+            for iters in range(1, _kernels.MIDPOINT_MAX_ITER + 1):
                 hit = rhs(chart_id, umid, g, r2, c, inertia, gtot, k1)
                 if hit >= 0:
                     break
                 unew = z + 0.5 * dt * k1
-                if not np.isfinite(unew).all():
+                if not finite(unew):
                     break
-                delta = np.abs(unew - umid).max()
+                delta = increment(unew, umid)
                 umid = unew
                 if delta <= _kernels.MIDPOINT_TOL:
                     converged = True
                     break
+            n_evals += iters
+            max_iters = max(max_iters, iters)
             if converged:
                 z = 2.0 * umid - z
+                slopes = [k1.copy(), *slopes[:2]]
         if hit >= 0:
             halt = (_kernels.HALT_DOMAIN, hit, step)
         elif not converged:
             halt = (_kernels.HALT_NO_CONVERGENCE, -1, step)
-        elif not np.isfinite(z).all():
+        elif not finite(z):
             halt = (_kernels.HALT_NONFINITE, -1, step)
         elif (hit := collision(z, n, body_limit2, pair_limit2))[0] != _kernels.HALT_NONE:
             halt = (*hit, step)
         if halt[0] != _kernels.HALT_NONE:
             break
-        v1 = body_velocity(z)
+        v1 = body_velocity(chart_id, z, g, r2, c, inertia)
         carry = _kernels._pose_step(*carry, *(0.5 * (a + b) for a, b in zip(v0, v1)), dt)
         v0 = v1
         if (step + 1) % stride == 0 or step + 1 == nsteps:
-            states.append(z)
+            states.append(flat(z))
             poses.append(carry[::2])
             steps.append(step + 1)
-    return (np.array(states), np.array(poses, dtype=np.float64), np.array(steps, dtype=np.int64), *halt)
+    return (
+        np.array(states), np.array(poses, dtype=np.float64), np.array(steps, dtype=np.int64), *halt, n_evals, max_iters
+    )
 
 
 def _pinned_integrate(monkeypatch, cfg):
