@@ -2,9 +2,12 @@
 
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
+``verify`` certifies each row on a stack of drawn states through the batch
+cores of ``structures``, ``maps``, ``oracle`` and ``energetics``.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
-usage, 3 halted run (collision, a stage outside the fluid domain, or
-non-convergence).
+usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, or
+``sweep --jobs`` below 1), 3 halted run (collision, a stage outside the fluid
+domain, or non-convergence).
 """
 from __future__ import annotations
 
@@ -247,81 +250,74 @@ def run(config: SimConfig, outdir: str | Path) -> int:
 
 
 def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
-    """Structure/Jacobi/pushforward certification at random admissible states."""
-    from .energetics import hamiltonian
-    from .maps import cocycle_sigma, shift_map
-    from .oracle import pushforward_check
-    from .state import ChartState
-    from .structures import (
-        interaction_bracket_coefficients,
-        jacobi_residual,
-        momentum_structure_matrix,
-        velocity_structure_matrix,
-    )
+    """Structure/Jacobi/pushforward certification at random admissible states.
+
+    Each row draws its states in turn from one seeded stream and, except the
+    cocycle row, validates them once as a stack and evaluates the stack in one
+    call of each batch core. A row's value is its worst state's."""
+    from .energetics import _energy_stack
+    from .fluid import validate_stack
+    from .maps import _shift_stack, cocycle_sigma
+    from .oracle import _pushforward_stack
+    from .structures import _interaction_table_stack, _jacobi_stack, _momentum_matrix_stack, _velocity_matrix_stack
 
     rng = np.random.default_rng(20240817)
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
 
-    def random_state(chart: str, n: int = 2) -> tuple[ChartState, np.ndarray]:
+    def random_state(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+        """A flat state (3 + 2N) and its strengths (N)."""
         g = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
         r = rng.uniform(1.6, 3.0, n)
         th = rng.uniform(0, 2 * np.pi, n)
         pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        return ChartState(chart, rng.normal(0, 1, 3), pos), g
+        return np.concatenate([rng.normal(0, 1, 3), pos.reshape(-1)]), g
+
+    def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
+        """count states drawn in turn, validated as one stack: (count, 3 + 2N) and (count, N)."""
+        z, g = (np.array(a) for a in zip(*(random_state() for _ in range(count))))
+        validate_stack(g, z[:, 3:].reshape(count, -1, 2), body.fluid)
+        return z, g
 
     rows: list[tuple[str, float, float, bool]] = []
 
-    worst = 0.0
+    def row(name: str, values, tol: float) -> None:
+        worst = float(np.max(values))
+        rows.append((name, worst, tol, worst <= tol))
+
+    for chart, matrices in (
+        ("momentum", _momentum_matrix_stack),
+        ("velocity", functools.partial(_velocity_matrix_stack, body=body)),
+    ):
+        z, g = draw(20)
+        residuals = _jacobi_stack(lambda s: matrices(s, g[:, None]), z, 1e-5 * (1 + np.max(np.abs(z), axis=1)))
+        row(f"jacobi {chart} chart", residuals, 1e-6)
+
+    z, g = draw(100)
+    row("shift-map pushforward", _pushforward_stack(z, g, body), 1e-9)
+
+    z, g = draw(100)
+    em_c = body.mass + np.pi * body.radius**2
+    lam = _velocity_matrix_stack(z, g, body)
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.fluid)
+    dev = [
+        np.abs(pi_pi - em_c**2 * lam[:, 1, 2]),
+        np.abs(pi_vortex[:, 0, 0::2] - em_c * lam[:, 1, 3::2]),
+        np.abs(pi_vortex[:, 1, 1::2] - em_c * lam[:, 2, 4::2]),
+        np.abs(np.diagonal(vortex, axis1=1, axis2=2) - np.diagonal(lam[:, 3::2, 4::2], axis1=1, axis2=2)),
+    ]
+    row("interaction bracket vs matrix", [np.max(d) for d in dev], 1e-10)
+
+    z, g = draw(100)
+    hb = _energy_stack("velocity", z, g, body)
+    ha = _energy_stack("momentum", _shift_stack(z, g, body), g, body)
+    row("energy across shift map", np.abs(ha - hb) / np.maximum(1.0, np.abs(hb)), 1e-10)
+
+    dev = []
     for _ in range(20):
-        st, g = random_state("momentum")
-        f = lambda z: momentum_structure_matrix(ChartState.from_flat("momentum", z), g)
-        worst = max(worst, jacobi_residual(f, st.flat(), 1e-5 * (1 + float(np.max(np.abs(st.flat()))))))
-    rows.append(("jacobi momentum chart", worst, 1e-6, worst <= 1e-6))
-
-    worst = 0.0
-    for _ in range(20):
-        st, g = random_state("velocity")
-        f = lambda z: velocity_structure_matrix(ChartState.from_flat("velocity", z), g, body)
-        worst = max(worst, jacobi_residual(f, st.flat(), 1e-5 * (1 + float(np.max(np.abs(st.flat()))))))
-    rows.append(("jacobi velocity chart", worst, 1e-6, worst <= 1e-6))
-
-    worst = 0.0
-    for _ in range(100):
-        st, g = random_state("velocity")
-        worst = max(worst, pushforward_check(st, body, g))
-    rows.append(("shift-map pushforward", worst, 1e-9, worst <= 1e-9))
-
-    worst = 0.0
-    for _ in range(100):
-        st, g = random_state("velocity")
-        em_c = body.mass + np.pi * body.radius**2
-        lam = velocity_structure_matrix(st, g, body)
-        table = interaction_bracket_coefficients(st, g, body)
-        dev = abs(table[("Pi_x", "Pi_y")] - em_c**2 * lam[1, 2])
-        for i in range(st.n):
-            dev = max(dev, abs(table[("Pi_x", f"X{i}")] - em_c * lam[1, 3 + 2 * i]))
-            dev = max(dev, abs(table[("Pi_y", f"Y{i}")] - em_c * lam[2, 4 + 2 * i]))
-            dev = max(dev, abs(table[(f"X{i}", f"Y{i}")] - lam[3 + 2 * i, 4 + 2 * i]))
-        worst = max(worst, dev)
-    rows.append(("interaction bracket vs matrix", worst, 1e-10, worst <= 1e-10))
-
-    worst = 0.0
-    for _ in range(100):
-        st, g = random_state("velocity")
-        z = shift_map(st, g, body)
-        ha = hamiltonian("momentum", z, body, g)
-        hb = hamiltonian("velocity", st, body, g)
-        worst = max(worst, abs(ha - hb) / max(1.0, abs(hb)))
-    rows.append(("energy across shift map", worst, 1e-10, worst <= 1e-10))
-
-    worst = 0.0
-    for _ in range(20):
-        st, g = random_state("velocity")
-        sig = cocycle_sigma(VortexSet(g, st.positions), body.fluid)
-        dev = abs(sig.x_y + float(np.sum(g)))
-        dev = max(dev, abs(sig.omega_x), abs(sig.omega_y))
-        worst = max(worst, dev)
-    rows.append(("cocycle components", worst, 1e-10, worst <= 1e-10))
+        z, g = random_state()
+        sig = cocycle_sigma(VortexSet(g, z[3:].reshape(-1, 2)), body.fluid)
+        dev.append(max(abs(sig.x_y + float(np.sum(g))), abs(sig.omega_x), abs(sig.omega_y)))
+    row("cocycle components", dev, 1e-10)
 
     return rows, all(r[3] for r in rows)
 
@@ -361,6 +357,8 @@ def _output_names(paths: list[str]) -> list[str]:
 
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
     """Run several scenarios concurrently with isolated output directories."""
+    if jobs is not None and jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     outroot = Path(outroot)
     tasks = [(p, str(outroot / name)) for p, name in zip(paths, _output_names(paths))]
     worst = EXIT_OK

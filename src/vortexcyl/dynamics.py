@@ -75,6 +75,11 @@ class SimConfig:
             raise ValidationError("dt must be positive")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValidationError("t_end must be nonnegative")
+        steps = round(self.t_end / self.dt)
+        if abs(self.t_end - steps * self.dt) > 1e-9 * self.t_end:
+            raise ValidationError(
+                f"t_end = {self.t_end} is not a whole number of dt = {self.dt} steps (nearest: {steps} steps)"
+            )
         if self.integrator not in ("rk4", "midpoint"):
             raise ValidationError("integrator must be 'rk4' or 'midpoint'")
         if not (float(self.stride).is_integer() and self.stride >= 1):

@@ -77,13 +77,18 @@ def effective_mass(body: BodyParams) -> EffectiveMass:
 
 def body_velocities(state: ChartState, strengths: FloatArray, body: BodyParams) -> tuple[float, FloatArray]:
     """(Omega, V) at a state of either chart."""
-    if state.chart == VELOCITY:
-        return float(state.body[0]), state.body[1:].copy()
+    g = VortexSet(strengths, state.positions).strengths
+    omega, v = _body_velocity_stack(state.chart, state.flat()[None], g[None], body)
+    return float(omega[0]), v[0]
+
+
+def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> tuple[FloatArray, FloatArray]:
+    """(Omega, V) of flat states z (..., 3 + 2N) of one chart with strengths g (..., N)."""
+    if chart == VELOCITY:
+        return z[..., 0], z[..., 1:3]
     em = effective_mass(body)
-    phi_xy, phi_om = fluid.momentum_shift_terms(VortexSet(strengths, state.positions), body.fluid)
-    omega = (state.body[0] + phi_om) / em.i_eff
-    v = (state.body[1:] + phi_xy) / em.c
-    return float(omega), v
+    phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
+    return (z[..., 0] + phi_om) / em.i_eff, (z[..., 1:3] + phi_xy) / em.c
 
 
 def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float:
@@ -91,27 +96,34 @@ def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: Floa
     chart = canonical_chart(chart)
     if state.chart != chart:
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
-    strengths = np.asarray(strengths, dtype=np.float64)
-    omega, v = body_velocities(state, strengths, body)
+    vset = VortexSet(strengths, state.positions)
+    vset.validate(body.fluid)
+    return float(_energy_stack(chart, state.flat()[None], vset.strengths[None], body)[0])
+
+
+def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
+    """Energy of flat states z (..., 3 + 2N) of one chart with strengths g (..., N), unvalidated."""
     em = effective_mass(body)
-    wg = fluid.kirchhoff_routh(VortexSet(strengths, state.positions), body.fluid)
-    return float(0.5 * em.c * (v @ v) + 0.5 * em.i_eff * omega**2 - wg)
+    omega, v = _body_velocity_stack(chart, z, g, body)
+    vv = (v[..., None, :] @ v[..., :, None])[..., 0, 0]  # per state the same dot product as one v @ v
+    wg = fluid.batch_kirchhoff_routh(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
+    return 0.5 * em.c * vv + 0.5 * em.i_eff * omega**2 - wg
 
 
 def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
-    """d(phi_x, phi_y)/d(X_i, Y_i) stacked as shape (2, 2N)."""
-    x = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    """d(phi_x, phi_y)/d(X_i, Y_i) of each configuration in positions (..., N, 2) with
+    strengths (..., N), stacked as shape (..., 2, 2N)."""
+    x = np.asarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)
     r2 = radius**2
-    n = x.shape[0]
-    out = np.zeros((2, 2 * n))
-    d2 = np.sum(x * x, axis=1)
+    xi, yi = x[..., 0], x[..., 1]
+    d2 = xi * xi + yi * yi
     d4 = d2 * d2
-    xi, yi = x[:, 0], x[:, 1]
-    out[0, 0::2] = -2.0 * g * r2 * xi * yi / d4
-    out[0, 1::2] = -g * (d4 - r2 * (xi * xi - yi * yi)) / d4
-    out[1, 0::2] = g * (d4 + r2 * (xi * xi - yi * yi)) / d4
-    out[1, 1::2] = 2.0 * g * r2 * xi * yi / d4
+    out = np.zeros(x.shape[:-2] + (2, 2 * x.shape[-2]))
+    out[..., 0, 0::2] = -2.0 * g * r2 * xi * yi / d4
+    out[..., 0, 1::2] = -g * (d4 - r2 * (xi * xi - yi * yi)) / d4
+    out[..., 1, 0::2] = g * (d4 + r2 * (xi * xi - yi * yi)) / d4
+    out[..., 1, 1::2] = 2.0 * g * r2 * xi * yi / d4
     return out
 
 

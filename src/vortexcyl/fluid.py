@@ -25,6 +25,7 @@ __all__ = [
     "ValidationError",
     "FluidParams",
     "VortexSet",
+    "validate_stack",
     "elementary_potentials",
     "elementary_streams",
     "green_function",
@@ -116,6 +117,21 @@ class VortexSet:
         return VortexSet(self.strengths, positions)
 
 
+def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidParams) -> None:
+    """``VortexSet.validate`` of every configuration in positions (K, N, 2) at once, with
+    strengths (K, N) or one (N,) for all, raising the ValidationError of the first
+    inadmissible configuration in stack order."""
+    x = np.asarray(positions, dtype=np.float64)
+    g = np.broadcast_to(strengths, x.shape[:-1])
+    bad = ~(np.isfinite(g) & (g != 0.0)).all(axis=-1)
+    bad |= ~(np.hypot(x[..., 0], x[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE)).all(axis=-1)
+    same = (x[:, :, None] == x[:, None]).all(axis=-1)
+    same[:, np.eye(x.shape[1], dtype=bool)] = False
+    bad |= same.any(axis=(1, 2))
+    if bad.any():
+        VortexSet(g[bad.argmax()], x[bad.argmax()]).validate(params)
+
+
 def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> FloatArray:
     p = np.asarray(point, dtype=np.float64).reshape(2)
     d = float(np.hypot(p[0], p[1]))
@@ -202,21 +218,23 @@ def _diagonal(n: int) -> slice:
 def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
     """W_G of each configuration in positions (..., N, 2), unvalidated; shape (...).
 
+    strengths is one (N,) for every configuration or (..., N), one row each.
     The self terms g_i^2 regularized_self(X_i) / 2 plus green_function(X_i, X_j)
     summed over the (N, N) grid of pairs with its diagonal masked, and halved.
     """
-    g = np.asarray(strengths, dtype=np.float64)
-    n = g.shape[0]
     x = np.asarray(positions, dtype=np.float64)
-    lead = x.shape[:-2]
+    lead, n = x.shape[:-2], x.shape[-2]
     x = x.reshape(math.prod(lead), n, 2)
+    g = np.asarray(strengths, dtype=np.float64)
+    if g.ndim > 1:
+        g = np.broadcast_to(g, lead + (n,)).reshape(x.shape[0], n)
     r2 = radius**2
     px, py = x[:, :, 0], x[:, :, 1]
     d2 = px * px + py * py
     total = (g * g * np.log(d2 / (d2 - r2))).sum(axis=1) / FOUR_PI
     if n > 1:
-        gg = np.multiply.outer(g, g).reshape(-1)
-        gg[_diagonal(n)] = 0.0
+        gg = (g[..., :, None] * g[..., None, :]).reshape(*g.shape[:-1], n * n)
+        gg[..., _diagonal(n)] = 0.0
         for blk in _sample_blocks(x):
             qx, qy, a2 = px[blk, :, None], py[blk, :, None], d2[blk, :, None]
             dx, dy = qx - px[blk, None, :], qy - py[blk, None, :]
@@ -225,7 +243,9 @@ def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: 
             a2b2 = a2 * d2[blk, None, :]
             denom = a2b2 - 2.0 * r2 * (qx * px[blk, None, :] + qy * py[blk, None, :]) + r2 * r2
             terms = np.log(sep2) + np.log(a2b2 / denom).reshape(-1, n * n)
-            total[blk] += (terms @ gg) / (2.0 * FOUR_PI)
+            # per-row weights take one dot product per row, as a single configuration does
+            pair = terms @ gg if gg.ndim == 1 else (terms[:, None] @ gg[blk, :, None])[:, 0, 0]
+            total[blk] += pair / (2.0 * FOUR_PI)
     return total.reshape(lead)
 
 

@@ -5,6 +5,8 @@ chart (A, L, X), its analytic Jacobian, the conserved planar momentum of the
 combined system in body and spatial form, the magnetic potential whose
 identity evaluation generates the shift, the magnetic pairing on the symmetry
 generators, and the non-equivariance cocycle built from those ingredients.
+The shift and its Jacobian each have one batch-first core on stacks of flat
+states; ``shift_map`` and ``shift_jacobian`` run it on a stack of one.
 """
 from __future__ import annotations
 
@@ -56,13 +58,18 @@ def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> Cha
     """
     if state.chart != VELOCITY:
         raise ValueError("shift_map expects a velocity-chart state")
+    g = VortexSet(strengths, state.positions).strengths
+    return ChartState(MOMENTUM, _shift_stack(state.flat()[None], g[None], body)[0, :3], state.positions)
+
+
+def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
+    """``shift_map`` of flat velocity-chart states z (..., 3 + 2N) with strengths g (..., N)."""
     em = effective_mass(body)
-    phi_xy, phi_om = fluid.momentum_shift_terms(VortexSet(strengths, state.positions), body.fluid)
-    omega, v = state.body[0], state.body[1:]
-    triple = np.array(
-        [em.i_eff * omega - phi_om, em.c * v[0] - phi_xy[0], em.c * v[1] - phi_xy[1]]
-    )
-    return ChartState(MOMENTUM, triple, state.positions)
+    phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
+    out = z.copy()
+    out[..., 0] = em.i_eff * z[..., 0] - phi_om
+    out[..., 1:3] = em.c * z[..., 1:3] - phi_xy
+    return out
 
 
 def inverse_shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
@@ -89,28 +96,31 @@ def shift_jacobian(
     ``to_velocity`` gives D of (A, L, X) -> (Omega, V, X); ``to_momentum``
     its inverse. Row/column layout matches the flat state layout.
     """
-    from .energetics import shift_term_jacobian
-
     x = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     g = np.asarray(strengths, dtype=np.float64)
+    return _shift_jacobian_stack(x[None], g[None], body, direction)[0]
+
+
+def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams, direction: str) -> FloatArray:
+    """``shift_jacobian`` of each configuration in x (..., N, 2) with strengths g (..., N)."""
+    from .energetics import shift_term_jacobian
+
     em = effective_mass(body)
-    n = x.shape[0]
-    dim = 3 + 2 * n
-    jac = np.eye(dim)
+    dim = 3 + 2 * x.shape[-2]
+    jac = np.broadcast_to(np.eye(dim), x.shape[:-2] + (dim, dim)).copy()
     dphi = shift_term_jacobian(x, g, body.radius)
+    weighted = (g[..., None] * x).reshape(*x.shape[:-2], -1)
     if direction == "to_velocity":
-        jac[0, 0] = 1.0 / em.i_eff
-        jac[1, 1] = jac[2, 2] = 1.0 / em.c
-        if n:
-            jac[0, 3:] = (g[:, None] * x).reshape(-1) / em.i_eff
-            jac[1:3, 3:] = dphi / em.c
+        jac[..., 0, 0] = 1.0 / em.i_eff
+        jac[..., 1, 1] = jac[..., 2, 2] = 1.0 / em.c
+        jac[..., 0, 3:] = weighted / em.i_eff
+        jac[..., 1:3, 3:] = dphi / em.c
         return jac
     if direction == "to_momentum":
-        jac[0, 0] = em.i_eff
-        jac[1, 1] = jac[2, 2] = em.c
-        if n:
-            jac[0, 3:] = -(g[:, None] * x).reshape(-1)
-            jac[1:3, 3:] = -dphi
+        jac[..., 0, 0] = em.i_eff
+        jac[..., 1, 1] = jac[..., 2, 2] = em.c
+        jac[..., 0, 3:] = -weighted
+        jac[..., 1:3, 3:] = -dphi
         return jac
     raise ValueError("direction must be 'to_velocity' or 'to_momentum'")
 

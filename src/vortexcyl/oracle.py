@@ -9,8 +9,12 @@ velocity-chart matrix.
 
 Central differences are built in one place: ``fd_stencil`` stacks every point
 a stencil visits and ``fd_combine`` turns field values there into derivatives.
-``fd_gradient`` and ``fd_jacobian`` evaluate a one-point field on the stack;
-a caller with a batched field evaluates the whole stack in one call.
+Both run a batch-first core on a stack of one point; the cores take a stack of
+flat points, each with its own step, so that a certificate row differentiates
+all its states at once. ``fd_gradient`` and ``fd_jacobian`` evaluate a
+one-point field on the stack; a caller with a batched field evaluates the
+whole stack in one call. The pushforward check likewise runs one core on a
+stack of states, built from the batch cores of ``maps`` and ``structures``.
 """
 from __future__ import annotations
 
@@ -19,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .fluid import VortexSet
 
 FloatArray = NDArray[np.float64]
 
@@ -54,23 +60,34 @@ def fd_stencil(point: FloatArray, spec: FdSpec) -> FloatArray:
     then offset, then sign (+ before -). Evaluate a field on all of them at
     once, then hand the values to ``fd_combine``."""
     z = np.asarray(point, dtype=np.float64)
-    offsets, _ = _STENCILS[spec.order]
-    steps = np.zeros((z.size, len(offsets), z.size))
-    steps[np.arange(z.size), :, np.arange(z.size)] = np.array(offsets) * spec.h
-    flat = z.reshape(-1)
-    return np.stack([flat + steps, flat - steps], axis=2).reshape(2 * len(offsets) * z.size, *z.shape)
+    return _stencil_stack(z.reshape(1, -1), spec.order, np.array([spec.h]))[0].reshape(-1, *z.shape)
 
 
 def fd_combine(values: FloatArray, spec: FdSpec) -> FloatArray:
     """Derivatives from field values at the ``fd_stencil`` points (leading axis in
     its order), shape (dim, *value shape): sum of w (f+ - f-) over offsets, over h."""
-    offsets, weights = _STENCILS[spec.order]
-    v = np.asarray(values)
-    v = v.reshape(-1, len(offsets), 2, *v.shape[1:])
+    return _combine_stack(np.asarray(values)[None], spec.order, np.array([spec.h]))[0]
+
+
+def _stencil_stack(points: FloatArray, order: int, h: FloatArray) -> FloatArray:
+    """``fd_stencil`` of each flat point in points (K, D) with its own step h (K,): (K, M, D)."""
+    k, d = points.shape
+    offsets, _ = _STENCILS[order]
+    steps = np.zeros((k, d, len(offsets), d))
+    steps[:, np.arange(d), :, np.arange(d)] = h[:, None] * np.array(offsets)
+    flat = points[:, None, None, :]
+    return np.stack([flat + steps, flat - steps], axis=3).reshape(k, -1, d)
+
+
+def _combine_stack(values: FloatArray, order: int, h: FloatArray) -> FloatArray:
+    """``fd_combine`` of each stack entry, values (K, M, ...) at the ``_stencil_stack``
+    points with step h (K,): (K, D, ...)."""
+    offsets, weights = _STENCILS[order]
+    v = values.reshape(values.shape[0], -1, len(offsets), 2, *values.shape[2:])
     acc = 0.0
     for k, w in enumerate(weights):
-        acc += w * (v[:, k, 0] - v[:, k, 1])
-    return acc / spec.h
+        acc += w * (v[:, :, k, 0] - v[:, :, k, 1])
+    return acc / h.reshape(-1, *[1] * (acc.ndim - 1))
 
 
 def fd_gradient(f: Callable[[FloatArray], float], point: FloatArray, spec: FdSpec = FdSpec()) -> FloatArray:
@@ -113,12 +130,18 @@ def pushforward_check(state, body, strengths: FloatArray) -> float:
     (the Omega row of the closed-form matrix is itself defined by
     pushforward, so including it would be circular).
     """
-    from .maps import shift_jacobian, shift_map
-    from .structures import momentum_structure_matrix, velocity_structure_matrix
+    if state.chart != "velocity":
+        raise ValueError("pushforward_check expects a velocity-chart state")
+    vset = VortexSet(strengths, state.positions)
+    vset.validate(body.fluid)
+    return float(_pushforward_stack(state.flat()[None], vset.strengths[None], body)[0])
 
-    g = np.asarray(strengths, dtype=np.float64)
-    z = shift_map(state, g, body)
-    ds = shift_jacobian(z.positions, g, body, direction="to_velocity")
-    pushed = ds @ momentum_structure_matrix(z, g) @ ds.T
-    target = velocity_structure_matrix(state, g, body)
-    return float(np.max(np.abs(pushed[1:, 1:] - target[1:, 1:])))
+
+def _pushforward_stack(z: FloatArray, g: FloatArray, body) -> FloatArray:
+    """``pushforward_check`` of each flat velocity-chart state in z (K, D) with strengths g (K, N)."""
+    from .maps import _shift_jacobian_stack, _shift_stack
+    from .structures import _momentum_matrix_stack, _velocity_matrix_stack
+
+    ds = _shift_jacobian_stack(z[:, 3:].reshape(len(z), -1, 2), g, body, "to_velocity")
+    pushed = ds @ _momentum_matrix_stack(_shift_stack(z, g, body), g) @ ds.swapaxes(1, 2)
+    return np.max(np.abs(pushed - _velocity_matrix_stack(z, g, body))[:, 1:, 1:], axis=(1, 2))

@@ -11,10 +11,15 @@ BOTH charts (the shift map is the identity on vortex coordinates, so the two
 charts cannot differ there). Every entry of the velocity-chart matrix is the
 exact pushforward of this structure through the shift map.
 
-The certification helpers take their stencils from ``oracle.fd_stencil``: the
-interaction bracket validates all order-6 stencil configurations at once and
-evaluates the magnetic potential on them in one batched call, and the Jacobi
-verifier sums the cyclic terms of all index triples as whole tensors.
+Each ingredient has one batch-first core, private array code on a stack of
+flat states (leading axes, strengths with matching leading axes): the two
+structure matrices, the interaction-bracket table and the cyclic Jacobi sum.
+The public functions validate one state and run its core on a stack of one;
+``cli`` certifies whole stacks of drawn states through the cores at once.
+Stencils come from ``oracle``: the interaction table validates all order-6
+stencil configurations of a stack at once and evaluates the magnetic
+potential on them in one batched call, and the Jacobi verifier sums the
+cyclic terms of all index triples as whole tensors.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energetics import BodyParams, effective_mass
-from .fluid import MIN_CLEARANCE, FluidParams, ValidationError, VortexSet, batch_momentum_shift
-from .oracle import FdSpec, fd_combine, fd_stencil
+from .fluid import FluidParams, ValidationError, VortexSet, batch_momentum_shift, validate_stack
+from .oracle import FdSpec, _combine_stack, _stencil_stack
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -42,30 +47,25 @@ __all__ = [
 BRACKET_KINDS = ("momentum", "velocity", "interaction")
 
 
-def _check_strengths(strengths: FloatArray) -> FloatArray:
-    g = np.asarray(strengths, dtype=np.float64).reshape(-1)
-    if np.any(g == 0.0):
-        raise ValidationError("vortex strengths must be nonzero")
-    return g
-
-
-def momentum_structure_matrix(
-    state: ChartState, strengths: FloatArray, gamma_total: float | None = None
-) -> FloatArray:
+def momentum_structure_matrix(state: ChartState, strengths: FloatArray) -> FloatArray:
     """Product structure of the momentum chart: algebra block + cocycle + vortex block."""
     if state.chart != MOMENTUM:
         raise ValidationError("expected a momentum-chart state")
-    g = _check_strengths(strengths)
-    if gamma_total is None:
-        gamma_total = float(g.sum())
-    lx, ly = state.body[1], state.body[2]
-    upper = np.zeros((state.dim, state.dim))
-    upper[0, 1] = -ly
-    upper[0, 2] = lx
-    upper[1, 2] = gamma_total
-    for i in range(state.n):
-        upper[3 + 2 * i, 4 + 2 * i] = -1.0 / g[i]
-    return upper - upper.T
+    g = VortexSet(strengths, state.positions).strengths
+    if np.any(g == 0.0):
+        raise ValidationError("vortex strengths must be nonzero")
+    return _momentum_matrix_stack(state.flat()[None], g[None])[0]
+
+
+def _momentum_matrix_stack(z: FloatArray, g: FloatArray) -> FloatArray:
+    """``momentum_structure_matrix`` of flat states z (..., D) with strengths g (..., N)."""
+    upper = np.zeros(z.shape + z.shape[-1:])
+    upper[..., 0, 1] = -z[..., 2]
+    upper[..., 0, 2] = z[..., 1]
+    upper[..., 1, 2] = g.sum(axis=-1)
+    i = np.arange(g.shape[-1])
+    upper[..., 3 + 2 * i, 4 + 2 * i] = -1.0 / g
+    return upper - upper.swapaxes(-1, -2)
 
 
 def velocity_structure_matrix(
@@ -79,36 +79,35 @@ def velocity_structure_matrix(
     """
     if state.chart != VELOCITY:
         raise ValidationError("expected a velocity-chart state")
-    g = _check_strengths(strengths)
-    vset = VortexSet(g, state.positions)
+    vset = VortexSet(strengths, state.positions)
     vset.validate(body.fluid)
+    return _velocity_matrix_stack(state.flat()[None], vset.strengths[None], body)[0]
+
+
+def _velocity_matrix_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
+    """``velocity_structure_matrix`` of flat states z (..., D) with strengths g (..., N)."""
     em = effective_mass(body)
     c, inertia = em.c, em.i_eff
     r2 = body.radius**2
-    vx, vy = state.body[1], state.body[2]
-    x = state.positions
-    d2 = np.sum(x * x, axis=1)
+    vx, vy = z[..., 1], z[..., 2]
+    x, y = z[..., 3::2], z[..., 4::2]
+    d2 = x * x + y * y
     d4 = d2 * d2
     lam = 1.0 - r2 / d2
-    gamma_total = float(g.sum())
-
-    upper = np.zeros((state.dim, state.dim))
-    sum_xlam = float(np.sum(g * x[:, 0] * lam)) if state.n else 0.0
-    sum_ylam = float(np.sum(g * x[:, 1] * lam)) if state.n else 0.0
-    upper[0, 1] = (-c * vy + 2.0 * sum_xlam) / (c * inertia)
-    upper[0, 2] = (c * vx + 2.0 * sum_ylam) / (c * inertia)
-    upper[1, 2] = (gamma_total - float(np.sum(g * (d4 - r2 * r2) / d4))) / c**2
-    for i in range(state.n):
-        xi, yi = x[i]
-        col_x, col_y = 3 + 2 * i, 4 + 2 * i
-        upper[0, col_x] = yi / inertia
-        upper[0, col_y] = -xi / inertia
-        upper[1, col_x] = -(d4[i] - r2 * (xi * xi - yi * yi)) / (c * d4[i])
-        upper[1, col_y] = 2.0 * r2 * xi * yi / (c * d4[i])
-        upper[2, col_x] = 2.0 * r2 * xi * yi / (c * d4[i])
-        upper[2, col_y] = -(d4[i] + r2 * (xi * xi - yi * yi)) / (c * d4[i])
-        upper[col_x, col_y] = -1.0 / g[i]
-    return upper - upper.T
+    upper = np.zeros(z.shape + z.shape[-1:])
+    upper[..., 0, 1] = (-c * vy + 2.0 * (g * x * lam).sum(axis=-1)) / (c * inertia)
+    upper[..., 0, 2] = (c * vx + 2.0 * (g * y * lam).sum(axis=-1)) / (c * inertia)
+    upper[..., 1, 2] = (g.sum(axis=-1) - (g * (d4 - r2 * r2) / d4).sum(axis=-1)) / c**2
+    col_x = 3 + 2 * np.arange(g.shape[-1])
+    col_y = col_x + 1
+    upper[..., 0, col_x] = y / inertia
+    upper[..., 0, col_y] = -x / inertia
+    upper[..., 1, col_x] = -(d4 - r2 * (x * x - y * y)) / (c * d4)
+    upper[..., 1, col_y] = 2.0 * r2 * x * y / (c * d4)
+    upper[..., 2, col_x] = 2.0 * r2 * x * y / (c * d4)
+    upper[..., 2, col_y] = -(d4 + r2 * (x * x - y * y)) / (c * d4)
+    upper[..., col_x, col_y] = -1.0 / g
+    return upper - upper.swapaxes(-1, -2)
 
 
 def structure_matrix(state: ChartState, strengths: FloatArray, body: BodyParams) -> FloatArray:
@@ -116,29 +115,6 @@ def structure_matrix(state: ChartState, strengths: FloatArray, body: BodyParams)
     if state.chart == MOMENTUM:
         return momentum_structure_matrix(state, strengths)
     return velocity_structure_matrix(state, strengths, body)
-
-
-def _vortex_bracket(grad_f: FloatArray, grad_k: FloatArray, strengths: FloatArray) -> float:
-    """{f, k} over the vortex plane with the chart convention {X_i, Y_i} = -1/Gamma_i.
-
-    Gradients are flat (dX1, dY1, ...).
-    """
-    gx_f, gy_f = grad_f[0::2], grad_f[1::2]
-    gx_k, gy_k = grad_k[0::2], grad_k[1::2]
-    return float(np.sum((-1.0 / strengths) * (gx_f * gy_k - gx_k * gy_f)))
-
-
-def _validate_stencil(configs: FloatArray, strengths: FloatArray, params: FluidParams) -> None:
-    """Validate at once the (M, N, 2) ``fd_stencil`` configurations around valid
-    positions, raising the ValidationError of the first inadmissible one in
-    visiting order."""
-    n = configs.shape[1]
-    bad = ~(np.hypot(configs[..., 0], configs[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE)).all(axis=-1)
-    same = (configs[:, :, None] == configs[:, None]).all(axis=-1)
-    same[:, np.arange(n), np.arange(n)] = False
-    bad |= same.any(axis=(1, 2))
-    if bad.any():
-        VortexSet(strengths, configs[bad.argmax()]).validate(params)
 
 
 def interaction_bracket_coefficients(
@@ -152,54 +128,68 @@ def interaction_bracket_coefficients(
     reduction theorem numerically. Entries are momentum-level:
     {Pi_a, Pi_b}, {Pi_a, X_i}, {X_i, Y_j} for translations a, b.
     """
-    from .maps import magnetic_pairing
-
-    g = _check_strengths(strengths)
-    vset = VortexSet(g, state.positions)
+    vset = VortexSet(strengths, state.positions)
     vset.validate(body.fluid)
-    pos = state.positions.reshape(-1)
-    n = state.n
-    spec = FdSpec(h=1e-3 * (1.0 + float(np.max(np.abs(pos), initial=0.0))), order=6)
-    configs = fd_stencil(state.positions, spec)
-    _validate_stencil(configs, g, body.fluid)
-    phi_xy, _ = batch_momentum_shift(configs, g, body.radius)
-    grad_x, grad_y = fd_combine(phi_xy, spec).T
-    grad_phi = {"x": grad_x, "y": grad_y}
-
-    def coord_grad(i: int, comp: int) -> FloatArray:
-        e = np.zeros(2 * n)
-        e[2 * i + comp] = 1.0
-        return e
-
-    table: dict[tuple[str, str], float] = {}
-    # translation-translation: star term minus the generator pairing
-    star = _vortex_bracket(grad_phi["x"], grad_phi["y"], g)
-    table[("Pi_x", "Pi_y")] = star - magnetic_pairing("x", "y", vset, body.fluid)
-    # translation-vortex: the potential acts through the vortex bracket
-    for i in range(n):
-        for a in ("x", "y"):
-            table[(f"Pi_{a}", f"X{i}")] = _vortex_bracket(grad_phi[a], coord_grad(i, 0), g)
-            table[(f"Pi_{a}", f"Y{i}")] = _vortex_bracket(grad_phi[a], coord_grad(i, 1), g)
-    # vortex-vortex
-    for i in range(n):
-        for j in range(n):
-            table[(f"X{i}", f"Y{j}")] = _vortex_bracket(coord_grad(i, 0), coord_grad(j, 1), g)
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(vset.positions[None], vset.strengths[None], body.fluid)
+    table = {("Pi_x", "Pi_y"): float(pi_pi[0])}
+    for i in range(state.n):
+        for row, a in enumerate("xy"):
+            table[(f"Pi_{a}", f"X{i}")] = float(pi_vortex[0, row, 2 * i])
+            table[(f"Pi_{a}", f"Y{i}")] = float(pi_vortex[0, row, 2 * i + 1])
+    for i in range(state.n):
+        for j in range(state.n):
+            table[(f"X{i}", f"Y{j}")] = float(vortex[0, i, j])
     return table
+
+
+def _interaction_table_stack(
+    x: FloatArray, g: FloatArray, params: FluidParams
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """The interaction table of each configuration in x (K, N, 2) with strengths g (K, N):
+    {Pi_x, Pi_y} (K,), {Pi_a, X_i} and {Pi_a, Y_i} as (K, 2, 2N) in flat vortex order, and
+    {X_i, Y_j} (K, N, N). Raises the ValidationError of the first inadmissible stencil point."""
+    k, n = g.shape
+    flat = x.reshape(k, -1)
+    h = 1e-3 * (1.0 + np.max(np.abs(flat), axis=-1, initial=0.0))
+    configs = _stencil_stack(flat, 6, h).reshape(k, -1, n, 2)
+    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), params)
+    phi_xy, _ = batch_momentum_shift(configs, g[:, None], params.radius)
+    grad = _combine_stack(phi_xy, 6, h).swapaxes(1, 2)  # (K, 2, 2N): d(phi_x, phi_y)/dz
+    inv = (-1.0 / g)[:, None]  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
+    # phi_x and phi_y under the vortex bracket, minus the translations' pairing -Gamma_total
+    star = (inv[:, 0] * (grad[:, 0, 0::2] * grad[:, 1, 1::2] - grad[:, 1, 0::2] * grad[:, 0, 1::2])).sum(axis=-1)
+    # {Pi_a, X_i} = -1/Gamma_i * -dphi_a/dY_i and {Pi_a, Y_i} = -1/Gamma_i * dphi_a/dX_i
+    pi_vortex = (inv[..., None] * np.stack([-grad[..., 1::2], grad[..., 0::2]], axis=-1)).reshape(grad.shape)
+    return star + g.sum(axis=-1), pi_vortex, np.eye(n) * inv.swapaxes(1, 2)
 
 
 def jacobi_residual(
     structure_field: Callable[[FloatArray], FloatArray], point: FloatArray, h: float
 ) -> float:
-    """Max over index triples of the cyclic Jacobi sum, derivatives by central differences."""
-    z = np.asarray(point, dtype=np.float64)
-    lam = structure_field(z)
-    spec = FdSpec(h=h, order=2)
-    dlam = fd_combine([structure_field(p) for p in fd_stencil(z, spec)], spec)
+    """Max over index triples of the cyclic Jacobi sum, derivatives by central differences.
+
+    ``structure_field`` is called once per point: at ``point``, then at each
+    ``oracle.fd_stencil`` point in its order."""
+    z = np.asarray(point, dtype=np.float64).reshape(1, -1)
+
+    def field(points: FloatArray) -> FloatArray:
+        return np.array([[structure_field(p) for p in row] for row in points])
+
+    return float(_jacobi_stack(field, z, np.array([FdSpec(h=h, order=2).h]))[0])
+
+
+def _jacobi_stack(field: Callable[[FloatArray], FloatArray], z: FloatArray, h: FloatArray) -> FloatArray:
+    """``jacobi_residual`` at each flat point of z (K, D) with step h (K,); ``field``
+    maps flat states (K, M, D) to structure matrices (K, M, D, D)."""
+    lam = field(np.concatenate([z[:, None], _stencil_stack(z, 2, h)], axis=1))
+    dlam = _combine_stack(lam[:, 1:], 2, h)
+    d = z.shape[1]
     # every triple's cyclic sum at once; summing over l in index order, term by
     # term (not in one einsum), fixes the rounding to that of the scalar sum
     total = np.zeros(dlam.shape)
-    for l, d in enumerate(dlam):
-        a = lam[:, l]
-        total += a[:, None, None] * d + a[:, None] * d.T[:, None, :] + a * d[:, :, None]
-    i, j, k = np.ogrid[: z.size, : z.size, : z.size]
-    return np.max(np.abs(total[(i < j) & (j < k)]), initial=0.0)
+    for l in range(d):
+        a, dl = lam[:, 0, :, l], dlam[:, l]
+        total += (a[:, :, None, None] * dl[:, None] + a[:, None, :, None] * dl.swapaxes(1, 2)[:, :, None, :]
+                  + a[:, None, None, :] * dl[..., None])
+    i, j, k = np.ogrid[:d, :d, :d]
+    return np.max(np.abs(total[:, (i < j) & (j < k)]), axis=-1, initial=0.0)

@@ -139,7 +139,7 @@ def test_criterion_07_fixed_body_limit():
     period = 2 * np.pi / omega
     cfg = SimConfig(
         chart="velocity", body=heavy, vortices=vs, body_state=[0.0, 0.0, 0.0],
-        dt=2e-3, t_end=period, stride=50,
+        dt=2e-3, t_end=round(period / 2e-3) * 2e-3, stride=50,
     )
     traj = integrate(cfg)
     radii = np.linalg.norm(traj.states[:, 3:5], axis=1)

@@ -278,3 +278,29 @@ def test_config_shape_errors_exit_2_with_one_line(tmp_path, capsys, key, value):
     assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2_with_one_line(tmp_path, capsys, jobs):
+    path = _write(tmp_path, _minimal_config(t_end=0.1))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(path), "--out", str(out), "--jobs", jobs]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--jobs" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [(1.0, 0.3, 3), (0.5, 1.01e-3, 495), (1.0 + 2e-9, 0.25, 4)])
+def test_t_end_off_the_step_grid_exits_2_with_one_line(tmp_path, capsys, t_end, dt, steps):
+    path = _write(tmp_path, _minimal_config(t_end=t_end, dt=dt))
+    with pytest.raises(ValidationError, match="t_end"):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t_end" in err and "dt" in err and f"nearest: {steps} steps" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [(0.1, 1e-3, 100), (75.4, 2e-3, 37700), (1.0 + 5e-10, 0.25, 4), (0.0, 0.3, 0)])
+def test_t_end_on_the_step_grid_within_relative_1e_9_runs(tmp_path, t_end, dt, steps):
+    assert cli.config_from_dict(_minimal_config(t_end=t_end, dt=dt)).nsteps == steps

@@ -1,0 +1,225 @@
+"""Each batch-first core on a stack of states equals its public one-state
+function applied state by state, compared with ``==``; and ``verify``'s
+stacked rows equal the per-state row loops they replaced."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vortexcyl import cli
+from vortexcyl.energetics import BodyParams, _energy_stack, hamiltonian
+from vortexcyl.fluid import ValidationError, VortexSet, batch_kirchhoff_routh, kirchhoff_routh, validate_stack
+from vortexcyl.maps import _shift_jacobian_stack, _shift_stack, cocycle_sigma, shift_jacobian, shift_map
+from vortexcyl.oracle import FdSpec, _combine_stack, _pushforward_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
+from vortexcyl.state import ChartState
+from vortexcyl.structures import (
+    _interaction_table_stack,
+    _jacobi_stack,
+    _momentum_matrix_stack,
+    _velocity_matrix_stack,
+    interaction_bracket_coefficients,
+    jacobi_residual,
+    momentum_structure_matrix,
+    velocity_structure_matrix,
+)
+
+BODY = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
+
+
+@st.composite
+def _stacks(draw, min_n=0, max_n=4):
+    """1..5 admissible states of N = min_n..max_n vortices (N shared, strengths per state),
+    between 1.1 R and 4 R and kept apart by angular spacing: flat states (K, 3 + 2N), strengths (K, N)."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0)
+    zs, gs = [], []
+    for _ in range(k):
+        phase = draw(st.floats(0.0, 2.0 * np.pi))
+        g, pos = [], []
+        for i in range(n):
+            g.append(draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0])))
+            angle = phase + 2.0 * np.pi * (i + 0.3 * draw(unit)) / n
+            pos += list(draw(st.floats(1.1, 4.0)) * np.array([np.cos(angle), np.sin(angle)]))
+        zs.append([2.0 * draw(unit) for _ in range(3)] + pos)
+        gs.append(g)
+    return np.array(zs).reshape(k, 3 + 2 * n), np.array(gs).reshape(k, n)
+
+
+def _states(chart, z):
+    return [ChartState.from_flat(chart, row) for row in z]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_structure_matrix_stacks_equal_one_state_matrices(case):
+    z, g = case
+    momentum = _momentum_matrix_stack(z, g)
+    velocity = _velocity_matrix_stack(z, g, BODY)
+    for k, (sm, sv) in enumerate(zip(_states("momentum", z), _states("velocity", z))):
+        assert (momentum[k] == momentum_structure_matrix(sm, g[k])).all()
+        assert (velocity[k] == velocity_structure_matrix(sv, g[k], BODY)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_shift_stacks_equal_one_state_maps(case):
+    z, g = case
+    x = z[:, 3:].reshape(len(z), -1, 2)
+    shifted = _shift_stack(z, g, BODY)
+    for k, s in enumerate(_states("velocity", z)):
+        assert (shifted[k] == shift_map(s, g[k], BODY).flat()).all()
+    for direction in ("to_velocity", "to_momentum"):
+        jac = _shift_jacobian_stack(x, g, BODY, direction)
+        for k in range(len(z)):
+            assert (jac[k] == shift_jacobian(x[k], g[k], BODY, direction)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_energy_and_pushforward_stacks_equal_one_state_values(case):
+    z, g = case
+    for chart in ("momentum", "velocity"):
+        energy = _energy_stack(chart, z, g, BODY)
+        assert [float(e) for e in energy] == [hamiltonian(chart, s, BODY, gk) for s, gk in zip(_states(chart, z), g)]
+    x = z[:, 3:].reshape(len(z), -1, 2)
+    assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.fluid) for gk, xk in zip(g, x)]
+    deviation = _pushforward_stack(z, g, BODY)
+    assert [float(d) for d in deviation] == [pushforward_check(s, BODY, gk) for s, gk in zip(_states("velocity", z), g)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks(min_n=1))
+def test_interaction_table_stack_equals_one_state_tables(case):
+    z, g = case
+    n = g.shape[1]
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), n, 2), g, BODY.fluid)
+    for k, s in enumerate(_states("velocity", z)):
+        table = interaction_bracket_coefficients(s, g[k], BODY)
+        assert len(table) == 1 + 4 * n + n * n
+        assert table[("Pi_x", "Pi_y")] == pi_pi[k]
+        for i in range(n):
+            for row, a in enumerate("xy"):
+                assert table[(f"Pi_{a}", f"X{i}")] == pi_vortex[k, row, 2 * i]
+                assert table[(f"Pi_{a}", f"Y{i}")] == pi_vortex[k, row, 2 * i + 1]
+            for j in range(n):
+                assert table[(f"X{i}", f"Y{j}")] == vortex[k, i, j] == (-1.0 / g[k, i] if i == j else 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_stacks(max_n=3))
+def test_jacobi_stack_equals_one_point_residuals(case):
+    z, g = case
+    h = 1e-5 * (1 + np.max(np.abs(z), axis=1))
+    for chart in ("momentum", "velocity"):
+        if chart == "momentum":
+            stacked = _jacobi_stack(lambda s: _momentum_matrix_stack(s, g[:, None]), z, h)
+            one = [jacobi_residual(lambda p, gk=gk: momentum_structure_matrix(ChartState.from_flat(chart, p), gk), zk, hk)
+                   for zk, gk, hk in zip(z, g, h)]
+        else:
+            stacked = _jacobi_stack(lambda s: _velocity_matrix_stack(s, g[:, None], BODY), z, h)
+            one = [jacobi_residual(lambda p, gk=gk: velocity_structure_matrix(ChartState.from_flat(chart, p), gk, BODY), zk, hk)
+                   for zk, gk, hk in zip(z, g, h)]
+        assert [float(r) for r in stacked] == one
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_stencil_and_combine_stacks_equal_one_point_differences(order, rng):
+    points = rng.normal(size=(4, 5))
+    h = rng.uniform(1e-4, 1e-2, 4)
+    stencils = _stencil_stack(points, order, h)
+    values = np.sin(stencils) @ rng.normal(size=(5, 3))
+    derivs = _combine_stack(values, order, h)
+    for k in range(4):
+        spec = FdSpec(h=h[k], order=order)
+        assert (stencils[k] == fd_stencil(points[k], spec)).all()
+        assert (derivs[k] == fd_combine(values[k], spec)).all()
+
+
+@pytest.mark.parametrize(
+    "strengths, positions, message",
+    [
+        ([1.0, 0.0], [[2.0, 0.0], [0.0, 2.0]], "vortex 1: strength must be finite and nonzero"),
+        ([1.0, np.nan], [[2.0, 0.0], [0.0, 2.0]], "vortex 1: strength must be finite and nonzero"),
+        ([1.0, 1.0], [[2.0, 0.0], [0.0, 0.5]], "vortex 1: position must lie strictly outside the body"),
+        ([1.0, 1.0], [[2.0, 0.0], [2.0, 0.0]], "vortices 0 and 1 coincide"),
+    ],
+)
+def test_validate_stack_raises_the_first_bad_configuration_in_stack_order(strengths, positions, message):
+    good_g, good_x = np.array([1.0, -1.0]), np.array([[2.0, 0.0], [0.0, 3.0]])
+    g = np.array([good_g, strengths, good_g, [0.0, 0.0]])
+    x = np.array([good_x, positions, good_x, [[0.1, 0.0], [0.1, 0.0]]])
+    with pytest.raises(ValidationError, match=message):
+        VortexSet(g[1], x[1]).validate(BODY.fluid)
+    with pytest.raises(ValidationError, match=message):
+        validate_stack(g, x, BODY.fluid)
+    validate_stack(g[[0, 2]], x[[0, 2]], BODY.fluid)
+    validate_stack(good_g, x[[0, 2]], BODY.fluid)  # one strengths row for the whole stack
+
+
+def _parent_verify_rows():
+    """The per-state row loops of ``verify`` before its rows took stacks."""
+    rng = np.random.default_rng(20240817)
+    body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
+
+    def random_state(chart, n=2):
+        g = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        r = rng.uniform(1.6, 3.0, n)
+        th = rng.uniform(0, 2 * np.pi, n)
+        pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        return ChartState(chart, rng.normal(0, 1, 3), pos), g
+
+    values = []
+    for chart in ("momentum", "velocity"):
+        worst = 0.0
+        for _ in range(20):
+            s, g = random_state(chart)
+            if chart == "momentum":
+                f = lambda z: momentum_structure_matrix(ChartState.from_flat("momentum", z), g)
+            else:
+                f = lambda z: velocity_structure_matrix(ChartState.from_flat("velocity", z), g, body)
+            worst = max(worst, jacobi_residual(f, s.flat(), 1e-5 * (1 + float(np.max(np.abs(s.flat()))))))
+        values.append(worst)
+
+    worst = 0.0
+    for _ in range(100):
+        s, g = random_state("velocity")
+        worst = max(worst, pushforward_check(s, body, g))
+    values.append(worst)
+
+    worst = 0.0
+    for _ in range(100):
+        s, g = random_state("velocity")
+        em_c = body.mass + np.pi * body.radius**2
+        lam = velocity_structure_matrix(s, g, body)
+        table = interaction_bracket_coefficients(s, g, body)
+        dev = abs(table[("Pi_x", "Pi_y")] - em_c**2 * lam[1, 2])
+        for i in range(s.n):
+            dev = max(dev, abs(table[("Pi_x", f"X{i}")] - em_c * lam[1, 3 + 2 * i]))
+            dev = max(dev, abs(table[("Pi_y", f"Y{i}")] - em_c * lam[2, 4 + 2 * i]))
+            dev = max(dev, abs(table[(f"X{i}", f"Y{i}")] - lam[3 + 2 * i, 4 + 2 * i]))
+        worst = max(worst, dev)
+    values.append(worst)
+
+    worst = 0.0
+    for _ in range(100):
+        s, g = random_state("velocity")
+        ha = hamiltonian("momentum", shift_map(s, g, body), body, g)
+        hb = hamiltonian("velocity", s, body, g)
+        worst = max(worst, abs(ha - hb) / max(1.0, abs(hb)))
+    values.append(worst)
+
+    worst = 0.0
+    for _ in range(20):
+        s, g = random_state("velocity")
+        sig = cocycle_sigma(VortexSet(g, s.positions), body.fluid)
+        worst = max(worst, abs(sig.x_y + float(np.sum(g))), abs(sig.omega_x), abs(sig.omega_y))
+    values.append(worst)
+    return values
+
+
+def test_verify_rows_equal_the_per_state_row_loops():
+    rows, ok = cli._verify_report()
+    assert ok
+    assert [value for _, value, _, _ in rows] == _parent_verify_rows()
+    assert all(type(value) is float for _, value, _, _ in rows)

@@ -135,20 +135,20 @@ def _admissible_sets(draw):
 def test_interaction_phi_gradient_matches_fd_gradient_bitwise(case):
     g, pos = case
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
-    combine, seen = structures.fd_combine, []
+    combine, seen = structures._combine_stack, []
 
-    def spy(values, spec):
-        seen.append(combine(values, spec))
+    def spy(values, order, h):
+        seen.append(combine(values, order, h))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structures, "fd_combine", spy)
+        mp.setattr(structures, "_combine_stack", spy)
         interaction_bracket_coefficients(ChartState("velocity", [0.1, 0.2, 0.3], pos), g, body)
     flat = pos.reshape(-1)
     spec = FdSpec(h=1e-3 * (1.0 + float(np.max(np.abs(flat)))), order=6)
     for idx in (0, 1):
         ref = fd_gradient(lambda p: float(batch_momentum_shift(p.reshape(-1, 2), g, 1.0)[0][idx]), flat, spec)
-        assert (seen[0][:, idx] == ref).all()
+        assert (seen[0][0, :, idx] == ref).all()
 
 
 @pytest.mark.parametrize(
