@@ -19,7 +19,6 @@ from .fluid import (
     grad_kirchhoff_routh,
     green_function,
     kirchhoff_routh,
-    regularized_self,
 )
 from .dynamics import (
     DiagnosticsReport,
@@ -41,7 +40,7 @@ from .maps import (
     shift_map,
 )
 from .oracle import FdSpec, fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
-from .se2 import Se2Costate, Se2Element, se2_body_to_inertial, se2_compose
+from .se2 import Se2Costate, Se2Element
 from .state import MOMENTUM, VELOCITY, ChartState
 from .structures import (
     interaction_bracket_coefficients,
@@ -94,10 +93,7 @@ __all__ = [
     "momentum_map",
     "momentum_structure_matrix",
     "pushforward_check",
-    "regularized_self",
     "rhs",
-    "se2_body_to_inertial",
-    "se2_compose",
     "shift_jacobian",
     "shift_map",
     "structure_matrix",

@@ -366,6 +366,7 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
     rhs, stage, finite = ops.rhs, ops.stage, ops.finite
     z, g = ops.load(z0), ops.strengths(g)
     dim = len(z0)
+    stride = min(stride, max(nsteps, 1))  # a longer stride records the same samples
     n_rec_max = nsteps // stride + 2
     rec_states = np.empty((n_rec_max, dim))
     rec_poses = np.empty((n_rec_max, 3))

@@ -2,11 +2,13 @@
 
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
-``verify`` certifies each row on a stack of drawn states through the batch
-cores of ``structures``, ``maps``, ``oracle`` and ``energetics``.
+``verify`` certifies each of its six rows on a stack of drawn states in one
+call of the batch cores of ``structures``, ``maps``, ``oracle`` and
+``energetics``. ``sweep`` starts at most one worker process per config.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
-usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, or
-``sweep --jobs`` below 1), 3 halted run (collision, a stage outside the fluid
+usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
+table of recorded samples larger than physical memory, or ``sweep --jobs``
+below 1), 3 halted run (collision, a stage outside the fluid
 domain, or non-convergence).
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -252,12 +255,12 @@ def run(config: SimConfig, outdir: str | Path) -> int:
 def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     """Structure/Jacobi/pushforward certification at random admissible states.
 
-    Each row draws its states in turn from one seeded stream and, except the
-    cocycle row, validates them once as a stack and evaluates the stack in one
-    call of each batch core. A row's value is its worst state's."""
+    Each row draws its states in turn from one seeded stream, validates them
+    once as a stack and evaluates the stack in one call of each batch core. A
+    row's value is its worst state's."""
     from .energetics import _energy_stack
     from .fluid import validate_stack
-    from .maps import _shift_stack, cocycle_sigma
+    from .maps import _cocycle_stack, _shift_stack
     from .oracle import _pushforward_stack
     from .structures import _interaction_table_stack, _jacobi_stack, _momentum_matrix_stack, _velocity_matrix_stack
 
@@ -312,12 +315,9 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     ha = _energy_stack("momentum", _shift_stack(z, g, body), g, body)
     row("energy across shift map", np.abs(ha - hb) / np.maximum(1.0, np.abs(hb)), 1e-10)
 
-    dev = []
-    for _ in range(20):
-        z, g = random_state()
-        sig = cocycle_sigma(VortexSet(g, z[3:].reshape(-1, 2)), body.fluid)
-        dev.append(max(abs(sig.x_y + float(np.sum(g))), abs(sig.omega_x), abs(sig.omega_y)))
-    row("cocycle components", dev, 1e-10)
+    z, g = draw(20)
+    sigma = _cocycle_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.fluid)
+    row("cocycle components", np.abs([sigma[:, 1, 2] + g.sum(axis=1), sigma[:, 0, 1], sigma[:, 0, 2]]), 1e-10)
 
     return rows, all(r[3] for r in rows)
 
@@ -362,7 +362,9 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
     outroot = Path(outroot)
     tasks = [(p, str(outroot / name)) for p, name in zip(paths, _output_names(paths))]
     worst = EXIT_OK
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at the first task, so start no more than there are tasks
+    workers = max(1, min(jobs or os.cpu_count() or 1, len(tasks)))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for path, code in pool.map(_run_one, tasks):
             print(f"{path}: exit {code}")
             worst = max(worst, code)

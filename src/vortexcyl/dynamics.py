@@ -9,19 +9,22 @@ from there up.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity, from the config's starting pose. Energy,
 Casimir, momentum drift and inertial positions are then computed for all
-recorded samples at once.
+recorded samples at once: the energy by the batch core of ``energetics``, and
+in the velocity chart the momentum L by the shift core of ``maps``.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .energetics import BodyParams, effective_mass, hamiltonian_gradient
-from .fluid import ValidationError, VortexSet, batch_kirchhoff_routh, batch_momentum_shift, min_pair_distance
+from .energetics import BodyParams, _energy_stack, effective_mass, hamiltonian_gradient
+from .fluid import ValidationError, VortexSet, min_pair_distance
+from .maps import _shift_stack
 from .state import MOMENTUM, ChartState, canonical_chart
 from .structures import structure_matrix
 
@@ -85,6 +88,14 @@ class SimConfig:
         if not (float(self.stride).is_integer() and self.stride >= 1):
             raise ValidationError("stride must be a positive integer")
         object.__setattr__(self, "stride", int(self.stride))
+        samples = -(-self.nsteps // self.stride) + 1  # t = 0, every stride-th step and the last
+        table = 8 * samples * (6 + 2 * self.vortices.n)  # recorded states and poses, float64
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if table > memory:
+            raise ValidationError(
+                f"{self.nsteps} steps at stride {self.stride} record {samples} samples, "
+                f"a table of {table / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
+            )
         eps = self.clearance if self.clearance is not None else 1e-3 * self.body.radius
         if not (np.isfinite(eps) and eps > 0):
             raise ValidationError("clearance must be positive")
@@ -184,21 +195,10 @@ def integrate(config: SimConfig) -> Trajectory:
         )
 
     times = steps * config.dt
-    n = config.vortices.n
     g = config.vortices.strengths
-    em = effective_mass(body)
-    pos = states[:, 3:].reshape(states.shape[0], n, 2)
-
-    phi_xy, phi_om = batch_momentum_shift(pos, g, body.radius)
-    if config.chart == MOMENTUM:
-        omega = (states[:, 0] + phi_om) / em.i_eff
-        v = (states[:, 1:3] + phi_xy) / em.c
-        l_mom = states[:, 1:3]
-    else:
-        omega, v = states[:, 0], states[:, 1:3]
-        l_mom = em.c * v - phi_xy
-    kinetic = 0.5 * em.c * np.sum(v * v, axis=1) + 0.5 * em.i_eff * omega**2
-    energy = kinetic - batch_kirchhoff_routh(pos, g, body.radius)
+    pos = states[:, 3:].reshape(states.shape[0], config.vortices.n, 2)
+    energy = _energy_stack(config.chart, states, g, body)
+    l_mom = states[:, 1:3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, 1:3]
     casimir = np.sum(l_mom * l_mom, axis=1)
     l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
     cos_b, sin_b = np.cos(poses[:, 0:1]), np.sin(poses[:, 0:1])

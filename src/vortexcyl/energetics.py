@@ -105,9 +105,10 @@ def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) ->
     """Energy of flat states z (..., 3 + 2N) of one chart with strengths g (..., N), unvalidated."""
     em = effective_mass(body)
     omega, v = _body_velocity_stack(chart, z, g, body)
-    vv = (v[..., None, :] @ v[..., :, None])[..., 0, 0]  # per state the same dot product as one v @ v
     wg = fluid.batch_kirchhoff_routh(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
-    return 0.5 * em.c * vv + 0.5 * em.i_eff * omega**2 - wg
+    # |V|^2 as an elementwise square and sum: a dot product may round differently,
+    # and integrate's energy column, which this core computes, keeps these bits
+    return 0.5 * em.c * (v * v).sum(axis=-1) + 0.5 * em.i_eff * omega**2 - wg
 
 
 def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:

@@ -34,7 +34,6 @@ __all__ = [
     "kirchhoff_routh",
     "batch_kirchhoff_routh",
     "grad_kirchhoff_routh",
-    "momentum_shift_terms",
     "batch_momentum_shift",
     "min_pair_distance",
 ]
@@ -113,9 +112,6 @@ class VortexSet:
                 k = k[order[k].argmin()]
                 raise ValidationError(f"vortices {order[k]} and {order[k + 1]} coincide")
 
-    def with_positions(self, positions: FloatArray) -> "VortexSet":
-        return VortexSet(self.strengths, positions)
-
 
 def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidParams) -> None:
     """``VortexSet.validate`` of every configuration in positions (K, N, 2) at once, with
@@ -159,12 +155,13 @@ def elementary_streams(
 ) -> tuple[float, float, float]:
     """Stream functions (Psi_X, Psi_Y, Psi_Omega) conjugate to the potentials.
 
-    Conjugacy convention: dPsi/dX = -dPhi/dY and dPsi/dY = dPhi/dX.
+    Conjugacy convention: dPsi/dX = -dPhi/dY and dPsi/dY = dPhi/dX. With
+    ``check=False`` it takes points (..., 2) and gives Psi_X and Psi_Y of shape (...).
     """
     p = _check_exterior(point, params.radius, boundary_ok=True) if check else np.asarray(point, float)
     r2 = params.radius**2
-    d2 = p[0] ** 2 + p[1] ** 2
-    return (r2 * p[1] / d2, -r2 * p[0] / d2, 0.0)
+    d2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    return (r2 * p[..., 1] / d2, -r2 * p[..., 0] / d2, 0.0)
 
 
 def green_regular_part(x0: FloatArray, x1: FloatArray, params: FluidParams) -> float:
@@ -292,23 +289,15 @@ def grad_kirchhoff_routh(vortices: VortexSet, params: FluidParams) -> FloatArray
     return out
 
 
-def momentum_shift_terms(vortices: VortexSet, params: FluidParams) -> tuple[FloatArray, float]:
-    """Translational and angular parts of the fluid momentum carried by the vortices.
+def batch_momentum_shift(positions: FloatArray, strengths: FloatArray, radius: float) -> tuple[FloatArray, FloatArray]:
+    """Translational and angular parts of the fluid momentum carried by the vortices,
+    for each configuration in positions (..., N, 2) with strengths (..., N) or (N,):
 
-    Returns (phi_xy, phi_omega) with
-        phi_xy    = sum_i Gamma_i * (-Y_i, X_i) * (1 - R^2/d_i^2)
-        phi_omega = sum_i Gamma_i * d_i^2 / 2.
+        phi_xy    = sum_i Gamma_i * (-Y_i, X_i) * (1 - R^2/d_i^2)   of shape (..., 2),
+        phi_omega = sum_i Gamma_i * d_i^2 / 2                      of shape (...).
+
     These are the identity-evaluation components of the magnetic potential and
     the exact offsets between body momenta and velocities in the momentum chart.
-    """
-    phi_xy, phi_om = batch_momentum_shift(vortices.positions, vortices.strengths, params.radius)
-    return phi_xy, float(phi_om)
-
-
-def batch_momentum_shift(positions: FloatArray, strengths: FloatArray, radius: float) -> tuple[FloatArray, FloatArray]:
-    """``momentum_shift_terms`` of each configuration in positions (..., N, 2).
-
-    Returns phi_xy of shape (..., 2) and phi_omega of shape (...).
     """
     x = np.asarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)

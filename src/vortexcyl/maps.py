@@ -5,8 +5,11 @@ chart (A, L, X), its analytic Jacobian, the conserved planar momentum of the
 combined system in body and spatial form, the magnetic potential whose
 identity evaluation generates the shift, the magnetic pairing on the symmetry
 generators, and the non-equivariance cocycle built from those ingredients.
-The shift and its Jacobian each have one batch-first core on stacks of flat
-states; ``shift_map`` and ``shift_jacobian`` run it on a stack of one.
+The shift, its Jacobian, the pairing and the cocycle each have one batch-first
+core on stacks of configurations; ``shift_map``, ``shift_jacobian``,
+``magnetic_pairing`` and ``cocycle_sigma`` validate one state and run it on a
+stack of one. The pairing and the cocycle are antisymmetric (K, 3, 3) arrays on
+the (omega, x, y) basis of the symmetry algebra.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import fluid
-from .energetics import BodyParams, effective_mass
+from .energetics import BodyParams, _body_velocity_stack, effective_mass
 from .fluid import FluidParams, VortexSet
+from .oracle import _combine_stack, _stencil_stack
 from .se2 import Se2Costate, Se2Element, rotation
 from .state import MOMENTUM, VELOCITY, ChartState
 
@@ -34,9 +38,6 @@ __all__ = [
     "cocycle_sigma",
 ]
 
-GENERATORS = ("omega", "x", "y")
-
-
 def magnetic_potential(vortices: VortexSet, params: FluidParams) -> Se2Costate:
     """Momentum carried by the vortex system, evaluated at the identity pose.
 
@@ -46,7 +47,7 @@ def magnetic_potential(vortices: VortexSet, params: FluidParams) -> Se2Costate:
         phi_omega = sum Gamma_i |X_i|^2 / 2.
     """
     vortices.validate(params)
-    phi_xy, phi_om = fluid.momentum_shift_terms(vortices, params)
+    phi_xy, phi_om = fluid.batch_momentum_shift(vortices.positions, vortices.strengths, params.radius)
     return Se2Costate(pi_omega=phi_om, pi_xy=phi_xy)
 
 
@@ -76,16 +77,9 @@ def inverse_shift_map(state: ChartState, strengths: FloatArray, body: BodyParams
     """Momentum chart -> velocity chart, solving the shift linearly for (Omega, V)."""
     if state.chart != MOMENTUM:
         raise ValueError("inverse_shift_map expects a momentum-chart state")
-    em = effective_mass(body)
-    phi_xy, phi_om = fluid.momentum_shift_terms(VortexSet(strengths, state.positions), body.fluid)
-    triple = np.array(
-        [
-            (state.body[0] + phi_om) / em.i_eff,
-            (state.body[1] + phi_xy[0]) / em.c,
-            (state.body[2] + phi_xy[1]) / em.c,
-        ]
-    )
-    return ChartState(VELOCITY, triple, state.positions)
+    g = VortexSet(strengths, state.positions).strengths
+    omega, v = _body_velocity_stack(MOMENTUM, state.flat()[None], g[None], body)
+    return ChartState(VELOCITY, np.concatenate([omega, v[0]]), state.positions)
 
 
 def shift_jacobian(
@@ -156,8 +150,8 @@ def momentum_map(
     rel = inertial - pose.x0
     d2 = np.sum(rel * rel, axis=1)
     # spatial elementary streams evaluated at the inertial vortex positions
-    psi = params.radius**2 * np.stack([rel[:, 1], -rel[:, 0]], axis=1) / d2[:, None] if vortices.n else rel
-    cross = np.stack([inertial[:, 1], -inertial[:, 0]], axis=1) if vortices.n else inertial
+    psi = np.stack(fluid.elementary_streams(rel, params, check=False)[:2], axis=1)
+    cross = np.stack([inertial[:, 1], -inertial[:, 0]], axis=1)
     # No standalone total-strength pose term here: the frame change of the
     # vortex sum generates it, which is exactly what the body-to-spatial
     # relation adds back on the other path.
@@ -168,55 +162,41 @@ def momentum_map(
     return Se2Costate(pi_omega=j_om, pi_xy=j_xy)
 
 
-def _generator_velocity(tag: str, point: FloatArray) -> FloatArray:
-    """Infinitesimal action of a symmetry generator on the plane."""
-    if tag == "x":
-        return np.array([1.0, 0.0])
-    if tag == "y":
-        return np.array([0.0, 1.0])
-    if tag == "omega":
-        return np.array([-point[1], point[0]])
-    raise ValueError(f"unknown generator {tag!r}")
-
-
-def _stream_gradient(tag: str, point: FloatArray, params: FluidParams) -> FloatArray:
-    """Numerical gradient of an elementary stream function (order-6 stencil)."""
-    from .oracle import FdSpec, fd_gradient
-
-    index = {"x": 0, "y": 1}[tag]
-
-    def f(p: FloatArray) -> float:
-        return fluid.elementary_streams(p, params, check=False)[index]
-
-    h = 1e-3 * (1.0 + float(np.hypot(point[0], point[1])))
-    return fd_gradient(f, np.asarray(point, float), FdSpec(h=h, order=6))
-
-
 def magnetic_pairing(a: str, b: str, vortices: VortexSet, params: FluidParams) -> float:
-    """Magnetic two-form evaluated on a pair of symmetry generators.
-
-    Sums over vortices the area form of the two generator velocities plus
-    the stream-function coupling; translation-translation pairs reduce to
-    minus the total strength, and pairs with the rotation pick up the
-    gradient of the matching elementary stream along the rotational flow.
-    The pose derivative of a stream function under a translation cancels its
-    spatial gradient exactly, so those contributions are identically zero.
-    """
-    if a not in GENERATORS or b not in GENERATORS:
-        raise ValueError(f"generators must be in {GENERATORS}")
+    """Magnetic two-form evaluated on a pair of symmetry generators ``"omega"``, ``"x"``, ``"y"``."""
+    basis = ("omega", "x", "y")
+    if a not in basis or b not in basis:
+        raise ValueError(f"generators must be in {basis}")
     vortices.validate(params)
-    total = 0.0
-    for gamma, point in zip(vortices.strengths, vortices.positions):
-        va = _generator_velocity(a, point)
-        vb = _generator_velocity(b, point)
-        term = -(va[0] * vb[1] - va[1] * vb[0])
-        for trans in ("x", "y"):
-            if a == trans and b == "omega":
-                term += float(_stream_gradient(trans, point, params) @ vb)
-            if b == trans and a == "omega":
-                term -= float(_stream_gradient(trans, point, params) @ va)
-        total += gamma * term
-    return total
+    pairing = _pairing_stack(vortices.positions[None], vortices.strengths[None], params)[0]
+    return float(pairing[basis.index(a), basis.index(b)])
+
+
+def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:
+    """The magnetic two-form on the (omega, x, y) basis of each configuration in x (K, N, 2)
+    with strengths g (K, N), unvalidated: antisymmetric, shape (K, 3, 3).
+
+    Sums over vortices the area form of the two generator velocities, (1, 0) and
+    (0, 1) for the translations and (-Y_i, X_i) for the rotation, plus the
+    stream-function coupling: translation-translation pairs reduce to minus the
+    total strength, and pairs with the rotation pick up the gradient of the
+    matching elementary stream along the rotational flow. The pose derivative of
+    a stream function under a translation cancels its spatial gradient exactly,
+    so those contributions are identically zero. Each stream gradient is an
+    order-6 central difference with step 1e-3 (1 + |X_i|).
+    """
+    k, n = g.shape
+    points = x.reshape(k * n, 2)
+    h = 1e-3 * (1.0 + np.hypot(points[:, 0], points[:, 1]))
+    psi_x, psi_y, _ = fluid.elementary_streams(_stencil_stack(points, 6, h), params, check=False)
+    grad = _combine_stack(np.stack([psi_x, psi_y], axis=-1), 6, h).reshape(k, n, 2, 2)  # (K, N, coordinate, stream)
+    px, py = x[..., 0], x[..., 1]
+    along = grad[:, :, 0] * -py[..., None] + grad[:, :, 1] * px[..., None]  # (K, N, stream)
+    upper = np.zeros((k, 3, 3))
+    upper[:, 0, 1] = (g * (px - along[..., 0])).sum(axis=-1)
+    upper[:, 0, 2] = (g * (py - along[..., 1])).sum(axis=-1)
+    upper[:, 1, 2] = (-g).sum(axis=-1)
+    return upper - upper.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -227,31 +207,6 @@ class CocycleForm:
     omega_y: float
     x_y: float
 
-    def __call__(self, a: str, b: str) -> float:
-        table = {
-            ("omega", "x"): self.omega_x,
-            ("omega", "y"): self.omega_y,
-            ("x", "y"): self.x_y,
-        }
-        if a == b:
-            return 0.0
-        if (a, b) in table:
-            return table[(a, b)]
-        return -table[(b, a)]
-
-
-# Structure constants of the planar Euclidean algebra in the (omega, x, y)
-# basis: [e_omega, e_x] = e_y, [e_omega, e_y] = -e_x, [e_x, e_y] = 0.
-def _bracket_on_phi(a: str, b: str, phi: Se2Costate) -> float:
-    """<phi, [e_a, e_b]>."""
-    if {a, b} == {"omega", "x"}:
-        val = phi.pi_xy[1]
-        return val if (a, b) == ("omega", "x") else -val
-    if {a, b} == {"omega", "y"}:
-        val = -phi.pi_xy[0]
-        return val if (a, b) == ("omega", "y") else -val
-    return 0.0
-
 
 def cocycle_sigma(vortices: VortexSet, params: FluidParams) -> CocycleForm:
     """Non-equivariance cocycle Sigma(xi, eta) = -<phi, [xi, eta]> + beta(xi, eta).
@@ -259,13 +214,18 @@ def cocycle_sigma(vortices: VortexSet, params: FluidParams) -> CocycleForm:
     The mixed components cancel numerically; the surviving component is
     Sigma(e_x, e_y) = -(total vortex strength).
     """
-    phi = magnetic_potential(vortices, params)
+    vortices.validate(params)
+    sigma = _cocycle_stack(vortices.positions[None], vortices.strengths[None], params)[0]
+    return CocycleForm(omega_x=float(sigma[0, 1]), omega_y=float(sigma[0, 2]), x_y=float(sigma[1, 2]))
 
-    def sigma(a: str, b: str) -> float:
-        return -_bracket_on_phi(a, b, phi) + magnetic_pairing(a, b, vortices, params)
 
-    return CocycleForm(
-        omega_x=sigma("omega", "x"),
-        omega_y=sigma("omega", "y"),
-        x_y=sigma("x", "y"),
-    )
+def _cocycle_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:
+    """``cocycle_sigma`` of each configuration in x (K, N, 2) with strengths g (K, N),
+    unvalidated, as an antisymmetric (K, 3, 3) on the (omega, x, y) basis."""
+    phi_xy, _ = fluid.batch_momentum_shift(x, g, params.radius)
+    # <phi, [e_a, e_b]> with the planar Euclidean structure constants
+    # [e_omega, e_x] = e_y, [e_omega, e_y] = -e_x, [e_x, e_y] = 0
+    upper = np.zeros((len(g), 3, 3))
+    upper[:, 0, 1] = phi_xy[:, 1]
+    upper[:, 0, 2] = -phi_xy[:, 0]
+    return _pairing_stack(x, g, params) - (upper - upper.swapaxes(1, 2))

@@ -76,14 +76,14 @@ def _stencil_stack(points: FloatArray, order: int, h: FloatArray) -> FloatArray:
     steps = np.zeros((k, d, len(offsets), d))
     steps[:, np.arange(d), :, np.arange(d)] = h[:, None] * np.array(offsets)
     flat = points[:, None, None, :]
-    return np.stack([flat + steps, flat - steps], axis=3).reshape(k, -1, d)
+    return np.stack([flat + steps, flat - steps], axis=3).reshape(k, 2 * len(offsets) * d, d)
 
 
 def _combine_stack(values: FloatArray, order: int, h: FloatArray) -> FloatArray:
     """``fd_combine`` of each stack entry, values (K, M, ...) at the ``_stencil_stack``
     points with step h (K,): (K, D, ...)."""
     offsets, weights = _STENCILS[order]
-    v = values.reshape(values.shape[0], -1, len(offsets), 2, *values.shape[2:])
+    v = values.reshape(values.shape[0], values.shape[1] // (2 * len(offsets)), len(offsets), 2, *values.shape[2:])
     acc = 0.0
     for k, w in enumerate(weights):
         acc += w * (v[:, :, k, 0] - v[:, :, k, 1])

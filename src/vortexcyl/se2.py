@@ -23,7 +23,6 @@ __all__ = [
     "normalize_angle",
     "rotation",
     "se2_compose",
-    "se2_inverse",
     "se2_body_to_inertial",
 ]
 
@@ -61,15 +60,6 @@ class Se2Element:
         m[:2, 2] = self.x0
         return m
 
-    def compose(self, other: "Se2Element") -> "Se2Element":
-        return se2_compose(self, other)
-
-    def inverse(self) -> "Se2Element":
-        return se2_inverse(self)
-
-    def apply(self, point: FloatArray, inverse: bool = False) -> FloatArray:
-        return se2_body_to_inertial(self, point, inverse=inverse)
-
 
 @dataclass(frozen=True)
 class Se2Costate:
@@ -96,11 +86,6 @@ def se2_compose(g1: Se2Element, g2: Se2Element) -> Se2Element:
     beta = normalize_angle(g1.beta + g2.beta)
     x0 = rotation(g1.beta) @ g2.x0 + g1.x0
     return Se2Element(beta, x0)
-
-
-def se2_inverse(g: Se2Element) -> Se2Element:
-    beta = normalize_angle(-g.beta)
-    return Se2Element(beta, -(rotation(-g.beta) @ g.x0))
 
 
 def se2_body_to_inertial(g: Se2Element, point: FloatArray, inverse: bool = False) -> FloatArray:

@@ -36,16 +36,12 @@ from .state import MOMENTUM, VELOCITY, ChartState
 FloatArray = NDArray[np.float64]
 
 __all__ = [
-    "BRACKET_KINDS",
     "momentum_structure_matrix",
     "velocity_structure_matrix",
     "structure_matrix",
     "interaction_bracket_coefficients",
     "jacobi_residual",
 ]
-
-BRACKET_KINDS = ("momentum", "velocity", "interaction")
-
 
 def momentum_structure_matrix(state: ChartState, strengths: FloatArray) -> FloatArray:
     """Product structure of the momentum chart: algebra block + cocycle + vortex block."""

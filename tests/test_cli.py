@@ -304,3 +304,50 @@ def test_t_end_off_the_step_grid_exits_2_with_one_line(tmp_path, capsys, t_end, 
 @pytest.mark.parametrize("t_end, dt, steps", [(0.1, 1e-3, 100), (75.4, 2e-3, 37700), (1.0 + 5e-10, 0.25, 4), (0.0, 0.3, 0)])
 def test_t_end_on_the_step_grid_within_relative_1e_9_runs(tmp_path, t_end, dt, steps):
     assert cli.config_from_dict(_minimal_config(t_end=t_end, dt=dt)).nsteps == steps
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (1e-9, 1000.0)])
+def test_sample_table_beyond_memory_exits_2_with_one_line(tmp_path, capsys, dt, t_end):
+    path = _write(tmp_path, _minimal_config(dt=dt, t_end=t_end, stride=1))
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    nsteps = round(t_end / dt)
+    assert err.count("\n") == 1 and f"{nsteps} steps" in err and f"{nsteps + 1} samples" in err
+
+
+def test_stride_beyond_the_run_records_its_start_and_end_like_stride_nsteps(tmp_path):
+    tables = []
+    for stride in (500, 1e300):  # 500 steps
+        out = tmp_path / f"stride-{stride:g}"
+        assert cli.main(["simulate", str(_write(tmp_path, _minimal_config(stride=stride))), "--out", str(out)]) == 0
+        tables.append((out / "trajectory.csv").read_text())
+    assert tables[0] == tables[1]
+    assert [row.split(",")[0] for row in tables[1].splitlines()[1:]] == ["0", "0.5"]
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its worker count and runs nothing."""
+
+    workers = []
+
+    def __init__(self, max_workers=None):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [(path, cli.EXIT_OK) for path, _ in tasks]
+
+
+@pytest.mark.parametrize("count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (3, "8", 3)])
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch, count, jobs, workers):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(count)]
+    assert cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), *(["--jobs", jobs] if jobs else [])]) == 0
+    assert _RecordingPool.workers == [workers]

@@ -8,13 +8,13 @@ from vortexcyl.fluid import (
     ValidationError,
     VortexSet,
     batch_kirchhoff_routh,
+    batch_momentum_shift,
     elementary_potentials,
     elementary_streams,
     grad_kirchhoff_routh,
     green_function,
     kirchhoff_routh,
     min_pair_distance,
-    momentum_shift_terms,
     regularized_self,
 )
 from vortexcyl.oracle import FdSpec, fd_gradient
@@ -236,6 +236,6 @@ def test_vortex_set_validation():
 
 
 def test_momentum_shift_terms_single_vortex():
-    phi_xy, phi_om = momentum_shift_terms(VortexSet([2.0], [[3.0, 0.0]]), UNIT)
+    phi_xy, phi_om = batch_momentum_shift([[3.0, 0.0]], [2.0], UNIT.radius)
     npt.assert_allclose(phi_xy, [0.0, 2.0 * 3.0 * (1 - 1 / 9)], atol=1e-14)
     assert abs(phi_om - 9.0) < 1e-14

@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexcyl import cli
-from vortexcyl.energetics import BodyParams, _energy_stack, hamiltonian
+from vortexcyl import _kernels, cli
+from vortexcyl.dynamics import SimConfig, integrate
+from vortexcyl.energetics import BodyParams, _body_velocity_stack, _energy_stack, hamiltonian
 from vortexcyl.fluid import ValidationError, VortexSet, batch_kirchhoff_routh, kirchhoff_routh, validate_stack
-from vortexcyl.maps import _shift_jacobian_stack, _shift_stack, cocycle_sigma, shift_jacobian, shift_map
+from vortexcyl.maps import (
+    _cocycle_stack,
+    _pairing_stack,
+    _shift_jacobian_stack,
+    _shift_stack,
+    cocycle_sigma,
+    inverse_shift_map,
+    magnetic_pairing,
+    shift_jacobian,
+    shift_map,
+)
 from vortexcyl.oracle import FdSpec, _combine_stack, _pushforward_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
 from vortexcyl.state import ChartState
 from vortexcyl.structures import (
@@ -86,6 +97,59 @@ def test_energy_and_pushforward_stacks_equal_one_state_values(case):
     assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.fluid) for gk, xk in zip(g, x)]
     deviation = _pushforward_stack(z, g, BODY)
     assert [float(d) for d in deviation] == [pushforward_check(s, BODY, gk) for s, gk in zip(_states("velocity", z), g)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_inverse_shift_equals_the_body_velocity_stack(case):
+    z, g = case
+    omega, v = _body_velocity_stack("momentum", z, g, BODY)
+    for k, s in enumerate(_states("momentum", z)):
+        back = inverse_shift_map(s, g[k], BODY)
+        assert (back.body == [omega[k], *v[k]]).all() and (back.positions == s.positions).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_pairing_and_cocycle_stacks_equal_one_state_forms(case):
+    z, g = case
+    x = z[:, 3:].reshape(len(z), -1, 2)
+    pairing = _pairing_stack(x, g, BODY.fluid)
+    sigma = _cocycle_stack(x, g, BODY.fluid)
+    basis = ("omega", "x", "y")
+    for k in range(len(z)):
+        vortices = VortexSet(g[k], x[k])
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                assert pairing[k, i, j] == magnetic_pairing(a, b, vortices, BODY.fluid)
+        one = cocycle_sigma(vortices, BODY.fluid)
+        assert (one.omega_x, one.omega_y, one.x_y) == (sigma[k, 0, 1], sigma[k, 0, 2], sigma[k, 1, 2])
+    assert (pairing == -pairing.swapaxes(1, 2)).all() and (sigma == -sigma.swapaxes(1, 2)).all()
+    if g.shape[1] == 0:
+        assert (pairing == 0.0).all() and (sigma == 0.0).all()
+
+
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+@pytest.mark.parametrize("n", [2, _kernels.PAIR_ARRAY_MIN])  # the list layout and the array layout
+def test_integrate_sums_equal_the_cores_on_the_recorded_states(chart, n):
+    angles = 2.0 * np.pi * np.arange(n) / n + 0.1
+    radii = np.where(np.arange(n) % 2, 3.5, 4.5)
+    config = SimConfig(
+        chart=chart,
+        body=BodyParams(mass=3.0, inertia=1.0, radius=1.0),
+        vortices=VortexSet(np.linspace(-1.0, 1.3, n), np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)),
+        body_state=[0.05, 0.1, -0.08],
+        dt=5e-3,
+        t_end=0.5,
+        stride=7,
+    )
+    traj = integrate(config)
+    g = config.vortices.strengths
+    assert traj.halt is None and traj.n_samples == 16
+    assert (traj.energy == _energy_stack(chart, traj.states, g, config.body)).all()
+    l_mom = traj.states[:, 1:3] if chart == "momentum" else _shift_stack(traj.states, g, config.body)[:, 1:3]
+    assert (traj.casimir == np.sum(l_mom * l_mom, axis=1)).all()
+    assert (traj.l_drift == np.linalg.norm(l_mom - l_mom[0], axis=1)).all()
 
 
 @settings(max_examples=60, deadline=None)
