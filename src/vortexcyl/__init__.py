@@ -8,7 +8,7 @@ package numerically certifies that it is a Poisson map, that both charts
 generate the same flow, and that the bracket assembled from reduction theory
 matches the closed-form structure matrix.
 """
-from .energetics import BodyParams, EffectiveMass, effective_mass, hamiltonian, hamiltonian_gradient
+from .energetics import BodyParams, hamiltonian, hamiltonian_gradient
 from .fluid import (
     DomainError,
     FluidParams,
@@ -59,7 +59,6 @@ __all__ = [
     "CocycleForm",
     "DiagnosticsReport",
     "DomainError",
-    "EffectiveMass",
     "FdSpec",
     "FluidParams",
     "MOMENTUM",
@@ -73,7 +72,6 @@ __all__ = [
     "active_backend",
     "cocycle_sigma",
     "diagnostics",
-    "effective_mass",
     "elementary_potentials",
     "elementary_streams",
     "fd_gradient",

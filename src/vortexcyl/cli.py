@@ -7,8 +7,8 @@ call of the batch cores of ``structures``, ``maps``, ``oracle`` and
 ``energetics``. ``sweep`` starts at most one worker process per config.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
-table of recorded samples larger than physical memory, or ``sweep --jobs``
-below 1), 3 halted run (collision, a stage outside the fluid
+table of recorded samples larger than physical memory, more than 2**53 steps,
+or ``sweep --jobs`` below 1), 3 halted run (collision, a stage outside the fluid
 domain, or non-convergence).
 """
 from __future__ import annotations
@@ -299,13 +299,12 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     row("shift-map pushforward", _pushforward_stack(z, g, body), 1e-9)
 
     z, g = draw(100)
-    em_c = body.mass + np.pi * body.radius**2
     lam = _velocity_matrix_stack(z, g, body)
     pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.fluid)
     dev = [
-        np.abs(pi_pi - em_c**2 * lam[:, 1, 2]),
-        np.abs(pi_vortex[:, 0, 0::2] - em_c * lam[:, 1, 3::2]),
-        np.abs(pi_vortex[:, 1, 1::2] - em_c * lam[:, 2, 4::2]),
+        np.abs(pi_pi - body.c**2 * lam[:, 1, 2]),
+        np.abs(pi_vortex[:, 0, 0::2] - body.c * lam[:, 1, 3::2]),
+        np.abs(pi_vortex[:, 1, 1::2] - body.c * lam[:, 2, 4::2]),
         np.abs(np.diagonal(vortex, axis1=1, axis2=2) - np.diagonal(lam[:, 3::2, 4::2], axis1=1, axis2=2)),
     ]
     row("interaction bracket vs matrix", [np.max(d) for d in dev], 1e-10)

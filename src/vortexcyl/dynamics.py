@@ -9,8 +9,9 @@ from there up.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity, from the config's starting pose. Energy,
 Casimir, momentum drift and inertial positions are then computed for all
-recorded samples at once: the energy by the batch core of ``energetics``, and
-in the velocity chart the momentum L by the shift core of ``maps``.
+recorded samples at once: the energy by the batch core of ``energetics``, in
+the velocity chart the momentum L by the shift core of ``maps``, and the
+inertial positions by the frame change ``se2.to_inertial``.
 """
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .energetics import BodyParams, _energy_stack, effective_mass, hamiltonian_gradient
+from .energetics import BodyParams, _energy_stack, hamiltonian_gradient
 from .fluid import ValidationError, VortexSet, min_pair_distance
 from .maps import _shift_stack
+from .se2 import to_inertial
 from .state import MOMENTUM, ChartState, canonical_chart
 from .structures import structure_matrix
 
@@ -96,6 +98,9 @@ class SimConfig:
                 f"{self.nsteps} steps at stride {self.stride} record {samples} samples, "
                 f"a table of {table / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
             )
+        if self.nsteps > 2**53:
+            # past 2**53 float step times stop being distinct, so the whole-step check rejects nothing
+            raise ValidationError(f"t_end / dt = {self.nsteps} steps, more than 2**53")
         eps = self.clearance if self.clearance is not None else 1e-3 * self.body.radius
         if not (np.isfinite(eps) and eps > 0):
             raise ValidationError("clearance must be positive")
@@ -182,7 +187,7 @@ def integrate(config: SimConfig) -> Trajectory:
             np.concatenate([config.body_state, config.vortices.positions.reshape(-1)]),
             config.vortices.strengths,
             float(body.radius**2),
-            float(effective_mass(body).c),
+            float(body.c),
             float(body.inertia),
             float(config.vortices.total_strength),
             float(config.dt),
@@ -201,14 +206,6 @@ def integrate(config: SimConfig) -> Trajectory:
     l_mom = states[:, 1:3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, 1:3]
     casimir = np.sum(l_mom * l_mom, axis=1)
     l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
-    cos_b, sin_b = np.cos(poses[:, 0:1]), np.sin(poses[:, 0:1])
-    inertial = np.stack(
-        [
-            cos_b * pos[:, :, 0] - sin_b * pos[:, :, 1] + poses[:, 1:2],
-            sin_b * pos[:, :, 0] + cos_b * pos[:, :, 1] + poses[:, 2:3],
-        ],
-        axis=2,
-    )
 
     halt = None
     if halt_code != _kernels.HALT_NONE:
@@ -222,7 +219,7 @@ def integrate(config: SimConfig) -> Trajectory:
         times=times.astype(np.float64),
         states=states,
         poses=poses,
-        inertial_positions=inertial,
+        inertial_positions=to_inertial(poses, pos),
         energy=energy,
         casimir=casimir,
         l_drift=l_drift,

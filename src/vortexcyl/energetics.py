@@ -1,5 +1,7 @@
-"""Effective inertia of the body-plus-fluid system and the chart Hamiltonians.
+"""The body's parameters and locked inertia, and the chart Hamiltonians.
 
+The body enters the energy through its locked inertia only: c = m + pi R^2 on
+the translations and I on the rotation, since the circle adds no inertia.
 Both charts share one energy: H = |V|^2 c/2 + Omega^2 I/2 - W_G(X). In the
 velocity chart that is the formula verbatim; in the momentum chart the body
 velocities are recovered from (A, L, X) through the momentum shift
@@ -21,8 +23,6 @@ FloatArray = NDArray[np.float64]
 
 __all__ = [
     "BodyParams",
-    "EffectiveMass",
-    "effective_mass",
     "hamiltonian",
     "hamiltonian_gradient",
     "body_velocities",
@@ -49,30 +49,10 @@ class BodyParams:
     def fluid(self) -> FluidParams:
         return FluidParams(self.radius)
 
-
-@dataclass(frozen=True)
-class EffectiveMass:
-    """Diagonal effective inertia diag(i_eff, c, c) in (Omega, V) order."""
-
-    c: float
-    i_eff: float
-    c_body: float
-
     @property
-    def matrix(self) -> FloatArray:
-        return np.diag([self.i_eff, self.c, self.c])
-
-    @property
-    def added(self) -> FloatArray:
-        """Fluid contribution alone, diag(0, pi R^2, pi R^2)."""
-        a = self.c - self.c_body
-        return np.diag([0.0, a, a])
-
-
-def effective_mass(body: BodyParams) -> EffectiveMass:
-    """Total translational mass c = m + pi R^2; the circle adds no inertia."""
-    added = np.pi * body.radius**2
-    return EffectiveMass(c=body.mass + added, i_eff=body.inertia, c_body=body.mass)
+    def c(self) -> float:
+        """Translational inertia of body plus fluid, m + pi R^2; the rotational one is ``inertia``."""
+        return self.mass + np.pi * self.radius**2
 
 
 def body_velocities(state: ChartState, strengths: FloatArray, body: BodyParams) -> tuple[float, FloatArray]:
@@ -86,9 +66,8 @@ def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyPar
     """(Omega, V) of flat states z (..., 3 + 2N) of one chart with strengths g (..., N)."""
     if chart == VELOCITY:
         return z[..., 0], z[..., 1:3]
-    em = effective_mass(body)
     phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
-    return (z[..., 0] + phi_om) / em.i_eff, (z[..., 1:3] + phi_xy) / em.c
+    return (z[..., 0] + phi_om) / body.inertia, (z[..., 1:3] + phi_xy) / body.c
 
 
 def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float:
@@ -103,12 +82,11 @@ def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: Floa
 
 def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """Energy of flat states z (..., 3 + 2N) of one chart with strengths g (..., N), unvalidated."""
-    em = effective_mass(body)
     omega, v = _body_velocity_stack(chart, z, g, body)
     wg = fluid.batch_kirchhoff_routh(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
     # |V|^2 as an elementwise square and sum: a dot product may round differently,
     # and integrate's energy column, which this core computes, keeps these bits
-    return 0.5 * em.c * (v * v).sum(axis=-1) + 0.5 * em.i_eff * omega**2 - wg
+    return 0.5 * body.c * (v * v).sum(axis=-1) + 0.5 * body.inertia * omega**2 - wg
 
 
 def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
@@ -128,43 +106,19 @@ def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: fl
     return out
 
 
-def hamiltonian_gradient(
-    chart: str,
-    state: ChartState,
-    body: BodyParams,
-    strengths: FloatArray,
-    method: str = "analytic",
-) -> FloatArray:
-    """Flat gradient, ordered (body triple, X1, Y1, ...).
-
-    ``method="fd"`` swaps in a 6th-order central difference of the energy,
-    kept as a verification path for the analytic formulas.
-    """
+def hamiltonian_gradient(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> FloatArray:
+    """Flat gradient, ordered (body triple, X1, Y1, ...)."""
     chart = canonical_chart(chart)
     if state.chart != chart:
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
     strengths = np.asarray(strengths, dtype=np.float64)
-    if method == "fd":
-        from .oracle import FdSpec, fd_gradient
-
-        z0 = state.flat()
-        h = 1e-5 * (1.0 + float(np.max(np.abs(z0), initial=0.0)))
-
-        def f(z: FloatArray) -> float:
-            return hamiltonian(chart, ChartState.from_flat(chart, z), body, strengths)
-
-        return fd_gradient(f, z0, FdSpec(h=h, order=6))
-    if method != "analytic":
-        raise ValueError("method must be 'analytic' or 'fd'")
-
-    em = effective_mass(body)
     vset = VortexSet(strengths, state.positions)
     wg_grad = fluid.grad_kirchhoff_routh(vset, body.fluid)
     omega, v = body_velocities(state, strengths, body)
     grad = np.zeros(state.dim)
     if chart == VELOCITY:
-        grad[0] = em.i_eff * omega
-        grad[1:3] = em.c * v
+        grad[0] = body.inertia * omega
+        grad[1:3] = body.c * v
         grad[3:] = -wg_grad.reshape(-1)
         return grad
     grad[0] = omega

@@ -93,39 +93,39 @@ class VortexSet:
 
     def validate(self, params: FluidParams) -> None:
         """Raise ValidationError naming the first offending vortex or pair."""
-        g = self.strengths
-        if not (np.isfinite(g).all() and g.all()):
-            bad = ~np.isfinite(g) | (g == 0.0)
-            raise ValidationError(f"vortex {bad.argmax()}: strength must be finite and nonzero")
-        x = self.positions
-        outside = np.hypot(x[:, 0], x[:, 1]) > params.radius * (1.0 + MIN_CLEARANCE)
-        if not outside.all():
-            raise ValidationError(f"vortex {(~outside).argmax()}: position must lie strictly outside the body")
-        if self.n > 1:
-            # a stable sort puts equal rows next to each other in index order,
-            # so the first of each run of equal rows is its lowest index
-            order = np.lexsort(x.T)
-            xs = x[order]
-            same = (xs[1:] == xs[:-1]).all(axis=1)
-            if same.any():
-                k = same.nonzero()[0]
-                k = k[order[k].argmin()]
-                raise ValidationError(f"vortices {order[k]} and {order[k + 1]} coincide")
+        validate_stack(self.strengths, self.positions[None], params)
 
 
 def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidParams) -> None:
     """``VortexSet.validate`` of every configuration in positions (K, N, 2) at once, with
     strengths (K, N) or one (N,) for all, raising the ValidationError of the first
-    inadmissible configuration in stack order."""
-    x = np.asarray(positions, dtype=np.float64)
-    g = np.broadcast_to(strengths, x.shape[:-1])
-    bad = ~(np.isfinite(g) & (g != 0.0)).all(axis=-1)
-    bad |= ~(np.hypot(x[..., 0], x[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE)).all(axis=-1)
-    same = (x[:, :, None] == x[:, None]).all(axis=-1)
-    same[:, np.eye(x.shape[1], dtype=bool)] = False
-    bad |= same.any(axis=(1, 2))
-    if bad.any():
-        VortexSet(g[bad.argmax()], x[bad.argmax()]).validate(params)
+    inadmissible configuration in stack order.
+
+    Within it the first failed rule names its offender: the first vortex whose
+    strength is not finite and nonzero, else the first not strictly outside the
+    body, else the lowest coincident pair (i, j).
+    """
+    x = np.ascontiguousarray(positions, dtype=np.float64)
+    g = np.asarray(strengths, dtype=np.float64)
+    weak = ~(np.isfinite(g) & (g != 0.0))
+    inside = ~(np.hypot(x[..., 0], x[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE))
+    # complex numbers sort by real part, then imaginary part, and compare equal
+    # exactly when both coordinates do, so coincident vortices end up adjacent
+    points = np.sort(x.view(np.complex128)[..., 0], axis=-1)
+    paired = points[:, 1:] == points[:, :-1]
+    if not (weak.any() or inside.any() or paired.any()):
+        return
+    first = ((weak | inside).any(axis=-1) | paired.any(axis=-1)).argmax()
+    weak = np.broadcast_to(weak, inside.shape)[first]
+    if weak.any():
+        raise ValidationError(f"vortex {weak.argmax()}: strength must be finite and nonzero")
+    if inside[first].any():
+        raise ValidationError(f"vortex {inside[first].argmax()}: position must lie strictly outside the body")
+    same = (x[first, :, None] == x[first, None]).all(axis=-1)
+    np.fill_diagonal(same, False)
+    # same is symmetric, so its first entry in row order is the pair with the lowest i, then j
+    i, j = divmod(int(same.argmax()), len(same))
+    raise ValidationError(f"vortices {i} and {j} coincide")
 
 
 def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> FloatArray:

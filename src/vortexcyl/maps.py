@@ -19,10 +19,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import fluid
-from .energetics import BodyParams, _body_velocity_stack, effective_mass
+from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
 from .fluid import FluidParams, VortexSet
 from .oracle import _combine_stack, _stencil_stack
-from .se2 import Se2Costate, Se2Element, rotation
+from .se2 import Se2Costate, Se2Element, rotation, to_inertial
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -65,11 +65,10 @@ def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> Cha
 
 def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """``shift_map`` of flat velocity-chart states z (..., 3 + 2N) with strengths g (..., N)."""
-    em = effective_mass(body)
     phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
     out = z.copy()
-    out[..., 0] = em.i_eff * z[..., 0] - phi_om
-    out[..., 1:3] = em.c * z[..., 1:3] - phi_xy
+    out[..., 0] = body.inertia * z[..., 0] - phi_om
+    out[..., 1:3] = body.c * z[..., 1:3] - phi_xy
     return out
 
 
@@ -97,22 +96,19 @@ def shift_jacobian(
 
 def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams, direction: str) -> FloatArray:
     """``shift_jacobian`` of each configuration in x (..., N, 2) with strengths g (..., N)."""
-    from .energetics import shift_term_jacobian
-
-    em = effective_mass(body)
     dim = 3 + 2 * x.shape[-2]
     jac = np.broadcast_to(np.eye(dim), x.shape[:-2] + (dim, dim)).copy()
     dphi = shift_term_jacobian(x, g, body.radius)
     weighted = (g[..., None] * x).reshape(*x.shape[:-2], -1)
     if direction == "to_velocity":
-        jac[..., 0, 0] = 1.0 / em.i_eff
-        jac[..., 1, 1] = jac[..., 2, 2] = 1.0 / em.c
-        jac[..., 0, 3:] = weighted / em.i_eff
-        jac[..., 1:3, 3:] = dphi / em.c
+        jac[..., 0, 0] = 1.0 / body.inertia
+        jac[..., 1, 1] = jac[..., 2, 2] = 1.0 / body.c
+        jac[..., 0, 3:] = weighted / body.inertia
+        jac[..., 1:3, 3:] = dphi / body.c
         return jac
     if direction == "to_momentum":
-        jac[..., 0, 0] = em.i_eff
-        jac[..., 1, 1] = jac[..., 2, 2] = em.c
+        jac[..., 0, 0] = body.inertia
+        jac[..., 1, 1] = jac[..., 2, 2] = body.c
         jac[..., 0, 3:] = -weighted
         jac[..., 1:3, 3:] = -dphi
         return jac
@@ -146,7 +142,7 @@ def momentum_map(
         return Se2Costate(pi_omega=j_om, pi_xy=j_xy)
     if via != "spatial":
         raise ValueError("via must be 'body' or 'spatial'")
-    inertial = vortices.positions @ rot.T + pose.x0
+    inertial = to_inertial(np.array([pose.beta, *pose.x0]), vortices.positions)
     rel = inertial - pose.x0
     d2 = np.sum(rel * rel, axis=1)
     # spatial elementary streams evaluated at the inertial vortex positions

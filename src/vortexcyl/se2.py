@@ -1,11 +1,10 @@
-"""SE(2) group arithmetic: poses, costates and frame changes.
+"""SE(2) poses and costates, the rotation matrix and the body-to-inertial frame change.
 
-The exact screw step that advances a pose during integration is
-``_kernels._pose_step``.
-
-Poses are stored as (angle, center) rather than matrices so repeated
-composition cannot drift away from orthogonality; rotation matrices are
-built on demand.
+A pose is stored as (angle, center) rather than as a matrix, so it cannot
+drift away from orthogonality; ``rotation`` builds the matrix on demand.
+``to_inertial`` maps body-frame points to inertial ones for a whole stack of
+poses at once. The exact screw step that advances a pose during integration
+is ``_kernels._pose_step``.
 """
 from __future__ import annotations
 
@@ -19,11 +18,9 @@ FloatArray = NDArray[np.float64]
 __all__ = [
     "Se2Element",
     "Se2Costate",
-    "identity",
     "normalize_angle",
     "rotation",
-    "se2_compose",
-    "se2_body_to_inertial",
+    "to_inertial",
 ]
 
 
@@ -53,13 +50,6 @@ class Se2Element:
         object.__setattr__(self, "beta", normalize_angle(self.beta))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64).reshape(2))
 
-    def matrix(self) -> FloatArray:
-        """Homogeneous 3x3 representation."""
-        m = np.eye(3)
-        m[:2, :2] = rotation(self.beta)
-        m[:2, 2] = self.x0
-        return m
-
 
 @dataclass(frozen=True)
 class Se2Costate:
@@ -77,24 +67,15 @@ class Se2Costate:
         return np.array([self.pi_omega, self.pi_xy[0], self.pi_xy[1]])
 
 
-def identity() -> Se2Element:
-    return Se2Element(0.0, np.zeros(2))
-
-
-def se2_compose(g1: Se2Element, g2: Se2Element) -> Se2Element:
-    """Group product; equals the product of the homogeneous matrices."""
-    beta = normalize_angle(g1.beta + g2.beta)
-    x0 = rotation(g1.beta) @ g2.x0 + g1.x0
-    return Se2Element(beta, x0)
-
-
-def se2_body_to_inertial(g: Se2Element, point: FloatArray, inverse: bool = False) -> FloatArray:
-    """Map body-frame coordinates to inertial ones, x = R X + x0.
-
-    With ``inverse=True`` maps the other way, X = R^T (x - x0).
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if inverse:
-        return (p - g.x0) @ rotation(g.beta)  # right-multiplying by R equals R^T p
-    return p @ rotation(g.beta).T + g.x0
-
+def to_inertial(poses: FloatArray, points: FloatArray) -> FloatArray:
+    """Inertial coordinates x = R(beta) X + x0 of body-frame points (..., N, 2) under
+    poses (..., 3) ordered (beta, x0_x, x0_y); shape (..., N, 2)."""
+    cos_b, sin_b = np.cos(poses[..., 0:1]), np.sin(poses[..., 0:1])
+    x, y = points[..., 0], points[..., 1]
+    return np.stack(
+        [
+            cos_b * x - sin_b * y + poses[..., 1:2],
+            sin_b * x + cos_b * y + poses[..., 2:3],
+        ],
+        axis=-1,
+    )

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .energetics import BodyParams, effective_mass
+from .energetics import BodyParams
 from .fluid import FluidParams, ValidationError, VortexSet, batch_momentum_shift, validate_stack
 from .oracle import FdSpec, _combine_stack, _stencil_stack
 from .state import MOMENTUM, VELOCITY, ChartState
@@ -82,8 +82,7 @@ def velocity_structure_matrix(
 
 def _velocity_matrix_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """``velocity_structure_matrix`` of flat states z (..., D) with strengths g (..., N)."""
-    em = effective_mass(body)
-    c, inertia = em.c, em.i_eff
+    c, inertia = body.c, body.inertia
     r2 = body.radius**2
     vx, vy = z[..., 1], z[..., 2]
     x, y = z[..., 3::2], z[..., 4::2]

@@ -27,7 +27,6 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl.dynamics import SimConfig
-from vortexcyl.energetics import effective_mass
 from vortexcyl.fluid import FluidParams
 from vortexcyl.oracle import FdSpec, fd_gradient
 
@@ -71,7 +70,7 @@ def test_criterion_02_structure_pushforward(rng):
 
 
 def test_criterion_03_interaction_bracket(rng):
-    c = effective_mass(BODY).c
+    c = BODY.c
     r4 = BODY.radius**4
     worst = 0.0
     for _ in range(100):

@@ -315,6 +315,22 @@ def test_sample_table_beyond_memory_exits_2_with_one_line(tmp_path, capsys, dt, 
     assert err.count("\n") == 1 and f"{nsteps} steps" in err and f"{nsteps + 1} samples" in err
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (1e-17, 1.0)])
+def test_step_count_beyond_2_to_the_53_exits_2_with_one_line(tmp_path, capsys, dt, t_end):
+    # a stride this long keeps the sample table small, so only the step count can reject it
+    path = _write(tmp_path, _minimal_config(dt=dt, t_end=t_end, stride=1e300))
+    with pytest.raises(ValidationError, match="steps"):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{round(t_end / dt)} steps" in err and "2**53" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_step_count_of_2_to_the_53_is_accepted():
+    assert cli.config_from_dict(_minimal_config(dt=2.0**-53, t_end=1.0, stride=1e300)).nsteps == 2**53
+
+
 def test_stride_beyond_the_run_records_its_start_and_end_like_stride_nsteps(tmp_path):
     tables = []
     for stride in (500, 1e300):  # 500 steps

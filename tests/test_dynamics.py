@@ -21,7 +21,7 @@ from vortexcyl import dynamics
 from vortexcyl._kernels import _pose_step
 from vortexcyl.dynamics import HaltInfo, SimConfig
 from vortexcyl.fluid import ValidationError
-from vortexcyl.se2 import rotation
+from vortexcyl.se2 import rotation, to_inertial
 
 TWO_VORTEX = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
 
@@ -354,9 +354,13 @@ def test_diagnostics_two_vortex_conservation(body):
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
 def test_post_processing_matches_per_row_oracle(body, rng, chart, n):
     vortices = random_vortices(rng, n, r_min=2.0, r_max=6.0)
-    cfg = SimConfig(chart, body, vortices, rng.uniform(-0.5, 0.5, 3), dt=5e-3, t_end=0.1, stride=2)
+    body_state = rng.uniform(-0.5, 0.5, 3)
+    cfg = SimConfig(chart, body, vortices, body_state, dt=5e-3, t_end=0.1, stride=2, pose=(0.3, -1.0, 2.0))
     traj = integrate(cfg)
     assert traj.halt is None and traj.n_samples == 11
+    # the frame change is se2's batched transform, bit for bit, on both sides of PAIR_ARRAY_MIN
+    positions = traj.states[:, 3:].reshape(traj.n_samples, n, 2)
+    npt.assert_array_equal(traj.inertial_positions, to_inertial(traj.poses, positions))
     g = vortices.strengths
     energy, l_mom, inertial = [], [], []
     for k in range(traj.n_samples):

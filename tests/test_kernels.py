@@ -11,7 +11,6 @@ from conftest import random_state
 from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, structure_matrix
 from vortexcyl import _kernels
 from vortexcyl.dynamics import SimConfig, integrate
-from vortexcyl.energetics import effective_mass
 from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
 
 CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VELOCITY}
@@ -22,7 +21,7 @@ def _kernel_rhs(chart, state, body, g):
     ops = _kernels._ops(state.n)
     flat = np.empty(state.flat().size)
     out = ops.load(flat)
-    args = (ops.strengths(g), body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()), out)
+    args = (ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()), out)
     assert ops.rhs(CHART_IDS[chart], ops.load(state.flat()), *args) == -1
     ops.store(flat, out)
     return flat
@@ -90,7 +89,7 @@ def test_body_velocity_matches_loops(case):
     """The scalar loops on the list layout and the array form on the flat layout
     agree, and ``run`` calls the one of its layout."""
     chart, body, state, g = case
-    z, rest = state.flat(), (body.radius**2, effective_mass(body).c, body.inertia)
+    z, rest = state.flat(), (body.radius**2, body.c, body.inertia)
     loops = np.array(_kernels._body_velocity_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest))
     array = np.array(_kernels._body_velocity_array(CHART_IDS[chart], z, g, *rest))
     ops = _kernels._ops(state.n)
@@ -100,7 +99,7 @@ def test_body_velocity_matches_loops(case):
     d2 = np.sum(state.positions**2, axis=1)
     scale = max(
         (abs(state.body[0]) + np.abs(g) @ d2) / body.inertia,
-        (np.abs(state.body[1:]).max() + np.abs(g) @ np.sqrt(d2)) / effective_mass(body).c,
+        (np.abs(state.body[1:]).max() + np.abs(g) @ np.sqrt(d2)) / body.c,
     )
     npt.assert_allclose(loops, array, rtol=0, atol=1e-13 * scale)
     if chart == "velocity":
@@ -123,7 +122,7 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
     g = np.linspace(-1.0, 1.5, n)
     for inside, pos in cases.items():
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
-        rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+        rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
         untouched = _kernels._load_list(np.full(z.size, 7.0))
         loops, array = list(untouched), np.full(z.size, 7.0)
         hit = _kernels._rhs_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest, loops)
@@ -157,7 +156,7 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     ops.store(flat, loaded)
     assert flat.tobytes() == z.tobytes()
 
-    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+    rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
     on_list = ops.load(np.empty(z.size))
     assert ops.rhs(CHART_IDS[chart], loaded, ops.strengths(g), *rest, on_list) == -1
     assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
@@ -188,7 +187,7 @@ def test_list_path_reports_the_domain_halt(body, chart):
     pos = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
     g = np.linspace(-1.0, 1.5, n)
-    rest = (body.radius**2, effective_mass(body).c, body.inertia, float(g.sum()))
+    rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
     ops = _kernels._ops(n)
     out = ops.load(np.full(z.size, 7.0))
     assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.strengths(g), *rest, out) == 1

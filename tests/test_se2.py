@@ -2,12 +2,7 @@ import numpy as np
 import numpy.testing as npt
 
 from vortexcyl._kernels import _pose_step
-from vortexcyl.se2 import (
-    Se2Element,
-    identity,
-    se2_body_to_inertial,
-    se2_compose,
-)
+from vortexcyl.se2 import rotation, to_inertial
 
 
 def _screw(omega, v, dt, carry=(0.0,) * 6):
@@ -16,48 +11,34 @@ def _screw(omega, v, dt, carry=(0.0,) * 6):
     return _pose_step(*carry, omega, v[0], v[1], dt)
 
 
-def test_identity_composition():
-    g = Se2Element(0.7, [1.5, -0.3])
-    for prod in (se2_compose(identity(), g), se2_compose(g, identity())):
-        assert prod.beta == g.beta
-        npt.assert_array_equal(prod.x0, g.x0)
-
-
-def test_translations_add():
-    g = se2_compose(Se2Element(0.0, [1.0, 0.0]), Se2Element(0.0, [0.0, 2.0]))
-    assert g.beta == 0.0
-    npt.assert_allclose(g.x0, [1.0, 2.0], atol=0)
-
-
-def test_compose_matches_matrix_product():
-    g1 = Se2Element(np.pi / 2, [0.0, 0.0])
-    g2 = Se2Element(0.0, [1.0, 0.0])
-    prod = se2_compose(g1, g2)
-    npt.assert_allclose(prod.matrix(), g1.matrix() @ g2.matrix(), atol=1e-15)
-    npt.assert_allclose(prod.x0, [0.0, 1.0], atol=1e-15)
-    assert abs(prod.beta - np.pi / 2) < 1e-15
-
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = Se2Element(rng.uniform(-4, 4), rng.normal(size=2))
-        b = Se2Element(rng.uniform(-4, 4), rng.normal(size=2))
-        npt.assert_allclose(se2_compose(a, b).matrix(), a.matrix() @ b.matrix(), atol=1e-12)
+def _composed(g1, g2):
+    """Pose of the group product g1 g2, each pose ordered (beta, x0_x, x0_y)."""
+    return np.concatenate([[g1[0] + g2[0]], rotation(g1[0]) @ g2[1:] + g1[1:]])
 
 
 def test_body_to_inertial():
-    g = identity()
-    npt.assert_array_equal(se2_body_to_inertial(g, [0.3, -0.4]), [0.3, -0.4])
+    npt.assert_array_equal(to_inertial(np.zeros(3), np.array([[0.3, -0.4]])), [[0.3, -0.4]])
+    poses = np.array([[np.pi / 2, 1.0, 0.0], [0.0, 1.0, 2.0]])
+    points = np.array([[[1.0, 0.0]], [[0.5, -0.5]]])
+    npt.assert_allclose(to_inertial(poses, points), [[[1.0, 1.0]], [[1.5, 1.5]]], atol=1e-15)
 
-    g = Se2Element(np.pi / 2, [1.0, 0.0])
-    npt.assert_allclose(se2_body_to_inertial(g, [1.0, 0.0]), [1.0, 1.0], atol=1e-15)
+
+def test_to_inertial_matches_rotation_matrix_on_stacks():
+    rng = np.random.default_rng(13)
+    poses = np.concatenate([rng.uniform(-4, 4, (20, 1)), rng.normal(size=(20, 2))], axis=1)
+    points = rng.normal(size=(20, 5, 2))
+    got = to_inertial(poses, points)
+    assert got.shape == points.shape
+    for pose, x, y in zip(poses, points, got):
+        npt.assert_allclose(y, x @ rotation(pose[0]).T + pose[1:], rtol=0, atol=1e-14)
 
 
 def test_frame_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        g = Se2Element(rng.uniform(-4, 4), rng.normal(size=2))
-        x = rng.normal(size=2)
-        back = se2_body_to_inertial(g, se2_body_to_inertial(g, x), inverse=True)
+        g = np.concatenate([[rng.uniform(-4, 4)], rng.normal(size=2)])
+        x = rng.normal(size=(1, 2))
+        back = (to_inertial(g, x) - g[1:]) @ rotation(g[0])  # right-multiplying by R applies R^T
         npt.assert_allclose(back, x, atol=1e-14)
 
 
@@ -100,16 +81,6 @@ def test_exp_small_angle_branch_is_continuous():
     npt.assert_allclose(below[2::2], above[2::2], atol=1e-12)
 
 
-def test_associativity():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b, c = (Se2Element(rng.uniform(-3, 3), rng.normal(size=2)) for _ in range(3))
-        left = se2_compose(se2_compose(a, b), c)
-        right = se2_compose(a, se2_compose(b, c))
-        npt.assert_allclose(left.x0, right.x0, atol=1e-12)
-        assert abs(left.beta - right.beta) < 1e-12
-
-
 def test_exp_additivity():
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -124,9 +95,9 @@ def test_exp_additivity():
 def test_frame_map_respects_composition():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        g1 = Se2Element(rng.uniform(-3, 3), rng.normal(size=2))
-        g2 = Se2Element(rng.uniform(-3, 3), rng.normal(size=2))
-        x = rng.normal(size=2)
-        via_product = se2_body_to_inertial(se2_compose(g1, g2), x)
-        nested = se2_body_to_inertial(g1, se2_body_to_inertial(g2, x))
+        g1 = np.concatenate([[rng.uniform(-3, 3)], rng.normal(size=2)])
+        g2 = np.concatenate([[rng.uniform(-3, 3)], rng.normal(size=2)])
+        x = rng.normal(size=(1, 2))
+        via_product = to_inertial(_composed(g1, g2), x)
+        nested = to_inertial(g1, to_inertial(g2, x))
         npt.assert_allclose(via_product, nested, atol=1e-12)

@@ -16,7 +16,7 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl import structures
-from vortexcyl.energetics import BodyParams, effective_mass
+from vortexcyl.energetics import BodyParams
 from vortexcyl.fluid import ValidationError, batch_momentum_shift
 from vortexcyl.oracle import FdSpec
 
@@ -78,7 +78,7 @@ def test_velocity_matrix_single_vortex_coupling(body):
 
 
 def test_interaction_matches_velocity_matrix(body, rng):
-    c = effective_mass(body).c
+    c = body.c
     worst = 0.0
     for _ in range(30):
         st, g = random_state(rng, "velocity")
