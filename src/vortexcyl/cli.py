@@ -4,18 +4,24 @@ Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
 ``verify`` certifies each of its six rows on a stack of drawn states in one
 call of the batch cores of ``structures``, ``maps``, ``oracle`` and
-``energetics``. ``sweep`` starts at most one worker process per config.
+``energetics``; each state makes five generator calls, and the rest of the
+drawing runs once per stack. ``sweep`` validates every file in this process
+first, then runs the valid configs here, one after another, when their work
+is below ``SWEEP_POOL_MIN_WORK`` or one worker would do, and otherwise in a
+process pool of at most one worker per config.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
-table of recorded samples larger than physical memory, more than 2**53 steps,
-or ``sweep --jobs`` below 1), 3 halted run (collision, a stage outside the fluid
-domain, or non-convergence).
+table of recorded samples larger than physical memory, more than 2**53 steps
+or a ``t_end / dt`` that overflows, or ``sweep --jobs`` below 1), 3 halted run
+(collision, a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -34,6 +40,18 @@ from .state import MOMENTUM, CHART_ALIASES
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HALT = 3
+
+# ``sweep`` starts its process pool from this much work, the sum of
+# nsteps * (N + 1) over its configs, and runs them in-process below. Pool of 2
+# workers / in-process in ms (cli.sweep on 4-config RK4 batches, Python 3.11,
+# numpy 2.4, 2 shared vCPUs, interleaved, best of 12):
+#   N = 2-3   W   1400: 41.1/23.1    2800: 50.3/42.2    5600: 79.6/74.4
+#                11200:  112/160    22400:  225/297
+#   N = 32    W   2640: 49.0/40.7    5280: 69.3/73.8   10560:  106/129
+#                21120:  198/259
+# A second run crossed over between W = 5600 and 8400 (N = 2-3) and between
+# 5280 and 7920 (N = 32); both rows break even at about 4 000 to 7 000.
+SWEEP_POOL_MIN_WORK = 6000
 
 _CONFIG_KEYS = {
     "name",
@@ -266,20 +284,22 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
 
     rng = np.random.default_rng(20240817)
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
+    signs = np.array([-1.0, 1.0])  # indexed by integers(0, 2): the values and stream of choice([-1.0, 1.0])
 
-    def random_state(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """A flat state (3 + 2N) and its strengths (N)."""
-        g = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-        r = rng.uniform(1.6, 3.0, n)
-        th = rng.uniform(0, 2 * np.pi, n)
-        pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        return np.concatenate([rng.normal(0, 1, 3), pos.reshape(-1)]), g
+    def draw(count: int, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+        """count states drawn in turn, validated as one stack: (count, 3 + 2N) and (count, N).
 
-    def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count states drawn in turn, validated as one stack: (count, 3 + 2N) and (count, N)."""
-        z, g = (np.array(a) for a in zip(*(random_state() for _ in range(count))))
-        validate_stack(g, z[:, 3:].reshape(count, -1, 2), body.fluid)
-        return z, g
+        Each state makes its five generator calls in this order; the rest runs once on the stack."""
+        calls = [
+            (rng.uniform(0.5, 2.0, n), rng.integers(0, 2, n), rng.uniform(1.6, 3.0, n),
+             rng.uniform(0, 2 * np.pi, n), rng.normal(0, 1, 3))
+            for _ in range(count)
+        ]
+        mag, sign, r, th, body_state = (np.array(a) for a in zip(*calls))
+        g = mag * signs[sign]
+        pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=2)
+        validate_stack(g, pos, body.fluid)
+        return np.concatenate([body_state, pos.reshape(count, 2 * n)], axis=1), g
 
     rows: list[tuple[str, float, float, bool]] = []
 
@@ -330,16 +350,6 @@ def verify(_args: argparse.Namespace) -> int:
     return EXIT_OK if ok else 1
 
 
-def _run_one(args: tuple[str, str]) -> tuple[str, int]:
-    path, outdir = args
-    try:
-        code = run(load_config(path), outdir)
-    except ValidationError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
-    return path, code
-
-
 def _output_names(paths: list[str]) -> list[str]:
     """One distinct output directory name per input: its file stem, numbered where stems repeat."""
     stems = [Path(p).stem for p in paths]
@@ -355,16 +365,35 @@ def _output_names(paths: list[str]) -> list[str]:
 
 
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
-    """Run several scenarios concurrently with isolated output directories."""
+    """Run several scenarios with isolated output directories.
+
+    Every file is read and validated here, in input order. The valid configs
+    run in a process pool when it would have more than one worker and their
+    work, the sum of nsteps * (N + 1), reaches ``SWEEP_POOL_MIN_WORK``;
+    otherwise they run one after another in this process."""
     if jobs is not None and jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     outroot = Path(outroot)
-    tasks = [(p, str(outroot / name)) for p, name in zip(paths, _output_names(paths))]
+    configs: list[SimConfig | None] = []
+    for path in paths:
+        try:
+            configs.append(load_config(path))
+        except ValidationError as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            configs.append(None)
+    valid = [(config, outroot / name) for config, name in zip(configs, _output_names(paths)) if config is not None]
+    work = sum(config.nsteps * (config.vortices.n + 1) for config, _ in valid)
+    # the pool starts all its workers at the first task, so start no more than there are configs
+    workers = min(jobs or os.cpu_count() or 1, len(valid))
     worst = EXIT_OK
-    # the pool starts all its workers at the first task, so start no more than there are tasks
-    workers = max(1, min(jobs or os.cpu_count() or 1, len(tasks)))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for path, code in pool.map(_run_one, tasks):
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and work >= SWEEP_POOL_MIN_WORK:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+            codes = pool.map(run, *zip(*valid))
+        else:
+            codes = itertools.starmap(run, valid)
+        for path, config in zip(paths, configs):
+            code = EXIT_CONFIG if config is None else next(codes)
             print(f"{path}: exit {code}")
             worst = max(worst, code)
     return worst
@@ -405,10 +434,10 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the structure/Jacobi/pushforward certification suite")
 
-    sw = sub.add_parser("sweep", help="run several scenarios concurrently")
+    sw = sub.add_parser("sweep", help="run several scenarios, in a process pool when long enough")
     sw.add_argument("configs", nargs="+", help="JSON scenario files")
     sw.add_argument("--out", required=True, help="root output directory")
-    sw.add_argument("--jobs", type=int, default=None, help="worker processes")
+    sw.add_argument("--jobs", type=int, default=None, help="at most this many worker processes")
     return parser
 
 

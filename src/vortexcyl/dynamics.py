@@ -80,6 +80,9 @@ class SimConfig:
             raise ValidationError("dt must be positive")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValidationError("t_end must be nonnegative")
+        if math.isinf(self.t_end / self.dt):
+            # both finite, but the quotient overflows: there is no step count to round
+            raise ValidationError(f"t_end / dt = {self.t_end / self.dt} steps, more than 2**53")
         steps = round(self.t_end / self.dt)
         if abs(self.t_end - steps * self.dt) > 1e-9 * self.t_end:
             raise ValidationError(

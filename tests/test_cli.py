@@ -239,19 +239,46 @@ def test_sweep_keys_output_dirs_uniquely(tmp_path):
     assert names == ["scenario = first", "scenario = second"]
 
 
-def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd):
+def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd, monkeypatch):
     good = _write(tmp_path, _minimal_config(t_end=0.1), "good.json")
     missing = tmp_path / "missing.json"
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
-    out = tmp_path / "sweep"
-    code = cli.main(["sweep", str(missing), str(good), str(binary), "--out", str(out), "--jobs", "2"])
-    assert code == cli.EXIT_CONFIG
-    captured = capfd.readouterr()
-    assert captured.out.splitlines() == [f"{missing}: exit 2", f"{good}: exit 0", f"{binary}: exit 2"]
-    reasons = captured.err.splitlines()
-    assert len(reasons) == 2 and all("cannot read" in line for line in reasons)
-    assert (out / "good" / "trajectory.csv").exists()
+    for mode, min_work in (("in-process", 10**12), ("pool", 0)):
+        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", min_work)
+        out = tmp_path / mode
+        code = cli.main(["sweep", str(missing), str(good), str(binary), "--out", str(out), "--jobs", "2"])
+        assert code == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out.splitlines() == [f"{missing}: exit 2", f"{good}: exit 0", f"{binary}: exit 2"]
+        reasons = captured.err.splitlines()
+        assert [line.split(": cannot read")[0] for line in reasons] == [str(missing), str(binary)]
+        assert (out / "good" / "trajectory.csv").exists()
+
+
+def _summary_without_wall_time(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("wall_time_s = ")]
+
+
+def test_sweep_writes_the_same_bytes_in_process_and_on_a_pool_as_simulate(tmp_path, capsys, monkeypatch):
+    raws = {
+        "momentum": _minimal_config(strengths=[1.0, -0.7], positions=[[3.0, 0.0], [0.0, 2.5]], stride=7),
+        "velocity": _minimal_config(chart="bmr", body=[0.1, 0.2, -0.1], t_end=0.3, stride=1),
+        "empty": _minimal_config(strengths=[], positions=[], body=[0.0, 0.3, -0.2], stride=1000),
+    }
+    paths = [str(_write(tmp_path, raw, f"{key}.json")) for key, raw in raws.items()]
+    stdout = {}
+    for mode, min_work in (("in-process", 10**12), ("pool", 0)):
+        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", min_work)
+        assert cli.main(["sweep", *paths, "--out", str(tmp_path / mode), "--jobs", "2"]) == cli.EXIT_OK
+        stdout[mode] = capsys.readouterr().out
+    assert stdout["in-process"] == stdout["pool"] == "".join(f"{p}: exit 0\n" for p in paths)
+    for key in raws:
+        assert cli.main(["simulate", str(tmp_path / f"{key}.json"), "--out", str(tmp_path / "simulate" / key)]) == 0
+        dirs = [tmp_path / mode / key for mode in ("simulate", "in-process", "pool")]
+        csvs = {(d / "trajectory.csv").read_bytes() for d in dirs}
+        summaries = {tuple(_summary_without_wall_time(d / "summary.txt")) for d in dirs}
+        assert len(csvs) == 1 and len(summaries) == 1
 
 
 @pytest.mark.parametrize(
@@ -315,7 +342,7 @@ def test_sample_table_beyond_memory_exits_2_with_one_line(tmp_path, capsys, dt, 
     assert err.count("\n") == 1 and f"{nsteps} steps" in err and f"{nsteps + 1} samples" in err
 
 
-@pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (1e-17, 1.0)])
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (1e-17, 1.0), (1e-320, 1e10)])
 def test_step_count_beyond_2_to_the_53_exits_2_with_one_line(tmp_path, capsys, dt, t_end):
     # a stride this long keeps the sample table small, so only the step count can reject it
     path = _write(tmp_path, _minimal_config(dt=dt, t_end=t_end, stride=1e300))
@@ -323,7 +350,8 @@ def test_step_count_beyond_2_to_the_53_exits_2_with_one_line(tmp_path, capsys, d
         cli.load_config(path)
     assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"{round(t_end / dt)} steps" in err and "2**53" in err
+    # t_end / dt overflows to inf in the last case; .0f prints the others as round() does
+    assert err.count("\n") == 1 and f"{t_end / dt:.0f} steps" in err and "2**53" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -355,15 +383,34 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [(path, cli.EXIT_OK) for path, _ in tasks]
+    def map(self, fn, configs, outdirs):
+        return iter([cli.EXIT_OK for _ in configs])
 
 
 @pytest.mark.parametrize("count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (3, "8", 3)])
 def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch, count, jobs, workers):
+    # no break-even, so only the worker count decides; a pool of one worker is never started
+    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(count)]
     assert cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), *(["--jobs", jobs] if jobs else [])]) == 0
-    assert _RecordingPool.workers == [workers]
+    assert _RecordingPool.workers == ([workers] if workers > 1 else [])
+
+
+@pytest.mark.parametrize("extra_steps, jobs, pooled", [(0, None, True), (-1, None, False), (0, "1", False)])
+def test_sweep_takes_the_pool_from_the_break_even_work_up(tmp_path, monkeypatch, capsys, extra_steps, jobs, pooled):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    # two one-vortex configs: work = 2 * nsteps * (1 + 1)
+    steps = -(-cli.SWEEP_POOL_MIN_WORK // 4) + extra_steps
+    raw = _minimal_config(t_end=steps * 1e-3, stride=1000)
+    paths = [str(_write(tmp_path, raw, f"c{k}.json")) for k in range(2)]
+    assert (sum(cli.load_config(p).nsteps * 2 for p in paths) >= cli.SWEEP_POOL_MIN_WORK) == (extra_steps == 0)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *paths, "--out", str(out), *(["--jobs", jobs] if jobs else [])]) == 0
+    assert _RecordingPool.workers == ([2] if pooled else [])
+    assert capsys.readouterr().out.splitlines() == [f"{p}: exit 0" for p in paths]
+    assert all((out / f"c{k}" / "trajectory.csv").exists() != pooled for k in range(2))
