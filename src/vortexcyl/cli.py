@@ -6,9 +6,9 @@ round-trip precision (17 significant digits) plus a plain-text summary.
 call of the batch cores of ``structures``, ``maps``, ``oracle`` and
 ``energetics``; each state makes five generator calls, and the rest of the
 drawing runs once per stack. ``sweep`` validates every file in this process
-first, then runs the valid configs here, one after another, when their work
-is below ``SWEEP_POOL_MIN_WORK`` or one worker would do, and otherwise in a
-process pool of at most one worker per config.
+first, then runs the valid configs here, one after another, when one worker
+would do, and otherwise in a process pool of at most one worker per config
+that stays up for the next ``sweep`` with the same worker count.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
 table of recorded samples larger than physical memory, more than 2**53 steps
@@ -18,8 +18,8 @@ or a ``t_end / dt`` that overflows, or ``sweep --jobs`` below 1), 3 halted run
 from __future__ import annotations
 
 import argparse
+import atexit
 import concurrent.futures
-import contextlib
 import functools
 import itertools
 import json
@@ -41,17 +41,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HALT = 3
 
-# ``sweep`` starts its process pool from this much work, the sum of
-# nsteps * (N + 1) over its configs, and runs them in-process below. Pool of 2
-# workers / in-process in ms (cli.sweep on 4-config RK4 batches, Python 3.11,
-# numpy 2.4, 2 shared vCPUs, interleaved, best of 12):
-#   N = 2-3   W   1400: 41.1/23.1    2800: 50.3/42.2    5600: 79.6/74.4
-#                11200:  112/160    22400:  225/297
-#   N = 32    W   2640: 49.0/40.7    5280: 69.3/73.8   10560:  106/129
-#                21120:  198/259
-# A second run crossed over between W = 5600 and 8400 (N = 2-3) and between
-# 5280 and 7920 (N = 32); both rows break even at about 4 000 to 7 000.
-SWEEP_POOL_MIN_WORK = 6000
+# ``sweep``'s process pool and its worker count, kept between calls so that a
+# caller running many sweeps starts its workers once (a pool's start and
+# shutdown took about 10 ms of a 37 ms sweep of 4 short configs). Its workers
+# are forked when it starts and run the program as it was then.
+_pool: tuple[int, concurrent.futures.ProcessPoolExecutor] | None = None
 
 _CONFIG_KEYS = {
     "name",
@@ -364,16 +358,37 @@ def _output_names(paths: list[str]) -> list[str]:
     return names
 
 
+def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """The kept pool if it has ``workers`` workers, else a new one in its place."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _close_sweep_pool()
+    if _pool is None:
+        _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _close_sweep_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
+# close a kept pool while the modules its shutdown uses are still there
+atexit.register(_close_sweep_pool)
+
+
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
     """Run several scenarios with isolated output directories.
 
     Every file is read and validated here, in input order. The valid configs
-    run in a process pool when it would have more than one worker and their
-    work, the sum of nsteps * (N + 1), reaches ``SWEEP_POOL_MIN_WORK``;
-    otherwise they run one after another in this process."""
+    run one after another in this process when one worker would do, and
+    otherwise in the kept process pool (see ``_pool``), replaced when the
+    worker count changes and closed when the sweep raises."""
     if jobs is not None and jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    outroot = Path(outroot)
+    outroot = Path(outroot).absolute()  # a kept worker's working directory is the one it was forked in
     configs: list[SimConfig | None] = []
     for path in paths:
         try:
@@ -382,20 +397,19 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
             print(f"{path}: {exc}", file=sys.stderr)
             configs.append(None)
     valid = [(config, outroot / name) for config, name in zip(configs, _output_names(paths)) if config is not None]
-    work = sum(config.nsteps * (config.vortices.n + 1) for config, _ in valid)
     # the pool starts all its workers at the first task, so start no more than there are configs
     workers = min(jobs or os.cpu_count() or 1, len(valid))
+    codes = _sweep_pool(workers).map(run, *zip(*valid)) if workers > 1 else itertools.starmap(run, valid)
     worst = EXIT_OK
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and work >= SWEEP_POOL_MIN_WORK:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-            codes = pool.map(run, *zip(*valid))
-        else:
-            codes = itertools.starmap(run, valid)
+    try:
         for path, config in zip(paths, configs):
             code = EXIT_CONFIG if config is None else next(codes)
             print(f"{path}: exit {code}")
             worst = max(worst, code)
+    except BaseException:
+        if workers > 1:
+            _close_sweep_pool()  # a broken or interrupted pool is not kept
+        raise
     return worst
 
 

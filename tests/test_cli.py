@@ -239,28 +239,28 @@ def test_sweep_keys_output_dirs_uniquely(tmp_path):
     assert names == ["scenario = first", "scenario = second"]
 
 
-def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd, monkeypatch):
+def test_sweep_unreadable_file_exits_2_for_that_file_only(tmp_path, capfd):
     good = _write(tmp_path, _minimal_config(t_end=0.1), "good.json")
     missing = tmp_path / "missing.json"
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
-    for mode, min_work in (("in-process", 10**12), ("pool", 0)):
-        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", min_work)
+    extra = _write(tmp_path, _minimal_config(t_end=0.1), "extra.json")  # two valid configs, so --jobs 2 pools them
+    for mode, jobs in (("in-process", "1"), ("pool", "2")):
         out = tmp_path / mode
-        code = cli.main(["sweep", str(missing), str(good), str(binary), "--out", str(out), "--jobs", "2"])
+        code = cli.main(["sweep", str(missing), str(good), str(binary), str(extra), "--out", str(out), "--jobs", jobs])
         assert code == cli.EXIT_CONFIG
         captured = capfd.readouterr()
-        assert captured.out.splitlines() == [f"{missing}: exit 2", f"{good}: exit 0", f"{binary}: exit 2"]
+        assert captured.out.splitlines() == [f"{missing}: exit 2", f"{good}: exit 0", f"{binary}: exit 2", f"{extra}: exit 0"]
         reasons = captured.err.splitlines()
         assert [line.split(": cannot read")[0] for line in reasons] == [str(missing), str(binary)]
-        assert (out / "good" / "trajectory.csv").exists()
+        assert (out / "good" / "trajectory.csv").exists() and (out / "extra" / "trajectory.csv").exists()
 
 
 def _summary_without_wall_time(path):
     return [line for line in path.read_text().splitlines() if not line.startswith("wall_time_s = ")]
 
 
-def test_sweep_writes_the_same_bytes_in_process_and_on_a_pool_as_simulate(tmp_path, capsys, monkeypatch):
+def test_sweep_writes_the_same_bytes_in_process_and_on_a_pool_as_simulate(tmp_path, capsys):
     raws = {
         "momentum": _minimal_config(strengths=[1.0, -0.7], positions=[[3.0, 0.0], [0.0, 2.5]], stride=7),
         "velocity": _minimal_config(chart="bmr", body=[0.1, 0.2, -0.1], t_end=0.3, stride=1),
@@ -268,9 +268,8 @@ def test_sweep_writes_the_same_bytes_in_process_and_on_a_pool_as_simulate(tmp_pa
     }
     paths = [str(_write(tmp_path, raw, f"{key}.json")) for key, raw in raws.items()]
     stdout = {}
-    for mode, min_work in (("in-process", 10**12), ("pool", 0)):
-        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", min_work)
-        assert cli.main(["sweep", *paths, "--out", str(tmp_path / mode), "--jobs", "2"]) == cli.EXIT_OK
+    for mode, jobs in (("in-process", "1"), ("pool", "2")):
+        assert cli.main(["sweep", *paths, "--out", str(tmp_path / mode), "--jobs", jobs]) == cli.EXIT_OK
         stdout[mode] = capsys.readouterr().out
     assert stdout["in-process"] == stdout["pool"] == "".join(f"{p}: exit 0\n" for p in paths)
     for key in raws:
@@ -370,47 +369,54 @@ def test_stride_beyond_the_run_records_its_start_and_end_like_stride_nsteps(tmp_
 
 
 class _RecordingPool:
-    """Stands in for the process pool: records its worker count and runs nothing."""
+    """Stands in for the process pool: records its worker count and shutdowns, and runs nothing."""
 
     workers = []
+    shutdowns = []
 
     def __init__(self, max_workers=None):
+        self.max_workers = max_workers
         self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, configs, outdirs):
         return iter([cli.EXIT_OK for _ in configs])
 
+    def shutdown(self, cancel_futures=False):
+        self.shutdowns.append(self.max_workers)
 
-@pytest.mark.parametrize("count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (3, "8", 3)])
-def test_sweep_starts_no_more_workers_than_configs(tmp_path, monkeypatch, count, jobs, workers):
-    # no break-even, so only the worker count decides; a pool of one worker is never started
-    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(cli, "_pool", None)  # the kept pool of an earlier sweep is restored afterwards
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(_RecordingPool, "shutdowns", [])
+    return _RecordingPool
+
+
+@pytest.mark.parametrize("count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (3, "8", 3), (3, "1", 1)])
+def test_sweep_starts_no_more_workers_than_configs(tmp_path, recording_pool, count, jobs, workers):
+    # a pool of one worker is never started: those configs run in this process
     paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(count)]
-    assert cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), *(["--jobs", jobs] if jobs else [])]) == 0
-    assert _RecordingPool.workers == ([workers] if workers > 1 else [])
-
-
-@pytest.mark.parametrize("extra_steps, jobs, pooled", [(0, None, True), (-1, None, False), (0, "1", False)])
-def test_sweep_takes_the_pool_from_the_break_even_work_up(tmp_path, monkeypatch, capsys, extra_steps, jobs, pooled):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(_RecordingPool, "workers", [])
-    # two one-vortex configs: work = 2 * nsteps * (1 + 1)
-    steps = -(-cli.SWEEP_POOL_MIN_WORK // 4) + extra_steps
-    raw = _minimal_config(t_end=steps * 1e-3, stride=1000)
-    paths = [str(_write(tmp_path, raw, f"c{k}.json")) for k in range(2)]
-    assert (sum(cli.load_config(p).nsteps * 2 for p in paths) >= cli.SWEEP_POOL_MIN_WORK) == (extra_steps == 0)
     out = tmp_path / "out"
     assert cli.main(["sweep", *paths, "--out", str(out), *(["--jobs", jobs] if jobs else [])]) == 0
-    assert _RecordingPool.workers == ([2] if pooled else [])
-    assert capsys.readouterr().out.splitlines() == [f"{p}: exit 0" for p in paths]
-    assert all((out / f"c{k}" / "trajectory.csv").exists() != pooled for k in range(2))
+    assert recording_pool.workers == ([workers] if workers > 1 else [])
+    assert all((out / f"c{k}" / "trajectory.csv").exists() == (workers == 1) for k in range(count))
+
+
+def test_sweep_keeps_its_pool_while_the_worker_count_holds(tmp_path, recording_pool):
+    paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(3)]
+    for batch, jobs in ((paths, "2"), (paths[:2], "2"), (paths, "3"), (paths, "1"), (paths, "3")):
+        assert cli.main(["sweep", *batch, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
+    assert recording_pool.workers == [2, 3]
+    assert recording_pool.shutdowns == [2]
+
+
+def test_sweep_on_a_kept_pool_writes_where_the_caller_is(tmp_path, monkeypatch):
+    path = str(_write(tmp_path, _minimal_config(t_end=0.1)))
+    for where in ("first", "second"):  # the second sweep's workers were forked in "first"
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert cli.main(["sweep", path, path, "--out", "out", "--jobs", "2"]) == 0
+        assert sorted(p.name for p in (tmp_path / where / "out").iterdir()) == ["scenario-1", "scenario-2"]
