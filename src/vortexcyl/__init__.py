@@ -10,7 +10,6 @@ matches the closed-form structure matrix.
 """
 from .energetics import BodyParams, hamiltonian, hamiltonian_gradient
 from .fluid import (
-    DomainError,
     FluidParams,
     ValidationError,
     VortexSet,
@@ -20,17 +19,8 @@ from .fluid import (
     green_function,
     kirchhoff_routh,
 )
-from .dynamics import (
-    DiagnosticsReport,
-    SimConfig,
-    Trajectory,
-    active_backend,
-    diagnostics,
-    integrate,
-    rhs,
-)
+from .dynamics import SimConfig, diagnostics, integrate, rhs
 from .maps import (
-    CocycleForm,
     cocycle_sigma,
     inverse_shift_map,
     magnetic_pairing,
@@ -41,7 +31,7 @@ from .maps import (
 )
 from .oracle import FdSpec, fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
 from .se2 import Se2Costate, Se2Element
-from .state import MOMENTUM, VELOCITY, ChartState
+from .state import ChartState
 from .structures import (
     interaction_bracket_coefficients,
     jacobi_residual,
@@ -56,20 +46,13 @@ __all__ = [
     "__version__",
     "BodyParams",
     "ChartState",
-    "CocycleForm",
-    "DiagnosticsReport",
-    "DomainError",
     "FdSpec",
     "FluidParams",
-    "MOMENTUM",
     "Se2Costate",
     "Se2Element",
     "SimConfig",
-    "Trajectory",
-    "VELOCITY",
     "ValidationError",
     "VortexSet",
-    "active_backend",
     "cocycle_sigma",
     "diagnostics",
     "elementary_potentials",

@@ -4,11 +4,15 @@ Each chart's right-hand side evaluates ``structure_matrix @ grad H`` without
 assembling the matrix (``dynamics.rhs`` keeps that product as the test oracle),
 in one complex-form formula set: with p = X + i Y and V = Vx + i Vy the vortex
 rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY, and the
-velocity chart's body rates are sums of G. ``run`` picks a layout per run from
-the number of vortices (``_ops``). Below ``PAIR_ARRAY_MIN`` the state is a list
-of three body floats and N ``complex`` positions, the kernels are scalar loops
-over it and the stages are list comprehensions; a sample takes the flat float
-layout (X, Y interleaved) only when recorded. From there up the state is the
+velocity chart's body rates are sums of G. Each right-hand side takes a flag for
+the momentum chart and returns a new slope; a state with a vortex outside the
+fluid domain raises ``_OutsideDomain`` with its index. ``run`` takes a
+``SimConfig``, returns why it halted as text (the ``HALT_*`` strings) or None,
+and picks a layout per run from the number of vortices (``_ops``). Below
+``PAIR_ARRAY_MIN`` the state is a list of three body floats and N ``complex``
+positions, the kernels are scalar loops over it and the stages are list
+comprehensions; a sample takes the flat float layout (X, Y interleaved) only
+when recorded. From there up the state is the
 flat ndarray and everything is an array expression, with the Kirchhoff-Routh
 pair terms as one (N, N) grid and one matvec. The layouts sum in different
 orders, so they agree to rounding, not bit for bit.
@@ -27,19 +31,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fluid import MIN_CLEARANCE
+from .state import MOMENTUM
 
-HALT_NONE = 0
-HALT_BODY = 1
-HALT_PAIR = 2
-HALT_NO_CONVERGENCE = 3
-HALT_NONFINITE = 4
-HALT_DOMAIN = 5
-
-RK4 = 0
-MIDPOINT = 1
-
-CHART_MOMENTUM = 0
-CHART_VELOCITY = 1
+# why ``run`` stopped before its last step
+HALT_BODY = "vortex reached the body clearance"
+HALT_PAIR = "two vortices closer than the clearance"
+HALT_NO_CONVERGENCE = "implicit midpoint iteration did not converge"
+HALT_NONFINITE = "state became non-finite"
+HALT_DOMAIN = "stage left the fluid domain"
 
 # Implicit midpoint: fixed-point iterations stop once the increment is this small.
 MIDPOINT_TOL = 1e-12
@@ -59,6 +58,14 @@ PAIR_ARRAY_MIN = 8
 _TWO_PI = 2.0 * math.pi
 # A vortex at distance <= R (1 + MIN_CLEARANCE) is outside the fluid domain.
 _DOMAIN_SCALE = (1.0 + MIN_CLEARANCE) ** 2
+
+
+class _OutsideDomain(Exception):
+    """A right-hand side was asked for where vortex ``index`` is outside the fluid domain."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.index = index
 
 
 def _pair_grid(v):
@@ -87,14 +94,15 @@ def _omv(z, lam, s2, c, inertia):
     return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
 
 
-def _rhs_scalar(chart_id, u, g, r2, c, inertia, gtot, out):
-    """Chart right-hand side of the list state u into out, in complex form.
+def _rhs_scalar(momentum, u, g, r2, c, inertia, gtot):
+    """Right-hand side of the list state u in complex form, as a new list; momentum
+    picks the momentum chart, else the velocity chart.
 
-    Returns -1, or, leaving out untouched, the index of the first vortex at
-    distance <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float
-    divisors are body constants or exceed zero by the domain check, and it takes
-    no modulus, so an overflowing state gives inf or nan entries, not an
-    exception; only two vortices at one point would divide by zero.
+    Raises ``_OutsideDomain`` with the index of the first vortex at distance
+    <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float divisors
+    are body constants or exceed zero by the domain check, and it takes no
+    modulus, so an overflowing state gives inf or nan entries, not an exception;
+    only two vortices at one point would divide by zero.
     """
     domain2 = r2 * _DOMAIN_SCALE
     vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
@@ -102,23 +110,17 @@ def _rhs_scalar(chart_id, u, g, r2, c, inertia, gtot, out):
     for gi, p in zip(g, u[3:]):
         d2 = p.real * p.real + p.imag * p.imag
         if d2 <= domain2:
-            return len(vortices)
+            raise _OutsideDomain(len(vortices))
         vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
-    if chart_id == CHART_MOMENTUM:
-        om, vx, vy = _omv(u, lam, s2, c, inertia)
-        lx, ly = u[1], u[2]
-        out[0] = -ly * vx + lx * vy
-        out[1] = ly * om + gtot * vy
-        out[2] = -lx * om - gtot * vx
-    else:
-        om, vx, vy = u[0], u[1], u[2]
+    om, vx, vy = _omv(u, lam, s2, c, inertia) if momentum else (u[0], u[1], u[2])
+    rates = []
     s4, dv, torque = 0.0, 0j, 0.0
     if vortices:
         v = complex(vx, vy)
         vc = v.conjugate()
-        for slot, this in enumerate(vortices, 3):
+        for this in vortices:
             pk, pck, d2k, gk, _, _ = this
             # this vortex's row of _kr_grad_complex: its self term, then each other vortex's pair term
             acc = (gtot - gk - gk * r2 / (d2k - r2)) / pck
@@ -128,26 +130,30 @@ def _rhs_scalar(chart_id, u, g, r2, c, inertia, gtot, out):
                     acc += wj / ((pck - pcj) * (pck - qj))
             grad = acc / _TWO_PI
             image = r2 / (pck * pck)
-            out[slot] = v - image * vc + 1j * (om * pk - grad)
-            if chart_id == CHART_VELOCITY:
+            rates.append(v - image * vc + 1j * (om * pk - grad))
+            if not momentum:
                 s4 += gk / (d2k * d2k)
                 dv += gk * (grad - image * grad.conjugate())
                 torque += gk * (pck * grad).imag
-    if chart_id == CHART_VELOCITY:
-        l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
-        l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
-        # gtot - sum g (1 - R^4/d2^2), without the cancellation
-        l_v12 = r2 * r2 * s4 / (c * c)
-        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
-        out[0] = l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia
-        out[1] = -l_ov1 * h_om + l_v12 * h_vy + dv.real / c
-        out[2] = -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c
-    return -1
+    if momentum:
+        lx, ly = u[1], u[2]
+        return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
+    l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
+    l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
+    # gtot - sum g (1 - R^4/d2^2), without the cancellation
+    l_v12 = r2 * r2 * s4 / (c * c)
+    h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
+    return [
+        l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
+        -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
+        -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c,
+        *rates,
+    ]
 
 
-def _body_velocity_scalar(chart_id, z, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a list state in either chart."""
-    if chart_id == CHART_VELOCITY:
+def _body_velocity_scalar(momentum, z, g, r2, c, inertia):
+    """(Omega, Vx, Vy) of a list state in the momentum chart, or else the velocity chart."""
+    if not momentum:
         return z[0], z[1], z[2]
     lam, s2 = 0j, 0.0
     for gi, p in zip(g, z[3:]):
@@ -158,7 +164,7 @@ def _body_velocity_scalar(chart_id, z, g, r2, c, inertia):
 
 
 def _collision_scalar(z, n, body_limit2, pair_limit2):
-    """Halt code and vortex index of a clearance violation in the list state z.
+    """Halt reason and vortex index of a clearance violation in the list state z, or (None, -1).
 
     A body violation names the vortex nearest the body; a pair violation
     names the lower index of the first pair found in row-major order.
@@ -177,7 +183,7 @@ def _collision_scalar(z, n, body_limit2, pair_limit2):
             d = p - q
             if d.real * d.real + d.imag * d.imag < pair_limit2:
                 return HALT_PAIR, i
-    return HALT_NONE, -1
+    return None, -1
 
 
 def _omv_array(z, d2, g, r2, c, inertia):
@@ -186,16 +192,17 @@ def _omv_array(z, d2, g, r2, c, inertia):
     return (z[0] + 0.5 * (g @ d2)) / inertia, (z[1] - phi[1]) / c, (z[2] + phi[0]) / c
 
 
-def _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out):
+def _rhs_array(momentum, u, g, r2, c, inertia, gtot):
     """``_rhs_scalar`` on the flat ndarray state, as array expressions over the vortices."""
     p = u[3:].view(np.complex128)
     d2 = p.real * p.real + p.imag * p.imag
     inside = d2 <= r2 * _DOMAIN_SCALE
     if inside.any():
-        return int(inside.argmax())
+        raise _OutsideDomain(int(inside.argmax()))
     grad_g = _kr_grad_complex(p, d2, g, r2, gtot)
     image = r2 / (p * p).conj()
-    if chart_id == CHART_MOMENTUM:
+    out = np.empty_like(u)
+    if momentum:
         om, vx, vy = _omv_array(u, d2, g, r2, c, inertia)
         lx, ly = u[1], u[2]
         out[0] = -ly * vx + lx * vy
@@ -215,11 +222,11 @@ def _rhs_array(chart_id, u, g, r2, c, inertia, gtot, out):
         out[2] = -l_ov2 * h_om - l_v12 * h_vx + d_v.imag
     v = complex(vx, vy)
     out[3:].view(np.complex128)[:] = v - image * v.conjugate() + 1j * (om * p - grad_g)
-    return -1
+    return out
 
 
 def _collision_array(z, n, body_limit2, pair_limit2):
-    """``_collision_scalar`` on the flat ndarray state, with the same code and index."""
+    """``_collision_scalar`` on the flat ndarray state, with the same reason and index."""
     px, py = z[3::2], z[4::2]
     d2 = px * px + py * py
     nearest = int(d2.argmin())
@@ -233,12 +240,12 @@ def _collision_array(z, n, body_limit2, pair_limit2):
     rows = close.any(axis=1)
     if rows.any():
         return HALT_PAIR, int(rows.argmax())
-    return HALT_NONE, -1
+    return None, -1
 
 
-def _body_velocity_array(chart_id, z, g, r2, c, inertia):
+def _body_velocity_array(momentum, z, g, r2, c, inertia):
     """``_body_velocity_scalar`` of a flat ndarray state."""
-    if chart_id == CHART_MOMENTUM:
+    if momentum:
         return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
     return z[:3].tolist()
 
@@ -353,26 +360,35 @@ def _ops(n):
     return _LISTS if n < PAIR_ARRAY_MIN else _ARRAYS
 
 
-def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id, beta, px0, py0):
-    """Fixed-step RK4 or implicit midpoint with exact screw pose steps, from the pose (beta, px0, py0).
+def run(config):
+    """Fixed-step RK4 or implicit midpoint of the ``SimConfig`` config, with exact
+    screw pose steps from its pose.
 
     Returns the recorded states, poses (beta, x0_x, x0_y) and step numbers;
-    then the halt code, vortex index and step; then the number of right-hand
-    side evaluations and the largest number of midpoint iterations in one step
+    then the halt reason (None if the run reached its end), vortex index and
+    step; then the number of right-hand side evaluations, the one that left the
+    domain included, and the largest number of midpoint iterations in one step
     (0 under RK4).
     """
-    n = len(g)
+    body, vortices = config.body, config.vortices
+    n = vortices.n
     ops = _ops(n)
     rhs, stage, finite = ops.rhs, ops.stage, ops.finite
-    z, g = ops.load(z0), ops.strengths(g)
-    dim = len(z0)
-    stride = min(stride, max(nsteps, 1))  # a longer stride records the same samples
+    momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
+    # the loops take Python floats, as numpy scalars would slow them; BodyParams,
+    # total_strength and the clearance are floats already, dt need not be
+    r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, float(config.dt)
+    body_limit2, pair_limit2 = (body.radius + config.clearance) ** 2, config.clearance**2
+    z0 = np.concatenate([config.body_state, vortices.positions.reshape(-1)])
+    z, g = ops.load(z0), ops.strengths(vortices.strengths)
+    nsteps = config.nsteps
+    stride = min(config.stride, max(nsteps, 1))  # a longer stride records the same samples
     n_rec_max = nsteps // stride + 2
-    rec_states = np.empty((n_rec_max, dim))
+    rec_states = np.empty((n_rec_max, len(z0)))
     rec_poses = np.empty((n_rec_max, 3))
 
-    k1, k2, k3, k4 = (ops.load(np.zeros(dim)) for _ in range(4))
     half, sixth = 0.5 * dt, dt / 6.0
+    beta, px0, py0 = config.pose.tolist()
     # (beta, its compensation, x0_x, its compensation, x0_y, its compensation)
     pose = (beta, 0.0, px0, 0.0, py0, 0.0)
     slopes = ()  # the last converged midpoint slopes, latest first
@@ -382,63 +398,58 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
     rec_poses[0] = pose[::2]
     n_rec = 1
 
-    halt_code = HALT_NONE
-    halt_index = -1
-    halt_step = nsteps
+    halt, halt_index, halt_step = None, -1, nsteps
 
-    om0, vx0, vy0 = ops.body_velocity(chart_id, z, g, r2, c, inertia)
+    om0, vx0, vy0 = ops.body_velocity(momentum, z, g, r2, c, inertia)
     for step in range(nsteps):
         converged = True
-        if integ_id == RK4:
-            hit = rhs(chart_id, z, g, r2, c, inertia, gtot, k1)
-            n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, stage(z, half, k1), g, r2, c, inertia, gtot, k2)
+        try:
+            if rk4:
                 n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, stage(z, half, k2), g, r2, c, inertia, gtot, k3)
+                k1 = rhs(momentum, z, g, r2, c, inertia, gtot)
                 n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, stage(z, dt, k3), g, r2, c, inertia, gtot, k4)
+                k2 = rhs(momentum, stage(z, half, k1), g, r2, c, inertia, gtot)
                 n_evals += 1
-            if hit < 0:
+                k3 = rhs(momentum, stage(z, half, k2), g, r2, c, inertia, gtot)
+                n_evals += 1
+                k4 = rhs(momentum, stage(z, dt, k3), g, r2, c, inertia, gtot)
                 z = ops.rk4(z, sixth, k1, k2, k3, k4)
+            else:
+                # fixed-point iteration on the midpoint state, from the extrapolated
+                # start; a non-finite iterate counts as non-convergence
+                umid = _predict(stage, z, half, slopes)
+                converged = False
+                try:
+                    for iters in range(1, MIDPOINT_MAX_ITER + 1):
+                        k = rhs(momentum, umid, g, r2, c, inertia, gtot)
+                        unew = stage(z, half, k)
+                        if not finite(unew):
+                            break
+                        delta = ops.increment(unew, umid)
+                        umid = unew
+                        if delta <= MIDPOINT_TOL:
+                            converged = True
+                            break
+                finally:
+                    n_evals += iters
+                    max_iters = max(max_iters, iters)
+                if converged:
+                    z = ops.reflect(umid, z)
+                    slopes = (k, *slopes[:2])
+        except _OutsideDomain as outside:
+            halt, halt_index = HALT_DOMAIN, outside.index
         else:
-            # fixed-point iteration on the midpoint state, from the extrapolated
-            # start; a non-finite iterate counts as non-convergence
-            umid = _predict(stage, z, half, slopes)
-            converged = False
-            for iters in range(1, MIDPOINT_MAX_ITER + 1):
-                hit = rhs(chart_id, umid, g, r2, c, inertia, gtot, k1)
-                if hit >= 0:
-                    break
-                unew = stage(z, half, k1)
-                if not finite(unew):
-                    break
-                delta = ops.increment(unew, umid)
-                umid = unew
-                if delta <= MIDPOINT_TOL:
-                    converged = True
-                    break
-            n_evals += iters
-            max_iters = max(max_iters, iters)
-            if converged:
-                z = ops.reflect(umid, z)
-                slopes = (k1.copy(), *slopes[:2])
-
-        if hit >= 0:
-            halt_code, halt_index = HALT_DOMAIN, hit
-        elif not converged:
-            halt_code = HALT_NO_CONVERGENCE
-        elif not finite(z):
-            halt_code = HALT_NONFINITE
-        else:
-            halt_code, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
-        if halt_code != HALT_NONE:
+            if not converged:
+                halt = HALT_NO_CONVERGENCE
+            elif not finite(z):
+                halt = HALT_NONFINITE
+            else:
+                halt, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
+        if halt is not None:
             halt_step = step
             break
 
-        om1, vx1, vy1 = ops.body_velocity(chart_id, z, g, r2, c, inertia)
+        om1, vx1, vy1 = ops.body_velocity(momentum, z, g, r2, c, inertia)
         pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt)
         om0, vx0, vy0 = om1, vx1, vy1
 
@@ -449,4 +460,4 @@ def run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, 
 
     # sample k is taken after step min(k stride, nsteps)
     rec_steps = np.minimum(np.arange(n_rec, dtype=np.int64) * stride, nsteps)
-    return rec_states[:n_rec], rec_poses[:n_rec], rec_steps, halt_code, halt_index, halt_step, n_evals, max_iters
+    return rec_states[:n_rec], rec_poses[:n_rec], rec_steps, halt, halt_index, halt_step, n_evals, max_iters

@@ -1,11 +1,11 @@
 """Time integration of either chart, pose reconstruction, and diagnostics.
 
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
-kept as the test oracle. ``integrate`` runs fixed-step RK4 or implicit
-midpoint through the fused kernels of ``_kernels``, which evaluate the same
-product in complex form without assembling the matrix: as scalar loops on
-Python lists below ``_kernels.PAIR_ARRAY_MIN`` vortices, as array expressions
-from there up.
+kept as the test oracle. ``integrate`` hands the config to ``_kernels.run``,
+the one fixed-step RK4 and implicit midpoint loop, whose fused kernels evaluate
+the same product in complex form without assembling the matrix: as scalar loops
+on Python lists below ``_kernels.PAIR_ARRAY_MIN`` vortices, as array
+expressions from there up. The loop names the reason it halted.
 Poses are reconstructed during integration by exact screw increments using
 each step's midpoint body velocity, from the config's starting pose. Energy,
 Casimir, momentum drift and inertial positions are then computed for all
@@ -42,15 +42,6 @@ __all__ = [
     "diagnostics",
     "active_backend",
 ]
-
-_HALT_REASONS = {
-    _kernels.HALT_BODY: "vortex reached the body clearance",
-    _kernels.HALT_PAIR: "two vortices closer than the clearance",
-    _kernels.HALT_NO_CONVERGENCE: "implicit midpoint iteration did not converge",
-    _kernels.HALT_NONFINITE: "state became non-finite",
-    _kernels.HALT_DOMAIN: "stage left the fluid domain",
-}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -182,25 +173,9 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
 def integrate(config: SimConfig) -> Trajectory:
     """Run one simulation; deterministic for a given config and backend."""
     body = config.body
-    # a diverging midpoint iterate is detected explicitly, not warned about;
-    # scalars go in as Python floats, as numpy scalars would slow the loops
+    # a diverging midpoint iterate is detected explicitly, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        states, poses, steps, halt_code, halt_index, halt_step, rhs_evals, max_iters = _kernels.run(
-            _kernels.CHART_MOMENTUM if config.chart == MOMENTUM else _kernels.CHART_VELOCITY,
-            np.concatenate([config.body_state, config.vortices.positions.reshape(-1)]),
-            config.vortices.strengths,
-            float(body.radius**2),
-            float(body.c),
-            float(body.inertia),
-            float(config.vortices.total_strength),
-            float(config.dt),
-            config.nsteps,
-            config.stride,
-            float((body.radius + config.clearance) ** 2),
-            float(config.clearance**2),
-            _kernels.RK4 if config.integrator == "rk4" else _kernels.MIDPOINT,
-            *config.pose.tolist(),
-        )
+        states, poses, steps, reason, halt_index, halt_step, rhs_evals, max_iters = _kernels.run(config)
 
     times = steps * config.dt
     g = config.vortices.strengths
@@ -211,12 +186,8 @@ def integrate(config: SimConfig) -> Trajectory:
     l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
 
     halt = None
-    if halt_code != _kernels.HALT_NONE:
-        halt = HaltInfo(
-            reason=_HALT_REASONS[halt_code],
-            vortex_index=int(halt_index),
-            time=float(halt_step * config.dt),
-        )
+    if reason is not None:
+        halt = HaltInfo(reason=reason, vortex_index=int(halt_index), time=float(halt_step * config.dt))
     return Trajectory(
         chart=config.chart,
         times=times.astype(np.float64),

@@ -105,20 +105,28 @@ def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
         body = BodyParams(mass=num(np.pi), inertia=num(1.3), radius=num(1.1))
         return _two_vortex_config(body, chart, dt=num(1e-3), t_end=num(0.5), stride=10, clearance=num(1e-3))
 
-    scalars = []
+    scalars = set()
 
-    def spy(*args):
-        scalars.append([type(a) for a in args if not isinstance(a, np.ndarray)])
-        return run(*args)
+    def spy(kernel):
+        def spied(*args):
+            scalars.update(type(a) for a in args if not isinstance(a, list))
+            return kernel(*args)
 
-    run = dynamics._kernels.run
-    monkeypatch.setattr(dynamics._kernels, "run", spy)
-    plain, numpy_scalars = integrate(config(float)), integrate(config(np.float64))
+        return spied
+
+    # the right-hand side, the stages and the clearance check take every scalar
+    # of the config that the two-vortex run's list loops use
+    loops = dynamics._kernels._LISTS
+    for name in ("rhs", "stage", "collision"):
+        monkeypatch.setattr(loops, name, spy(getattr(loops, name)))
+    plain = integrate(config(float))
+    seen = scalars.copy()
+    scalars.clear()
+    numpy_scalars = integrate(config(np.float64))
     npt.assert_array_equal(numpy_scalars.states, plain.states)
     npt.assert_array_equal(numpy_scalars.poses, plain.poses)
     # numpy scalars would make every loop operation several times slower
-    assert scalars[0] == scalars[1]
-    assert set(scalars[1]) == {int, float}
+    assert scalars == seen == {bool, int, float}
 
 
 def test_rk4_observed_order(body):

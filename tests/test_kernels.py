@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 from conftest import random_state
 from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, structure_matrix
 from vortexcyl import _kernels
-from vortexcyl.dynamics import SimConfig, integrate
+from vortexcyl.dynamics import HaltInfo, SimConfig, integrate
 from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
-
-CHART_IDS = {"momentum": _kernels.CHART_MOMENTUM, "velocity": _kernels.CHART_VELOCITY}
 
 
 def _kernel_rhs(chart, state, body, g):
     """The right-hand side as ``run`` evaluates it at this size, in the flat layout."""
     ops = _kernels._ops(state.n)
     flat = np.empty(state.flat().size)
-    out = ops.load(flat)
-    args = (ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()), out)
-    assert ops.rhs(CHART_IDS[chart], ops.load(state.flat()), *args) == -1
-    ops.store(flat, out)
+    args = (ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()))
+    ops.store(flat, ops.rhs(chart == "momentum", ops.load(state.flat()), *args))
     return flat
 
 
@@ -90,10 +86,11 @@ def test_body_velocity_matches_loops(case):
     agree, and ``run`` calls the one of its layout."""
     chart, body, state, g = case
     z, rest = state.flat(), (body.radius**2, body.c, body.inertia)
-    loops = np.array(_kernels._body_velocity_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest))
-    array = np.array(_kernels._body_velocity_array(CHART_IDS[chart], z, g, *rest))
+    momentum = chart == "momentum"
+    loops = np.array(_kernels._body_velocity_scalar(momentum, _kernels._load_list(z), g.tolist(), *rest))
+    array = np.array(_kernels._body_velocity_array(momentum, z, g, *rest))
     ops = _kernels._ops(state.n)
-    dispatched = ops.body_velocity(CHART_IDS[chart], ops.load(z), ops.strengths(g), *rest)
+    dispatched = ops.body_velocity(momentum, ops.load(z), ops.strengths(g), *rest)
     npt.assert_array_equal(dispatched, loops if state.n < _kernels.PAIR_ARRAY_MIN else array)
     # (A + sum g |X|^2 / 2) / I and (L -+ phi) / c sum terms as large as these
     d2 = np.sum(state.positions**2, axis=1)
@@ -123,12 +120,12 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
     for inside, pos in cases.items():
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
         rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
-        untouched = _kernels._load_list(np.full(z.size, 7.0))
-        loops, array = list(untouched), np.full(z.size, 7.0)
-        hit = _kernels._rhs_scalar(CHART_IDS[chart], _kernels._load_list(z), g.tolist(), *rest, loops)
-        assert hit == min(inside)
-        assert _kernels._rhs_array(CHART_IDS[chart], z, g, *rest, array) == hit
-        assert (array == 7.0).all() and loops == untouched
+        with pytest.raises(_kernels._OutsideDomain) as loops:
+            _kernels._rhs_scalar(chart == "momentum", _kernels._load_list(z), g.tolist(), *rest)
+        assert loops.value.index == min(inside)
+        with pytest.raises(_kernels._OutsideDomain) as array:
+            _kernels._rhs_array(chart == "momentum", z, g, *rest)
+        assert array.value.index == min(inside)
 
 
 _SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
@@ -156,23 +153,21 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     ops.store(flat, loaded)
     assert flat.tobytes() == z.tobytes()
 
-    rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
-    on_list = ops.load(np.empty(z.size))
-    assert ops.rhs(CHART_IDS[chart], loaded, ops.strengths(g), *rest, on_list) == -1
+    momentum, rest = chart == "momentum", (body.radius**2, body.c, body.inertia, float(g.sum()))
+    on_list = ops.rhs(momentum, loaded, ops.strengths(g), *rest)
     assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
-    on_objects = np.empty(len(loaded), dtype=object)
-    assert ops.rhs(CHART_IDS[chart], np.array(loaded, dtype=object), g.tolist(), *rest, on_objects) == -1
+    on_objects = ops.rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)
     assert _bits(on_objects) == _bits(on_list)
 
-    on_objects = ops.body_velocity(CHART_IDS[chart], np.array(loaded, dtype=object), g.tolist(), *rest[:3])
-    assert _bits(on_objects) == _bits(ops.body_velocity(CHART_IDS[chart], loaded, g.tolist(), *rest[:3]))
+    on_objects = ops.body_velocity(momentum, np.array(loaded, dtype=object), g.tolist(), *rest[:3])
+    assert _bits(on_objects) == _bits(ops.body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
 
     # limits between the closest and the farthest vortex hit every outcome
     d2 = np.sum(state.positions**2, axis=1)
     for body_limit2 in (0.0, float(np.median(d2)) if n else 1.0):
         for pair_limit2 in (0.0, 1.0, float(np.max(d2)) if n else 1.0):
             limits = (n, body_limit2, pair_limit2)
-            on_flat = _kernels._collision_array(z, *limits) if n else (_kernels.HALT_NONE, -1)
+            on_flat = _kernels._collision_array(z, *limits) if n else (None, -1)
             assert ops.collision(loaded, *limits) == on_flat
             assert ops.collision(np.array(loaded, dtype=object), *limits) == on_flat
 
@@ -189,9 +184,9 @@ def test_list_path_reports_the_domain_halt(body, chart):
     g = np.linspace(-1.0, 1.5, n)
     rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
     ops = _kernels._ops(n)
-    out = ops.load(np.full(z.size, 7.0))
-    assert ops.rhs(CHART_IDS[chart], ops.load(z), ops.strengths(g), *rest, out) == 1
-    assert out == [7.0] * 3 + [7.0 + 7.0j] * n
+    with pytest.raises(_kernels._OutsideDomain) as outside:
+        ops.rhs(chart == "momentum", ops.load(z), ops.strengths(g), *rest)
+    assert outside.value.index == 1
 
 
 @pytest.mark.parametrize("n", [_kernels.PAIR_ARRAY_MIN, 16])
@@ -215,7 +210,7 @@ def test_collision_array_matches_loops(rng, n):
         loops = _kernels._collision_scalar(_kernels._load_list(z), n, body_limit2, pair_limit2)
         assert _kernels._collision_array(z, n, body_limit2, pair_limit2) == loops
         found[name] = loops
-    assert found["none"] == (_kernels.HALT_NONE, -1)
+    assert found["none"] == (None, -1)
     assert found["body"] == (_kernels.HALT_BODY, 3)
     assert found["pairs"] == (_kernels.HALT_PAIR, 1)
 
@@ -291,23 +286,35 @@ def test_integrate_matches_matrix_route_loop(body, chart, integrator):
         npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
 
 
-def _reference_run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, body_limit2, pair_limit2, integ_id, *pose):
-    """``_kernels.run`` as an ndarray loop: the state is an array throughout and
-    the stages and the midpoint start are array expressions. From
+def _reference_run(cfg):
+    """``_kernels.run(cfg)`` as an ndarray loop: the state is an array throughout
+    and the stages and the midpoint start are array expressions. From
     PAIR_ARRAY_MIN up the array is the flat float state and the kernels are
     the array forms. Below, it is an object array of the Python scalars that
     ``run`` holds in a list (three body floats, N complex positions), so the
     same expressions do the same Python arithmetic, and the kernels are the
-    scalar loops."""
-    n = len(g)
+    scalar loops. Evaluations and midpoint iterations are counted as each
+    evaluation starts."""
+    body, n = cfg.body, cfg.vortices.n
+    momentum, dt, nsteps = cfg.chart == "momentum", float(cfg.dt), cfg.nsteps
+    args = (body.radius**2, body.c, body.inertia, cfg.vortices.total_strength)
+    limits = (n, (body.radius + cfg.clearance) ** 2, cfg.clearance**2)
+    z0, g = np.concatenate([cfg.body_state, cfg.vortices.positions.reshape(-1)]), cfg.vortices.strengths
     loops = n < _kernels.PAIR_ARRAY_MIN
     if loops:
-        rhs, collision, body_velocity = _kernels._rhs_scalar, _kernels._collision_scalar, _kernels._body_velocity_scalar
+        collision, body_velocity = _kernels._collision_scalar, _kernels._body_velocity_scalar
         z = np.array([*z0[:3].tolist(), *(complex(x, y) for x, y in z0[3:].reshape(-1, 2).tolist())], dtype=object)
         g = g.tolist()
+
+        def f(u):
+            return np.array(_kernels._rhs_scalar(momentum, u, g, *args), dtype=object)
+
     else:
-        rhs, collision, body_velocity = _kernels._rhs_array, _kernels._collision_array, _kernels._body_velocity_array
+        collision, body_velocity = _kernels._collision_array, _kernels._body_velocity_array
         z = z0.copy()
+
+        def f(u):
+            return _kernels._rhs_array(momentum, u, g, *args)
 
     def flat(z):
         if not loops:
@@ -320,70 +327,66 @@ def _reference_run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, bo
     def increment(u, v):
         return max(max(abs(d.real), abs(d.imag)) for d in (u - v).tolist())
 
-    k1, k2, k3, k4 = (np.empty(z.size, dtype=z.dtype) for _ in range(4))
+    pose = tuple(cfg.pose.tolist())
     states, poses, steps = [flat(z)], [pose], [0]
     carry = (pose[0], 0.0, pose[1], 0.0, pose[2], 0.0)
-    halt = (_kernels.HALT_NONE, -1, nsteps)
+    halt = (None, -1, nsteps)
     slopes, n_evals, max_iters = [], 0, 0
-    v0 = body_velocity(chart_id, z, g, r2, c, inertia)
+    v0 = body_velocity(momentum, z, g, *args[:3])
     for step in range(nsteps):
         converged = True
-        if integ_id == _kernels.RK4:
-            hit = rhs(chart_id, z, g, r2, c, inertia, gtot, k1)
-            n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, z + 0.5 * dt * k1, g, r2, c, inertia, gtot, k2)
+        try:
+            if cfg.integrator == "rk4":
                 n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, z + 0.5 * dt * k2, g, r2, c, inertia, gtot, k3)
+                k1 = f(z)
                 n_evals += 1
-            if hit < 0:
-                hit = rhs(chart_id, z + dt * k3, g, r2, c, inertia, gtot, k4)
+                k2 = f(z + 0.5 * dt * k1)
                 n_evals += 1
-            if hit < 0:
+                k3 = f(z + 0.5 * dt * k2)
+                n_evals += 1
+                k4 = f(z + dt * k3)
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                # z + h k1, z + h (2 k1 - k2), then z + h (3 k1 - 3 k2 + k3), with the
+                # differences formed as in _kernels._predict
+                umid = z
+                if len(slopes) == 1:
+                    umid = z + 0.5 * dt * slopes[0]
+                elif len(slopes) == 2:
+                    umid = z + 0.5 * dt * (slopes[0] + 1.0 * (slopes[0] + -1.0 * slopes[1]))
+                elif len(slopes) == 3:
+                    umid = z + 0.5 * dt * (slopes[2] + 3.0 * (slopes[0] + -1.0 * slopes[1]))
+                converged = False
+                for iters in range(1, _kernels.MIDPOINT_MAX_ITER + 1):
+                    n_evals += 1
+                    max_iters = max(max_iters, iters)
+                    k = f(umid)
+                    unew = z + 0.5 * dt * k
+                    if not finite(unew):
+                        break
+                    delta = increment(unew, umid)
+                    umid = unew
+                    if delta <= _kernels.MIDPOINT_TOL:
+                        converged = True
+                        break
+                if converged:
+                    z = 2.0 * umid - z
+                    slopes = [k, *slopes[:2]]
+        except _kernels._OutsideDomain as outside:
+            halt = (_kernels.HALT_DOMAIN, outside.index, step)
         else:
-            # z + h k1, z + h (2 k1 - k2), then z + h (3 k1 - 3 k2 + k3), with the
-            # differences formed as in _kernels._predict
-            umid = z
-            if len(slopes) == 1:
-                umid = z + 0.5 * dt * slopes[0]
-            elif len(slopes) == 2:
-                umid = z + 0.5 * dt * (slopes[0] + 1.0 * (slopes[0] + -1.0 * slopes[1]))
-            elif len(slopes) == 3:
-                umid = z + 0.5 * dt * (slopes[2] + 3.0 * (slopes[0] + -1.0 * slopes[1]))
-            converged = False
-            for iters in range(1, _kernels.MIDPOINT_MAX_ITER + 1):
-                hit = rhs(chart_id, umid, g, r2, c, inertia, gtot, k1)
-                if hit >= 0:
-                    break
-                unew = z + 0.5 * dt * k1
-                if not finite(unew):
-                    break
-                delta = increment(unew, umid)
-                umid = unew
-                if delta <= _kernels.MIDPOINT_TOL:
-                    converged = True
-                    break
-            n_evals += iters
-            max_iters = max(max_iters, iters)
-            if converged:
-                z = 2.0 * umid - z
-                slopes = [k1.copy(), *slopes[:2]]
-        if hit >= 0:
-            halt = (_kernels.HALT_DOMAIN, hit, step)
-        elif not converged:
-            halt = (_kernels.HALT_NO_CONVERGENCE, -1, step)
-        elif not finite(z):
-            halt = (_kernels.HALT_NONFINITE, -1, step)
-        elif (hit := collision(z, n, body_limit2, pair_limit2))[0] != _kernels.HALT_NONE:
-            halt = (*hit, step)
-        if halt[0] != _kernels.HALT_NONE:
+            if not converged:
+                halt = (_kernels.HALT_NO_CONVERGENCE, -1, step)
+            elif not finite(z):
+                halt = (_kernels.HALT_NONFINITE, -1, step)
+            elif (hit := collision(z, *limits))[0] is not None:
+                halt = (*hit, step)
+        if halt[0] is not None:
             break
-        v1 = body_velocity(chart_id, z, g, r2, c, inertia)
+        v1 = body_velocity(momentum, z, g, *args[:3])
         carry = _kernels._pose_step(*carry, *(0.5 * (a + b) for a, b in zip(v0, v1)), dt)
         v0 = v1
-        if (step + 1) % stride == 0 or step + 1 == nsteps:
+        if (step + 1) % cfg.stride == 0 or step + 1 == nsteps:
             states.append(flat(z))
             poses.append(carry[::2])
             steps.append(step + 1)
@@ -394,11 +397,11 @@ def _reference_run(chart_id, z0, g, r2, c, inertia, gtot, dt, nsteps, stride, bo
 
 def _pinned_integrate(monkeypatch, cfg):
     """``integrate(cfg)``, checking that ``_kernels.run`` gives bit for bit what
-    ``_reference_run`` gives on the arguments ``integrate`` passes it."""
+    ``_reference_run`` gives on the config ``integrate`` passes it."""
     run = _kernels.run
 
-    def checked(*args):
-        got, want = run(*args), _reference_run(*args)
+    def checked(config):
+        got, want = run(config), _reference_run(config)
         for a, b in zip(got[:3], want[:3]):
             npt.assert_array_equal(a, b, strict=True)
             assert a.tobytes() == b.tobytes()
@@ -431,10 +434,19 @@ def test_run_matches_array_reference_bitwise(monkeypatch, body, n, chart, integr
     assert traj.halt is None and traj.n_samples == 7
 
 
-# one run of each halt kind, and a body-only overflow (no vortices):
+# an 8-vortex ring (the array layout) whose vortex 3 sits at 1.02 R with strength 6
+_RING_EXIT = 2.5 * np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
+_RING_EXIT[3] *= 1.02 / 2.5
+# one run of each halt kind, RK4 stage exits on both layouts, and a body-only
+# overflow (no vortices):
 # (reason, chart, integrator, strengths, positions, body state, dt, t_end, clearance)
 HALTS = {
     "domain": ("stage left the fluid domain", "velocity", "midpoint", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
+    "domain-rk4": ("stage left the fluid domain", "velocity", "rk4", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
+    "domain-arrays": (
+        "stage left the fluid domain", "momentum", "rk4", [1.0, 1.0, 1.0, 6.0, 1.0, 1.0, 1.0, 1.0], _RING_EXIT,
+        [0, 0, 0], 0.05, 0.5, None,
+    ),
     "body": (
         "vortex reached the body clearance", "momentum", "rk4", [2.0, -2.0], [[2.5, 0.35], [2.5, -0.35]], [0, 0, 0],
         4e-3, 30.0, 0.4,
@@ -450,6 +462,8 @@ HALTS = {
         [0, 0, 0], 1.0, 5.0, None,
     ),
 }
+# the vortex each RK4 stage exit halts on
+RK4_STAGE_EXITS = {"domain-rk4": 0, "domain-arrays": 3}
 
 
 @pytest.mark.parametrize("case", HALTS)
@@ -458,3 +472,6 @@ def test_run_matches_array_reference_bitwise_on_halts(monkeypatch, body, case):
     cfg = SimConfig(chart, body, VortexSet(strengths, positions), body_state, dt, t_end, integrator, 10, clearance)
     traj = _pinned_integrate(monkeypatch, cfg)
     assert traj.halt is not None and traj.halt.reason == reason
+    if case in RK4_STAGE_EXITS:
+        # the third stage of step 0 leaves the domain, and its evaluation counts
+        assert traj.halt == HaltInfo(reason, RK4_STAGE_EXITS[case], 0.0) and traj.rhs_evals == 3
