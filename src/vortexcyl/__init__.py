@@ -30,7 +30,6 @@ from .maps import (
     shift_map,
 )
 from .oracle import FdSpec, fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
-from .se2 import Se2Costate, Se2Element
 from .state import ChartState
 from .structures import (
     interaction_bracket_coefficients,
@@ -48,8 +47,6 @@ __all__ = [
     "ChartState",
     "FdSpec",
     "FluidParams",
-    "Se2Costate",
-    "Se2Element",
     "SimConfig",
     "ValidationError",
     "VortexSet",

@@ -4,15 +4,17 @@ Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
 ``verify`` certifies each of its six rows on a stack of drawn states in one
 call of the batch cores of ``structures``, ``maps``, ``oracle`` and
-``energetics``; each state makes five generator calls, and the rest of the
-drawing runs once per stack. ``sweep`` validates every file in this process
-first, then runs the valid configs here, one after another, when one worker
-would do, and otherwise in a process pool of at most one worker per config
-that stays up for the next ``sweep`` with the same worker count.
+``energetics``, drawing each quantity of a row's states in one generator call.
+``sweep`` validates every file in this process first, then runs the valid
+configs here, one after another, when one worker would do, and otherwise in a
+process pool of at most one worker per config that stays up for the next
+``sweep`` with the same worker count.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
 table of recorded samples larger than physical memory, more than 2**53 steps
-or a ``t_end / dt`` that overflows, or ``sweep --jobs`` below 1), 3 halted run
+or a ``t_end / dt`` that overflows, ``sweep --jobs`` below 1, a number outside
+the float range, JSON nested too deeply to parse, or a radius or clearance
+whose square leaves the float range), 3 halted run
 (collision, a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
@@ -119,6 +121,8 @@ def _floats(raw: dict, key: str, default: list, shape: tuple[int | None, ...]) -
         arr = np.asarray(raw.get(key, default), dtype=np.float64)
     except (TypeError, ValueError):
         raise ValidationError(f"{key} must be an array of numbers") from None
+    except OverflowError:  # an integer literal too large for a float
+        raise ValidationError(f"{key} holds a number outside the float range") from None
     if arr.size == 0 and None in shape:
         arr = arr.reshape([d or 0 for d in shape])
     if arr.ndim != len(shape) or any(d is not None and d != a for d, a in zip(shape, arr.shape)):
@@ -134,6 +138,8 @@ def _number(raw: dict, key: str, default: float | None = None) -> float:
         return float(raw.get(key, default))
     except (TypeError, ValueError):
         raise ValidationError(f"{key} must be a number") from None
+    except OverflowError:  # an integer literal too large for a float
+        raise ValidationError(f"{key} is outside the float range") from None
 
 
 def config_from_dict(raw: dict) -> SimConfig:
@@ -175,6 +181,10 @@ def _read_config(path: str | Path) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValidationError("cannot parse: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal longer than Python's digit limit
+        raise ValidationError(f"cannot parse: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("top level must be a JSON object")
     return raw
@@ -267,9 +277,9 @@ def run(config: SimConfig, outdir: str | Path) -> int:
 def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     """Structure/Jacobi/pushforward certification at random admissible states.
 
-    Each row draws its states in turn from one seeded stream, validates them
-    once as a stack and evaluates the stack in one call of each batch core. A
-    row's value is its worst state's."""
+    Each row draws its stack of states from one seeded stream, validates it
+    once and evaluates it in one call of each batch core. A row's value is its
+    worst state's."""
     from .energetics import _energy_stack
     from .fluid import validate_stack
     from .maps import _cocycle_stack, _shift_stack
@@ -278,22 +288,16 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
 
     rng = np.random.default_rng(20240817)
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
-    signs = np.array([-1.0, 1.0])  # indexed by integers(0, 2): the values and stream of choice([-1.0, 1.0])
 
     def draw(count: int, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """count states drawn in turn, validated as one stack: (count, 3 + 2N) and (count, N).
-
-        Each state makes its five generator calls in this order; the rest runs once on the stack."""
-        calls = [
-            (rng.uniform(0.5, 2.0, n), rng.integers(0, 2, n), rng.uniform(1.6, 3.0, n),
-             rng.uniform(0, 2 * np.pi, n), rng.normal(0, 1, 3))
-            for _ in range(count)
-        ]
-        mag, sign, r, th, body_state = (np.array(a) for a in zip(*calls))
-        g = mag * signs[sign]
+        """count states, each quantity drawn once for the whole stack, validated as one stack:
+        (count, 3 + 2N) and (count, N)."""
+        g = rng.uniform(0.5, 2.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+        r = rng.uniform(1.6, 3.0, (count, n))
+        th = rng.uniform(0, 2 * np.pi, (count, n))
         pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=2)
         validate_stack(g, pos, body.fluid)
-        return np.concatenate([body_state, pos.reshape(count, 2 * n)], axis=1), g
+        return np.concatenate([rng.normal(0, 1, (count, 3)), pos.reshape(count, 2 * n)], axis=1), g
 
     rows: list[tuple[str, float, float, bool]] = []
 

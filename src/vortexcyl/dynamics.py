@@ -98,6 +98,8 @@ class SimConfig:
         eps = self.clearance if self.clearance is not None else 1e-3 * self.body.radius
         if not (np.isfinite(eps) and eps > 0):
             raise ValidationError("clearance must be positive")
+        if math.isinf((self.body.radius + eps) * (self.body.radius + eps)):
+            raise ValidationError(f"clearance = {eps:g} puts (radius + clearance)**2 outside the float range")
         object.__setattr__(self, "clearance", float(eps))
         self.vortices.validate(self.body.fluid)
 

@@ -44,6 +44,9 @@ class BodyParams:
             if not (np.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite float")
             object.__setattr__(self, name, float(v))
+        # the drive loop divides by radius**2, taken with Python's float **, which raises on overflow
+        if not np.finfo(float).tiny <= self.radius * self.radius < np.inf:
+            raise ValidationError(f"radius = {self.radius:g} has a square outside the float range")
 
     @property
     def fluid(self) -> FluidParams:

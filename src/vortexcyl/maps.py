@@ -8,12 +8,12 @@ generators, and the non-equivariance cocycle built from those ingredients.
 The shift, its Jacobian, the pairing and the cocycle each have one batch-first
 core on stacks of configurations; ``shift_map``, ``shift_jacobian``,
 ``magnetic_pairing`` and ``cocycle_sigma`` validate one state and run it on a
-stack of one. The pairing and the cocycle are antisymmetric (K, 3, 3) arrays on
-the (omega, x, y) basis of the symmetry algebra.
+stack of one. Everything on the symmetry algebra is a plain float array on its
+(omega, x, y) basis: momenta and the magnetic potential are (3,) covectors, and
+the pairing and the cocycle are antisymmetric (3, 3) two-forms, (K, 3, 3) on a
+stack. A pose is the (beta, x0_x, x0_y) array of ``se2``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,13 +22,12 @@ from . import fluid
 from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
 from .fluid import FluidParams, VortexSet
 from .oracle import _combine_stack, _stencil_stack
-from .se2 import Se2Costate, Se2Element, rotation, to_inertial
+from .se2 import rotation, to_inertial
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
 
 __all__ = [
-    "CocycleForm",
     "magnetic_potential",
     "shift_map",
     "inverse_shift_map",
@@ -38,8 +37,9 @@ __all__ = [
     "cocycle_sigma",
 ]
 
-def magnetic_potential(vortices: VortexSet, params: FluidParams) -> Se2Costate:
-    """Momentum carried by the vortex system, evaluated at the identity pose.
+def magnetic_potential(vortices: VortexSet, params: FluidParams) -> FloatArray:
+    """Momentum carried by the vortex system, evaluated at the identity pose, as
+    (phi_omega, phi_x, phi_y).
 
     Components combine the bare vortex momentum with the stream-function
     contribution of the body's image system:
@@ -48,7 +48,7 @@ def magnetic_potential(vortices: VortexSet, params: FluidParams) -> Se2Costate:
     """
     vortices.validate(params)
     phi_xy, phi_om = fluid.batch_momentum_shift(vortices.positions, vortices.strengths, params.radius)
-    return Se2Costate(pi_omega=phi_om, pi_xy=phi_xy)
+    return np.array([phi_om, *phi_xy])
 
 
 def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
@@ -116,13 +116,14 @@ def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams, direct
 
 
 def momentum_map(
-    pose: Se2Element,
-    pi: Se2Costate,
+    pose: FloatArray,
+    pi: FloatArray,
     vortices: VortexSet,
     params: FluidParams,
     via: str = "body",
-) -> Se2Costate:
-    """Spatial momentum of the solid-fluid system at a pose.
+) -> FloatArray:
+    """Spatial momentum (J_omega, J_x, J_y) of the solid-fluid system at a pose
+    (beta, x0_x, x0_y), given the body momentum pi on the (omega, x, y) basis.
 
     ``via='body'`` shifts the body momentum and pushes it to the spatial
     frame; ``via='spatial'`` evaluates directly from inertial vortex
@@ -130,20 +131,20 @@ def momentum_map(
     reduce to the body momentum map pi - phi.
     """
     vortices.validate(params)
+    pose = np.asarray(pose, dtype=np.float64).reshape(3)
+    pi = np.asarray(pi, dtype=np.float64).reshape(3)
+    x0 = pose[1:]
     g = vortices.strengths
-    gamma_total = vortices.total_strength
-    rot = rotation(pose.beta)
+    rot = rotation(pose[0])
     if via == "body":
-        phi = magnetic_potential(vortices, params)
-        j_body_xy = pi.pi_xy - phi.pi_xy
-        j_body_om = pi.pi_omega - phi.pi_omega
-        j_xy = rot @ j_body_xy + gamma_total * np.array([pose.x0[1], -pose.x0[0]])
-        j_om = j_body_om + pose.x0[0] * j_xy[1] - pose.x0[1] * j_xy[0]
-        return Se2Costate(pi_omega=j_om, pi_xy=j_xy)
+        j_body = pi - magnetic_potential(vortices, params)
+        j_xy = rot @ j_body[1:] + vortices.total_strength * np.array([x0[1], -x0[0]])
+        j_om = j_body[0] + x0[0] * j_xy[1] - x0[1] * j_xy[0]
+        return np.array([j_om, *j_xy])
     if via != "spatial":
         raise ValueError("via must be 'body' or 'spatial'")
-    inertial = to_inertial(np.array([pose.beta, *pose.x0]), vortices.positions)
-    rel = inertial - pose.x0
+    inertial = to_inertial(pose, vortices.positions)
+    rel = inertial - x0
     d2 = np.sum(rel * rel, axis=1)
     # spatial elementary streams evaluated at the inertial vortex positions
     psi = np.stack(fluid.elementary_streams(rel, params, check=False)[:2], axis=1)
@@ -151,21 +152,18 @@ def momentum_map(
     # No standalone total-strength pose term here: the frame change of the
     # vortex sum generates it, which is exactly what the body-to-spatial
     # relation adds back on the other path.
-    j_xy = rot @ pi.pi_xy
+    j_xy = rot @ pi[1:]
     if vortices.n:
         j_xy = j_xy + (g[:, None] * (cross - psi)).sum(axis=0)
-    j_om = pi.pi_omega - float(0.5 * np.sum(g * d2)) + pose.x0[0] * j_xy[1] - pose.x0[1] * j_xy[0]
-    return Se2Costate(pi_omega=j_om, pi_xy=j_xy)
+    j_om = pi[0] - float(0.5 * np.sum(g * d2)) + x0[0] * j_xy[1] - x0[1] * j_xy[0]
+    return np.array([j_om, *j_xy])
 
 
-def magnetic_pairing(a: str, b: str, vortices: VortexSet, params: FluidParams) -> float:
-    """Magnetic two-form evaluated on a pair of symmetry generators ``"omega"``, ``"x"``, ``"y"``."""
-    basis = ("omega", "x", "y")
-    if a not in basis or b not in basis:
-        raise ValueError(f"generators must be in {basis}")
+def magnetic_pairing(vortices: VortexSet, params: FluidParams) -> FloatArray:
+    """Magnetic two-form on the (omega, x, y) basis of the symmetry generators:
+    antisymmetric, shape (3, 3)."""
     vortices.validate(params)
-    pairing = _pairing_stack(vortices.positions[None], vortices.strengths[None], params)[0]
-    return float(pairing[basis.index(a), basis.index(b)])
+    return _pairing_stack(vortices.positions[None], vortices.strengths[None], params)[0]
 
 
 def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:
@@ -195,24 +193,15 @@ def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatAr
     return upper - upper.swapaxes(1, 2)
 
 
-@dataclass(frozen=True)
-class CocycleForm:
-    """Antisymmetric two-form on the symmetry algebra, stored on basis pairs."""
-
-    omega_x: float
-    omega_y: float
-    x_y: float
-
-
-def cocycle_sigma(vortices: VortexSet, params: FluidParams) -> CocycleForm:
-    """Non-equivariance cocycle Sigma(xi, eta) = -<phi, [xi, eta]> + beta(xi, eta).
+def cocycle_sigma(vortices: VortexSet, params: FluidParams) -> FloatArray:
+    """Non-equivariance cocycle Sigma(xi, eta) = -<phi, [xi, eta]> + beta(xi, eta)
+    on the (omega, x, y) basis: antisymmetric, shape (3, 3).
 
     The mixed components cancel numerically; the surviving component is
     Sigma(e_x, e_y) = -(total vortex strength).
     """
     vortices.validate(params)
-    sigma = _cocycle_stack(vortices.positions[None], vortices.strengths[None], params)[0]
-    return CocycleForm(omega_x=float(sigma[0, 1]), omega_y=float(sigma[0, 2]), x_y=float(sigma[1, 2]))
+    return _cocycle_stack(vortices.positions[None], vortices.strengths[None], params)[0]
 
 
 def _cocycle_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:

@@ -306,6 +306,55 @@ def test_config_shape_errors_exit_2_with_one_line(tmp_path, capsys, key, value):
     assert err.count("\n") == 1 and key in err
 
 
+HUGE = 10**400  # an integer JSON literal beyond the float range
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dt", HUGE), ("stride", HUGE), ("clearance", HUGE), ("positions", [[HUGE, 0.0]]), ("body", [0.0, HUGE, 0.0])]
+)
+def test_integer_beyond_the_float_range_exits_2_with_one_line(tmp_path, capfd, key, value):
+    path = _write(tmp_path, _minimal_config(**{key: value}))
+    with pytest.raises(ValidationError, match=key):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    good = _write(tmp_path, _minimal_config(t_end=0.1), "good.json")
+    assert cli.main(["sweep", str(path), str(good), "--out", str(tmp_path / "sweep"), "--jobs", "1"]) == cli.EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert captured.out.splitlines() == [f"{path}: exit 2", f"{good}: exit 0"]
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"{path}: ") and key in captured.err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"dt": ' + "[" * 100_000, "1" + "0" * 5000])
+def test_unparseable_json_exits_2_with_one_line(tmp_path, capsys, text):
+    # nesting beyond the parser's recursion limit, and an integer longer than Python's digit limit
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"radius": 1e200, "positions": [[3e200, 0.0]]}, "radius"),  # the square overflows
+        ({"radius": 1e-200, "positions": [[3e-200, 0.0]]}, "radius"),  # the square underflows to 0
+        ({"clearance": 1e300}, "clearance"),  # (radius + clearance)**2 overflows
+    ],
+)
+def test_squares_outside_the_float_range_exit_2_with_one_line(tmp_path, capsys, overrides, key):
+    path = _write(tmp_path, _minimal_config(**overrides))
+    with pytest.raises(ValidationError, match=key):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_jobs_below_one_exits_2_with_one_line(tmp_path, capsys, jobs):
     path = _write(tmp_path, _minimal_config(t_end=0.1))

@@ -111,7 +111,7 @@ def test_interaction_star_term(body, rng):
         st, g = random_state(rng, "velocity")
         vs = VortexSet(g, st.positions)
         table = interaction_bracket_coefficients(st, g, body)
-        star = table[("Pi_x", "Pi_y")] + magnetic_pairing("x", "y", vs, body.fluid)
+        star = table[("Pi_x", "Pi_y")] + magnetic_pairing(vs, body.fluid)[1, 2]
         d4 = np.sum(st.positions**2, axis=1) ** 2
         expected = -np.sum(g * (d4 - body.radius**4) / d4)
         assert abs(star - expected) <= 1e-10
