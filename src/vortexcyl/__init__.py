@@ -10,7 +10,6 @@ matches the closed-form structure matrix.
 """
 from .energetics import BodyParams, hamiltonian, hamiltonian_gradient
 from .fluid import (
-    FluidParams,
     ValidationError,
     VortexSet,
     elementary_potentials,
@@ -46,7 +45,6 @@ __all__ = [
     "BodyParams",
     "ChartState",
     "FdSpec",
-    "FluidParams",
     "SimConfig",
     "ValidationError",
     "VortexSet",

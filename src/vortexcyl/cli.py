@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
 table of recorded samples larger than physical memory, more than 2**53 steps
 or a ``t_end / dt`` that overflows, ``sweep --jobs`` below 1, a number outside
-the float range, JSON nested too deeply to parse, or a radius or clearance
-whose square leaves the float range), 3 halted run
+the float range, JSON nested too deeply to parse, a radius or clearance
+whose square leaves the float range, or a locked inertia mass + pi radius**2
+that overflows), 3 halted run
 (collision, a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
@@ -214,7 +215,6 @@ def _csv_header(config: SimConfig) -> list[str]:
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     config = traj.config
-    assert config is not None
     header = _csv_header(config)
     inertial = traj.inertial_positions.reshape(traj.n_samples, 2 * config.vortices.n)
     sums = np.stack([traj.energy, traj.casimir, traj.l_drift], axis=1)
@@ -227,7 +227,6 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
     rep = diagnostics(traj)
     config = traj.config
-    assert config is not None
     lines = [
         f"scenario = {config.name or 'unnamed'}",
         f"chart = {config.chart}",
@@ -296,7 +295,7 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
         r = rng.uniform(1.6, 3.0, (count, n))
         th = rng.uniform(0, 2 * np.pi, (count, n))
         pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=2)
-        validate_stack(g, pos, body.fluid)
+        validate_stack(g, pos, body.radius)
         return np.concatenate([rng.normal(0, 1, (count, 3)), pos.reshape(count, 2 * n)], axis=1), g
 
     rows: list[tuple[str, float, float, bool]] = []
@@ -318,7 +317,7 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
 
     z, g = draw(100)
     lam = _velocity_matrix_stack(z, g, body)
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.fluid)
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.radius)
     dev = [
         np.abs(pi_pi - body.c**2 * lam[:, 1, 2]),
         np.abs(pi_vortex[:, 0, 0::2] - body.c * lam[:, 1, 3::2]),
@@ -333,7 +332,7 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     row("energy across shift map", np.abs(ha - hb) / np.maximum(1.0, np.abs(hb)), 1e-10)
 
     z, g = draw(20)
-    sigma = _cocycle_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.fluid)
+    sigma = _cocycle_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.radius)
     row("cocycle components", np.abs([sigma[:, 1, 2] + g.sum(axis=1), sigma[:, 0, 1], sigma[:, 0, 2]]), 1e-10)
 
     return rows, all(r[3] for r in rows)

@@ -7,11 +7,11 @@ the same product in complex form without assembling the matrix: as scalar loops
 on Python lists below ``_kernels.PAIR_ARRAY_MIN`` vortices, as array
 expressions from there up. The loop names the reason it halted.
 Poses are reconstructed during integration by exact screw increments using
-each step's midpoint body velocity, from the config's starting pose. Energy,
-Casimir, momentum drift and inertial positions are then computed for all
-recorded samples at once: the energy by the batch core of ``energetics``, in
-the velocity chart the momentum L by the shift core of ``maps``, and the
-inertial positions by the frame change ``se2.to_inertial``.
+the average of each step's two endpoint body velocities, from the config's
+starting pose. Energy, Casimir, momentum drift and inertial positions are
+then computed for all recorded samples at once: the energy by the batch core
+of ``energetics``, in the velocity chart the momentum L by the shift core of
+``maps``, and the inertial positions by the frame change ``se2.to_inertial``.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ class SimConfig:
         if math.isinf((self.body.radius + eps) * (self.body.radius + eps)):
             raise ValidationError(f"clearance = {eps:g} puts (radius + clearance)**2 outside the float range")
         object.__setattr__(self, "clearance", float(eps))
-        self.vortices.validate(self.body.fluid)
+        self.vortices.validate(self.body.radius)
 
     @property
     def initial_state(self) -> ChartState:
@@ -134,8 +134,8 @@ class Trajectory:
     energy: FloatArray
     casimir: FloatArray  # Lx^2 + Ly^2 in momentum variables
     l_drift: FloatArray  # |L(t) - L(0)| in momentum variables
+    config: SimConfig
     halt: HaltInfo | None = None
-    config: SimConfig | None = None
     rhs_evals: int = 0  # right-hand side evaluations of the drive loop
     max_midpoint_iterations: int = 0  # most fixed-point iterations in one step; 0 under RK4
 
@@ -166,7 +166,7 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
     chart = canonical_chart(chart)
     if state.chart != chart:
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
-    VortexSet(strengths, state.positions).validate(body.fluid)
+    VortexSet(strengths, state.positions).validate(body.radius)
     lam = structure_matrix(state, strengths, body)
     grad = hamiltonian_gradient(chart, state, body, strengths)
     return lam @ grad
@@ -199,8 +199,8 @@ def integrate(config: SimConfig) -> Trajectory:
         energy=energy,
         casimir=casimir,
         l_drift=l_drift,
-        halt=halt,
         config=config,
+        halt=halt,
         rhs_evals=rhs_evals,
         max_midpoint_iterations=max_iters,
     )
@@ -217,8 +217,7 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
     ldr = float(np.max(traj.l_drift))
     pos = traj.states[:, 3:].reshape(traj.n_samples, -1, 2)
     if pos.shape[1]:
-        radius = traj.config.body.radius if traj.config else 0.0
-        min_clear = float(np.linalg.norm(pos, axis=2).min()) - radius
+        min_clear = float(np.linalg.norm(pos, axis=2).min()) - traj.config.body.radius
     else:
         min_clear = math.inf
     min_pair = min_pair_distance(pos)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import fluid
-from .fluid import FluidParams, ValidationError, VortexSet
+from .fluid import ValidationError, VortexSet
 from .state import VELOCITY, ChartState, canonical_chart
 
 FloatArray = NDArray[np.float64]
@@ -47,10 +47,8 @@ class BodyParams:
         # the drive loop divides by radius**2, taken with Python's float **, which raises on overflow
         if not np.finfo(float).tiny <= self.radius * self.radius < np.inf:
             raise ValidationError(f"radius = {self.radius:g} has a square outside the float range")
-
-    @property
-    def fluid(self) -> FluidParams:
-        return FluidParams(self.radius)
+        if self.c == np.inf:
+            raise ValidationError(f"mass + pi * radius**2 = inf at mass = {self.mass:g}, radius = {self.radius:g}")
 
     @property
     def c(self) -> float:
@@ -79,7 +77,7 @@ def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: Floa
     if state.chart != chart:
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
     vset = VortexSet(strengths, state.positions)
-    vset.validate(body.fluid)
+    vset.validate(body.radius)
     return float(_energy_stack(chart, state.flat()[None], vset.strengths[None], body)[0])
 
 
@@ -116,7 +114,7 @@ def hamiltonian_gradient(chart: str, state: ChartState, body: BodyParams, streng
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
     strengths = np.asarray(strengths, dtype=np.float64)
     vset = VortexSet(strengths, state.positions)
-    wg_grad = fluid.grad_kirchhoff_routh(vset, body.fluid)
+    wg_grad = fluid.grad_kirchhoff_routh(vset, body.radius)
     omega, v = body_velocities(state, strengths, body)
     grad = np.zeros(state.dim)
     if chart == VELOCITY:

@@ -6,9 +6,10 @@ image system, and the Kirchhoff-Routh interaction energy W_G with its
 analytic gradient.
 
 All positions are body-frame coordinates; the cylinder is centered at the
-origin. The elementary fields carry an R^2 scale so the Neumann boundary
-condition dPhi_X/dn = n_x holds on |X| = R for every radius (the R = 1
-forms are recovered exactly).
+origin. The fluid has density 1, so the radius R is its only parameter and
+every function takes it as a plain float. The elementary fields carry an R^2
+scale so the Neumann boundary condition dPhi_X/dn = n_x holds on |X| = R for
+every radius (the R = 1 forms are recovered exactly).
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ FloatArray = NDArray[np.float64]
 __all__ = [
     "DomainError",
     "ValidationError",
-    "FluidParams",
     "VortexSet",
     "validate_stack",
     "elementary_potentials",
@@ -52,16 +52,10 @@ class ValidationError(ValueError):
     """A vortex configuration violates its invariants."""
 
 
-@dataclass(frozen=True)
-class FluidParams:
-    """Circular body of radius ``radius``; fluid density is fixed at 1."""
-
-    radius: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValidationError("radius must be a positive finite float")
-        object.__setattr__(self, "radius", float(self.radius))
+def _check_radius(radius: float) -> None:
+    """The radius rule, checked first by each validating function."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValidationError("radius must be a positive finite float")
 
 
 @dataclass(frozen=True)
@@ -91,24 +85,26 @@ class VortexSet:
     def total_strength(self) -> float:
         return float(self.strengths.sum())
 
-    def validate(self, params: FluidParams) -> None:
+    def validate(self, radius: float) -> None:
         """Raise ValidationError naming the first offending vortex or pair."""
-        validate_stack(self.strengths, self.positions[None], params)
+        validate_stack(self.strengths, self.positions[None], radius)
 
 
-def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidParams) -> None:
+def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) -> None:
     """``VortexSet.validate`` of every configuration in positions (K, N, 2) at once, with
     strengths (K, N) or one (N,) for all, raising the ValidationError of the first
-    inadmissible configuration in stack order.
+    inadmissible configuration in stack order. A radius that is not positive and
+    finite is rejected first.
 
     Within it the first failed rule names its offender: the first vortex whose
     strength is not finite and nonzero, else the first not strictly outside the
     body, else the lowest coincident pair (i, j).
     """
+    _check_radius(radius)
     x = np.ascontiguousarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)
     weak = ~(np.isfinite(g) & (g != 0.0))
-    inside = ~(np.hypot(x[..., 0], x[..., 1]) > params.radius * (1.0 + MIN_CLEARANCE))
+    inside = ~(np.hypot(x[..., 0], x[..., 1]) > radius * (1.0 + MIN_CLEARANCE))
     # complex numbers sort by real part, then imaginary part, and compare equal
     # exactly when both coordinates do, so coincident vortices end up adjacent
     points = np.sort(x.view(np.complex128)[..., 0], axis=-1)
@@ -116,9 +112,7 @@ def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidPa
     if not (weak.any() or inside.any() or paired.any()):
         return
     first = ((weak | inside).any(axis=-1) | paired.any(axis=-1)).argmax()
-    weak = np.broadcast_to(weak, inside.shape)[first]
-    if weak.any():
-        raise ValidationError(f"vortex {weak.argmax()}: strength must be finite and nonzero")
+    _check_strengths(np.broadcast_to(g, inside.shape)[first])
     if inside[first].any():
         raise ValidationError(f"vortex {inside[first].argmax()}: position must lie strictly outside the body")
     same = (x[first, :, None] == x[first, None]).all(axis=-1)
@@ -128,7 +122,15 @@ def validate_stack(strengths: FloatArray, positions: FloatArray, params: FluidPa
     raise ValidationError(f"vortices {i} and {j} coincide")
 
 
+def _check_strengths(g: FloatArray) -> None:
+    """Raise the ValidationError of the first strength in g (N,) that is not finite and nonzero."""
+    weak = ~(np.isfinite(g) & (g != 0.0))
+    if weak.any():
+        raise ValidationError(f"vortex {weak.argmax()}: strength must be finite and nonzero")
+
+
 def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> FloatArray:
+    _check_radius(radius)
     p = np.asarray(point, dtype=np.float64).reshape(2)
     d = float(np.hypot(p[0], p[1]))
     limit = radius * (1.0 - 1e-12) if boundary_ok else radius * (1.0 + MIN_CLEARANCE)
@@ -138,65 +140,65 @@ def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> Floa
 
 
 def elementary_potentials(
-    point: FloatArray, params: FluidParams, check: bool = True
+    point: FloatArray, radius: float, check: bool = True
 ) -> tuple[float, float, float]:
     """Velocity potentials (Phi_X, Phi_Y, Phi_Omega) of the unit body motions.
 
     Phi_Omega vanishes identically for the circle.
     """
-    p = _check_exterior(point, params.radius, boundary_ok=True) if check else np.asarray(point, float)
-    r2 = params.radius**2
+    p = _check_exterior(point, radius, boundary_ok=True) if check else np.asarray(point, float)
+    r2 = radius**2
     d2 = p[0] ** 2 + p[1] ** 2
     return (-r2 * p[0] / d2, -r2 * p[1] / d2, 0.0)
 
 
 def elementary_streams(
-    point: FloatArray, params: FluidParams, check: bool = True
+    point: FloatArray, radius: float, check: bool = True
 ) -> tuple[float, float, float]:
     """Stream functions (Psi_X, Psi_Y, Psi_Omega) conjugate to the potentials.
 
     Conjugacy convention: dPsi/dX = -dPhi/dY and dPsi/dY = dPhi/dX. With
     ``check=False`` it takes points (..., 2) and gives Psi_X and Psi_Y of shape (...).
     """
-    p = _check_exterior(point, params.radius, boundary_ok=True) if check else np.asarray(point, float)
-    r2 = params.radius**2
+    p = _check_exterior(point, radius, boundary_ok=True) if check else np.asarray(point, float)
+    r2 = radius**2
     d2 = p[..., 0] ** 2 + p[..., 1] ** 2
     return (r2 * p[..., 1] / d2, -r2 * p[..., 0] / d2, 0.0)
 
 
-def green_regular_part(x0: FloatArray, x1: FloatArray, params: FluidParams) -> float:
+def green_regular_part(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     """Image contribution g(X, Y): harmonic in the domain, symmetric in its arguments."""
-    p = _check_exterior(x0, params.radius, boundary_ok=True)
-    q = _check_exterior(x1, params.radius, boundary_ok=True)
-    r2 = params.radius**2
+    p = _check_exterior(x0, radius, boundary_ok=True)
+    q = _check_exterior(x1, radius, boundary_ok=True)
+    r2 = radius**2
     a2 = p @ p
     b2 = q @ q
     denom = a2 * b2 - 2.0 * r2 * (p @ q) + r2 * r2
     return float(np.log(a2 * b2 / denom) / FOUR_PI)
 
 
-def green_function(x0: FloatArray, x1: FloatArray, params: FluidParams) -> float:
+def green_function(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     """Exterior-domain Green's function: free-space log plus the image term."""
-    p = _check_exterior(x0, params.radius, boundary_ok=True)
-    q = _check_exterior(x1, params.radius, boundary_ok=True)
+    p = _check_exterior(x0, radius, boundary_ok=True)
+    q = _check_exterior(x1, radius, boundary_ok=True)
     sep2 = float((p - q) @ (p - q))
     if sep2 == 0.0:
         raise DomainError("coincident points; use regularized_self for the self-energy term")
-    return float(np.log(sep2) / FOUR_PI) + green_regular_part(p, q, params)
+    return float(np.log(sep2) / FOUR_PI) + green_regular_part(p, q, radius)
 
 
-def regularized_self(point: FloatArray, params: FluidParams) -> float:
+def regularized_self(point: FloatArray, radius: float) -> float:
     """Self-interaction term g(X, X) = log(d^2/(d^2 - R^2)) / (2 pi)."""
-    p = _check_exterior(point, params.radius, boundary_ok=False)
+    p = _check_exterior(point, radius, boundary_ok=False)
     d2 = float(p @ p)
-    r2 = params.radius**2
+    r2 = radius**2
     return float(np.log(d2 / (d2 - r2)) / (2.0 * np.pi))
 
 
-def kirchhoff_routh(vortices: VortexSet, params: FluidParams) -> float:
+def kirchhoff_routh(vortices: VortexSet, radius: float) -> float:
     """Interaction energy W_G: pairwise Green's terms plus quadratic self terms."""
-    vortices.validate(params)
-    return float(batch_kirchhoff_routh(vortices.positions, vortices.strengths, params.radius))
+    vortices.validate(radius)
+    return float(batch_kirchhoff_routh(vortices.positions, vortices.strengths, radius))
 
 
 def _sample_blocks(x: FloatArray):
@@ -271,12 +273,12 @@ def _grad_green_first(p: FloatArray, q: FloatArray, r2: float) -> FloatArray:
     return (2.0 * diff / (diff @ diff) + 2.0 * p / a2 - (2.0 * b2 * p - 2.0 * r2 * q) / denom) / FOUR_PI
 
 
-def grad_kirchhoff_routh(vortices: VortexSet, params: FluidParams) -> FloatArray:
+def grad_kirchhoff_routh(vortices: VortexSet, radius: float) -> FloatArray:
     """Analytic dW_G/dX_k for each vortex, shape (N, 2)."""
-    vortices.validate(params)
+    vortices.validate(radius)
     g = vortices.strengths
     x = vortices.positions
-    r2 = params.radius**2
+    r2 = radius**2
     out = np.zeros_like(x)
     for k in range(vortices.n):
         p = x[k]

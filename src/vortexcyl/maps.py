@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from . import fluid
 from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
-from .fluid import FluidParams, VortexSet
+from .fluid import VortexSet
 from .oracle import _combine_stack, _stencil_stack
 from .se2 import rotation, to_inertial
 from .state import MOMENTUM, VELOCITY, ChartState
@@ -37,7 +37,7 @@ __all__ = [
     "cocycle_sigma",
 ]
 
-def magnetic_potential(vortices: VortexSet, params: FluidParams) -> FloatArray:
+def magnetic_potential(vortices: VortexSet, radius: float) -> FloatArray:
     """Momentum carried by the vortex system, evaluated at the identity pose, as
     (phi_omega, phi_x, phi_y).
 
@@ -46,8 +46,8 @@ def magnetic_potential(vortices: VortexSet, params: FluidParams) -> FloatArray:
         phi_x = sum Gamma_i (-Y_i + Psi_X(X_i)),  phi_y = sum Gamma_i (X_i + Psi_Y(X_i)),
         phi_omega = sum Gamma_i |X_i|^2 / 2.
     """
-    vortices.validate(params)
-    phi_xy, phi_om = fluid.batch_momentum_shift(vortices.positions, vortices.strengths, params.radius)
+    vortices.validate(radius)
+    phi_xy, phi_om = fluid.batch_momentum_shift(vortices.positions, vortices.strengths, radius)
     return np.array([phi_om, *phi_xy])
 
 
@@ -119,7 +119,7 @@ def momentum_map(
     pose: FloatArray,
     pi: FloatArray,
     vortices: VortexSet,
-    params: FluidParams,
+    radius: float,
     via: str = "body",
 ) -> FloatArray:
     """Spatial momentum (J_omega, J_x, J_y) of the solid-fluid system at a pose
@@ -130,14 +130,14 @@ def momentum_map(
     positions. The two agree identically and at the identity pose both
     reduce to the body momentum map pi - phi.
     """
-    vortices.validate(params)
+    vortices.validate(radius)
     pose = np.asarray(pose, dtype=np.float64).reshape(3)
     pi = np.asarray(pi, dtype=np.float64).reshape(3)
     x0 = pose[1:]
     g = vortices.strengths
     rot = rotation(pose[0])
     if via == "body":
-        j_body = pi - magnetic_potential(vortices, params)
+        j_body = pi - magnetic_potential(vortices, radius)
         j_xy = rot @ j_body[1:] + vortices.total_strength * np.array([x0[1], -x0[0]])
         j_om = j_body[0] + x0[0] * j_xy[1] - x0[1] * j_xy[0]
         return np.array([j_om, *j_xy])
@@ -147,7 +147,7 @@ def momentum_map(
     rel = inertial - x0
     d2 = np.sum(rel * rel, axis=1)
     # spatial elementary streams evaluated at the inertial vortex positions
-    psi = np.stack(fluid.elementary_streams(rel, params, check=False)[:2], axis=1)
+    psi = np.stack(fluid.elementary_streams(rel, radius, check=False)[:2], axis=1)
     cross = np.stack([inertial[:, 1], -inertial[:, 0]], axis=1)
     # No standalone total-strength pose term here: the frame change of the
     # vortex sum generates it, which is exactly what the body-to-spatial
@@ -159,14 +159,14 @@ def momentum_map(
     return np.array([j_om, *j_xy])
 
 
-def magnetic_pairing(vortices: VortexSet, params: FluidParams) -> FloatArray:
+def magnetic_pairing(vortices: VortexSet, radius: float) -> FloatArray:
     """Magnetic two-form on the (omega, x, y) basis of the symmetry generators:
     antisymmetric, shape (3, 3)."""
-    vortices.validate(params)
-    return _pairing_stack(vortices.positions[None], vortices.strengths[None], params)[0]
+    vortices.validate(radius)
+    return _pairing_stack(vortices.positions[None], vortices.strengths[None], radius)[0]
 
 
-def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:
+def _pairing_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
     """The magnetic two-form on the (omega, x, y) basis of each configuration in x (K, N, 2)
     with strengths g (K, N), unvalidated: antisymmetric, shape (K, 3, 3).
 
@@ -182,7 +182,7 @@ def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatAr
     k, n = g.shape
     points = x.reshape(k * n, 2)
     h = 1e-3 * (1.0 + np.hypot(points[:, 0], points[:, 1]))
-    psi_x, psi_y, _ = fluid.elementary_streams(_stencil_stack(points, 6, h), params, check=False)
+    psi_x, psi_y, _ = fluid.elementary_streams(_stencil_stack(points, 6, h), radius, check=False)
     grad = _combine_stack(np.stack([psi_x, psi_y], axis=-1), 6, h).reshape(k, n, 2, 2)  # (K, N, coordinate, stream)
     px, py = x[..., 0], x[..., 1]
     along = grad[:, :, 0] * -py[..., None] + grad[:, :, 1] * px[..., None]  # (K, N, stream)
@@ -193,24 +193,24 @@ def _pairing_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatAr
     return upper - upper.swapaxes(1, 2)
 
 
-def cocycle_sigma(vortices: VortexSet, params: FluidParams) -> FloatArray:
+def cocycle_sigma(vortices: VortexSet, radius: float) -> FloatArray:
     """Non-equivariance cocycle Sigma(xi, eta) = -<phi, [xi, eta]> + beta(xi, eta)
     on the (omega, x, y) basis: antisymmetric, shape (3, 3).
 
     The mixed components cancel numerically; the surviving component is
     Sigma(e_x, e_y) = -(total vortex strength).
     """
-    vortices.validate(params)
-    return _cocycle_stack(vortices.positions[None], vortices.strengths[None], params)[0]
+    vortices.validate(radius)
+    return _cocycle_stack(vortices.positions[None], vortices.strengths[None], radius)[0]
 
 
-def _cocycle_stack(x: FloatArray, g: FloatArray, params: FluidParams) -> FloatArray:
+def _cocycle_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
     """``cocycle_sigma`` of each configuration in x (K, N, 2) with strengths g (K, N),
     unvalidated, as an antisymmetric (K, 3, 3) on the (omega, x, y) basis."""
-    phi_xy, _ = fluid.batch_momentum_shift(x, g, params.radius)
+    phi_xy, _ = fluid.batch_momentum_shift(x, g, radius)
     # <phi, [e_a, e_b]> with the planar Euclidean structure constants
     # [e_omega, e_x] = e_y, [e_omega, e_y] = -e_x, [e_x, e_y] = 0
     upper = np.zeros((len(g), 3, 3))
     upper[:, 0, 1] = phi_xy[:, 1]
     upper[:, 0, 2] = -phi_xy[:, 0]
-    return _pairing_stack(x, g, params) - (upper - upper.swapaxes(1, 2))
+    return _pairing_stack(x, g, radius) - (upper - upper.swapaxes(1, 2))

@@ -133,7 +133,7 @@ def pushforward_check(state, body, strengths: FloatArray) -> float:
     if state.chart != "velocity":
         raise ValueError("pushforward_check expects a velocity-chart state")
     vset = VortexSet(strengths, state.positions)
-    vset.validate(body.fluid)
+    vset.validate(body.radius)
     return float(_pushforward_stack(state.flat()[None], vset.strengths[None], body)[0])
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energetics import BodyParams
-from .fluid import FluidParams, ValidationError, VortexSet, batch_momentum_shift, validate_stack
+from .fluid import ValidationError, VortexSet, _check_strengths, batch_momentum_shift, validate_stack
 from .oracle import FdSpec, _combine_stack, _stencil_stack
 from .state import MOMENTUM, VELOCITY, ChartState
 
@@ -48,8 +48,7 @@ def momentum_structure_matrix(state: ChartState, strengths: FloatArray) -> Float
     if state.chart != MOMENTUM:
         raise ValidationError("expected a momentum-chart state")
     g = VortexSet(strengths, state.positions).strengths
-    if np.any(g == 0.0):
-        raise ValidationError("vortex strengths must be nonzero")
+    _check_strengths(g)
     return _momentum_matrix_stack(state.flat()[None], g[None])[0]
 
 
@@ -76,7 +75,7 @@ def velocity_structure_matrix(
     if state.chart != VELOCITY:
         raise ValidationError("expected a velocity-chart state")
     vset = VortexSet(strengths, state.positions)
-    vset.validate(body.fluid)
+    vset.validate(body.radius)
     return _velocity_matrix_stack(state.flat()[None], vset.strengths[None], body)[0]
 
 
@@ -124,8 +123,8 @@ def interaction_bracket_coefficients(
     {Pi_a, Pi_b}, {Pi_a, X_i}, {X_i, Y_j} for translations a, b.
     """
     vset = VortexSet(strengths, state.positions)
-    vset.validate(body.fluid)
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(vset.positions[None], vset.strengths[None], body.fluid)
+    vset.validate(body.radius)
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(vset.positions[None], vset.strengths[None], body.radius)
     table = {("Pi_x", "Pi_y"): float(pi_pi[0])}
     for i in range(state.n):
         for row, a in enumerate("xy"):
@@ -138,7 +137,7 @@ def interaction_bracket_coefficients(
 
 
 def _interaction_table_stack(
-    x: FloatArray, g: FloatArray, params: FluidParams
+    x: FloatArray, g: FloatArray, radius: float
 ) -> tuple[FloatArray, FloatArray, FloatArray]:
     """The interaction table of each configuration in x (K, N, 2) with strengths g (K, N):
     {Pi_x, Pi_y} (K,), {Pi_a, X_i} and {Pi_a, Y_i} as (K, 2, 2N) in flat vortex order, and
@@ -147,8 +146,8 @@ def _interaction_table_stack(
     flat = x.reshape(k, -1)
     h = 1e-3 * (1.0 + np.max(np.abs(flat), axis=-1, initial=0.0))
     configs = _stencil_stack(flat, 6, h).reshape(k, -1, n, 2)
-    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), params)
-    phi_xy, _ = batch_momentum_shift(configs, g[:, None], params.radius)
+    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), radius)
+    phi_xy, _ = batch_momentum_shift(configs, g[:, None], radius)
     grad = _combine_stack(phi_xy, 6, h).swapaxes(1, 2)  # (K, 2, 2N): d(phi_x, phi_y)/dz
     inv = (-1.0 / g)[:, None]  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
     # phi_x and phi_y under the vortex bracket, minus the translations' pairing -Gamma_total

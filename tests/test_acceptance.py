@@ -27,7 +27,6 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl.dynamics import SimConfig
-from vortexcyl.fluid import FluidParams
 from vortexcyl.oracle import FdSpec, fd_gradient
 
 BODY = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
@@ -149,15 +148,15 @@ def test_criterion_07_fixed_body_limit():
 
 
 def test_criterion_08_fluid_closed_forms(rng):
-    params = FluidParams(1.0)
+    radius = 1.0
     h = 1e-5
     hn = 1e-4
     worst_neumann = 0.0
     for theta in np.linspace(0, 2 * np.pi, 64, endpoint=False):
         n = np.array([np.cos(theta), np.sin(theta)])
-        bp = params.radius * n
+        bp = radius * n
         for k, target in ((0, n[0]), (1, n[1])):
-            f = lambda s: elementary_potentials(bp + s * n, params, check=False)[k]
+            f = lambda s: elementary_potentials(bp + s * n, radius, check=False)[k]
             dn = (-f(2 * hn) + 8 * f(hn) - 8 * f(-hn) + f(-2 * hn)) / (12 * hn)
             worst_neumann = max(worst_neumann, abs(dn - target))
     _report("8a Neumann boundary residual", worst_neumann, 1e-10)
@@ -170,7 +169,7 @@ def test_criterion_08_fluid_closed_forms(rng):
         p = np.array([r * np.cos(th), r * np.sin(th)])
         for field, k in ((elementary_potentials, 0), (elementary_potentials, 1),
                          (elementary_streams, 0), (elementary_streams, 1)):
-            f = lambda q: field(q, params, check=False)[k]
+            f = lambda q: field(q, radius, check=False)[k]
             lap = (f(p + [hs, 0]) + f(p - [hs, 0]) + f(p + [0, hs]) + f(p - [0, hs]) - 4 * f(p)) / hs**2
             worst_laplace = max(worst_laplace, abs(lap))
     _report("8b Laplace stencil residual", worst_laplace, 1e-6)
@@ -181,8 +180,8 @@ def test_criterion_08_fluid_closed_forms(rng):
         th = rng.uniform(0, 2 * np.pi)
         p = np.array([r * np.cos(th), r * np.sin(th)])
         for k in (0, 1):
-            gphi = fd_gradient(lambda q: elementary_potentials(q, params, check=False)[k], p, FdSpec(h=h, order=2))
-            gpsi = fd_gradient(lambda q: elementary_streams(q, params, check=False)[k], p, FdSpec(h=h, order=2))
+            gphi = fd_gradient(lambda q: elementary_potentials(q, radius, check=False)[k], p, FdSpec(h=h, order=2))
+            gpsi = fd_gradient(lambda q: elementary_streams(q, radius, check=False)[k], p, FdSpec(h=h, order=2))
             worst_cr = max(worst_cr, abs(gphi[0] - gpsi[1]) + abs(gphi[1] + gpsi[0]))
     _report("8c Cauchy-Riemann residual", worst_cr, 1e-10)
 
@@ -192,10 +191,10 @@ def test_criterion_08_fluid_closed_forms(rng):
         th = rng.uniform(0, 2 * np.pi, 2)
         p = np.array([r[0] * np.cos(th[0]), r[0] * np.sin(th[0])])
         q = np.array([r[1] * np.cos(th[1]), r[1] * np.sin(th[1])])
-        worst_green = max(worst_green, abs(green_function(p, q, params) - green_function(q, p, params)))
+        worst_green = max(worst_green, abs(green_function(p, q, radius) - green_function(q, p, radius)))
     target = np.array([2.0, 0.7])
     trace = [
-        green_function(np.array([np.cos(t), np.sin(t)]), target, params)
+        green_function(np.array([np.cos(t), np.sin(t)]), target, radius)
         for t in np.linspace(0, 2 * np.pi, 64, endpoint=False)
     ]
     worst_green = max(worst_green, float(np.max(trace) - np.min(trace)))
@@ -207,7 +206,7 @@ def test_criterion_09_cocycle(rng):
     worst_mixed = 0.0
     for _ in range(20):
         vs = random_vortices(rng, int(rng.integers(1, 4)))
-        sigma = cocycle_sigma(vs, BODY.fluid)
+        sigma = cocycle_sigma(vs, BODY.radius)
         worst_main = max(worst_main, abs(sigma[1, 2] + vs.total_strength))
         worst_mixed = max(worst_mixed, abs(sigma[0, 1]), abs(sigma[0, 2]))
     _report("9a cocycle translation component", worst_main, 1e-12)

@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexcyl import cli
-from vortexcyl.dynamics import integrate
+from vortexcyl.dynamics import SimConfig, integrate
 from vortexcyl.fluid import ValidationError
 
 
@@ -326,6 +329,43 @@ def test_integer_beyond_the_float_range_exits_2_with_one_line(tmp_path, capfd, k
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"{path}: ") and key in captured.err
 
 
+# zeros, subnormal, tiny and huge floats, an integer beyond the float range, and JSON values of the wrong type
+EXTREMES = [0, -0.0, 5e-324, 1e-308, 1e154, -1e154, 1e308, HUGE, "x", None, True, [[1.0]]]
+
+
+@st.composite
+def _extreme_configs(draw):
+    """A minimal config with one to three of its numbers, arrays or array entries drawn from EXTREMES."""
+    n = draw(st.integers(0, 3))
+    raw = _minimal_config(strengths=[1.0 + k for k in range(n)], positions=[[2.0 + k, 0.0] for k in range(n)],
+                          pose=[0.0, 0.0, 0.0], clearance=1e-3)
+    slots = [(key,) for key in raw if key != "chart"]
+    slots += [(key, i) for key in ("strengths", "body", "pose") for i in range(len(raw[key]))]
+    slots += [("positions", k, i) for k in range(n) for i in (0, 1)]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
+    # entries first, so that a whole array drawn later replaces them rather than being indexed
+    for slot in sorted(chosen, key=len, reverse=True):
+        target = raw
+        for part in slot[:-1]:
+            target = target[part]
+        target[slot[-1]] = draw(st.sampled_from(EXTREMES))
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_configs())
+def test_load_config_raises_only_validation_errors_on_extreme_values(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "extreme.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = cli.load_config(path)
+        except ValidationError:
+            return
+    assert isinstance(config, SimConfig)
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"dt": ' + "[" * 100_000, "1" + "0" * 5000])
 def test_unparseable_json_exits_2_with_one_line(tmp_path, capsys, text):
     # nesting beyond the parser's recursion limit, and an integer longer than Python's digit limit
@@ -343,6 +383,9 @@ def test_unparseable_json_exits_2_with_one_line(tmp_path, capsys, text):
         ({"radius": 1e200, "positions": [[3e200, 0.0]]}, "radius"),  # the square overflows
         ({"radius": 1e-200, "positions": [[3e-200, 0.0]]}, "radius"),  # the square underflows to 0
         ({"clearance": 1e300}, "clearance"),  # (radius + clearance)**2 overflows
+        # radius**2 is finite, but mass + pi * radius**2 overflows
+        ({"radius": 1e154, "strengths": [], "positions": []}, "radius"),
+        ({"mass": 1.79e308, "radius": 1e153, "strengths": [], "positions": []}, "mass"),
     ],
 )
 def test_squares_outside_the_float_range_exit_2_with_one_line(tmp_path, capsys, overrides, key):

@@ -35,7 +35,7 @@ def test_velocity_chart_energy_at_rest_is_minus_wg(body, rng):
     vs = random_vortices(rng, 3)
     st = ChartState("velocity", [0.0, 0.0, 0.0], vs.positions)
     h = hamiltonian("velocity", st, body, vs.strengths)
-    wg = kirchhoff_routh(vs, body.fluid)
+    wg = kirchhoff_routh(vs, body.radius)
     assert abs(h + wg) < 1e-14
 
 

@@ -70,7 +70,7 @@ def _flake_case():
 @example(_flake_case())
 def test_kernel_matches_matrix_route_everywhere(case):
     chart, body, state, g = case
-    VortexSet(g, state.positions).validate(body.fluid)
+    VortexSet(g, state.positions).validate(body.radius)
     reference = _matrix_rhs(chart, state, body, g)
     # float64 rounding in either route grows with the magnitude of the terms
     # that cancel in the product, |structure| @ |grad H|, not with the result

@@ -22,12 +22,12 @@ EMPTY = VortexSet([], np.zeros((0, 2)))
 
 
 def test_magnetic_potential_empty(body):
-    npt.assert_array_equal(magnetic_potential(EMPTY, body.fluid), [0.0, 0.0, 0.0])
+    npt.assert_array_equal(magnetic_potential(EMPTY, body.radius), [0.0, 0.0, 0.0])
 
 
 def test_magnetic_potential_single_vortex(body):
     gamma, d = 1.7, 2.4
-    phi = magnetic_potential(VortexSet([gamma], [[d, 0.0]]), body.fluid)
+    phi = magnetic_potential(VortexSet([gamma], [[d, 0.0]]), body.radius)
     assert abs(phi[0] - gamma * d**2 / 2) < 1e-14
     assert abs(phi[2] - gamma * (d - 1.0 / d)) < 1e-14
     assert abs(phi[1]) < 1e-14
@@ -86,13 +86,13 @@ def test_pushforward_identity_full_matrix(body, rng):
 def test_momentum_map_identity_pose(body, rng):
     vs = random_vortices(rng, 2)
     pi = np.array([0.7, 1.0, -2.0])
-    j = momentum_map(np.zeros(3), pi, vs, body.fluid)
-    npt.assert_allclose(j, pi - magnetic_potential(vs, body.fluid), rtol=0, atol=1e-14)
+    j = momentum_map(np.zeros(3), pi, vs, body.radius)
+    npt.assert_allclose(j, pi - magnetic_potential(vs, body.radius), rtol=0, atol=1e-14)
 
 
 def test_momentum_map_no_vortices(body):
     pi = np.array([-1.2, 0.3, 0.4])
-    npt.assert_array_equal(momentum_map(np.zeros(3), pi, EMPTY, body.fluid), pi)
+    npt.assert_array_equal(momentum_map(np.zeros(3), pi, EMPTY, body.radius), pi)
 
 
 def test_momentum_map_two_path_agreement(body, rng):
@@ -100,29 +100,29 @@ def test_momentum_map_two_path_agreement(body, rng):
         vs = random_vortices(rng, 2)
         pose = np.array([rng.uniform(-3, 3), *rng.normal(size=2)])
         pi = np.array([rng.normal(), *rng.normal(size=2)])
-        ja = momentum_map(pose, pi, vs, body.fluid, via="body")
-        jb = momentum_map(pose, pi, vs, body.fluid, via="spatial")
+        ja = momentum_map(pose, pi, vs, body.radius, via="body")
+        jb = momentum_map(pose, pi, vs, body.radius, via="spatial")
         npt.assert_allclose(ja, jb, atol=1e-12)
 
 
 def test_magnetic_pairing_translations(body, rng):
     vs = random_vortices(rng, 3)
-    assert abs(magnetic_pairing(vs, body.fluid)[1, 2] + vs.total_strength) < 1e-14
+    assert abs(magnetic_pairing(vs, body.radius)[1, 2] + vs.total_strength) < 1e-14
 
 
 def test_magnetic_pairing_empty(body):
-    npt.assert_array_equal(magnetic_pairing(EMPTY, body.fluid), np.zeros((3, 3)))
+    npt.assert_array_equal(magnetic_pairing(EMPTY, body.radius), np.zeros((3, 3)))
 
 
 def test_magnetic_pairing_antisymmetry(body, rng):
-    pairing = magnetic_pairing(random_vortices(rng, 2), body.fluid)
+    pairing = magnetic_pairing(random_vortices(rng, 2), body.radius)
     npt.assert_array_equal(pairing.T, -pairing)
 
 
 def test_cocycle_components(body, rng):
     for _ in range(20):
         vs = random_vortices(rng, rng.integers(1, 4))
-        sigma = cocycle_sigma(vs, body.fluid)
+        sigma = cocycle_sigma(vs, body.radius)
         assert abs(sigma[1, 2] + vs.total_strength) <= 1e-12
         assert abs(sigma[0, 1]) <= 1e-10
         assert abs(sigma[0, 2]) <= 1e-10
@@ -130,7 +130,7 @@ def test_cocycle_components(body, rng):
 
 def test_cocycle_vanishes_for_zero_total_strength(body):
     vs = VortexSet([1.0, -1.0], [[2.0, 0.3], [-1.9, 1.0]])
-    sigma = cocycle_sigma(vs, body.fluid)
+    sigma = cocycle_sigma(vs, body.radius)
     assert abs(sigma[1, 2]) <= 1e-12
     assert abs(sigma[0, 1]) <= 1e-10
     assert abs(sigma[0, 2]) <= 1e-10

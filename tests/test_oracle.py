@@ -6,7 +6,6 @@ from conftest import random_state
 from vortexcyl import (
     ChartState,
     FdSpec,
-    FluidParams,
     VortexSet,
     fd_gradient,
     fd_jacobian,
@@ -97,11 +96,11 @@ def test_fd_stencil_matches_per_point_loop_bitwise(order, field, rng):
 
 
 def test_fd_gradient_cross_checks_kirchhoff_routh(rng):
-    params = FluidParams(1.0)
+    radius = 1.0
     g = np.array([1.0, -0.6])
     pos = np.array([[2.2, 0.1], [-0.4, 2.5]])
-    analytic = grad_kirchhoff_routh(VortexSet(g, pos), params).reshape(-1)
-    f = lambda flat: kirchhoff_routh(VortexSet(g, flat.reshape(-1, 2)), params)
+    analytic = grad_kirchhoff_routh(VortexSet(g, pos), radius).reshape(-1)
+    f = lambda flat: kirchhoff_routh(VortexSet(g, flat.reshape(-1, 2)), radius)
     fd = fd_gradient(f, pos.reshape(-1), FdSpec(h=1e-5, order=2))
     npt.assert_allclose(analytic, fd, atol=1e-7)
 

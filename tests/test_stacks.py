@@ -94,7 +94,7 @@ def test_energy_and_pushforward_stacks_equal_one_state_values(case):
         energy = _energy_stack(chart, z, g, BODY)
         assert [float(e) for e in energy] == [hamiltonian(chart, s, BODY, gk) for s, gk in zip(_states(chart, z), g)]
     x = z[:, 3:].reshape(len(z), -1, 2)
-    assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.fluid) for gk, xk in zip(g, x)]
+    assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.radius) for gk, xk in zip(g, x)]
     deviation = _pushforward_stack(z, g, BODY)
     assert [float(d) for d in deviation] == [pushforward_check(s, BODY, gk) for s, gk in zip(_states("velocity", z), g)]
 
@@ -114,12 +114,12 @@ def test_inverse_shift_equals_the_body_velocity_stack(case):
 def test_pairing_and_cocycle_stacks_equal_one_state_forms(case):
     z, g = case
     x = z[:, 3:].reshape(len(z), -1, 2)
-    pairing = _pairing_stack(x, g, BODY.fluid)
-    sigma = _cocycle_stack(x, g, BODY.fluid)
+    pairing = _pairing_stack(x, g, BODY.radius)
+    sigma = _cocycle_stack(x, g, BODY.radius)
     for k in range(len(z)):
         vortices = VortexSet(g[k], x[k])
-        assert (magnetic_pairing(vortices, BODY.fluid) == pairing[k]).all()
-        assert (cocycle_sigma(vortices, BODY.fluid) == sigma[k]).all()
+        assert (magnetic_pairing(vortices, BODY.radius) == pairing[k]).all()
+        assert (cocycle_sigma(vortices, BODY.radius) == sigma[k]).all()
     assert (pairing == -pairing.swapaxes(1, 2)).all() and (sigma == -sigma.swapaxes(1, 2)).all()
     if g.shape[1] == 0:
         assert (pairing == 0.0).all() and (sigma == 0.0).all()
@@ -153,7 +153,7 @@ def test_integrate_sums_equal_the_cores_on_the_recorded_states(chart, n):
 def test_interaction_table_stack_equals_one_state_tables(case):
     z, g = case
     n = g.shape[1]
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), n, 2), g, BODY.fluid)
+    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), n, 2), g, BODY.radius)
     for k, s in enumerate(_states("velocity", z)):
         table = interaction_bracket_coefficients(s, g[k], BODY)
         assert len(table) == 1 + 4 * n + n * n
@@ -210,11 +210,11 @@ def test_validate_stack_raises_the_first_bad_configuration_in_stack_order(streng
     g = np.array([good_g, strengths, good_g, [0.0, 0.0]])
     x = np.array([good_x, positions, good_x, [[0.1, 0.0], [0.1, 0.0]]])
     with pytest.raises(ValidationError, match=message):
-        VortexSet(g[1], x[1]).validate(BODY.fluid)
+        VortexSet(g[1], x[1]).validate(BODY.radius)
     with pytest.raises(ValidationError, match=message):
-        validate_stack(g, x, BODY.fluid)
-    validate_stack(g[[0, 2]], x[[0, 2]], BODY.fluid)
-    validate_stack(good_g, x[[0, 2]], BODY.fluid)  # one strengths row for the whole stack
+        validate_stack(g, x, BODY.radius)
+    validate_stack(g[[0, 2]], x[[0, 2]], BODY.radius)
+    validate_stack(good_g, x[[0, 2]], BODY.radius)  # one strengths row for the whole stack
 
 
 def _parent_verify_rows():
@@ -268,7 +268,7 @@ def _parent_verify_rows():
 
     worst = 0.0
     for s, g in random_states("velocity", 20):
-        sig = cocycle_sigma(VortexSet(g, s.positions), body.fluid)
+        sig = cocycle_sigma(VortexSet(g, s.positions), body.radius)
         worst = max(worst, abs(sig[1, 2] + float(np.sum(g))), abs(sig[0, 1]), abs(sig[0, 2]))
     values.append(worst)
     return values

@@ -35,6 +35,21 @@ def test_momentum_matrix_zero_total_strength():
     assert lam[1, 2] == 0.0
 
 
+@pytest.mark.parametrize(
+    "strengths, message",
+    [
+        ([np.nan, 1.0], "vortex 0: strength must be finite and nonzero"),
+        ([np.inf, 1.0], "vortex 0: strength must be finite and nonzero"),
+        ([1.0, -np.inf], "vortex 1: strength must be finite and nonzero"),
+        ([1.0, 0.0], "vortex 1: strength must be finite and nonzero"),
+    ],
+)
+def test_momentum_matrix_rejects_strengths_not_finite_and_nonzero(strengths, message):
+    st = ChartState("momentum", [0.1, 0.2, 0.3], [[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        momentum_structure_matrix(st, np.array(strengths))
+
+
 def test_momentum_matrix_vortex_block():
     st = ChartState("momentum", [0.0, 0.0, 0.0], [[2.0, 0.0]])
     lam = momentum_structure_matrix(st, np.array([2.0]))
@@ -111,7 +126,7 @@ def test_interaction_star_term(body, rng):
         st, g = random_state(rng, "velocity")
         vs = VortexSet(g, st.positions)
         table = interaction_bracket_coefficients(st, g, body)
-        star = table[("Pi_x", "Pi_y")] + magnetic_pairing(vs, body.fluid)[1, 2]
+        star = table[("Pi_x", "Pi_y")] + magnetic_pairing(vs, body.radius)[1, 2]
         d4 = np.sum(st.positions**2, axis=1) ** 2
         expected = -np.sum(g * (d4 - body.radius**4) / d4)
         assert abs(star - expected) <= 1e-10
@@ -168,7 +183,7 @@ def test_interaction_phi_gradient_matches_fd_gradient_bitwise(case):
 def test_interaction_rejects_inadmissible_stencil_points(body, positions, message):
     g = np.array([1.0, -0.7])
     st = ChartState("velocity", [0.1, 0.2, 0.3], positions)
-    VortexSet(g, st.positions).validate(body.fluid)
+    VortexSet(g, st.positions).validate(body.radius)
     with pytest.raises(ValidationError, match=message):
         interaction_bracket_coefficients(st, g, body)
 
