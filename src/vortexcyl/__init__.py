@@ -28,7 +28,7 @@ from .maps import (
     shift_jacobian,
     shift_map,
 )
-from .oracle import FdSpec, fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
+from .oracle import fd_gradient, fd_jacobian, image_vortex_velocity, pushforward_check
 from .state import ChartState
 from .structures import (
     interaction_bracket_coefficients,
@@ -44,7 +44,6 @@ __all__ = [
     "__version__",
     "BodyParams",
     "ChartState",
-    "FdSpec",
     "SimConfig",
     "ValidationError",
     "VortexSet",

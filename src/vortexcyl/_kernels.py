@@ -366,9 +366,9 @@ def run(config):
 
     Returns the recorded states, poses (beta, x0_x, x0_y) and step numbers;
     then the halt reason (None if the run reached its end), vortex index and
-    step; then the number of right-hand side evaluations, the one that left the
-    domain included, and the largest number of midpoint iterations in one step
-    (0 under RK4).
+    step (0 for a start inside a clearance); then the number of right-hand side
+    evaluations, the one that left the domain included, and the largest number
+    of midpoint iterations in one step (0 under RK4).
     """
     body, vortices = config.body, config.vortices
     n = vortices.n
@@ -398,10 +398,12 @@ def run(config):
     rec_poses[0] = pose[::2]
     n_rec = 1
 
-    halt, halt_index, halt_step = None, -1, nsteps
+    # a start inside a clearance halts at step 0, before any evaluation
+    halt, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
+    halt_step = nsteps if halt is None else 0
 
     om0, vx0, vy0 = ops.body_velocity(momentum, z, g, r2, c, inertia)
-    for step in range(nsteps):
+    for step in range(halt_step):
         converged = True
         try:
             if rk4:

@@ -242,8 +242,9 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
         f"rhs_evals = {traj.rhs_evals}",
         f"max_midpoint_iterations = {traj.max_midpoint_iterations}",
     ]
-    if config.vortices.n == 1 and config.body.mass > 1e3 * np.pi * config.body.radius**2:
-        # near-fixed body: compare the orbit against the image-system oracle
+    span = traj.times[-1] - traj.times[0]
+    if config.vortices.n == 1 and config.body.mass > 1e3 * np.pi * config.body.radius**2 and span > 0:
+        # near-fixed body over a positive time span: compare the orbit against the image-system oracle
         d = np.linalg.norm(traj.states[:, 3:5], axis=1)
         angles = np.unwrap(np.arctan2(traj.states[:, 4], traj.states[:, 3]))
         speed_oracle = float(
@@ -252,7 +253,7 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
             )
         )
         omega_oracle = speed_oracle / d[0]
-        omega_seen = abs(angles[-1] - angles[0]) / (traj.times[-1] - traj.times[0])
+        omega_seen = abs(angles[-1] - angles[0]) / span
         lines += [
             f"orbit_radius_drift = {_fmt(np.max(np.abs(d - d[0])))}",
             f"orbit_rate_vs_image_oracle = {_fmt(abs(omega_seen - omega_oracle) / omega_oracle)}",

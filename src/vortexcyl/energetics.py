@@ -25,7 +25,6 @@ __all__ = [
     "BodyParams",
     "hamiltonian",
     "hamiltonian_gradient",
-    "body_velocities",
     "shift_term_jacobian",
 ]
 
@@ -56,19 +55,13 @@ class BodyParams:
         return self.mass + np.pi * self.radius**2
 
 
-def body_velocities(state: ChartState, strengths: FloatArray, body: BodyParams) -> tuple[float, FloatArray]:
-    """(Omega, V) at a state of either chart."""
-    g = VortexSet(strengths, state.positions).strengths
-    omega, v = _body_velocity_stack(state.chart, state.flat()[None], g[None], body)
-    return float(omega[0]), v[0]
-
-
-def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> tuple[FloatArray, FloatArray]:
-    """(Omega, V) of flat states z (..., 3 + 2N) of one chart with strengths g (..., N)."""
+def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
+    """(Omega, Vx, Vy), shape (..., 3), of flat states z (..., 3 + 2N) of one chart
+    with strengths g (..., N)."""
     if chart == VELOCITY:
-        return z[..., 0], z[..., 1:3]
-    phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
-    return (z[..., 0] + phi_om) / body.inertia, (z[..., 1:3] + phi_xy) / body.c
+        return z[..., :3]
+    phi = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
+    return (z[..., :3] + phi) / np.array([body.inertia, body.c, body.c])
 
 
 def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float:
@@ -83,7 +76,8 @@ def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: Floa
 
 def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """Energy of flat states z (..., 3 + 2N) of one chart with strengths g (..., N), unvalidated."""
-    omega, v = _body_velocity_stack(chart, z, g, body)
+    w = _body_velocity_stack(chart, z, g, body)
+    omega, v = w[..., 0], w[..., 1:]
     wg = fluid.batch_kirchhoff_routh(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
     # |V|^2 as an elementwise square and sum: a dot product may round differently,
     # and integrate's energy column, which this core computes, keeps these bits
@@ -115,7 +109,8 @@ def hamiltonian_gradient(chart: str, state: ChartState, body: BodyParams, streng
     strengths = np.asarray(strengths, dtype=np.float64)
     vset = VortexSet(strengths, state.positions)
     wg_grad = fluid.grad_kirchhoff_routh(vset, body.radius)
-    omega, v = body_velocities(state, strengths, body)
+    w = _body_velocity_stack(chart, state.flat()[None], vset.strengths[None], body)[0]
+    omega, v = w[0], w[1:]
     grad = np.zeros(state.dim)
     if chart == VELOCITY:
         grad[0] = body.inertia * omega

@@ -291,21 +291,22 @@ def grad_kirchhoff_routh(vortices: VortexSet, radius: float) -> FloatArray:
     return out
 
 
-def batch_momentum_shift(positions: FloatArray, strengths: FloatArray, radius: float) -> tuple[FloatArray, FloatArray]:
-    """Translational and angular parts of the fluid momentum carried by the vortices,
+def batch_momentum_shift(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
+    """The fluid momentum (phi_omega, phi_x, phi_y) carried by the vortices, shape (..., 3),
     for each configuration in positions (..., N, 2) with strengths (..., N) or (N,):
 
-        phi_xy    = sum_i Gamma_i * (-Y_i, X_i) * (1 - R^2/d_i^2)   of shape (..., 2),
-        phi_omega = sum_i Gamma_i * d_i^2 / 2                      of shape (...).
+        phi_omega      = sum_i Gamma_i * d_i^2 / 2,
+        (phi_x, phi_y) = sum_i Gamma_i * (-Y_i, X_i) * (1 - R^2/d_i^2).
 
-    These are the identity-evaluation components of the magnetic potential and
-    the exact offsets between body momenta and velocities in the momentum chart.
+    This is the magnetic potential at the identity pose and the exact offset
+    between body momenta and velocities in the momentum chart.
     """
     x = np.asarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)
     d2 = (x * x).sum(axis=-1)
     lam = 1.0 - radius**2 / d2
-    phi_xy = np.empty(x.shape[:-2] + (2,))
-    phi_xy[..., 0] = (-g * x[..., 1] * lam).sum(axis=-1)
-    phi_xy[..., 1] = (g * x[..., 0] * lam).sum(axis=-1)
-    return phi_xy, 0.5 * (g * d2).sum(axis=-1)
+    phi = np.empty(x.shape[:-2] + (3,))
+    phi[..., 0] = 0.5 * (g * d2).sum(axis=-1)
+    phi[..., 1] = (-g * x[..., 1] * lam).sum(axis=-1)
+    phi[..., 2] = (g * x[..., 0] * lam).sum(axis=-1)
+    return phi

@@ -1,16 +1,18 @@
 """Chart-to-chart and symmetry maps.
 
 The momentum shift between the velocity chart (Omega, V, X) and the momentum
-chart (A, L, X), its analytic Jacobian, the conserved planar momentum of the
-combined system in body and spatial form, the magnetic potential whose
-identity evaluation generates the shift, the magnetic pairing on the symmetry
-generators, and the non-equivariance cocycle built from those ingredients.
+chart (A, L, X), its analytic Jacobian D(A, L, X) -> (Omega, V, X), the
+conserved planar momentum of the combined system in body and spatial form, the
+magnetic potential whose identity evaluation generates the shift, the magnetic
+pairing on the symmetry generators, and the non-equivariance cocycle built
+from those ingredients.
 The shift, its Jacobian, the pairing and the cocycle each have one batch-first
 core on stacks of configurations; ``shift_map``, ``shift_jacobian``,
 ``magnetic_pairing`` and ``cocycle_sigma`` validate one state and run it on a
 stack of one. Everything on the symmetry algebra is a plain float array on its
-(omega, x, y) basis: momenta and the magnetic potential are (3,) covectors, and
-the pairing and the cocycle are antisymmetric (3, 3) two-forms, (K, 3, 3) on a
+(omega, x, y) basis: momenta and the magnetic potential (``fluid``'s
+``batch_momentum_shift``, (..., 3) on a stack) are (3,) covectors, and the
+pairing and the cocycle are antisymmetric (3, 3) two-forms, (K, 3, 3) on a
 stack. A pose is the (beta, x0_x, x0_y) array of ``se2``.
 """
 from __future__ import annotations
@@ -47,8 +49,7 @@ def magnetic_potential(vortices: VortexSet, radius: float) -> FloatArray:
         phi_omega = sum Gamma_i |X_i|^2 / 2.
     """
     vortices.validate(radius)
-    phi_xy, phi_om = fluid.batch_momentum_shift(vortices.positions, vortices.strengths, radius)
-    return np.array([phi_om, *phi_xy])
+    return fluid.batch_momentum_shift(vortices.positions, vortices.strengths, radius)
 
 
 def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
@@ -65,10 +66,10 @@ def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> Cha
 
 def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """``shift_map`` of flat velocity-chart states z (..., 3 + 2N) with strengths g (..., N)."""
-    phi_xy, phi_om = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
+    phi = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
     out = z.copy()
-    out[..., 0] = body.inertia * z[..., 0] - phi_om
-    out[..., 1:3] = body.c * z[..., 1:3] - phi_xy
+    out[..., 0] = body.inertia * z[..., 0] - phi[..., 0]
+    out[..., 1:3] = body.c * z[..., 1:3] - phi[..., 1:]
     return out
 
 
@@ -77,42 +78,27 @@ def inverse_shift_map(state: ChartState, strengths: FloatArray, body: BodyParams
     if state.chart != MOMENTUM:
         raise ValueError("inverse_shift_map expects a momentum-chart state")
     g = VortexSet(strengths, state.positions).strengths
-    omega, v = _body_velocity_stack(MOMENTUM, state.flat()[None], g[None], body)
-    return ChartState(VELOCITY, np.concatenate([omega, v[0]]), state.positions)
+    return ChartState(VELOCITY, _body_velocity_stack(MOMENTUM, state.flat()[None], g[None], body)[0], state.positions)
 
 
-def shift_jacobian(
-    positions: FloatArray, strengths: FloatArray, body: BodyParams, direction: str = "to_velocity"
-) -> FloatArray:
-    """Analytic Jacobian of the chart map; depends on positions only.
-
-    ``to_velocity`` gives D of (A, L, X) -> (Omega, V, X); ``to_momentum``
-    its inverse. Row/column layout matches the flat state layout.
+def shift_jacobian(positions: FloatArray, strengths: FloatArray, body: BodyParams) -> FloatArray:
+    """Analytic Jacobian of the chart map (A, L, X) -> (Omega, V, X); depends on
+    positions only. Row/column layout matches the flat state layout.
     """
     x = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     g = np.asarray(strengths, dtype=np.float64)
-    return _shift_jacobian_stack(x[None], g[None], body, direction)[0]
+    return _shift_jacobian_stack(x[None], g[None], body)[0]
 
 
-def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams, direction: str) -> FloatArray:
+def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
     """``shift_jacobian`` of each configuration in x (..., N, 2) with strengths g (..., N)."""
     dim = 3 + 2 * x.shape[-2]
     jac = np.broadcast_to(np.eye(dim), x.shape[:-2] + (dim, dim)).copy()
-    dphi = shift_term_jacobian(x, g, body.radius)
-    weighted = (g[..., None] * x).reshape(*x.shape[:-2], -1)
-    if direction == "to_velocity":
-        jac[..., 0, 0] = 1.0 / body.inertia
-        jac[..., 1, 1] = jac[..., 2, 2] = 1.0 / body.c
-        jac[..., 0, 3:] = weighted / body.inertia
-        jac[..., 1:3, 3:] = dphi / body.c
-        return jac
-    if direction == "to_momentum":
-        jac[..., 0, 0] = body.inertia
-        jac[..., 1, 1] = jac[..., 2, 2] = body.c
-        jac[..., 0, 3:] = -weighted
-        jac[..., 1:3, 3:] = -dphi
-        return jac
-    raise ValueError("direction must be 'to_velocity' or 'to_momentum'")
+    jac[..., 0, 0] = 1.0 / body.inertia
+    jac[..., 1, 1] = jac[..., 2, 2] = 1.0 / body.c
+    jac[..., 0, 3:] = (g[..., None] * x).reshape(*x.shape[:-2], -1) / body.inertia
+    jac[..., 1:3, 3:] = shift_term_jacobian(x, g, body.radius) / body.c
+    return jac
 
 
 def momentum_map(
@@ -207,10 +193,10 @@ def cocycle_sigma(vortices: VortexSet, radius: float) -> FloatArray:
 def _cocycle_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
     """``cocycle_sigma`` of each configuration in x (K, N, 2) with strengths g (K, N),
     unvalidated, as an antisymmetric (K, 3, 3) on the (omega, x, y) basis."""
-    phi_xy, _ = fluid.batch_momentum_shift(x, g, radius)
+    phi = fluid.batch_momentum_shift(x, g, radius)
     # <phi, [e_a, e_b]> with the planar Euclidean structure constants
     # [e_omega, e_x] = e_y, [e_omega, e_y] = -e_x, [e_x, e_y] = 0
     upper = np.zeros((len(g), 3, 3))
-    upper[:, 0, 1] = phi_xy[:, 1]
-    upper[:, 0, 2] = -phi_xy[:, 0]
+    upper[:, 0, 1] = phi[:, 2]
+    upper[:, 0, 2] = -phi[:, 1]
     return _pairing_stack(x, g, radius) - (upper - upper.swapaxes(1, 2))

@@ -7,18 +7,20 @@ Green's function, and the pushforward check sandwiches the momentum-chart
 structure through the shift Jacobian instead of reusing the closed-form
 velocity-chart matrix.
 
-Central differences are built in one place: ``fd_stencil`` stacks every point
-a stencil visits and ``fd_combine`` turns field values there into derivatives.
-Both run a batch-first core on a stack of one point; the cores take a stack of
-flat points, each with its own step, so that a certificate row differentiates
-all its states at once. ``fd_gradient`` and ``fd_jacobian`` evaluate a
-one-point field on the stack; a caller with a batched field evaluates the
-whole stack in one call. The pushforward check likewise runs one core on a
-stack of states, built from the batch cores of ``maps`` and ``structures``.
+Central differences are built in one place: ``fd_stencil(point, h, order)``
+stacks every point a stencil visits and ``fd_combine(values, h, order)`` turns
+field values there into derivatives. Both take the step and the accuracy order
+as plain values, checked by one rule (a positive finite step, an order of 2, 4
+or 6), and run a batch-first core on a stack of one point; the cores take a
+stack of flat points, each with its own step, so that a certificate row
+differentiates all its states at once. ``fd_gradient(f, point, h, order)`` and
+``fd_jacobian`` evaluate a one-point field on the stack; a caller with a
+batched field evaluates the whole stack in one call. The pushforward check
+likewise runs one core on a stack of states, built from the batch cores of
+``maps`` and ``structures``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +31,7 @@ from .fluid import VortexSet
 FloatArray = NDArray[np.float64]
 
 __all__ = [
-    "FdSpec", "fd_stencil", "fd_combine", "fd_gradient", "fd_jacobian", "image_vortex_velocity", "pushforward_check",
+    "fd_stencil", "fd_combine", "fd_gradient", "fd_jacobian", "image_vortex_velocity", "pushforward_check",
 ]
 
 # Central-difference weights for first derivatives, by order of accuracy.
@@ -40,33 +42,28 @@ _STENCILS = {
 }
 
 
-@dataclass(frozen=True)
-class FdSpec:
-    """Step size and accuracy order for central differences."""
-
-    h: float = 1e-5
-    order: int = 4
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError("h must be positive")
-        if self.order not in _STENCILS:
-            raise ValueError(f"order must be one of {sorted(_STENCILS)}")
+def _check_fd(h: float, order: int) -> FloatArray:
+    """The central-difference step and order rule; returns h as a stack of one."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("h must be positive")
+    if order not in _STENCILS:
+        raise ValueError(f"order must be one of {sorted(_STENCILS)}")
+    return np.array([h], dtype=np.float64)
 
 
-def fd_stencil(point: FloatArray, spec: FdSpec) -> FloatArray:
-    """Every point a central difference visits around ``point``, stacked as one
-    (size * offsets * 2, *point.shape) array in visiting order: flat coordinate,
-    then offset, then sign (+ before -). Evaluate a field on all of them at
-    once, then hand the values to ``fd_combine``."""
+def fd_stencil(point: FloatArray, h: float, order: int) -> FloatArray:
+    """Every point a central difference of step h and accuracy order ``order``
+    visits around ``point``, stacked as one (size * offsets * 2, *point.shape)
+    array in visiting order: flat coordinate, then offset, then sign (+ before -).
+    Evaluate a field on all of them at once, then hand the values to ``fd_combine``."""
     z = np.asarray(point, dtype=np.float64)
-    return _stencil_stack(z.reshape(1, -1), spec.order, np.array([spec.h]))[0].reshape(-1, *z.shape)
+    return _stencil_stack(z.reshape(1, -1), order, _check_fd(h, order))[0].reshape(-1, *z.shape)
 
 
-def fd_combine(values: FloatArray, spec: FdSpec) -> FloatArray:
+def fd_combine(values: FloatArray, h: float, order: int) -> FloatArray:
     """Derivatives from field values at the ``fd_stencil`` points (leading axis in
     its order), shape (dim, *value shape): sum of w (f+ - f-) over offsets, over h."""
-    return _combine_stack(np.asarray(values)[None], spec.order, np.array([spec.h]))[0]
+    return _combine_stack(np.asarray(values)[None], order, _check_fd(h, order))[0]
 
 
 def _stencil_stack(points: FloatArray, order: int, h: FloatArray) -> FloatArray:
@@ -90,16 +87,14 @@ def _combine_stack(values: FloatArray, order: int, h: FloatArray) -> FloatArray:
     return acc / h.reshape(-1, *[1] * (acc.ndim - 1))
 
 
-def fd_gradient(f: Callable[[FloatArray], float], point: FloatArray, spec: FdSpec = FdSpec()) -> FloatArray:
+def fd_gradient(f: Callable[[FloatArray], float], point: FloatArray, h: float = 1e-5, order: int = 4) -> FloatArray:
     """Central-difference gradient of a scalar field."""
-    return fd_combine([f(p) for p in fd_stencil(point, spec)], spec)
+    return fd_combine([f(p) for p in fd_stencil(point, h, order)], h, order)
 
 
-def fd_jacobian(
-    f: Callable[[FloatArray], FloatArray], point: FloatArray, spec: FdSpec = FdSpec()
-) -> FloatArray:
+def fd_jacobian(f: Callable[[FloatArray], FloatArray], point: FloatArray, h: float = 1e-5, order: int = 4) -> FloatArray:
     """Central-difference Jacobian of a vector field (rows = outputs)."""
-    return fd_combine([np.asarray(f(p)) for p in fd_stencil(point, spec)], spec).T
+    return fd_combine([np.asarray(f(p)) for p in fd_stencil(point, h, order)], h, order).T
 
 
 def image_vortex_velocity(point: FloatArray, gamma: float, radius: float) -> FloatArray:
@@ -142,6 +137,6 @@ def _pushforward_stack(z: FloatArray, g: FloatArray, body) -> FloatArray:
     from .maps import _shift_jacobian_stack, _shift_stack
     from .structures import _momentum_matrix_stack, _velocity_matrix_stack
 
-    ds = _shift_jacobian_stack(z[:, 3:].reshape(len(z), -1, 2), g, body, "to_velocity")
+    ds = _shift_jacobian_stack(z[:, 3:].reshape(len(z), -1, 2), g, body)
     pushed = ds @ _momentum_matrix_stack(_shift_stack(z, g, body), g) @ ds.swapaxes(1, 2)
     return np.max(np.abs(pushed - _velocity_matrix_stack(z, g, body))[:, 1:, 1:], axis=(1, 2))

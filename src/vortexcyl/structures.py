@@ -14,8 +14,10 @@ exact pushforward of this structure through the shift map.
 Each ingredient has one batch-first core, private array code on a stack of
 flat states (leading axes, strengths with matching leading axes): the two
 structure matrices, the interaction-bracket table and the cyclic Jacobi sum.
-The public functions validate one state and run its core on a stack of one;
-``cli`` certifies whole stacks of drawn states through the cores at once.
+The public functions validate one state and run its core on a stack of one,
+returning row 0 as is: ``interaction_bracket_coefficients`` gives the table as
+(pi_pi, pi_vortex, vortex), a float, a (2, 2N) and an (N, N) array. ``cli``
+certifies whole stacks of drawn states through the cores at once.
 Stencils come from ``oracle``: the interaction table validates all order-6
 stencil configurations of a stack at once and evaluates the magnetic
 potential on them in one batched call, and the Jacobi verifier sums the
@@ -30,7 +32,7 @@ from numpy.typing import NDArray
 
 from .energetics import BodyParams
 from .fluid import ValidationError, VortexSet, _check_strengths, batch_momentum_shift, validate_stack
-from .oracle import FdSpec, _combine_stack, _stencil_stack
+from .oracle import _check_fd, _combine_stack, _stencil_stack
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -113,27 +115,21 @@ def structure_matrix(state: ChartState, strengths: FloatArray, body: BodyParams)
 
 def interaction_bracket_coefficients(
     state: ChartState, strengths: FloatArray, body: BodyParams
-) -> dict[tuple[str, str], float]:
+) -> tuple[float, FloatArray, FloatArray]:
     """Pairwise brackets of the reduced interaction structure, assembled from theory.
 
     Uses only the magnetic potential (differentiated numerically), the vortex
     bracket, and the generator pairings; it never touches the closed-form
     matrix, so agreement with ``velocity_structure_matrix`` certifies the
-    reduction theorem numerically. Entries are momentum-level:
-    {Pi_a, Pi_b}, {Pi_a, X_i}, {X_i, Y_j} for translations a, b.
+    reduction theorem numerically. Entries are momentum-level, returned as
+    (pi_pi, pi_vortex, vortex): the float {Pi_x, Pi_y}; {Pi_a, X_i} and
+    {Pi_a, Y_i} as a (2, 2N) array, row a in (x, y), columns in flat vortex
+    order (X_0, Y_0, X_1, ...); and {X_i, Y_j} as an (N, N) array.
     """
     vset = VortexSet(strengths, state.positions)
     vset.validate(body.radius)
     pi_pi, pi_vortex, vortex = _interaction_table_stack(vset.positions[None], vset.strengths[None], body.radius)
-    table = {("Pi_x", "Pi_y"): float(pi_pi[0])}
-    for i in range(state.n):
-        for row, a in enumerate("xy"):
-            table[(f"Pi_{a}", f"X{i}")] = float(pi_vortex[0, row, 2 * i])
-            table[(f"Pi_{a}", f"Y{i}")] = float(pi_vortex[0, row, 2 * i + 1])
-    for i in range(state.n):
-        for j in range(state.n):
-            table[(f"X{i}", f"Y{j}")] = float(vortex[0, i, j])
-    return table
+    return float(pi_pi[0]), pi_vortex[0], vortex[0]
 
 
 def _interaction_table_stack(
@@ -147,7 +143,7 @@ def _interaction_table_stack(
     h = 1e-3 * (1.0 + np.max(np.abs(flat), axis=-1, initial=0.0))
     configs = _stencil_stack(flat, 6, h).reshape(k, -1, n, 2)
     validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), radius)
-    phi_xy, _ = batch_momentum_shift(configs, g[:, None], radius)
+    phi_xy = batch_momentum_shift(configs, g[:, None], radius)[..., 1:]
     grad = _combine_stack(phi_xy, 6, h).swapaxes(1, 2)  # (K, 2, 2N): d(phi_x, phi_y)/dz
     inv = (-1.0 / g)[:, None]  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
     # phi_x and phi_y under the vortex bracket, minus the translations' pairing -Gamma_total
@@ -169,7 +165,7 @@ def jacobi_residual(
     def field(points: FloatArray) -> FloatArray:
         return np.array([[structure_field(p) for p in row] for row in points])
 
-    return float(_jacobi_stack(field, z, np.array([FdSpec(h=h, order=2).h]))[0])
+    return float(_jacobi_stack(field, z, _check_fd(h, 2))[0])
 
 
 def _jacobi_stack(field: Callable[[FloatArray], FloatArray], z: FloatArray, h: FloatArray) -> FloatArray:

@@ -27,7 +27,7 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl.dynamics import SimConfig
-from vortexcyl.oracle import FdSpec, fd_gradient
+from vortexcyl.oracle import fd_gradient
 
 BODY = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
 PAIR = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
@@ -74,20 +74,20 @@ def test_criterion_03_interaction_bracket(rng):
     worst = 0.0
     for _ in range(100):
         st, g = random_state(rng, "velocity")
-        table = interaction_bracket_coefficients(st, g, BODY)
+        pi_pi, pi_vortex, vortex = interaction_bracket_coefficients(st, g, BODY)
         x, y = st.positions[:, 0], st.positions[:, 1]
         d4 = (x * x + y * y) ** 2
-        dev = abs(table[("Pi_x", "Pi_y")] - (g.sum() - np.sum(g * (d4 - r4) / d4)))
+        dev = abs(pi_pi - (g.sum() - np.sum(g * (d4 - r4) / d4)))
         split = BODY.radius**2 * (x * x - y * y)
         for i in range(st.n):
-            dev = max(dev, abs(table[("Pi_x", f"X{i}")] - (-(d4[i] - split[i]) / d4[i])))
-            dev = max(dev, abs(table[("Pi_x", f"Y{i}")] - 2 * BODY.radius**2 * x[i] * y[i] / d4[i]))
-            dev = max(dev, abs(table[("Pi_y", f"X{i}")] - 2 * BODY.radius**2 * x[i] * y[i] / d4[i]))
-            dev = max(dev, abs(table[("Pi_y", f"Y{i}")] - (-(d4[i] + split[i]) / d4[i])))
-            dev = max(dev, abs(table[(f"X{i}", f"Y{i}")] + 1.0 / g[i]))
+            dev = max(dev, abs(pi_vortex[0, 2 * i] - (-(d4[i] - split[i]) / d4[i])))
+            dev = max(dev, abs(pi_vortex[0, 2 * i + 1] - 2 * BODY.radius**2 * x[i] * y[i] / d4[i]))
+            dev = max(dev, abs(pi_vortex[1, 2 * i] - 2 * BODY.radius**2 * x[i] * y[i] / d4[i]))
+            dev = max(dev, abs(pi_vortex[1, 2 * i + 1] - (-(d4[i] + split[i]) / d4[i])))
+            dev = max(dev, abs(vortex[i, i] + 1.0 / g[i]))
         # cross-check against the closed-form matrix in momentum scaling
         lam = velocity_structure_matrix(st, g, BODY)
-        dev = max(dev, abs(table[("Pi_x", "Pi_y")] - c**2 * lam[1, 2]))
+        dev = max(dev, abs(pi_pi - c**2 * lam[1, 2]))
         worst = max(worst, dev)
     _report("3 reduction-theory interaction bracket", worst, 1e-10)
 
@@ -180,8 +180,8 @@ def test_criterion_08_fluid_closed_forms(rng):
         th = rng.uniform(0, 2 * np.pi)
         p = np.array([r * np.cos(th), r * np.sin(th)])
         for k in (0, 1):
-            gphi = fd_gradient(lambda q: elementary_potentials(q, radius, check=False)[k], p, FdSpec(h=h, order=2))
-            gpsi = fd_gradient(lambda q: elementary_streams(q, radius, check=False)[k], p, FdSpec(h=h, order=2))
+            gphi = fd_gradient(lambda q: elementary_potentials(q, radius, check=False)[k], p, h=h, order=2)
+            gpsi = fd_gradient(lambda q: elementary_streams(q, radius, check=False)[k], p, h=h, order=2)
             worst_cr = max(worst_cr, abs(gphi[0] - gpsi[1]) + abs(gphi[1] + gpsi[0]))
     _report("8c Cauchy-Riemann residual", worst_cr, 1e-10)
 

@@ -91,6 +91,15 @@ def test_simulate_single_vortex_preset_reports_oracle(tmp_path):
     assert "orbit_rate_vs_image_oracle" in summary
 
 
+def test_zero_length_near_fixed_run_writes_no_orbit_lines(tmp_path):
+    # the orbit rate divides by the time the trajectory spans, which is 0 here
+    out = tmp_path / "fixed"
+    code = cli.main(["simulate", "--preset", "single-vortex-fixed", "--out", str(out), "--t-end", "0"])
+    assert code == cli.EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert "orbit_" not in summary and "nan" not in summary
+
+
 def test_simulate_two_vortex_preset_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["simulate", "--preset", "two-vortex-free", "--out", str(out1), "--t-end", "1.0"]) == 0

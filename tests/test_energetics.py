@@ -5,7 +5,6 @@ from conftest import random_state, random_vortices
 from vortexcyl import (
     BodyParams,
     ChartState,
-    FdSpec,
     fd_gradient,
     hamiltonian,
     hamiltonian_gradient,
@@ -56,8 +55,8 @@ def test_gradient_matches_fd(body, rng):
             st, g = random_state(rng, chart)
             ga = hamiltonian_gradient(chart, st, body, g)
             z0 = st.flat()
-            spec = FdSpec(h=1e-5 * (1.0 + float(np.max(np.abs(z0)))), order=6)
-            gf = fd_gradient(lambda z: hamiltonian(chart, ChartState.from_flat(chart, z), body, g), z0, spec)
+            h = 1e-5 * (1.0 + float(np.max(np.abs(z0))))
+            gf = fd_gradient(lambda z: hamiltonian(chart, ChartState.from_flat(chart, z), body, g), z0, h, 6)
             npt.assert_allclose(ga, gf, atol=1e-7)
 
 

@@ -294,7 +294,8 @@ def _reference_run(cfg):
     ``run`` holds in a list (three body floats, N complex positions), so the
     same expressions do the same Python arithmetic, and the kernels are the
     scalar loops. Evaluations and midpoint iterations are counted as each
-    evaluation starts."""
+    evaluation starts. A start inside a clearance halts at step 0 before any
+    evaluation."""
     body, n = cfg.body, cfg.vortices.n
     momentum, dt, nsteps = cfg.chart == "momentum", float(cfg.dt), cfg.nsteps
     args = (body.radius**2, body.c, body.inertia, cfg.vortices.total_strength)
@@ -330,10 +331,11 @@ def _reference_run(cfg):
     pose = tuple(cfg.pose.tolist())
     states, poses, steps = [flat(z)], [pose], [0]
     carry = (pose[0], 0.0, pose[1], 0.0, pose[2], 0.0)
-    halt = (None, -1, nsteps)
+    hit = collision(z, *limits)
+    halt = (None, -1, nsteps) if hit[0] is None else (*hit, 0)
     slopes, n_evals, max_iters = [], 0, 0
     v0 = body_velocity(momentum, z, g, *args[:3])
-    for step in range(nsteps):
+    for step in range(halt[2]):
         converged = True
         try:
             if cfg.integrator == "rk4":
@@ -475,3 +477,31 @@ def test_run_matches_array_reference_bitwise_on_halts(monkeypatch, body, case):
     if case in RK4_STAGE_EXITS:
         # the third stage of step 0 leaves the domain, and its evaluation counts
         assert traj.halt == HaltInfo(reason, RK4_STAGE_EXITS[case], 0.0) and traj.rhs_evals == 3
+
+
+# configs that start inside the default clearance (1e-3): a unit pair 1e-4 apart,
+# and a vortex 5e-4 R from the body, on the list layout (N = 2) and the array
+# layout (an 8-vortex ring of radius 2.5):
+# (reason, positions, the vortex the halt names)
+_RING_START = 2.5 * np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
+_RING_PAIR, _RING_BODY = _RING_START.copy(), _RING_START.copy()
+_RING_PAIR[5] = _RING_PAIR[4] + [0.0, 1e-4]
+_RING_BODY[6] *= 1.0005 / 2.5
+STARTS_INSIDE = {
+    "pair": (_kernels.HALT_PAIR, [[3.0, 0.0], [3.0, 1e-4]], 0),
+    "body": (_kernels.HALT_BODY, [[3.0, 0.0], [1.0005, 0.0]], 1),
+    "pair-arrays": (_kernels.HALT_PAIR, _RING_PAIR, 4),
+    "body-arrays": (_kernels.HALT_BODY, _RING_BODY, 6),
+}
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+@pytest.mark.parametrize("case", STARTS_INSIDE)
+def test_start_inside_a_clearance_halts_at_step_0_before_any_evaluation(monkeypatch, body, case, chart, integrator):
+    reason, positions, index = STARTS_INSIDE[case]
+    vortices = VortexSet(np.ones(len(positions)), positions)
+    cfg = SimConfig(chart, body, vortices, [0.05, 0.1, -0.08], 5e-3, 0.5, integrator, 10)
+    traj = _pinned_integrate(monkeypatch, cfg)
+    assert traj.halt == HaltInfo(reason, index, 0.0)
+    assert traj.rhs_evals == 0 and traj.max_midpoint_iterations == 0 and traj.n_samples == 1

@@ -4,7 +4,6 @@ import numpy.testing as npt
 from conftest import random_state, random_vortices
 from vortexcyl import (
     ChartState,
-    FdSpec,
     VortexSet,
     cocycle_sigma,
     fd_jacobian,
@@ -17,6 +16,7 @@ from vortexcyl import (
     shift_map,
     velocity_structure_matrix,
 )
+from vortexcyl.energetics import shift_term_jacobian
 
 EMPTY = VortexSet([], np.zeros((0, 2)))
 
@@ -64,10 +64,14 @@ def test_shift_jacobian_vs_fd(body, rng):
     def forward(z):
         return inverse_shift_map(ChartState.from_flat("momentum", z), g, body).flat()
 
-    analytic = shift_jacobian(st.positions, g, body, direction="to_velocity")
-    numeric = fd_jacobian(forward, st.flat(), FdSpec(h=1e-6, order=4))
+    analytic = shift_jacobian(st.positions, g, body)
+    numeric = fd_jacobian(forward, st.flat(), h=1e-6, order=4)
     npt.assert_allclose(analytic, numeric, atol=1e-8)
-    inv = shift_jacobian(st.positions, g, body, direction="to_momentum")
+    # the shift map's own Jacobian, D(Omega, V, X) -> (A, L, X), in closed form
+    inv = np.eye(st.dim)
+    inv[0, 0], inv[1, 1], inv[2, 2] = body.inertia, body.c, body.c
+    inv[0, 3:] = -(g[:, None] * st.positions).reshape(-1)
+    inv[1:3, 3:] = -shift_term_jacobian(st.positions, g, body.radius)
     npt.assert_allclose(analytic @ inv, np.eye(st.dim), atol=1e-12)
 
 
@@ -76,7 +80,7 @@ def test_pushforward_identity_full_matrix(body, rng):
     for _ in range(50):
         z, g = random_state(rng, "momentum")
         w = inverse_shift_map(z, g, body)
-        ds = shift_jacobian(z.positions, g, body, direction="to_velocity")
+        ds = shift_jacobian(z.positions, g, body)
         pushed = ds @ momentum_structure_matrix(z, g) @ ds.T
         target = velocity_structure_matrix(w, g, body)
         worst = max(worst, float(np.max(np.abs(pushed - target))))

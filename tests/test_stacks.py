@@ -21,7 +21,7 @@ from vortexcyl.maps import (
     shift_jacobian,
     shift_map,
 )
-from vortexcyl.oracle import FdSpec, _combine_stack, _pushforward_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
+from vortexcyl.oracle import _combine_stack, _pushforward_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
 from vortexcyl.state import ChartState
 from vortexcyl.structures import (
     _interaction_table_stack,
@@ -80,10 +80,9 @@ def test_shift_stacks_equal_one_state_maps(case):
     shifted = _shift_stack(z, g, BODY)
     for k, s in enumerate(_states("velocity", z)):
         assert (shifted[k] == shift_map(s, g[k], BODY).flat()).all()
-    for direction in ("to_velocity", "to_momentum"):
-        jac = _shift_jacobian_stack(x, g, BODY, direction)
-        for k in range(len(z)):
-            assert (jac[k] == shift_jacobian(x[k], g[k], BODY, direction)).all()
+    jac = _shift_jacobian_stack(x, g, BODY)
+    for k in range(len(z)):
+        assert (jac[k] == shift_jacobian(x[k], g[k], BODY)).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,10 +102,11 @@ def test_energy_and_pushforward_stacks_equal_one_state_values(case):
 @given(_stacks())
 def test_inverse_shift_equals_the_body_velocity_stack(case):
     z, g = case
-    omega, v = _body_velocity_stack("momentum", z, g, BODY)
+    w = _body_velocity_stack("momentum", z, g, BODY)
+    assert w.shape == (len(z), 3)
     for k, s in enumerate(_states("momentum", z)):
         back = inverse_shift_map(s, g[k], BODY)
-        assert (back.body == [omega[k], *v[k]]).all() and (back.positions == s.positions).all()
+        assert (back.body == w[k]).all() and (back.positions == s.positions).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,15 +155,10 @@ def test_interaction_table_stack_equals_one_state_tables(case):
     n = g.shape[1]
     pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), n, 2), g, BODY.radius)
     for k, s in enumerate(_states("velocity", z)):
-        table = interaction_bracket_coefficients(s, g[k], BODY)
-        assert len(table) == 1 + 4 * n + n * n
-        assert table[("Pi_x", "Pi_y")] == pi_pi[k]
-        for i in range(n):
-            for row, a in enumerate("xy"):
-                assert table[(f"Pi_{a}", f"X{i}")] == pi_vortex[k, row, 2 * i]
-                assert table[(f"Pi_{a}", f"Y{i}")] == pi_vortex[k, row, 2 * i + 1]
-            for j in range(n):
-                assert table[(f"X{i}", f"Y{j}")] == vortex[k, i, j] == (-1.0 / g[k, i] if i == j else 0.0)
+        one_pi_pi, one_pi_vortex, one_vortex = interaction_bracket_coefficients(s, g[k], BODY)
+        assert type(one_pi_pi) is float and one_pi_vortex.shape == (2, 2 * n) and one_vortex.shape == (n, n)
+        assert one_pi_pi == pi_pi[k] and (one_pi_vortex == pi_vortex[k]).all() and (one_vortex == vortex[k]).all()
+        assert (one_vortex == np.diag(-1.0 / g[k])).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,9 +186,8 @@ def test_stencil_and_combine_stacks_equal_one_point_differences(order, rng):
     values = np.sin(stencils) @ rng.normal(size=(5, 3))
     derivs = _combine_stack(values, order, h)
     for k in range(4):
-        spec = FdSpec(h=h[k], order=order)
-        assert (stencils[k] == fd_stencil(points[k], spec)).all()
-        assert (derivs[k] == fd_combine(values[k], spec)).all()
+        assert (stencils[k] == fd_stencil(points[k], h[k], order)).all()
+        assert (derivs[k] == fd_combine(values[k], h[k], order)).all()
 
 
 @pytest.mark.parametrize(
@@ -250,12 +244,12 @@ def _parent_verify_rows():
     for s, g in random_states("velocity", 100):
         em_c = body.mass + np.pi * body.radius**2
         lam = velocity_structure_matrix(s, g, body)
-        table = interaction_bracket_coefficients(s, g, body)
-        dev = abs(table[("Pi_x", "Pi_y")] - em_c**2 * lam[1, 2])
+        pi_pi, pi_vortex, vortex = interaction_bracket_coefficients(s, g, body)
+        dev = abs(pi_pi - em_c**2 * lam[1, 2])
         for i in range(s.n):
-            dev = max(dev, abs(table[("Pi_x", f"X{i}")] - em_c * lam[1, 3 + 2 * i]))
-            dev = max(dev, abs(table[("Pi_y", f"Y{i}")] - em_c * lam[2, 4 + 2 * i]))
-            dev = max(dev, abs(table[(f"X{i}", f"Y{i}")] - lam[3 + 2 * i, 4 + 2 * i]))
+            dev = max(dev, abs(pi_vortex[0, 2 * i] - em_c * lam[1, 3 + 2 * i]))
+            dev = max(dev, abs(pi_vortex[1, 2 * i + 1] - em_c * lam[2, 4 + 2 * i]))
+            dev = max(dev, abs(vortex[i, i] - lam[3 + 2 * i, 4 + 2 * i]))
         worst = max(worst, dev)
     values.append(worst)
 
