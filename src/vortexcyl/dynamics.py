@@ -10,8 +10,10 @@ Poses are reconstructed during integration by exact screw increments using
 the average of each step's two endpoint body velocities, from the config's
 starting pose. Energy, Casimir, momentum drift and inertial positions are
 then computed for all recorded samples at once: the energy by the batch core
-of ``energetics``, in the velocity chart the momentum L by the shift core of
-``maps``, and the inertial positions by the frame change ``se2.to_inertial``.
+of ``energetics``, in the velocity chart the momentum triple (A, L) by the
+shift core of ``maps``, the Casimir Lx^2 + Ly^2 - 2 Gamma_total A of the
+momentum chart from it, and the inertial positions by the frame change
+``se2.to_inertial``.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ class Trajectory:
     poses: FloatArray  # (M, 3) as (beta, x0_x, x0_y)
     inertial_positions: FloatArray  # (M, N, 2)
     energy: FloatArray
-    casimir: FloatArray  # Lx^2 + Ly^2 in momentum variables
+    casimir: FloatArray  # Lx^2 + Ly^2 - 2 Gamma_total A in momentum variables
     l_drift: FloatArray  # |L(t) - L(0)| in momentum variables
     config: SimConfig
     halt: HaltInfo | None = None
@@ -183,8 +185,10 @@ def integrate(config: SimConfig) -> Trajectory:
     g = config.vortices.strengths
     pos = states[:, 3:].reshape(states.shape[0], config.vortices.n, 2)
     energy = _energy_stack(config.chart, states, g, body)
-    l_mom = states[:, 1:3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, 1:3]
-    casimir = np.sum(l_mom * l_mom, axis=1)
+    momentum = states[:, :3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, :3]
+    l_mom = momentum[:, 1:]
+    # the cocycle {Lx, Ly} = Gamma_total of the momentum chart's bracket enters its Casimir
+    casimir = np.sum(l_mom * l_mom, axis=1) - 2.0 * config.vortices.total_strength * momentum[:, 0]
     l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
 
     halt = None

@@ -2,10 +2,10 @@
 
 The momentum shift between the velocity chart (Omega, V, X) and the momentum
 chart (A, L, X), its analytic Jacobian D(A, L, X) -> (Omega, V, X), the
-conserved planar momentum of the combined system in body and spatial form, the
-magnetic potential whose identity evaluation generates the shift, the magnetic
-pairing on the symmetry generators, and the non-equivariance cocycle built
-from those ingredients.
+conserved spatial momentum J of the combined system in closed form from a pose
+and a momentum-chart triple, the magnetic potential whose identity evaluation
+generates the shift, the magnetic pairing on the symmetry generators, and the
+non-equivariance cocycle built from those ingredients.
 The shift, its Jacobian, the pairing and the cocycle each have one batch-first
 core on stacks of configurations; ``shift_map``, ``shift_jacobian``,
 ``magnetic_pairing`` and ``cocycle_sigma`` validate one state and run it on a
@@ -13,7 +13,8 @@ stack of one. Everything on the symmetry algebra is a plain float array on its
 (omega, x, y) basis: momenta and the magnetic potential (``fluid``'s
 ``batch_momentum_shift``, (..., 3) on a stack) are (3,) covectors, and the
 pairing and the cocycle are antisymmetric (3, 3) two-forms, (K, 3, 3) on a
-stack. A pose is the (beta, x0_x, x0_y) array of ``se2``.
+stack. A pose is the (beta, x0_x, x0_y) array of ``se2``, and ``momentum_map``
+takes stacks of poses and triples alike.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from numpy.typing import NDArray
 
 from . import fluid
 from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
-from .fluid import VortexSet
+from .fluid import ValidationError, VortexSet
 from .oracle import _combine_stack, _stencil_stack
-from .se2 import rotation, to_inertial
 from .state import MOMENTUM, VELOCITY, ChartState
 
 FloatArray = NDArray[np.float64]
@@ -59,7 +59,7 @@ def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> Cha
     A = I Omega - sum Gamma_i |X_i|^2 / 2.
     """
     if state.chart != VELOCITY:
-        raise ValueError("shift_map expects a velocity-chart state")
+        raise ValidationError("shift_map expects a velocity-chart state")
     g = VortexSet(strengths, state.positions).strengths
     return ChartState(MOMENTUM, _shift_stack(state.flat()[None], g[None], body)[0, :3], state.positions)
 
@@ -76,7 +76,7 @@ def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
 def inverse_shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
     """Momentum chart -> velocity chart, solving the shift linearly for (Omega, V)."""
     if state.chart != MOMENTUM:
-        raise ValueError("inverse_shift_map expects a momentum-chart state")
+        raise ValidationError("inverse_shift_map expects a momentum-chart state")
     g = VortexSet(strengths, state.positions).strengths
     return ChartState(VELOCITY, _body_velocity_stack(MOMENTUM, state.flat()[None], g[None], body)[0], state.positions)
 
@@ -101,48 +101,27 @@ def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams) -> Flo
     return jac
 
 
-def momentum_map(
-    pose: FloatArray,
-    pi: FloatArray,
-    vortices: VortexSet,
-    radius: float,
-    via: str = "body",
-) -> FloatArray:
-    """Spatial momentum (J_omega, J_x, J_y) of the solid-fluid system at a pose
-    (beta, x0_x, x0_y), given the body momentum pi on the (omega, x, y) basis.
+def momentum_map(pose: FloatArray, momentum: FloatArray, total_strength: float) -> FloatArray:
+    """Spatial momentum (J_omega, J_x, J_y) of the solid-fluid system at poses
+    (..., 3) ordered (beta, x0_x, x0_y) and momentum-chart triples (..., 3) ordered
+    (A, Lx, Ly); shape (..., 3). A velocity-chart state reaches its triple
+    through ``shift_map``.
 
-    ``via='body'`` shifts the body momentum and pushes it to the spatial
-    frame; ``via='spatial'`` evaluates directly from inertial vortex
-    positions. The two agree identically and at the identity pose both
-    reduce to the body momentum map pi - phi.
+        J_xy = R(beta) L + Gamma (-x0_y, x0_x),
+        J_omega = A + x0 x R(beta) L + Gamma |x0|^2 / 2,
+
+    with Gamma the total vortex strength. J is conserved along the flow, equals the
+    momentum triple at the identity pose, and |J_xy|^2 - 2 Gamma J_omega equals the
+    Casimir Lx^2 + Ly^2 - 2 Gamma A of the momentum chart.
     """
-    vortices.validate(radius)
-    pose = np.asarray(pose, dtype=np.float64).reshape(3)
-    pi = np.asarray(pi, dtype=np.float64).reshape(3)
-    x0 = pose[1:]
-    g = vortices.strengths
-    rot = rotation(pose[0])
-    if via == "body":
-        j_body = pi - magnetic_potential(vortices, radius)
-        j_xy = rot @ j_body[1:] + vortices.total_strength * np.array([x0[1], -x0[0]])
-        j_om = j_body[0] + x0[0] * j_xy[1] - x0[1] * j_xy[0]
-        return np.array([j_om, *j_xy])
-    if via != "spatial":
-        raise ValueError("via must be 'body' or 'spatial'")
-    inertial = to_inertial(pose, vortices.positions)
-    rel = inertial - x0
-    d2 = np.sum(rel * rel, axis=1)
-    # spatial elementary streams evaluated at the inertial vortex positions
-    psi = np.stack(fluid.elementary_streams(rel, radius, check=False)[:2], axis=1)
-    cross = np.stack([inertial[:, 1], -inertial[:, 0]], axis=1)
-    # No standalone total-strength pose term here: the frame change of the
-    # vortex sum generates it, which is exactly what the body-to-spatial
-    # relation adds back on the other path.
-    j_xy = rot @ pi[1:]
-    if vortices.n:
-        j_xy = j_xy + (g[:, None] * (cross - psi)).sum(axis=0)
-    j_om = pi[0] - float(0.5 * np.sum(g * d2)) + x0[0] * j_xy[1] - x0[1] * j_xy[0]
-    return np.array([j_om, *j_xy])
+    pose = np.asarray(pose, dtype=np.float64)
+    momentum = np.asarray(momentum, dtype=np.float64)
+    cos_b, sin_b = np.cos(pose[..., 0]), np.sin(pose[..., 0])
+    x, y = pose[..., 1], pose[..., 2]
+    lx, ly = momentum[..., 1], momentum[..., 2]
+    rx, ry = cos_b * lx - sin_b * ly, sin_b * lx + cos_b * ly  # R(beta) L
+    j_omega = momentum[..., 0] + (x * ry - y * rx) + 0.5 * total_strength * (x * x + y * y)
+    return np.stack([j_omega, rx - total_strength * y, ry + total_strength * x], axis=-1)
 
 
 def magnetic_pairing(vortices: VortexSet, radius: float) -> FloatArray:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .fluid import VortexSet
+from .fluid import ValidationError, VortexSet
 
 FloatArray = NDArray[np.float64]
 
@@ -126,7 +126,7 @@ def pushforward_check(state, body, strengths: FloatArray) -> float:
     pushforward, so including it would be circular).
     """
     if state.chart != "velocity":
-        raise ValueError("pushforward_check expects a velocity-chart state")
+        raise ValidationError("pushforward_check expects a velocity-chart state")
     vset = VortexSet(strengths, state.positions)
     vset.validate(body.radius)
     return float(_pushforward_stack(state.flat()[None], vset.strengths[None], body)[0])

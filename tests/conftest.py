@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vortexcyl import BodyParams, ChartState, VortexSet
+from vortexcyl import BodyParams, ChartState, SimConfig, VortexSet, integrate, shift_map
 
 
 @pytest.fixture
@@ -26,3 +26,24 @@ def random_vortices(rng, n, r_min=1.6, r_max=3.0):
 def random_state(rng, chart, n=2, scale=1.0):
     vs = random_vortices(rng, n)
     return ChartState(chart, scale * rng.normal(size=3), vs.positions), vs.strengths
+
+
+@pytest.fixture(scope="session")
+def turning_runs():
+    """A body that moves and turns with Gamma_total != 0, integrated in each chart from
+    the same body triple: R = 1, m = 3, I = 1, strengths (1, 0.5) at (3, 0) and (0, 3),
+    RK4 at dt = 1e-3 to t = 5, every 10th step recorded."""
+    body = BodyParams(mass=3.0, inertia=1.0, radius=1.0)
+    vortices = VortexSet([1.0, 0.5], [[3.0, 0.0], [0.0, 3.0]])
+    return {
+        chart: integrate(SimConfig(chart, body, vortices, [0.2, 0.3, -0.1], dt=1e-3, t_end=5.0, stride=10))
+        for chart in ("momentum", "velocity")
+    }
+
+
+def momentum_triples(traj):
+    """The momentum-chart triples (A, Lx, Ly) of a trajectory's samples, shape (M, 3)."""
+    if traj.chart == "momentum":
+        return traj.states[:, :3]
+    g = traj.config.vortices.strengths
+    return np.array([shift_map(traj.state_at(k), g, traj.config.body).body for k in range(traj.n_samples)])

@@ -5,7 +5,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 import numpy as np
 import pytest
 
-from conftest import random_state, random_vortices
+from conftest import momentum_triples, random_state, random_vortices
 from vortexcyl import (
     BodyParams,
     ChartState,
@@ -21,6 +21,7 @@ from vortexcyl import (
     interaction_bracket_coefficients,
     inverse_shift_map,
     jacobi_residual,
+    momentum_map,
     momentum_structure_matrix,
     pushforward_check,
     shift_map,
@@ -107,11 +108,18 @@ def test_criterion_04_jacobi_certification(rng):
     _report("4 Jacobi identity both charts", worst, 1e-6)
 
 
-def test_criterion_05_conservation(pair_runs):
+def test_criterion_05_conservation(pair_runs, turning_runs):
     rep = diagnostics(pair_runs[0])
     _report("5a relative energy drift", rep.max_rel_energy_drift, 1e-8)
     _report("5b Casimir drift", rep.max_casimir_drift, 1e-8)
     _report("5c momentum drift", rep.max_l_drift, 1e-9)
+    # a moving, turning body with Gamma_total != 0, where L alone is not conserved
+    for chart, traj in turning_runs.items():
+        rep = diagnostics(traj)
+        j = momentum_map(traj.poses, momentum_triples(traj), traj.config.vortices.total_strength)
+        _report(f"5d relative energy drift, turning body, {chart} chart", rep.max_rel_energy_drift, 1e-9)
+        _report(f"5e Casimir drift, turning body, {chart} chart", rep.max_casimir_drift, 1e-10)
+        _report(f"5f spatial momentum drift, turning body, {chart} chart", float(np.max(np.abs(j - j[0]))), 1e-4)
 
 
 def test_criterion_06_kirchhoff_limit():

@@ -358,6 +358,13 @@ def test_diagnostics_two_vortex_conservation(body):
     assert rep.min_body_clearance > 0.5
 
 
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_casimir_is_conserved_with_a_nonzero_total_strength(turning_runs, chart):
+    traj = turning_runs[chart]
+    assert traj.config.vortices.total_strength != 0.0
+    assert diagnostics(traj).max_casimir_drift <= 1e-10
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 12])
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
 def test_post_processing_matches_per_row_oracle(body, rng, chart, n):
@@ -370,16 +377,18 @@ def test_post_processing_matches_per_row_oracle(body, rng, chart, n):
     positions = traj.states[:, 3:].reshape(traj.n_samples, n, 2)
     npt.assert_array_equal(traj.inertial_positions, to_inertial(traj.poses, positions))
     g = vortices.strengths
-    energy, l_mom, inertial = [], [], []
+    energy, momentum, inertial = [], [], []
     for k in range(traj.n_samples):
         st = traj.state_at(k)
         energy.append(hamiltonian(chart, st, body, g))
-        l_mom.append((st if chart == "momentum" else shift_map(st, g, body)).body[1:])
+        momentum.append((st if chart == "momentum" else shift_map(st, g, body)).body)
         inertial.append(st.positions @ rotation(traj.poses[k, 0]).T + traj.poses[k, 1:])
-    l_mom = np.array(l_mom)
+    momentum = np.array(momentum)
+    l_mom = momentum[:, 1:]
     scale = np.max(np.abs(l_mom))
     npt.assert_allclose(traj.energy, energy, rtol=1e-12)
-    npt.assert_allclose(traj.casimir, np.sum(l_mom * l_mom, axis=1), rtol=1e-12)
+    casimir = np.sum(l_mom * l_mom, axis=1) - 2.0 * vortices.total_strength * momentum[:, 0]
+    npt.assert_allclose(traj.casimir, casimir, rtol=1e-12)
     npt.assert_allclose(traj.l_drift, np.linalg.norm(l_mom - l_mom[0], axis=1), rtol=1e-12, atol=1e-12 * scale)
     inertial = np.array(inertial).reshape(traj.n_samples, n, 2)
     npt.assert_allclose(traj.inertial_positions, inertial, rtol=1e-12, atol=1e-14)

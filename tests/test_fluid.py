@@ -18,7 +18,7 @@ from vortexcyl.fluid import (
     regularized_self,
     validate_stack,
 )
-from vortexcyl.maps import cocycle_sigma, magnetic_pairing, magnetic_potential, momentum_map
+from vortexcyl.maps import cocycle_sigma, magnetic_pairing, magnetic_potential
 from vortexcyl.oracle import fd_gradient
 
 UNIT = 1.0
@@ -249,7 +249,6 @@ _RADIUS_GATES = {
     "kirchhoff_routh": lambda r: kirchhoff_routh(_BAD, r),
     "grad_kirchhoff_routh": lambda r: grad_kirchhoff_routh(_BAD, r),
     "magnetic_potential": lambda r: magnetic_potential(_BAD, r),
-    "momentum_map": lambda r: momentum_map(np.zeros(3), np.zeros(3), _BAD, r),
     "magnetic_pairing": lambda r: magnetic_pairing(_BAD, r),
     "cocycle_sigma": lambda r: cocycle_sigma(_BAD, r),
 }

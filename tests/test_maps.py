@@ -1,17 +1,23 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
-from conftest import random_state, random_vortices
+from conftest import momentum_triples, random_state, random_vortices
 from vortexcyl import (
     ChartState,
+    ValidationError,
     VortexSet,
     cocycle_sigma,
     fd_jacobian,
+    hamiltonian,
+    hamiltonian_gradient,
     inverse_shift_map,
     magnetic_pairing,
     magnetic_potential,
     momentum_map,
     momentum_structure_matrix,
+    pushforward_check,
+    rhs,
     shift_jacobian,
     shift_map,
     velocity_structure_matrix,
@@ -58,6 +64,27 @@ def test_shift_roundtrip(body, rng):
         npt.assert_allclose(back.flat(), st.flat(), atol=1e-13)
 
 
+# each public function that takes a chart state, handed a state of the other chart
+_WRONG_CHART = {
+    "rhs": lambda m, v, g, body: rhs("momentum", v, body, g),
+    "hamiltonian": lambda m, v, g, body: hamiltonian("momentum", v, body, g),
+    "hamiltonian_gradient": lambda m, v, g, body: hamiltonian_gradient("momentum", v, body, g),
+    "momentum_structure_matrix": lambda m, v, g, body: momentum_structure_matrix(v, g),
+    "velocity_structure_matrix": lambda m, v, g, body: velocity_structure_matrix(m, g, body),
+    "shift_map": lambda m, v, g, body: shift_map(m, g, body),
+    "inverse_shift_map": lambda m, v, g, body: inverse_shift_map(v, g, body),
+    "pushforward_check": lambda m, v, g, body: pushforward_check(m, body, g),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_WRONG_CHART))
+def test_a_state_of_the_other_chart_raises_validation_error(body, rng, function):
+    v, g = random_state(rng, "velocity")
+    m = ChartState("momentum", v.body, v.positions)
+    with pytest.raises(ValidationError, match="chart"):
+        _WRONG_CHART[function](m, v, g, body)
+
+
 def test_shift_jacobian_vs_fd(body, rng):
     st, g = random_state(rng, "momentum")
 
@@ -87,26 +114,24 @@ def test_pushforward_identity_full_matrix(body, rng):
     assert worst <= 1e-9
 
 
-def test_momentum_map_identity_pose(body, rng):
-    vs = random_vortices(rng, 2)
-    pi = np.array([0.7, 1.0, -2.0])
-    j = momentum_map(np.zeros(3), pi, vs, body.radius)
-    npt.assert_allclose(j, pi - magnetic_potential(vs, body.radius), rtol=0, atol=1e-14)
+def test_momentum_map_no_vortices():
+    # Gamma_total = 0: the body's momentum turned into the inertial frame, with its moment about the origin
+    j = momentum_map([np.pi / 2, 2.0, -1.0], [0.5, 1.0, 0.0], 0.0)
+    npt.assert_allclose(j, [0.5 + 2.0 * 1.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
 
-def test_momentum_map_no_vortices(body):
-    pi = np.array([-1.2, 0.3, 0.4])
-    npt.assert_array_equal(momentum_map(np.zeros(3), pi, EMPTY, body.radius), pi)
-
-
-def test_momentum_map_two_path_agreement(body, rng):
-    for _ in range(100):
-        vs = random_vortices(rng, 2)
-        pose = np.array([rng.uniform(-3, 3), *rng.normal(size=2)])
-        pi = np.array([rng.normal(), *rng.normal(size=2)])
-        ja = momentum_map(pose, pi, vs, body.radius, via="body")
-        jb = momentum_map(pose, pi, vs, body.radius, via="spatial")
-        npt.assert_allclose(ja, jb, atol=1e-12)
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_momentum_map_is_conserved_along_trajectories(turning_runs, chart):
+    traj = turning_runs[chart]
+    momentum = momentum_triples(traj)
+    gamma = traj.config.vortices.total_strength
+    j = momentum_map(traj.poses, momentum, gamma)
+    assert j.shape == (traj.n_samples, 3)
+    # second order in dt: the pose reconstruction's error, not the state's
+    assert np.max(np.abs(j - j[0])) <= 1e-4
+    assert (momentum_map(np.zeros(3), momentum, gamma) == momentum).all()
+    # the leaf |J_xy|^2 - 2 Gamma J_omega is the Casimir that integrate records
+    npt.assert_allclose(j[:, 1] ** 2 + j[:, 2] ** 2 - 2.0 * gamma * j[:, 0], traj.casimir, rtol=1e-12)
 
 
 def test_magnetic_pairing_translations(body, rng):

@@ -143,8 +143,10 @@ def test_integrate_sums_equal_the_cores_on_the_recorded_states(chart, n):
     g = config.vortices.strengths
     assert traj.halt is None and traj.n_samples == 16
     assert (traj.energy == _energy_stack(chart, traj.states, g, config.body)).all()
-    l_mom = traj.states[:, 1:3] if chart == "momentum" else _shift_stack(traj.states, g, config.body)[:, 1:3]
-    assert (traj.casimir == np.sum(l_mom * l_mom, axis=1)).all()
+    momentum = traj.states[:, :3] if chart == "momentum" else _shift_stack(traj.states, g, config.body)[:, :3]
+    l_mom = momentum[:, 1:]
+    casimir = np.sum(l_mom * l_mom, axis=1) - 2.0 * config.vortices.total_strength * momentum[:, 0]
+    assert (traj.casimir == casimir).all()
     assert (traj.l_drift == np.linalg.norm(l_mom - l_mom[0], axis=1)).all()
 
 
