@@ -102,7 +102,8 @@ def _rhs_scalar(momentum, u, g, r2, c, inertia, gtot):
     <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float divisors
     are body constants or exceed zero by the domain check, and it takes no
     modulus, so an overflowing state gives inf or nan entries, not an exception;
-    only two vortices at one point would divide by zero.
+    a divisor that underflows to 0 (two vortices 1e-175 apart, or c I below the
+    smallest float) gives an all-nan slope.
     """
     domain2 = r2 * _DOMAIN_SCALE
     vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
@@ -114,41 +115,46 @@ def _rhs_scalar(momentum, u, g, r2, c, inertia, gtot):
         vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
-    om, vx, vy = _omv(u, lam, s2, c, inertia) if momentum else (u[0], u[1], u[2])
-    rates = []
-    s4, dv, torque = 0.0, 0j, 0.0
-    if vortices:
-        v = complex(vx, vy)
-        vc = v.conjugate()
-        for this in vortices:
-            pk, pck, d2k, gk, _, _ = this
-            # this vortex's row of _kr_grad_complex: its self term, then each other vortex's pair term
-            acc = (gtot - gk - gk * r2 / (d2k - r2)) / pck
-            for other in vortices:
-                if other is not this:
-                    _, pcj, _, _, wj, qj = other
-                    acc += wj / ((pck - pcj) * (pck - qj))
-            grad = acc / _TWO_PI
-            image = r2 / (pck * pck)
-            rates.append(v - image * vc + 1j * (om * pk - grad))
-            if not momentum:
-                s4 += gk / (d2k * d2k)
-                dv += gk * (grad - image * grad.conjugate())
-                torque += gk * (pck * grad).imag
-    if momentum:
-        lx, ly = u[1], u[2]
-        return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
-    l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
-    l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
-    # gtot - sum g (1 - R^4/d2^2), without the cancellation
-    l_v12 = r2 * r2 * s4 / (c * c)
-    h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
-    return [
-        l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
-        -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
-        -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c,
-        *rates,
-    ]
+    try:
+        om, vx, vy = _omv(u, lam, s2, c, inertia) if momentum else (u[0], u[1], u[2])
+        rates = []
+        s4, dv, torque = 0.0, 0j, 0.0
+        if vortices:
+            v = complex(vx, vy)
+            vc = v.conjugate()
+            for this in vortices:
+                pk, pck, d2k, gk, _, _ = this
+                # this vortex's row of _kr_grad_complex: its self term, then each other vortex's pair term
+                acc = (gtot - gk - gk * r2 / (d2k - r2)) / pck
+                for other in vortices:
+                    if other is not this:
+                        _, pcj, _, _, wj, qj = other
+                        acc += wj / ((pck - pcj) * (pck - qj))
+                grad = acc / _TWO_PI
+                image = r2 / (pck * pck)
+                rates.append(v - image * vc + 1j * (om * pk - grad))
+                if not momentum:
+                    s4 += gk / (d2k * d2k)
+                    dv += gk * (grad - image * grad.conjugate())
+                    torque += gk * (pck * grad).imag
+        if momentum:
+            lx, ly = u[1], u[2]
+            return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
+        l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
+        l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
+        # gtot - sum g (1 - R^4/d2^2), without the cancellation
+        l_v12 = r2 * r2 * s4 / (c * c)
+        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
+        return [
+            l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
+            -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
+            -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c,
+            *rates,
+        ]
+    except ZeroDivisionError:
+        # a divisor that underflowed to 0, where the array layout divides to inf:
+        # a non-finite slope, on which the drive loop halts as it does there
+        return [math.nan] * len(u)
 
 
 def _body_velocity_scalar(momentum, z, g, r2, c, inertia):
@@ -259,9 +265,11 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     if abs(theta) < 1e-8:
         a = dt * (1.0 - theta * theta / 6.0)
         b = dt * (theta / 2.0 - theta * theta * theta / 24.0)
-    else:
+    elif abs(theta) < math.inf:
         a = math.sin(theta) / om
         b = (1.0 - math.cos(theta)) / om
+    else:  # the angle overflowed: a non-finite pose, which ``run`` halts on
+        a = b = math.nan
     tx = a * vx - b * vy
     ty = b * vx + a * vy
     cb, sb = math.cos(beta), math.sin(beta)
@@ -453,6 +461,9 @@ def run(config):
 
         om1, vx1, vy1 = ops.body_velocity(momentum, z, g, r2, c, inertia)
         pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt)
+        if not (math.isfinite(pose[0]) and math.isfinite(pose[2]) and math.isfinite(pose[4])):
+            halt, halt_step = HALT_NONFINITE, step
+            break
         om0, vx0, vy0 = om1, vx1, vy1
 
         if (step + 1) % stride == 0 or step + 1 == nsteps:

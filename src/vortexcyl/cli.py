@@ -3,8 +3,10 @@
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
 ``verify`` certifies each of its six rows on a stack of drawn states in one
-call of the batch cores of ``structures``, ``maps``, ``oracle`` and
-``energetics``, drawing each quantity of a row's states in one generator call.
+call of each public certificate function of ``structures``, ``maps`` and
+``oracle``, which validates the stack (the energy row runs the unvalidated
+energy and shift cores that ``integrate`` runs), drawing each quantity of a
+row's states in one generator call.
 ``sweep`` validates every file in this process first, then runs the valid
 configs here, one after another, when one worker would do, and otherwise in a
 process pool of at most one worker per config that stays up for the next
@@ -35,10 +37,14 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SimConfig, Trajectory, active_backend, diagnostics, integrate
-from .energetics import BodyParams
+from .energetics import BodyParams, _energy_stack
 from .fluid import ValidationError, VortexSet
-from .oracle import image_vortex_velocity
-from .state import MOMENTUM, CHART_ALIASES
+from .maps import _shift_stack, cocycle_sigma
+from .oracle import image_vortex_velocity, pushforward_check
+from .state import MOMENTUM, CHART_ALIASES, ChartState
+from .structures import (
+    _jacobi_stack, interaction_bracket_coefficients, momentum_structure_matrix, velocity_structure_matrix,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -277,26 +283,18 @@ def run(config: SimConfig, outdir: str | Path) -> int:
 def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     """Structure/Jacobi/pushforward certification at random admissible states.
 
-    Each row draws its stack of states from one seeded stream, validates it
-    once and evaluates it in one call of each batch core. A row's value is its
-    worst state's."""
-    from .energetics import _energy_stack
-    from .fluid import validate_stack
-    from .maps import _cocycle_stack, _shift_stack
-    from .oracle import _pushforward_stack
-    from .structures import _interaction_table_stack, _jacobi_stack, _momentum_matrix_stack, _velocity_matrix_stack
-
+    Each row draws its stack of states from one seeded stream and evaluates it
+    in one call of each public function, which validates it. A row's value is
+    its worst state's."""
     rng = np.random.default_rng(20240817)
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
 
     def draw(count: int, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """count states, each quantity drawn once for the whole stack, validated as one stack:
-        (count, 3 + 2N) and (count, N)."""
+        """count states, each quantity drawn once for the whole stack: (count, 3 + 2N) and (count, N)."""
         g = rng.uniform(0.5, 2.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
         r = rng.uniform(1.6, 3.0, (count, n))
         th = rng.uniform(0, 2 * np.pi, (count, n))
         pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=2)
-        validate_stack(g, pos, body.radius)
         return np.concatenate([rng.normal(0, 1, (count, 3)), pos.reshape(count, 2 * n)], axis=1), g
 
     rows: list[tuple[str, float, float, bool]] = []
@@ -306,19 +304,22 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
         rows.append((name, worst, tol, worst <= tol))
 
     for chart, matrices in (
-        ("momentum", _momentum_matrix_stack),
-        ("velocity", functools.partial(_velocity_matrix_stack, body=body)),
+        ("momentum", momentum_structure_matrix),
+        ("velocity", functools.partial(velocity_structure_matrix, body=body)),
     ):
         z, g = draw(20)
-        residuals = _jacobi_stack(lambda s: matrices(s, g[:, None]), z, 1e-5 * (1 + np.max(np.abs(z), axis=1)))
+        residuals = _jacobi_stack(
+            lambda s: matrices(ChartState.from_flat(chart, s), g[:, None]), z, 1e-5 * (1 + np.max(np.abs(z), axis=1))
+        )
         row(f"jacobi {chart} chart", residuals, 1e-6)
 
     z, g = draw(100)
-    row("shift-map pushforward", _pushforward_stack(z, g, body), 1e-9)
+    row("shift-map pushforward", pushforward_check(ChartState.from_flat("velocity", z), body, g), 1e-9)
 
     z, g = draw(100)
-    lam = _velocity_matrix_stack(z, g, body)
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.radius)
+    states = ChartState.from_flat("velocity", z)
+    lam = velocity_structure_matrix(states, g, body)
+    pi_pi, pi_vortex, vortex = interaction_bracket_coefficients(states, g, body)
     dev = [
         np.abs(pi_pi - body.c**2 * lam[:, 1, 2]),
         np.abs(pi_vortex[:, 0, 0::2] - body.c * lam[:, 1, 3::2]),
@@ -333,7 +334,7 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     row("energy across shift map", np.abs(ha - hb) / np.maximum(1.0, np.abs(hb)), 1e-10)
 
     z, g = draw(20)
-    sigma = _cocycle_stack(z[:, 3:].reshape(len(z), -1, 2), g, body.radius)
+    sigma = cocycle_sigma(z[:, 3:].reshape(len(z), -1, 2), g, body.radius)
     row("cocycle components", np.abs([sigma[:, 1, 2] + g.sum(axis=1), sigma[:, 0, 1], sigma[:, 0, 2]]), 1e-10)
 
     return rows, all(r[3] for r in rows)

@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from . import fluid
 from .fluid import ValidationError, VortexSet
-from .state import VELOCITY, ChartState, canonical_chart
+from .state import VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
 
@@ -66,12 +66,8 @@ def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyPar
 
 def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float:
     """Total energy at a state of the requested chart."""
-    chart = canonical_chart(chart)
-    if state.chart != chart:
-        raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
-    vset = VortexSet(strengths, state.positions)
-    vset.validate(body.radius)
-    return float(_energy_stack(chart, state.flat()[None], vset.strengths[None], body)[0])
+    z, g = admit(state, chart, strengths, body.radius)
+    return float(_energy_stack(state.chart, z, g, body))
 
 
 def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
@@ -103,13 +99,10 @@ def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: fl
 
 def hamiltonian_gradient(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> FloatArray:
     """Flat gradient, ordered (body triple, X1, Y1, ...)."""
-    chart = canonical_chart(chart)
-    if state.chart != chart:
-        raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
-    strengths = np.asarray(strengths, dtype=np.float64)
-    vset = VortexSet(strengths, state.positions)
-    wg_grad = fluid.grad_kirchhoff_routh(vset, body.radius)
-    w = _body_velocity_stack(chart, state.flat()[None], vset.strengths[None], body)[0]
+    z, strengths = admit(state, chart, strengths, body.radius)
+    chart = state.chart
+    wg_grad = fluid.grad_kirchhoff_routh(VortexSet(strengths, state.positions), body.radius)
+    w = _body_velocity_stack(chart, z, strengths, body)
     omega, v = w[0], w[1:]
     grad = np.zeros(state.dim)
     if chart == VELOCITY:

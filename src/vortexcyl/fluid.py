@@ -87,22 +87,28 @@ class VortexSet:
 
     def validate(self, radius: float) -> None:
         """Raise ValidationError naming the first offending vortex or pair."""
-        validate_stack(self.strengths, self.positions[None], radius)
+        validate_stack(self.strengths, self.positions, radius)
 
 
 def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) -> None:
-    """``VortexSet.validate`` of every configuration in positions (K, N, 2) at once, with
-    strengths (K, N) or one (N,) for all, raising the ValidationError of the first
-    inadmissible configuration in stack order. A radius that is not positive and
-    finite is rejected first.
+    """``VortexSet.validate`` of every configuration in positions (..., N, 2) at once, with
+    strengths (..., N) that broadcast against them, such as one (N,) for all, raising the
+    ValidationError of the first inadmissible configuration in stack order. A radius that
+    is not positive and finite is rejected first, then strengths that are not N each.
 
     Within it the first failed rule names its offender: the first vortex whose
     strength is not finite and nonzero, else the first not strictly outside the
     body, else the lowest coincident pair (i, j).
     """
     _check_radius(radius)
-    x = np.ascontiguousarray(positions, dtype=np.float64)
+    x = np.asarray(positions, dtype=np.float64)
+    n = x.shape[-2]
     g = np.asarray(strengths, dtype=np.float64)
+    if g.shape[-1:] != (n,):
+        raise ValidationError("strengths and positions must have matching length")
+    k = math.prod(x.shape[:-2])
+    g = np.broadcast_to(g, x.shape[:-1]).reshape(k, n)
+    x = np.ascontiguousarray(x).reshape(k, n, 2)
     weak = ~(np.isfinite(g) & (g != 0.0))
     inside = ~(np.hypot(x[..., 0], x[..., 1]) > radius * (1.0 + MIN_CLEARANCE))
     # complex numbers sort by real part, then imaginary part, and compare equal
@@ -111,8 +117,8 @@ def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) 
     paired = points[:, 1:] == points[:, :-1]
     if not (weak.any() or inside.any() or paired.any()):
         return
-    first = ((weak | inside).any(axis=-1) | paired.any(axis=-1)).argmax()
-    _check_strengths(np.broadcast_to(g, inside.shape)[first])
+    first = (weak.any(axis=-1) | inside.any(axis=-1) | paired.any(axis=-1)).argmax()
+    _check_strengths(g[first], n)
     if inside[first].any():
         raise ValidationError(f"vortex {inside[first].argmax()}: position must lie strictly outside the body")
     same = (x[first, :, None] == x[first, None]).all(axis=-1)
@@ -122,11 +128,14 @@ def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) 
     raise ValidationError(f"vortices {i} and {j} coincide")
 
 
-def _check_strengths(g: FloatArray) -> None:
-    """Raise the ValidationError of the first strength in g (N,) that is not finite and nonzero."""
+def _check_strengths(g: FloatArray, n: int) -> None:
+    """Raise the ValidationError of strengths g (..., N') that are not N each, else of the
+    first strength in stack order that is not finite and nonzero."""
+    if g.shape[-1:] != (n,):
+        raise ValidationError("strengths and positions must have matching length")
     weak = ~(np.isfinite(g) & (g != 0.0))
     if weak.any():
-        raise ValidationError(f"vortex {weak.argmax()}: strength must be finite and nonzero")
+        raise ValidationError(f"vortex {weak.argmax() % n}: strength must be finite and nonzero")
 
 
 def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> FloatArray:

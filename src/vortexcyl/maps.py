@@ -6,15 +6,17 @@ conserved spatial momentum J of the combined system in closed form from a pose
 and a momentum-chart triple, the magnetic potential whose identity evaluation
 generates the shift, the magnetic pairing on the symmetry generators, and the
 non-equivariance cocycle built from those ingredients.
-The shift, its Jacobian, the pairing and the cocycle each have one batch-first
-core on stacks of configurations; ``shift_map``, ``shift_jacobian``,
-``magnetic_pairing`` and ``cocycle_sigma`` validate one state and run it on a
-stack of one. Everything on the symmetry algebra is a plain float array on its
-(omega, x, y) basis: momenta and the magnetic potential (``fluid``'s
-``batch_momentum_shift``, (..., 3) on a stack) are (3,) covectors, and the
-pairing and the cocycle are antisymmetric (3, 3) two-forms, (K, 3, 3) on a
-stack. A pose is the (beta, x0_x, x0_y) array of ``se2``, and ``momentum_map``
-takes stacks of poses and triples alike.
+One function per ingredient, on one state or configuration or on a stack
+with leading axes: the shift maps take a ``ChartState`` and check it through
+``state.admit``; the Jacobian, the magnetic potential, the pairing and the
+cocycle take positions (..., N, 2) and strengths (..., N), and all but the
+Jacobian validate them. ``integrate`` runs the shift's private core,
+``_shift_stack``, on its recorded states unvalidated. Everything on the
+symmetry algebra is a plain float array on its (omega, x, y) basis: momenta
+and the magnetic potential are (..., 3) covectors, and the pairing and the
+cocycle are antisymmetric (..., 3, 3) two-forms. A pose is the
+(beta, x0_x, x0_y) array of ``se2``, and ``momentum_map`` takes stacks of
+poses and triples alike.
 """
 from __future__ import annotations
 
@@ -23,9 +25,8 @@ from numpy.typing import NDArray
 
 from . import fluid
 from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
-from .fluid import ValidationError, VortexSet
 from .oracle import _combine_stack, _stencil_stack
-from .state import MOMENTUM, VELOCITY, ChartState
+from .state import MOMENTUM, VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
 
@@ -39,17 +40,17 @@ __all__ = [
     "cocycle_sigma",
 ]
 
-def magnetic_potential(vortices: VortexSet, radius: float) -> FloatArray:
+def magnetic_potential(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
     """Momentum carried by the vortex system, evaluated at the identity pose, as
-    (phi_omega, phi_x, phi_y).
+    (phi_omega, phi_x, phi_y), of configurations (..., N, 2) with strengths (..., N).
 
     Components combine the bare vortex momentum with the stream-function
     contribution of the body's image system:
         phi_x = sum Gamma_i (-Y_i + Psi_X(X_i)),  phi_y = sum Gamma_i (X_i + Psi_Y(X_i)),
         phi_omega = sum Gamma_i |X_i|^2 / 2.
     """
-    vortices.validate(radius)
-    return fluid.batch_momentum_shift(vortices.positions, vortices.strengths, radius)
+    fluid.validate_stack(strengths, positions, radius)
+    return fluid.batch_momentum_shift(positions, strengths, radius)
 
 
 def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
@@ -58,14 +59,12 @@ def shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> Cha
     L = c V + sum Gamma_k X_k x e3 + sum Gamma_k R^2 (e3 x X_k)/|X_k|^2
     A = I Omega - sum Gamma_i |X_i|^2 / 2.
     """
-    if state.chart != VELOCITY:
-        raise ValidationError("shift_map expects a velocity-chart state")
-    g = VortexSet(strengths, state.positions).strengths
-    return ChartState(MOMENTUM, _shift_stack(state.flat()[None], g[None], body)[0, :3], state.positions)
+    z, g = admit(state, VELOCITY, strengths, body.radius)
+    return ChartState(MOMENTUM, _shift_stack(z, g, body)[..., :3], state.positions)
 
 
 def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
-    """``shift_map`` of flat velocity-chart states z (..., 3 + 2N) with strengths g (..., N)."""
+    """``shift_map`` of flat velocity-chart states z (..., 3 + 2N) with strengths g (..., N), unvalidated."""
     phi = fluid.batch_momentum_shift(z[..., 3:].reshape(*z.shape[:-1], -1, 2), g, body.radius)
     out = z.copy()
     out[..., 0] = body.inertia * z[..., 0] - phi[..., 0]
@@ -75,23 +74,17 @@ def _shift_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
 
 def inverse_shift_map(state: ChartState, strengths: FloatArray, body: BodyParams) -> ChartState:
     """Momentum chart -> velocity chart, solving the shift linearly for (Omega, V)."""
-    if state.chart != MOMENTUM:
-        raise ValidationError("inverse_shift_map expects a momentum-chart state")
-    g = VortexSet(strengths, state.positions).strengths
-    return ChartState(VELOCITY, _body_velocity_stack(MOMENTUM, state.flat()[None], g[None], body)[0], state.positions)
+    z, g = admit(state, MOMENTUM, strengths, body.radius)
+    return ChartState(VELOCITY, _body_velocity_stack(MOMENTUM, z, g, body), state.positions)
 
 
 def shift_jacobian(positions: FloatArray, strengths: FloatArray, body: BodyParams) -> FloatArray:
-    """Analytic Jacobian of the chart map (A, L, X) -> (Omega, V, X); depends on
-    positions only. Row/column layout matches the flat state layout.
+    """Analytic Jacobian of the chart map (A, L, X) -> (Omega, V, X) of configurations
+    (..., N, 2) with strengths (..., N), unvalidated; it depends on positions only. Row
+    and column layout match the flat state layout: shape (..., 3 + 2N, 3 + 2N).
     """
-    x = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    x = np.asarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)
-    return _shift_jacobian_stack(x[None], g[None], body)[0]
-
-
-def _shift_jacobian_stack(x: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
-    """``shift_jacobian`` of each configuration in x (..., N, 2) with strengths g (..., N)."""
     dim = 3 + 2 * x.shape[-2]
     jac = np.broadcast_to(np.eye(dim), x.shape[:-2] + (dim, dim)).copy()
     jac[..., 0, 0] = 1.0 / body.inertia
@@ -124,16 +117,9 @@ def momentum_map(pose: FloatArray, momentum: FloatArray, total_strength: float) 
     return np.stack([j_omega, rx - total_strength * y, ry + total_strength * x], axis=-1)
 
 
-def magnetic_pairing(vortices: VortexSet, radius: float) -> FloatArray:
-    """Magnetic two-form on the (omega, x, y) basis of the symmetry generators:
-    antisymmetric, shape (3, 3)."""
-    vortices.validate(radius)
-    return _pairing_stack(vortices.positions[None], vortices.strengths[None], radius)[0]
-
-
-def _pairing_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
-    """The magnetic two-form on the (omega, x, y) basis of each configuration in x (K, N, 2)
-    with strengths g (K, N), unvalidated: antisymmetric, shape (K, 3, 3).
+def magnetic_pairing(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
+    """Magnetic two-form on the (omega, x, y) basis of the symmetry generators of
+    configurations (..., N, 2) with strengths (..., N): antisymmetric, shape (..., 3, 3).
 
     Sums over vortices the area form of the two generator velocities, (1, 0) and
     (0, 1) for the translations and (-Y_i, X_i) for the rotation, plus the
@@ -144,38 +130,36 @@ def _pairing_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
     so those contributions are identically zero. Each stream gradient is an
     order-6 central difference with step 1e-3 (1 + |X_i|).
     """
-    k, n = g.shape
-    points = x.reshape(k * n, 2)
+    fluid.validate_stack(strengths, positions, radius)
+    x = np.asarray(positions, dtype=np.float64)
+    g = np.asarray(strengths, dtype=np.float64)
+    points = x.reshape(-1, 2)
     h = 1e-3 * (1.0 + np.hypot(points[:, 0], points[:, 1]))
     psi_x, psi_y, _ = fluid.elementary_streams(_stencil_stack(points, 6, h), radius, check=False)
-    grad = _combine_stack(np.stack([psi_x, psi_y], axis=-1), 6, h).reshape(k, n, 2, 2)  # (K, N, coordinate, stream)
+    # (..., N, coordinate, stream)
+    grad = _combine_stack(np.stack([psi_x, psi_y], axis=-1), 6, h).reshape(x.shape + (2,))
     px, py = x[..., 0], x[..., 1]
-    along = grad[:, :, 0] * -py[..., None] + grad[:, :, 1] * px[..., None]  # (K, N, stream)
-    upper = np.zeros((k, 3, 3))
-    upper[:, 0, 1] = (g * (px - along[..., 0])).sum(axis=-1)
-    upper[:, 0, 2] = (g * (py - along[..., 1])).sum(axis=-1)
-    upper[:, 1, 2] = (-g).sum(axis=-1)
-    return upper - upper.swapaxes(1, 2)
+    along = grad[..., 0, :] * -py[..., None] + grad[..., 1, :] * px[..., None]  # (..., N, stream)
+    upper = np.zeros(x.shape[:-2] + (3, 3))
+    upper[..., 0, 1] = (g * (px - along[..., 0])).sum(axis=-1)
+    upper[..., 0, 2] = (g * (py - along[..., 1])).sum(axis=-1)
+    upper[..., 1, 2] = (-g).sum(axis=-1)
+    return upper - upper.swapaxes(-1, -2)
 
 
-def cocycle_sigma(vortices: VortexSet, radius: float) -> FloatArray:
+def cocycle_sigma(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
     """Non-equivariance cocycle Sigma(xi, eta) = -<phi, [xi, eta]> + beta(xi, eta)
-    on the (omega, x, y) basis: antisymmetric, shape (3, 3).
+    of configurations (..., N, 2) with strengths (..., N) on the (omega, x, y) basis:
+    antisymmetric, shape (..., 3, 3).
 
     The mixed components cancel numerically; the surviving component is
     Sigma(e_x, e_y) = -(total vortex strength).
     """
-    vortices.validate(radius)
-    return _cocycle_stack(vortices.positions[None], vortices.strengths[None], radius)[0]
-
-
-def _cocycle_stack(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
-    """``cocycle_sigma`` of each configuration in x (K, N, 2) with strengths g (K, N),
-    unvalidated, as an antisymmetric (K, 3, 3) on the (omega, x, y) basis."""
-    phi = fluid.batch_momentum_shift(x, g, radius)
+    pairing = magnetic_pairing(positions, strengths, radius)  # validates the configurations
+    phi = fluid.batch_momentum_shift(positions, strengths, radius)
     # <phi, [e_a, e_b]> with the planar Euclidean structure constants
     # [e_omega, e_x] = e_y, [e_omega, e_y] = -e_x, [e_x, e_y] = 0
-    upper = np.zeros((len(g), 3, 3))
-    upper[:, 0, 1] = phi[:, 2]
-    upper[:, 0, 2] = -phi[:, 1]
-    return _pairing_stack(x, g, radius) - (upper - upper.swapaxes(1, 2))
+    upper = np.zeros(phi.shape[:-1] + (3, 3))
+    upper[..., 0, 1] = phi[..., 2]
+    upper[..., 0, 2] = -phi[..., 1]
+    return pairing - (upper - upper.swapaxes(-1, -2))

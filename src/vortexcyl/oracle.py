@@ -11,13 +11,13 @@ Central differences are built in one place: ``fd_stencil(point, h, order)``
 stacks every point a stencil visits and ``fd_combine(values, h, order)`` turns
 field values there into derivatives. Both take the step and the accuracy order
 as plain values, checked by one rule (a positive finite step, an order of 2, 4
-or 6), and run a batch-first core on a stack of one point; the cores take a
-stack of flat points, each with its own step, so that a certificate row
-differentiates all its states at once. ``fd_gradient(f, point, h, order)`` and
-``fd_jacobian`` evaluate a one-point field on the stack; a caller with a
-batched field evaluates the whole stack in one call. The pushforward check
-likewise runs one core on a stack of states, built from the batch cores of
-``maps`` and ``structures``.
+or 6), for one point of any shape; their private cores take a stack of flat
+points, each with its own step, so that a certificate differentiates all its
+states at once. ``fd_gradient(f, point, h, order)`` and ``fd_jacobian``
+evaluate a one-point field on the stack; a caller with a batched field
+evaluates the whole stack in one call. The pushforward check is one function
+on one velocity-chart state or a stack of them, built from the public
+structure matrices and shift Jacobian and the shift's core.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .fluid import ValidationError, VortexSet
+from .state import MOMENTUM, ChartState
 
 FloatArray = NDArray[np.float64]
 
@@ -118,25 +118,21 @@ def image_vortex_velocity(point: FloatArray, gamma: float, radius: float) -> Flo
     return velocity
 
 
-def pushforward_check(state, body, strengths: FloatArray) -> float:
+def pushforward_check(state: ChartState, body, strengths: FloatArray) -> float | FloatArray:
     """Max deviation of DS Lambda_momentum DS^T from the closed-form velocity matrix.
 
-    ``state`` is a velocity-chart point; only the (V, X) block is compared
-    (the Omega row of the closed-form matrix is itself defined by
-    pushforward, so including it would be circular).
+    ``state`` is a velocity-chart point, or a stack of them with a deviation
+    each (a float for one point); only the (V, X) block is compared (the Omega
+    row of the closed-form matrix is itself defined by pushforward, so
+    including it would be circular).
     """
-    if state.chart != "velocity":
-        raise ValidationError("pushforward_check expects a velocity-chart state")
-    vset = VortexSet(strengths, state.positions)
-    vset.validate(body.radius)
-    return float(_pushforward_stack(state.flat()[None], vset.strengths[None], body)[0])
+    from .maps import _shift_stack, shift_jacobian
+    from .structures import momentum_structure_matrix, velocity_structure_matrix
 
-
-def _pushforward_stack(z: FloatArray, g: FloatArray, body) -> FloatArray:
-    """``pushforward_check`` of each flat velocity-chart state in z (K, D) with strengths g (K, N)."""
-    from .maps import _shift_jacobian_stack, _shift_stack
-    from .structures import _momentum_matrix_stack, _velocity_matrix_stack
-
-    ds = _shift_jacobian_stack(z[:, 3:].reshape(len(z), -1, 2), g, body)
-    pushed = ds @ _momentum_matrix_stack(_shift_stack(z, g, body), g) @ ds.swapaxes(1, 2)
-    return np.max(np.abs(pushed - _velocity_matrix_stack(z, g, body))[:, 1:, 1:], axis=(1, 2))
+    lam = velocity_structure_matrix(state, strengths, body)
+    g = np.broadcast_to(strengths, state.shape + (state.n,))
+    ds = shift_jacobian(state.positions, g, body)
+    shifted = ChartState(MOMENTUM, _shift_stack(state.flat(), g, body)[..., :3], state.positions)
+    pushed = ds @ momentum_structure_matrix(shifted, g) @ ds.swapaxes(-1, -2)
+    deviation = np.max(np.abs(pushed - lam)[..., 1:, 1:], axis=(-2, -1))
+    return float(deviation) if state.shape == () else deviation

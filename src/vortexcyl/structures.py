@@ -11,13 +11,14 @@ BOTH charts (the shift map is the identity on vortex coordinates, so the two
 charts cannot differ there). Every entry of the velocity-chart matrix is the
 exact pushforward of this structure through the shift map.
 
-Each ingredient has one batch-first core, private array code on a stack of
-flat states (leading axes, strengths with matching leading axes): the two
-structure matrices, the interaction-bracket table and the cyclic Jacobi sum.
-The public functions validate one state and run its core on a stack of one,
-returning row 0 as is: ``interaction_bracket_coefficients`` gives the table as
-(pi_pi, pi_vortex, vortex), a float, a (2, 2N) and an (N, N) array. ``cli``
-certifies whole stacks of drawn states through the cores at once.
+One function per ingredient, on one state or on a stack of states with
+leading axes (strengths broadcast against them): each structure matrix and
+the interaction-bracket table check the chart tag and validate the states
+through ``state.admit``, then give one entry per state. The table is
+(pi_pi, pi_vortex, vortex), a float, a (2, 2N) and an (N, N) array for one
+state. The cyclic Jacobi sum has one private core on stacks of flat points,
+since ``jacobi_residual`` takes a per-point field; ``cli`` hands the core the
+structure matrices of a whole stencil stack at once.
 Stencils come from ``oracle``: the interaction table validates all order-6
 stencil configurations of a stack at once and evaluates the magnetic
 potential on them in one batched call, and the Jacobi verifier sums the
@@ -25,15 +26,16 @@ cyclic terms of all index triples as whole tensors.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .energetics import BodyParams
-from .fluid import ValidationError, VortexSet, _check_strengths, batch_momentum_shift, validate_stack
+from .fluid import batch_momentum_shift, validate_stack
 from .oracle import _check_fd, _combine_stack, _stencil_stack
-from .state import MOMENTUM, VELOCITY, ChartState
+from .state import MOMENTUM, VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
 
@@ -47,15 +49,7 @@ __all__ = [
 
 def momentum_structure_matrix(state: ChartState, strengths: FloatArray) -> FloatArray:
     """Product structure of the momentum chart: algebra block + cocycle + vortex block."""
-    if state.chart != MOMENTUM:
-        raise ValidationError("expected a momentum-chart state")
-    g = VortexSet(strengths, state.positions).strengths
-    _check_strengths(g)
-    return _momentum_matrix_stack(state.flat()[None], g[None])[0]
-
-
-def _momentum_matrix_stack(z: FloatArray, g: FloatArray) -> FloatArray:
-    """``momentum_structure_matrix`` of flat states z (..., D) with strengths g (..., N)."""
+    z, g = admit(state, MOMENTUM, strengths)
     upper = np.zeros(z.shape + z.shape[-1:])
     upper[..., 0, 1] = -z[..., 2]
     upper[..., 0, 2] = z[..., 1]
@@ -74,15 +68,7 @@ def velocity_structure_matrix(
     analytic pushforward of the momentum-chart structure through the shift
     map (certified against the numerical pushforward in the tests).
     """
-    if state.chart != VELOCITY:
-        raise ValidationError("expected a velocity-chart state")
-    vset = VortexSet(strengths, state.positions)
-    vset.validate(body.radius)
-    return _velocity_matrix_stack(state.flat()[None], vset.strengths[None], body)[0]
-
-
-def _velocity_matrix_stack(z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:
-    """``velocity_structure_matrix`` of flat states z (..., D) with strengths g (..., N)."""
+    z, g = admit(state, VELOCITY, strengths, body.radius)
     c, inertia = body.c, body.inertia
     r2 = body.radius**2
     vx, vy = z[..., 1], z[..., 2]
@@ -121,36 +107,34 @@ def interaction_bracket_coefficients(
     Uses only the magnetic potential (differentiated numerically), the vortex
     bracket, and the generator pairings; it never touches the closed-form
     matrix, so agreement with ``velocity_structure_matrix`` certifies the
-    reduction theorem numerically. Entries are momentum-level, returned as
-    (pi_pi, pi_vortex, vortex): the float {Pi_x, Pi_y}; {Pi_a, X_i} and
-    {Pi_a, Y_i} as a (2, 2N) array, row a in (x, y), columns in flat vortex
-    order (X_0, Y_0, X_1, ...); and {X_i, Y_j} as an (N, N) array.
+    reduction theorem numerically. It takes velocity-chart states, whose
+    bracket this is. Entries are momentum-level, returned as
+    (pi_pi, pi_vortex, vortex): {Pi_x, Pi_y}, a float for one state and (...)
+    for a stack; {Pi_a, X_i} and {Pi_a, Y_i} as (..., 2, 2N),
+    row a in (x, y), columns in flat vortex order (X_0, Y_0, X_1, ...); and
+    {X_i, Y_j} as (..., N, N). Raises the ValidationError of the first
+    inadmissible state, then of the first inadmissible stencil point.
     """
-    vset = VortexSet(strengths, state.positions)
-    vset.validate(body.radius)
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(vset.positions[None], vset.strengths[None], body.radius)
-    return float(pi_pi[0]), pi_vortex[0], vortex[0]
-
-
-def _interaction_table_stack(
-    x: FloatArray, g: FloatArray, radius: float
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """The interaction table of each configuration in x (K, N, 2) with strengths g (K, N):
-    {Pi_x, Pi_y} (K,), {Pi_a, X_i} and {Pi_a, Y_i} as (K, 2, 2N) in flat vortex order, and
-    {X_i, Y_j} (K, N, N). Raises the ValidationError of the first inadmissible stencil point."""
-    k, n = g.shape
-    flat = x.reshape(k, -1)
+    z, g = admit(state, VELOCITY, strengths, body.radius)
+    lead, n = state.shape, state.n
+    k = math.prod(lead)
+    flat, g = z[..., 3:].reshape(k, 2 * n), g.reshape(k, n)
     h = 1e-3 * (1.0 + np.max(np.abs(flat), axis=-1, initial=0.0))
     configs = _stencil_stack(flat, 6, h).reshape(k, -1, n, 2)
-    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), radius)
-    phi_xy = batch_momentum_shift(configs, g[:, None], radius)[..., 1:]
+    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), body.radius)
+    phi_xy = batch_momentum_shift(configs, g[:, None], body.radius)[..., 1:]
     grad = _combine_stack(phi_xy, 6, h).swapaxes(1, 2)  # (K, 2, 2N): d(phi_x, phi_y)/dz
     inv = (-1.0 / g)[:, None]  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
     # phi_x and phi_y under the vortex bracket, minus the translations' pairing -Gamma_total
     star = (inv[:, 0] * (grad[:, 0, 0::2] * grad[:, 1, 1::2] - grad[:, 1, 0::2] * grad[:, 0, 1::2])).sum(axis=-1)
     # {Pi_a, X_i} = -1/Gamma_i * -dphi_a/dY_i and {Pi_a, Y_i} = -1/Gamma_i * dphi_a/dX_i
     pi_vortex = (inv[..., None] * np.stack([-grad[..., 1::2], grad[..., 0::2]], axis=-1)).reshape(grad.shape)
-    return star + g.sum(axis=-1), pi_vortex, np.eye(n) * inv.swapaxes(1, 2)
+    pi_pi = star + g.sum(axis=-1)
+    return (
+        float(pi_pi[0]) if lead == () else pi_pi.reshape(lead),
+        pi_vortex.reshape(lead + pi_vortex.shape[1:]),
+        (np.eye(n) * inv.swapaxes(1, 2)).reshape(lead + (n, n)),
+    )
 
 
 def jacobi_residual(

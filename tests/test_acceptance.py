@@ -2,6 +2,8 @@
 
 Run with: pytest tests/test_acceptance.py -v -s
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def pair_runs():
         dt=1e-3, t_end=10.0, stride=100,
     )
     w0 = inverse_shift_map(ChartState("momentum", [0, 0, 0], PAIR.positions), PAIR.strengths, BODY)
-    cfg_v = cfg_m.with_overrides(chart="velocity", body_state=w0.body)
+    cfg_v = replace(cfg_m, chart="velocity", body_state=w0.body)
     return integrate(cfg_m), integrate(cfg_v)
 
 
@@ -214,7 +216,7 @@ def test_criterion_09_cocycle(rng):
     worst_mixed = 0.0
     for _ in range(20):
         vs = random_vortices(rng, int(rng.integers(1, 4)))
-        sigma = cocycle_sigma(vs, BODY.radius)
+        sigma = cocycle_sigma(vs.positions, vs.strengths, BODY.radius)
         worst_main = max(worst_main, abs(sigma[1, 2] + vs.total_strength))
         worst_mixed = max(worst_mixed, abs(sigma[0, 1]), abs(sigma[0, 2]))
     _report("9a cocycle translation component", worst_main, 1e-12)

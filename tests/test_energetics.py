@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 
@@ -80,7 +82,7 @@ def _rotate_state(st, theta):
     rot = np.array([[c, -s], [s, c]])
     body = st.body.copy()
     body[1:] = rot @ body[1:]
-    return st.replace(body=body, positions=st.positions @ rot.T)
+    return replace(st, body=body, positions=st.positions @ rot.T)
 
 
 def test_energy_rotation_invariance(body, rng):

@@ -248,9 +248,9 @@ _RADIUS_GATES = {
     "regularized_self": lambda r: regularized_self([0.5, 0.0], r),
     "kirchhoff_routh": lambda r: kirchhoff_routh(_BAD, r),
     "grad_kirchhoff_routh": lambda r: grad_kirchhoff_routh(_BAD, r),
-    "magnetic_potential": lambda r: magnetic_potential(_BAD, r),
-    "magnetic_pairing": lambda r: magnetic_pairing(_BAD, r),
-    "cocycle_sigma": lambda r: cocycle_sigma(_BAD, r),
+    "magnetic_potential": lambda r: magnetic_potential(_BAD.positions, _BAD.strengths, r),
+    "magnetic_pairing": lambda r: magnetic_pairing(_BAD.positions, _BAD.strengths, r),
+    "cocycle_sigma": lambda r: cocycle_sigma(_BAD.positions, _BAD.strengths, r),
 }
 
 

@@ -1,5 +1,6 @@
 """Fused kernels and the drive loop against the structure-matrix route."""
 import cmath
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -387,6 +388,9 @@ def _reference_run(cfg):
             break
         v1 = body_velocity(momentum, z, g, *args[:3])
         carry = _kernels._pose_step(*carry, *(0.5 * (a + b) for a, b in zip(v0, v1)), dt)
+        if not all(map(math.isfinite, carry[::2])):
+            halt = (_kernels.HALT_NONFINITE, -1, step)
+            break
         v0 = v1
         if (step + 1) % cfg.stride == 0 or step + 1 == nsteps:
             states.append(flat(z))
@@ -440,7 +444,7 @@ def test_run_matches_array_reference_bitwise(monkeypatch, body, n, chart, integr
 _RING_EXIT = 2.5 * np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
 _RING_EXIT[3] *= 1.02 / 2.5
 # one run of each halt kind, RK4 stage exits on both layouts, and a body-only
-# overflow (no vortices):
+# overflow and pose overflow (no vortices):
 # (reason, chart, integrator, strengths, positions, body state, dt, t_end, clearance)
 HALTS = {
     "domain": ("stage left the fluid domain", "velocity", "midpoint", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
@@ -459,6 +463,8 @@ HALTS = {
     ),
     "nonfinite": ("state became non-finite", "velocity", "rk4", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]], [0, 0, 0], 1.0, 5.0, None),
     "nonfinite-body": ("state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1, 0, 1], 1e300, 1e301, None),
+    # Omega = 1e300 stays finite, the pose angle Omega dt does not
+    "nonfinite-pose": ("state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1e300, 0, 0], 1e10, 1e10, None),
     "no-convergence": (
         "implicit midpoint iteration did not converge", "momentum", "midpoint", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]],
         [0, 0, 0], 1.0, 5.0, None,
@@ -505,3 +511,35 @@ def test_start_inside_a_clearance_halts_at_step_0_before_any_evaluation(monkeypa
     traj = _pinned_integrate(monkeypatch, cfg)
     assert traj.halt == HaltInfo(reason, index, 0.0)
     assert traj.rhs_evals == 0 and traj.max_midpoint_iterations == 0 and traj.n_samples == 1
+
+
+# a unit pair 1e-175 apart beside a body of radius 1e-150, where the list layout's pair
+# divisor (p_k* - p_j*)(p_k* - R^2/p_j) underflows to exactly 0; padded with six more
+# vortices it runs on the array layout, whose 1 / 0 gives inf
+_UNDERFLOW_PAIR = [[3e-150, 0.0], [3e-150, 1e-175]]
+_UNDERFLOW_PAD = [
+    [0.0, 5e-150], [0.0, -5e-150], [-5e-150, 0.0], [7e-150, 7e-150],
+    [-7e-150, 7e-150], [7e-150, -7e-150],
+]
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+def test_an_underflowing_divisor_halts_alike_on_both_layouts(integrator):
+    body = BodyParams(mass=1.0, inertia=1.0, radius=1e-150)
+    halts = []
+    for positions in (_UNDERFLOW_PAIR, _UNDERFLOW_PAIR + _UNDERFLOW_PAD):
+        vortices = VortexSet(np.ones(len(positions)), positions)
+        config = SimConfig("velocity", body, vortices, [0.0, 0.0, 0.0], 1e-3, 1e-3, integrator, 1, 1e-300)
+        traj = integrate(config)
+        assert traj.n_samples == 1
+        halts.append(traj.halt)
+    assert _kernels._ops(len(_UNDERFLOW_PAIR)) is _kernels._LISTS and _kernels._ops(8) is _kernels._ARRAYS
+    reason = _kernels.HALT_NONFINITE if integrator == "rk4" else _kernels.HALT_NO_CONVERGENCE
+    assert halts == [HaltInfo(reason, -1, 0.0)] * 2
+
+
+def test_an_overflowing_pose_angle_halts_as_non_finite():
+    # Omega = A / I = 1e300 is finite, Omega dt = 1e310 is not
+    body = BodyParams(mass=1.0, inertia=1e-200, radius=1.0)
+    traj = integrate(SimConfig("momentum", body, VortexSet([], np.zeros((0, 2))), [1e100, 0.0, 0.0], 1e10, 1e10))
+    assert traj.halt == HaltInfo(_kernels.HALT_NONFINITE, -1, 0.0) and traj.n_samples == 1

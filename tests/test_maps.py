@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,17 +25,18 @@ from vortexcyl import (
     velocity_structure_matrix,
 )
 from vortexcyl.energetics import shift_term_jacobian
+from vortexcyl.state import canonical_chart
 
 EMPTY = VortexSet([], np.zeros((0, 2)))
 
 
 def test_magnetic_potential_empty(body):
-    npt.assert_array_equal(magnetic_potential(EMPTY, body.radius), [0.0, 0.0, 0.0])
+    npt.assert_array_equal(magnetic_potential(EMPTY.positions, EMPTY.strengths, body.radius), [0.0, 0.0, 0.0])
 
 
 def test_magnetic_potential_single_vortex(body):
     gamma, d = 1.7, 2.4
-    phi = magnetic_potential(VortexSet([gamma], [[d, 0.0]]), body.radius)
+    phi = magnetic_potential([[d, 0.0]], [gamma], body.radius)
     assert abs(phi[0] - gamma * d**2 / 2) < 1e-14
     assert abs(phi[2] - gamma * (d - 1.0 / d)) < 1e-14
     assert abs(phi[1]) < 1e-14
@@ -83,6 +86,30 @@ def test_a_state_of_the_other_chart_raises_validation_error(body, rng, function)
     m = ChartState("momentum", v.body, v.positions)
     with pytest.raises(ValidationError, match="chart"):
         _WRONG_CHART[function](m, v, g, body)
+
+
+# states that hamiltonian rejects: a vortex inside the unit body, and two
+# coincident vortices inside it, as (chart, positions, strengths)
+_INADMISSIBLE = {
+    "shift_map": ("velocity", [[0.5, 0.0]], [1.0]),
+    "inverse_shift_map": ("momentum", [[0.5, 0.0], [0.5, 0.0]], [1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_INADMISSIBLE))
+def test_shift_maps_reject_what_hamiltonian_rejects(body, function):
+    chart, positions, strengths = _INADMISSIBLE[function]
+    state = ChartState(chart, [0.0, 0.0, 0.0], positions)
+    with pytest.raises(ValidationError) as rejected:
+        hamiltonian(chart, state, body, strengths)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(rejected.value))}$"):
+        {"shift_map": shift_map, "inverse_shift_map": inverse_shift_map}[function](state, strengths, body)
+
+
+@pytest.mark.parametrize("make", [canonical_chart, ChartState])
+def test_an_unknown_chart_raises_validation_error(make):
+    with pytest.raises(ValidationError, match="^unknown chart 'foo'"):
+        make("foo")
 
 
 def test_shift_jacobian_vs_fd(body, rng):
@@ -136,22 +163,23 @@ def test_momentum_map_is_conserved_along_trajectories(turning_runs, chart):
 
 def test_magnetic_pairing_translations(body, rng):
     vs = random_vortices(rng, 3)
-    assert abs(magnetic_pairing(vs, body.radius)[1, 2] + vs.total_strength) < 1e-14
+    assert abs(magnetic_pairing(vs.positions, vs.strengths, body.radius)[1, 2] + vs.total_strength) < 1e-14
 
 
 def test_magnetic_pairing_empty(body):
-    npt.assert_array_equal(magnetic_pairing(EMPTY, body.radius), np.zeros((3, 3)))
+    npt.assert_array_equal(magnetic_pairing(EMPTY.positions, EMPTY.strengths, body.radius), np.zeros((3, 3)))
 
 
 def test_magnetic_pairing_antisymmetry(body, rng):
-    pairing = magnetic_pairing(random_vortices(rng, 2), body.radius)
+    vs = random_vortices(rng, 2)
+    pairing = magnetic_pairing(vs.positions, vs.strengths, body.radius)
     npt.assert_array_equal(pairing.T, -pairing)
 
 
 def test_cocycle_components(body, rng):
     for _ in range(20):
         vs = random_vortices(rng, rng.integers(1, 4))
-        sigma = cocycle_sigma(vs, body.radius)
+        sigma = cocycle_sigma(vs.positions, vs.strengths, body.radius)
         assert abs(sigma[1, 2] + vs.total_strength) <= 1e-12
         assert abs(sigma[0, 1]) <= 1e-10
         assert abs(sigma[0, 2]) <= 1e-10
@@ -159,7 +187,7 @@ def test_cocycle_components(body, rng):
 
 def test_cocycle_vanishes_for_zero_total_strength(body):
     vs = VortexSet([1.0, -1.0], [[2.0, 0.3], [-1.9, 1.0]])
-    sigma = cocycle_sigma(vs, body.radius)
+    sigma = cocycle_sigma(vs.positions, vs.strengths, body.radius)
     assert abs(sigma[1, 2]) <= 1e-12
     assert abs(sigma[0, 1]) <= 1e-10
     assert abs(sigma[0, 2]) <= 1e-10

@@ -1,6 +1,9 @@
-"""Each batch-first core on a stack of states equals its public one-state
-function applied state by state, compared with ``==``; and ``verify``'s
+"""Each certificate function on a stack of states equals the same function
+applied state by state, compared with ``==``; the private cores that
+``integrate`` runs unvalidated equal the public functions; and ``verify``'s
 stacked rows equal the per-state row loops they replaced."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,23 +14,18 @@ from vortexcyl.dynamics import SimConfig, integrate
 from vortexcyl.energetics import BodyParams, _body_velocity_stack, _energy_stack, hamiltonian
 from vortexcyl.fluid import ValidationError, VortexSet, batch_kirchhoff_routh, kirchhoff_routh, validate_stack
 from vortexcyl.maps import (
-    _cocycle_stack,
-    _pairing_stack,
-    _shift_jacobian_stack,
     _shift_stack,
     cocycle_sigma,
     inverse_shift_map,
     magnetic_pairing,
+    magnetic_potential,
     shift_jacobian,
     shift_map,
 )
-from vortexcyl.oracle import _combine_stack, _pushforward_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
+from vortexcyl.oracle import _combine_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
 from vortexcyl.state import ChartState
 from vortexcyl.structures import (
-    _interaction_table_stack,
     _jacobi_stack,
-    _momentum_matrix_stack,
-    _velocity_matrix_stack,
     interaction_bracket_coefficients,
     jacobi_residual,
     momentum_structure_matrix,
@@ -61,41 +59,60 @@ def _states(chart, z):
     return [ChartState.from_flat(chart, row) for row in z]
 
 
+def _equal_per_state(stacked, one_state):
+    """``stacked`` has one entry per state, each equal under ``==`` to the value of the
+    same function on that state alone, with the same type: a float where one
+    state gives a float, else an array of the same shape."""
+    assert len(stacked) == len(one_state)
+    for entry, one in zip(stacked, one_state):
+        if isinstance(one, float):
+            assert type(one) is float and np.shape(entry) == () and entry == one
+        else:
+            assert type(one) is np.ndarray and entry.shape == one.shape and (entry == one).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_stacks())
-def test_structure_matrix_stacks_equal_one_state_matrices(case):
+def test_structure_matrices_on_a_stack_equal_them_state_by_state(case):
     z, g = case
-    momentum = _momentum_matrix_stack(z, g)
-    velocity = _velocity_matrix_stack(z, g, BODY)
-    for k, (sm, sv) in enumerate(zip(_states("momentum", z), _states("velocity", z))):
-        assert (momentum[k] == momentum_structure_matrix(sm, g[k])).all()
-        assert (velocity[k] == velocity_structure_matrix(sv, g[k], BODY)).all()
+    momentum, velocity = ChartState.from_flat("momentum", z), ChartState.from_flat("velocity", z)
+    assert momentum.shape == (len(z),) and (momentum.flat() == z).all()
+    _equal_per_state(
+        momentum_structure_matrix(momentum, g),
+        [momentum_structure_matrix(s, gk) for s, gk in zip(_states("momentum", z), g)],
+    )
+    _equal_per_state(
+        velocity_structure_matrix(velocity, g, BODY),
+        [velocity_structure_matrix(s, gk, BODY) for s, gk in zip(_states("velocity", z), g)],
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(_stacks())
-def test_shift_stacks_equal_one_state_maps(case):
+def test_shift_maps_and_jacobian_on_a_stack_equal_them_state_by_state(case):
     z, g = case
     x = z[:, 3:].reshape(len(z), -1, 2)
-    shifted = _shift_stack(z, g, BODY)
-    for k, s in enumerate(_states("velocity", z)):
-        assert (shifted[k] == shift_map(s, g[k], BODY).flat()).all()
-    jac = _shift_jacobian_stack(x, g, BODY)
-    for k in range(len(z)):
-        assert (jac[k] == shift_jacobian(x[k], g[k], BODY)).all()
+    shifted = shift_map(ChartState.from_flat("velocity", z), g, BODY)
+    assert shifted.chart == "momentum"
+    _equal_per_state(shifted.flat(), [shift_map(s, gk, BODY).flat() for s, gk in zip(_states("velocity", z), g)])
+    assert (shifted.flat() == _shift_stack(z, g, BODY)).all()  # the core integrate runs
+    back = inverse_shift_map(ChartState.from_flat("momentum", z), g, BODY)
+    one = [inverse_shift_map(s, gk, BODY).flat() for s, gk in zip(_states("momentum", z), g)]
+    _equal_per_state(back.flat(), one)
+    _equal_per_state(shift_jacobian(x, g, BODY), [shift_jacobian(xk, gk, BODY) for xk, gk in zip(x, g)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(_stacks())
-def test_energy_and_pushforward_stacks_equal_one_state_values(case):
+def test_energy_core_and_pushforward_on_a_stack_equal_them_state_by_state(case):
     z, g = case
     for chart in ("momentum", "velocity"):
-        energy = _energy_stack(chart, z, g, BODY)
-        assert [float(e) for e in energy] == [hamiltonian(chart, s, BODY, gk) for s, gk in zip(_states(chart, z), g)]
+        one = [hamiltonian(chart, s, BODY, gk) for s, gk in zip(_states(chart, z), g)]
+        _equal_per_state(_energy_stack(chart, z, g, BODY), one)  # the core integrate runs
     x = z[:, 3:].reshape(len(z), -1, 2)
     assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.radius) for gk, xk in zip(g, x)]
-    deviation = _pushforward_stack(z, g, BODY)
-    assert [float(d) for d in deviation] == [pushforward_check(s, BODY, gk) for s, gk in zip(_states("velocity", z), g)]
+    deviation = pushforward_check(ChartState.from_flat("velocity", z), BODY, g)
+    _equal_per_state(deviation, [pushforward_check(s, BODY, gk) for s, gk in zip(_states("velocity", z), g)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,15 +128,15 @@ def test_inverse_shift_equals_the_body_velocity_stack(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_stacks())
-def test_pairing_and_cocycle_stacks_equal_one_state_forms(case):
+def test_potential_pairing_and_cocycle_on_a_stack_equal_them_state_by_state(case):
     z, g = case
     x = z[:, 3:].reshape(len(z), -1, 2)
-    pairing = _pairing_stack(x, g, BODY.radius)
-    sigma = _cocycle_stack(x, g, BODY.radius)
-    for k in range(len(z)):
-        vortices = VortexSet(g[k], x[k])
-        assert (magnetic_pairing(vortices, BODY.radius) == pairing[k]).all()
-        assert (cocycle_sigma(vortices, BODY.radius) == sigma[k]).all()
+    pairing = magnetic_pairing(x, g, BODY.radius)
+    sigma = cocycle_sigma(x, g, BODY.radius)
+    potential = magnetic_potential(x, g, BODY.radius)
+    _equal_per_state(potential, [magnetic_potential(xk, gk, BODY.radius) for xk, gk in zip(x, g)])
+    _equal_per_state(pairing, [magnetic_pairing(xk, gk, BODY.radius) for xk, gk in zip(x, g)])
+    _equal_per_state(sigma, [cocycle_sigma(xk, gk, BODY.radius) for xk, gk in zip(x, g)])
     assert (pairing == -pairing.swapaxes(1, 2)).all() and (sigma == -sigma.swapaxes(1, 2)).all()
     if g.shape[1] == 0:
         assert (pairing == 0.0).all() and (sigma == 0.0).all()
@@ -152,15 +169,17 @@ def test_integrate_sums_equal_the_cores_on_the_recorded_states(chart, n):
 
 @settings(max_examples=60, deadline=None)
 @given(_stacks(min_n=1))
-def test_interaction_table_stack_equals_one_state_tables(case):
+def test_interaction_table_on_a_stack_equals_it_state_by_state(case):
     z, g = case
     n = g.shape[1]
-    pi_pi, pi_vortex, vortex = _interaction_table_stack(z[:, 3:].reshape(len(z), n, 2), g, BODY.radius)
-    for k, s in enumerate(_states("velocity", z)):
-        one_pi_pi, one_pi_vortex, one_vortex = interaction_bracket_coefficients(s, g[k], BODY)
-        assert type(one_pi_pi) is float and one_pi_vortex.shape == (2, 2 * n) and one_vortex.shape == (n, n)
-        assert one_pi_pi == pi_pi[k] and (one_pi_vortex == pi_vortex[k]).all() and (one_vortex == vortex[k]).all()
-        assert (one_vortex == np.diag(-1.0 / g[k])).all()
+    pi_pi, pi_vortex, vortex = interaction_bracket_coefficients(ChartState.from_flat("velocity", z), g, BODY)
+    one = [interaction_bracket_coefficients(s, gk, BODY) for s, gk in zip(_states("velocity", z), g)]
+    _equal_per_state(pi_pi, [t[0] for t in one])
+    _equal_per_state(pi_vortex, [t[1] for t in one])
+    _equal_per_state(vortex, [t[2] for t in one])
+    assert pi_vortex.shape == (len(z), 2, 2 * n)
+    for k in range(len(z)):
+        assert (vortex[k] == np.diag(-1.0 / g[k])).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,15 +187,14 @@ def test_interaction_table_stack_equals_one_state_tables(case):
 def test_jacobi_stack_equals_one_point_residuals(case):
     z, g = case
     h = 1e-5 * (1 + np.max(np.abs(z), axis=1))
-    for chart in ("momentum", "velocity"):
-        if chart == "momentum":
-            stacked = _jacobi_stack(lambda s: _momentum_matrix_stack(s, g[:, None]), z, h)
-            one = [jacobi_residual(lambda p, gk=gk: momentum_structure_matrix(ChartState.from_flat(chart, p), gk), zk, hk)
-                   for zk, gk, hk in zip(z, g, h)]
-        else:
-            stacked = _jacobi_stack(lambda s: _velocity_matrix_stack(s, g[:, None], BODY), z, h)
-            one = [jacobi_residual(lambda p, gk=gk: velocity_structure_matrix(ChartState.from_flat(chart, p), gk, BODY), zk, hk)
-                   for zk, gk, hk in zip(z, g, h)]
+    for chart, matrix in (
+        ("momentum", momentum_structure_matrix),
+        ("velocity", functools.partial(velocity_structure_matrix, body=BODY)),
+    ):
+        # the stacked field takes the (K, M, D) stencil points with strengths (K, 1, N)
+        stacked = _jacobi_stack(lambda s: matrix(ChartState.from_flat(chart, s), g[:, None]), z, h)
+        one = [jacobi_residual(lambda p, gk=gk: matrix(ChartState.from_flat(chart, p), gk), zk, hk)
+               for zk, gk, hk in zip(z, g, h)]
         assert [float(r) for r in stacked] == one
 
 
@@ -209,6 +227,8 @@ def test_validate_stack_raises_the_first_bad_configuration_in_stack_order(streng
         VortexSet(g[1], x[1]).validate(BODY.radius)
     with pytest.raises(ValidationError, match=message):
         validate_stack(g, x, BODY.radius)
+    with pytest.raises(ValidationError, match=message):  # leading axes (2, 2) in row-major order
+        validate_stack(g.reshape(2, 2, 2), x.reshape(2, 2, 2, 2), BODY.radius)
     validate_stack(g[[0, 2]], x[[0, 2]], BODY.radius)
     validate_stack(good_g, x[[0, 2]], BODY.radius)  # one strengths row for the whole stack
 
@@ -264,7 +284,7 @@ def _parent_verify_rows():
 
     worst = 0.0
     for s, g in random_states("velocity", 20):
-        sig = cocycle_sigma(VortexSet(g, s.positions), body.radius)
+        sig = cocycle_sigma(s.positions, g, body.radius)
         worst = max(worst, abs(sig[1, 2] + float(np.sum(g))), abs(sig[0, 1]), abs(sig[0, 2]))
     values.append(worst)
     return values

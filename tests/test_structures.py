@@ -121,9 +121,8 @@ def test_interaction_star_term(body, rng):
     # recover it from the assembled entry by removing the generator pairing.
     for _ in range(10):
         st, g = random_state(rng, "velocity")
-        vs = VortexSet(g, st.positions)
         pi_pi = interaction_bracket_coefficients(st, g, body)[0]
-        star = pi_pi + magnetic_pairing(vs, body.radius)[1, 2]
+        star = pi_pi + magnetic_pairing(st.positions, g, body.radius)[1, 2]
         d4 = np.sum(st.positions**2, axis=1) ** 2
         expected = -np.sum(g * (d4 - body.radius**4) / d4)
         assert abs(star - expected) <= 1e-10
