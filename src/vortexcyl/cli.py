@@ -3,9 +3,8 @@
 Configs are JSON files mirroring SimConfig; trajectories go to CSV at full
 round-trip precision (17 significant digits) plus a plain-text summary.
 ``verify`` certifies each of its six rows on a stack of drawn states in one
-call of each public certificate function of ``structures``, ``maps`` and
-``oracle``, which validates the stack (the energy row runs the unvalidated
-energy and shift cores that ``integrate`` runs), drawing each quantity of a
+call of each public certificate function of ``structures``, ``energetics``,
+``maps`` and ``oracle``, which validates the stack, drawing each quantity of a
 row's states in one generator call.
 ``sweep`` validates every file in this process first, then runs the valid
 configs here, one after another, when one worker would do, and otherwise in a
@@ -16,8 +15,8 @@ usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
 table of recorded samples larger than physical memory, more than 2**53 steps
 or a ``t_end / dt`` that overflows, ``sweep --jobs`` below 1, a number outside
 the float range, JSON nested too deeply to parse, a radius or clearance
-whose square leaves the float range, or a locked inertia mass + pi radius**2
-that overflows), 3 halted run
+whose square leaves the float range, a locked inertia mass + pi radius**2
+that overflows, or an energy or Casimir at t = 0 that is not finite), 3 halted run
 (collision, a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
@@ -37,13 +36,13 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SimConfig, Trajectory, active_backend, diagnostics, integrate
-from .energetics import BodyParams, _energy_stack
+from .energetics import BodyParams, hamiltonian
 from .fluid import ValidationError, VortexSet
-from .maps import _shift_stack, cocycle_sigma
+from .maps import cocycle_sigma, shift_map
 from .oracle import image_vortex_velocity, pushforward_check
 from .state import MOMENTUM, CHART_ALIASES, ChartState
 from .structures import (
-    _jacobi_stack, interaction_bracket_coefficients, momentum_structure_matrix, velocity_structure_matrix,
+    interaction_bracket_coefficients, jacobi_residual, momentum_structure_matrix, velocity_structure_matrix,
 )
 
 EXIT_OK = 0
@@ -251,7 +250,8 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
     span = traj.times[-1] - traj.times[0]
     if config.vortices.n == 1 and config.body.mass > 1e3 * np.pi * config.body.radius**2 and span > 0:
         # near-fixed body over a positive time span: compare the orbit against the image-system oracle
-        d = np.linalg.norm(traj.states[:, 3:5], axis=1)
+        with np.errstate(over="ignore"):  # a halted run's last radii can overflow to inf
+            d = np.linalg.norm(traj.states[:, 3:5], axis=1)
         angles = np.unwrap(np.arctan2(traj.states[:, 4], traj.states[:, 3]))
         speed_oracle = float(
             np.linalg.norm(
@@ -260,21 +260,26 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
         )
         omega_oracle = speed_oracle / d[0]
         omega_seen = abs(angles[-1] - angles[0]) / span
-        lines += [
-            f"orbit_radius_drift = {_fmt(np.max(np.abs(d - d[0])))}",
-            f"orbit_rate_vs_image_oracle = {_fmt(abs(omega_seen - omega_oracle) / omega_oracle)}",
-        ]
+        if np.isfinite(omega_oracle) and omega_oracle > 0:  # far out the image system's velocity cancels to 0
+            lines += [
+                f"orbit_radius_drift = {_fmt(np.max(np.abs(d - d[0])))}",
+                f"orbit_rate_vs_image_oracle = {_fmt(abs(omega_seen - omega_oracle) / omega_oracle)}",
+            ]
     lines.append(f"wall_time_s = {wall:.3f}")
     return lines
 
 
 def run(config: SimConfig, outdir: str | Path) -> int:
-    """Integrate one scenario and write trajectory.csv + summary.txt."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Integrate one scenario and write trajectory.csv + summary.txt; raises
+    ValidationError, and writes nothing, if the energy or Casimir at t = 0 is not finite."""
     start = time.perf_counter()
     traj = integrate(config)
     wall = time.perf_counter() - start
+    for name, value in (("energy", traj.energy[0]), ("Casimir", traj.casimir[0])):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} at t = 0 is {value}, not a finite number")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     (outdir / "summary.txt").write_text("\n".join(_summary_lines(traj, wall)) + "\n")
     return EXIT_HALT if traj.halt else EXIT_OK
@@ -308,7 +313,7 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
         ("velocity", functools.partial(velocity_structure_matrix, body=body)),
     ):
         z, g = draw(20)
-        residuals = _jacobi_stack(
+        residuals = jacobi_residual(
             lambda s: matrices(ChartState.from_flat(chart, s), g[:, None]), z, 1e-5 * (1 + np.max(np.abs(z), axis=1))
         )
         row(f"jacobi {chart} chart", residuals, 1e-6)
@@ -329,8 +334,9 @@ def _verify_report() -> tuple[list[tuple[str, float, float, bool]], bool]:
     row("interaction bracket vs matrix", [np.max(d) for d in dev], 1e-10)
 
     z, g = draw(100)
-    hb = _energy_stack("velocity", z, g, body)
-    ha = _energy_stack("momentum", _shift_stack(z, g, body), g, body)
+    states = ChartState.from_flat("velocity", z)
+    hb = hamiltonian("velocity", states, body, g)
+    ha = hamiltonian("momentum", shift_map(states, g, body), body, g)
     row("energy across shift map", np.abs(ha - hb) / np.maximum(1.0, np.abs(hb)), 1e-10)
 
     z, g = draw(20)
@@ -384,13 +390,22 @@ def _close_sweep_pool() -> None:
 atexit.register(_close_sweep_pool)
 
 
+def _sweep_run(config: SimConfig, outdir: Path) -> tuple[int, str]:
+    """``run`` for one sweep entry: its exit code, and the message of a run it rejects."""
+    try:
+        return run(config, outdir), ""
+    except ValidationError as exc:
+        return EXIT_CONFIG, str(exc)
+
+
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
     """Run several scenarios with isolated output directories.
 
     Every file is read and validated here, in input order. The valid configs
     run one after another in this process when one worker would do, and
     otherwise in the kept process pool (see ``_pool``), replaced when the
-    worker count changes and closed when the sweep raises."""
+    worker count changes and closed when the sweep raises. A config that ``run``
+    rejects prints its ``path: message`` line and exits 2, like an invalid file."""
     if jobs is not None and jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     outroot = Path(outroot).absolute()  # a kept worker's working directory is the one it was forked in
@@ -404,11 +419,13 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
     valid = [(config, outroot / name) for config, name in zip(configs, _output_names(paths)) if config is not None]
     # the pool starts all its workers at the first task, so start no more than there are configs
     workers = min(jobs or os.cpu_count() or 1, len(valid))
-    codes = _sweep_pool(workers).map(run, *zip(*valid)) if workers > 1 else itertools.starmap(run, valid)
+    results = _sweep_pool(workers).map(_sweep_run, *zip(*valid)) if workers > 1 else itertools.starmap(_sweep_run, valid)
     worst = EXIT_OK
     try:
         for path, config in zip(paths, configs):
-            code = EXIT_CONFIG if config is None else next(codes)
+            code, message = (EXIT_CONFIG, "") if config is None else next(results)
+            if message:
+                print(f"{path}: {message}", file=sys.stderr)
             print(f"{path}: exit {code}")
             worst = max(worst, code)
     except BaseException:

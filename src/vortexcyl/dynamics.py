@@ -209,15 +209,14 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
         raise ValidationError("empty trajectory")
     e0 = traj.energy[0]
     scale = abs(e0) if e0 != 0.0 else 1.0
-    rel_h = float(np.max(np.abs(traj.energy - e0))) / scale
-    cas = float(np.max(np.abs(traj.casimir - traj.casimir[0])))
-    ldr = float(np.max(traj.l_drift))
-    pos = traj.states[:, 3:].reshape(traj.n_samples, -1, 2)
-    if pos.shape[1]:
-        min_clear = float(np.linalg.norm(pos, axis=2).min()) - traj.config.body.radius
-    else:
-        min_clear = math.inf
-    min_pair = min_pair_distance(pos)
+    # the samples before a halt can be huge: a drift or a distance that overflows reads inf
+    with np.errstate(over="ignore"):
+        rel_h = float(np.max(np.abs(traj.energy - e0))) / scale
+        cas = float(np.max(np.abs(traj.casimir - traj.casimir[0])))
+        ldr = float(np.max(traj.l_drift))
+        pos = traj.states[:, 3:].reshape(traj.n_samples, -1, 2)
+        min_clear = float(np.linalg.norm(pos, axis=2).min(initial=math.inf)) - traj.config.body.radius
+        min_pair = min_pair_distance(pos)
     return DiagnosticsReport(
         max_rel_energy_drift=rel_h,
         max_casimir_drift=cas,

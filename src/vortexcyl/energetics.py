@@ -64,10 +64,11 @@ def _body_velocity_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyPar
     return (z[..., :3] + phi) / np.array([body.inertia, body.c, body.c])
 
 
-def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float:
-    """Total energy at a state of the requested chart."""
+def hamiltonian(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> float | FloatArray:
+    """Total energy at a state of the requested chart, one per state of a stack (a float for one)."""
     z, g = admit(state, chart, strengths, body.radius)
-    return float(_energy_stack(state.chart, z, g, body))
+    energy = _energy_stack(state.chart, z, g, body)
+    return float(energy) if state.shape == () else energy
 
 
 def _energy_stack(chart: str, z: FloatArray, g: FloatArray, body: BodyParams) -> FloatArray:

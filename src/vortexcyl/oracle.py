@@ -11,13 +11,13 @@ Central differences are built in one place: ``fd_stencil(point, h, order)``
 stacks every point a stencil visits and ``fd_combine(values, h, order)`` turns
 field values there into derivatives. Both take the step and the accuracy order
 as plain values, checked by one rule (a positive finite step, an order of 2, 4
-or 6), for one point of any shape; their private cores take a stack of flat
-points, each with its own step, so that a certificate differentiates all its
-states at once. ``fd_gradient(f, point, h, order)`` and ``fd_jacobian``
-evaluate a one-point field on the stack; a caller with a batched field
-evaluates the whole stack in one call. The pushforward check is one function
-on one velocity-chart state or a stack of them, built from the public
-structure matrices and shift Jacobian and the shift's core.
+or 6), for one point of any shape; their stack forms take flat points with a
+step each, so that a certificate differentiates all its states at once.
+``fd_gradient(f, point, h, order)`` and ``fd_jacobian`` evaluate a one-point
+field on the stack; a caller with a batched field evaluates the whole stack in
+one call. The pushforward check is one function on one velocity-chart state or
+a stack of them, built from the public structure matrices, shift Jacobian and
+shift map.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .state import MOMENTUM, ChartState
+from .state import ChartState
 
 FloatArray = NDArray[np.float64]
 
@@ -42,13 +42,14 @@ _STENCILS = {
 }
 
 
-def _check_fd(h: float, order: int) -> FloatArray:
-    """The central-difference step and order rule; returns h as a stack of one."""
-    if not (np.isfinite(h) and h > 0):
+def _check_fd(h: float | FloatArray, order: int) -> FloatArray:
+    """The central-difference step and order rule for one step or one per point; the steps, flat."""
+    h = np.asarray(h, dtype=np.float64)
+    if not (np.isfinite(h) & (h > 0)).all():
         raise ValueError("h must be positive")
     if order not in _STENCILS:
         raise ValueError(f"order must be one of {sorted(_STENCILS)}")
-    return np.array([h], dtype=np.float64)
+    return h.reshape(-1)
 
 
 def fd_stencil(point: FloatArray, h: float, order: int) -> FloatArray:
@@ -126,13 +127,12 @@ def pushforward_check(state: ChartState, body, strengths: FloatArray) -> float |
     row of the closed-form matrix is itself defined by pushforward, so
     including it would be circular).
     """
-    from .maps import _shift_stack, shift_jacobian
+    from .maps import shift_jacobian, shift_map
     from .structures import momentum_structure_matrix, velocity_structure_matrix
 
     lam = velocity_structure_matrix(state, strengths, body)
     g = np.broadcast_to(strengths, state.shape + (state.n,))
     ds = shift_jacobian(state.positions, g, body)
-    shifted = ChartState(MOMENTUM, _shift_stack(state.flat(), g, body)[..., :3], state.positions)
-    pushed = ds @ momentum_structure_matrix(shifted, g) @ ds.swapaxes(-1, -2)
+    pushed = ds @ momentum_structure_matrix(shift_map(state, g, body), g) @ ds.swapaxes(-1, -2)
     deviation = np.max(np.abs(pushed - lam)[..., 1:, 1:], axis=(-2, -1))
     return float(deviation) if state.shape == () else deviation

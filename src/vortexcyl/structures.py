@@ -16,9 +16,8 @@ leading axes (strengths broadcast against them): each structure matrix and
 the interaction-bracket table check the chart tag and validate the states
 through ``state.admit``, then give one entry per state. The table is
 (pi_pi, pi_vortex, vortex), a float, a (2, 2N) and an (N, N) array for one
-state. The cyclic Jacobi sum has one private core on stacks of flat points,
-since ``jacobi_residual`` takes a per-point field; ``cli`` hands the core the
-structure matrices of a whole stencil stack at once.
+state. ``jacobi_residual`` takes one flat point or a stack of them and calls
+its structure field once, on the whole stencil stack.
 Stencils come from ``oracle``: the interaction table validates all order-6
 stencil configurations of a stack at once and evaluates the magnetic
 potential on them in one batched call, and the Jacobi verifier sums the
@@ -138,26 +137,22 @@ def interaction_bracket_coefficients(
 
 
 def jacobi_residual(
-    structure_field: Callable[[FloatArray], FloatArray], point: FloatArray, h: float
-) -> float:
-    """Max over index triples of the cyclic Jacobi sum, derivatives by central differences.
+    structure_field: Callable[[FloatArray], FloatArray], points: FloatArray, h: float | FloatArray
+) -> float | FloatArray:
+    """Max over index triples of the cyclic Jacobi sum, derivatives by central differences,
+    at one flat point (D,) or each point of a stack (..., D), with step h, a float or one
+    per point; a float for one point.
 
-    ``structure_field`` is called once per point: at ``point``, then at each
-    ``oracle.fd_stencil`` point in its order."""
-    z = np.asarray(point, dtype=np.float64).reshape(1, -1)
-
-    def field(points: FloatArray) -> FloatArray:
-        return np.array([[structure_field(p) for p in row] for row in points])
-
-    return float(_jacobi_stack(field, z, _check_fd(h, 2))[0])
-
-
-def _jacobi_stack(field: Callable[[FloatArray], FloatArray], z: FloatArray, h: FloatArray) -> FloatArray:
-    """``jacobi_residual`` at each flat point of z (K, D) with step h (K,); ``field``
-    maps flat states (K, M, D) to structure matrices (K, M, D, D)."""
-    lam = field(np.concatenate([z[:, None], _stencil_stack(z, 2, h)], axis=1))
+    ``structure_field`` is called once, on the stencil stack (..., M, D): each point,
+    then its ``oracle.fd_stencil`` points in their order; it returns the structure
+    matrices there, (..., M, D, D)."""
+    z = np.asarray(points, dtype=np.float64)
+    lead, d = z.shape[:-1], z.shape[-1]
+    h = _check_fd(np.broadcast_to(h, lead), 2)
+    z = z.reshape(-1, d)
+    stencils = np.concatenate([z[:, None], _stencil_stack(z, 2, h)], axis=1)
+    lam = np.asarray(structure_field(stencils.reshape(lead + stencils.shape[1:]))).reshape(stencils.shape + (d,))
     dlam = _combine_stack(lam[:, 1:], 2, h)
-    d = z.shape[1]
     # every triple's cyclic sum at once; summing over l in index order, term by
     # term (not in one einsum), fixes the rounding to that of the scalar sum
     total = np.zeros(dlam.shape)
@@ -166,4 +161,5 @@ def _jacobi_stack(field: Callable[[FloatArray], FloatArray], z: FloatArray, h: F
         total += (a[:, :, None, None] * dl[:, None] + a[:, None, :, None] * dl.swapaxes(1, 2)[:, :, None, :]
                   + a[:, None, None, :] * dl[..., None])
     i, j, k = np.ogrid[:d, :d, :d]
-    return np.max(np.abs(total[:, (i < j) & (j < k)]), axis=-1, initial=0.0)
+    worst = np.max(np.abs(total[:, (i < j) & (j < k)]), axis=-1, initial=0.0)
+    return float(worst[0]) if lead == () else worst.reshape(lead)

@@ -101,6 +101,43 @@ def test_zero_length_near_fixed_run_writes_no_orbit_lines(tmp_path):
     assert "orbit_" not in summary and "nan" not in summary
 
 
+def test_far_near_fixed_vortex_writes_no_orbit_lines(tmp_path):
+    # far out, the image system's two velocities cancel to 0, so the oracle's orbit rate is 0
+    raw = _minimal_config(chart="velocity", mass=1e6 * np.pi, positions=[[1e110, 0.0]], t_end=0.01, stride=1)
+    out = tmp_path / "far"
+    assert cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(out)]) == cli.EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert "orbit_" not in summary and "nan" not in summary
+
+
+# configs that validate, but whose energy or Casimir at t = 0 is not finite
+_NON_FINITE_START = {
+    "far-vortex": ({"chart": "velocity", "mass": 1e6 * np.pi, "positions": [[1e200, 0.0]]}, "energy"),
+    "near-pair": ({"chart": "velocity", "strengths": [1.0, 1.0], "positions": [[3.0, 0.0], [3.0, 1e-308]]}, "energy"),
+    "tiny-inertia": ({"inertia": 1e-154, "positions": [[3.0, 0.0]], "body": [1.0, 0.0, 0.0]}, "energy"),
+    "casimir-overflow": ({"mass": 1e300, "body": [0.0, 1e200, 0.0]}, "Casimir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_START))
+def test_non_finite_start_exits_2_with_one_line(tmp_path, capfd, case):
+    overrides, name = _NON_FINITE_START[case]
+    path = _write(tmp_path, _minimal_config(t_end=0.01, **overrides))
+    cli.load_config(path)  # the config itself is valid
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} at t = 0 is ")
+    assert not (tmp_path / "x").exists()
+    good = _write(tmp_path, _minimal_config(t_end=0.1), "good.json")
+    for jobs in ("1", "2"):  # in this process, and on the pool
+        out = tmp_path / f"sweep-{jobs}"
+        assert cli.main(["sweep", str(path), str(good), "--out", str(out), "--jobs", jobs]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out.splitlines() == [f"{path}: exit 2", f"{good}: exit 0"]
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"{path}: {name} at t = 0 is ")
+        assert (out / "good" / "trajectory.csv").exists() and not (out / path.stem).exists()
+
+
 def test_simulate_two_vortex_preset_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["simulate", "--preset", "two-vortex-free", "--out", str(out1), "--t-end", "1.0"]) == 0
@@ -207,7 +244,10 @@ def test_verify_subcommand(capsys):
 _CERTIFICATES = (
     ("structures", "momentum_structure_matrix"),
     ("structures", "velocity_structure_matrix"),
+    ("structures", "jacobi_residual"),
     ("structures", "interaction_bracket_coefficients"),
+    ("energetics", "hamiltonian"),
+    ("maps", "shift_map"),
     ("oracle", "pushforward_check"),
     ("maps", "cocycle_sigma"),
 )
@@ -513,7 +553,7 @@ class _RecordingPool:
         self.workers.append(max_workers)
 
     def map(self, fn, configs, outdirs):
-        return iter([cli.EXIT_OK for _ in configs])
+        return iter([(cli.EXIT_OK, "") for _ in configs])
 
     def shutdown(self, cancel_futures=False):
         self.shutdowns.append(self.max_workers)

@@ -1,6 +1,7 @@
 """Every name that the package or one of its modules lists in ``__all__`` resolves,
-so ``from vortexcyl.<module> import *`` cannot fail on a stale entry, and every
-module uses each name it imports."""
+so ``from vortexcyl.<module> import *`` cannot fail on a stale entry, every
+module uses each name it imports, and ``cli`` and ``oracle`` import no other
+module's private names."""
 import ast
 import importlib
 import pkgutil
@@ -46,3 +47,20 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _private_imports(path: Path) -> list[str]:
+    """Names with a leading underscore (dunders aside) that a module imports from
+    another vortexcyl module, at module level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("vortexcyl")):
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("name", ["cli.py", "oracle.py"])
+def test_certificate_callers_import_no_private_name(name):
+    # ``verify`` and the pushforward check run only the public certificate functions
+    assert _private_imports(Path(vortexcyl.__file__).parent / name) == []

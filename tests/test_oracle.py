@@ -103,7 +103,7 @@ _FD_CALLS = {
     "fd_gradient": lambda h, order: fd_gradient(lambda z: 0.0, np.zeros(2), h, order),
     "fd_jacobian": lambda h, order: fd_jacobian(lambda z: np.zeros(3), np.zeros(2), h, order),
     # its stencil is always order 2, so only its step can be bad
-    "jacobi_residual": lambda h, order: jacobi_residual(lambda z: np.zeros((3, 3)), np.zeros(3), h),
+    "jacobi_residual": lambda h, order: jacobi_residual(lambda z: np.zeros(z.shape + (3,)), np.zeros(3), h),
 }
 _FD_REJECTIONS = [
     *((name, h, 2, "h must be positive") for name in _FD_CALLS for h in _BAD_STEPS),

@@ -25,7 +25,6 @@ from vortexcyl.maps import (
 from vortexcyl.oracle import _combine_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
 from vortexcyl.state import ChartState
 from vortexcyl.structures import (
-    _jacobi_stack,
     interaction_bracket_coefficients,
     jacobi_residual,
     momentum_structure_matrix,
@@ -108,6 +107,7 @@ def test_energy_core_and_pushforward_on_a_stack_equal_them_state_by_state(case):
     z, g = case
     for chart in ("momentum", "velocity"):
         one = [hamiltonian(chart, s, BODY, gk) for s, gk in zip(_states(chart, z), g)]
+        _equal_per_state(hamiltonian(chart, ChartState.from_flat(chart, z), BODY, g), one)
         _equal_per_state(_energy_stack(chart, z, g, BODY), one)  # the core integrate runs
     x = z[:, 3:].reshape(len(z), -1, 2)
     assert list(batch_kirchhoff_routh(x, g, 1.0)) == [kirchhoff_routh(VortexSet(gk, xk), BODY.radius) for gk, xk in zip(g, x)]
@@ -184,18 +184,18 @@ def test_interaction_table_on_a_stack_equals_it_state_by_state(case):
 
 @settings(max_examples=30, deadline=None)
 @given(_stacks(max_n=3))
-def test_jacobi_stack_equals_one_point_residuals(case):
+def test_jacobi_residual_on_a_stack_equals_it_point_by_point(case):
     z, g = case
-    h = 1e-5 * (1 + np.max(np.abs(z), axis=1))
     for chart, matrix in (
         ("momentum", momentum_structure_matrix),
         ("velocity", functools.partial(velocity_structure_matrix, body=BODY)),
     ):
-        # the stacked field takes the (K, M, D) stencil points with strengths (K, 1, N)
-        stacked = _jacobi_stack(lambda s: matrix(ChartState.from_flat(chart, s), g[:, None]), z, h)
-        one = [jacobi_residual(lambda p, gk=gk: matrix(ChartState.from_flat(chart, p), gk), zk, hk)
-               for zk, gk, hk in zip(z, g, h)]
-        assert [float(r) for r in stacked] == one
+        for h in (1e-5 * (1 + np.max(np.abs(z), axis=1)), 1e-4):  # a step per point, then one for all
+            # the field takes the (K, M, D) stencil stack with strengths (K, 1, N), or (M, D) with (N,)
+            stacked = jacobi_residual(lambda s: matrix(ChartState.from_flat(chart, s), g[:, None]), z, h)
+            one = [jacobi_residual(lambda s, gk=gk: matrix(ChartState.from_flat(chart, s), gk), zk, hk)
+                   for zk, gk, hk in zip(z, g, np.broadcast_to(h, len(z)))]
+            _equal_per_state(stacked, one)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])

@@ -184,6 +184,14 @@ def test_interaction_rejects_inadmissible_stencil_points(body, positions, messag
         interaction_bracket_coefficients(st, g, body)
 
 
+def _on_stacks(structure_field):
+    """A field of one flat point as a field of stacks of them (..., D) -> (..., D, D)."""
+    def field(z):
+        d = z.shape[-1]
+        return np.array([structure_field(p) for p in z.reshape(-1, d)]).reshape(z.shape + (d,))
+    return field
+
+
 def _jacobi_loop(structure_field, z, h):
     """Reference: the scalar quadruple loop over (i < j < k, l)."""
     dim = z.size
@@ -206,9 +214,9 @@ def _jacobi_loop(structure_field, z, h):
 
 def _jacobi_cases(body, rng):
     const = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
-    yield (lambda z: const), np.zeros(3)
+    yield _on_stacks(lambda z: const), np.zeros(3)
     canonical = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    yield (lambda z: canonical), np.zeros(4)
+    yield _on_stacks(lambda z: canonical), np.zeros(4)
     for dim in (3, 4, 6):
         coef = rng.normal(size=(dim, dim, dim))
 
@@ -216,7 +224,7 @@ def _jacobi_cases(body, rng):
             u = np.sin(coef @ z) + (coef @ z) ** 2
             return u - u.T
 
-        yield skew, rng.normal(size=dim)
+        yield _on_stacks(skew), rng.normal(size=dim)
     for n in range(4):
         for chart in ("momentum", "velocity"):
             state, g = random_state(rng, chart, n=n)
@@ -238,12 +246,12 @@ def test_jacobi_residual_matches_scalar_loop_bitwise(body, rng):
 
 def test_jacobi_constant_structures():
     const = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
-    assert jacobi_residual(lambda z: const, np.zeros(3), 1e-5) <= 1e-12
+    assert jacobi_residual(_on_stacks(lambda z: const), np.zeros(3), 1e-5) <= 1e-12
 
     canonical = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert jacobi_residual(lambda z: canonical, np.zeros(4), 1e-5) <= 1e-12
+    assert jacobi_residual(_on_stacks(lambda z: canonical), np.zeros(4), 1e-5) <= 1e-12
     # a non-finite structure cannot pass for an exact one
-    assert np.isnan(jacobi_residual(lambda z: np.full((3, 3), np.nan), np.zeros(3), 1e-5))
+    assert np.isnan(jacobi_residual(_on_stacks(lambda z: np.full((3, 3), np.nan)), np.zeros(3), 1e-5))
 
 
 def test_jacobi_both_charts(body, rng):
