@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import fluid
-from .fluid import ValidationError, VortexSet
+from .fluid import ValidationError
 from .state import VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
@@ -100,21 +100,13 @@ def shift_term_jacobian(positions: FloatArray, strengths: FloatArray, radius: fl
 
 def hamiltonian_gradient(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) -> FloatArray:
     """Flat gradient, ordered (body triple, X1, Y1, ...)."""
-    z, strengths = admit(state, chart, strengths, body.radius)
-    chart = state.chart
-    wg_grad = fluid.grad_kirchhoff_routh(VortexSet(strengths, state.positions), body.radius)
-    w = _body_velocity_stack(chart, z, strengths, body)
-    omega, v = w[0], w[1:]
-    grad = np.zeros(state.dim)
-    if chart == VELOCITY:
-        grad[0] = body.inertia * omega
-        grad[1:3] = body.c * v
-        grad[3:] = -wg_grad.reshape(-1)
-        return grad
-    grad[0] = omega
-    grad[1:3] = v
-    dphi = shift_term_jacobian(state.positions, strengths, body.radius)
-    grad[3:] = v @ dphi - wg_grad.reshape(-1)
-    pos_term = omega * (strengths[:, None] * state.positions) if state.n else np.zeros((0, 2))
-    grad[3:] += pos_term.reshape(-1)
+    z, g = admit(state, chart, strengths, body.radius)  # the one validation of the state
+    w = _body_velocity_stack(state.chart, z, g, body)
+    grad = np.empty(state.dim)
+    grad[:3] = w * np.array([body.inertia, body.c, body.c]) if state.chart == VELOCITY else w
+    grad[3:] = -fluid._grad_kirchhoff_routh(state.positions, g, body.radius).reshape(-1)
+    if state.chart != VELOCITY:
+        # V pulled back through the momentum shift, then Omega times each vortex's Gamma_i X_i
+        grad[3:] += w[1:] @ shift_term_jacobian(state.positions, g, body.radius)
+        grad[3:] += (w[0] * (g[:, None] * state.positions)).reshape(-1)
     return grad

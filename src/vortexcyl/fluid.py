@@ -9,7 +9,10 @@ All positions are body-frame coordinates; the cylinder is centered at the
 origin. The fluid has density 1, so the radius R is its only parameter and
 every function takes it as a plain float. The elementary fields carry an R^2
 scale so the Neumann boundary condition dPhi_X/dn = n_x holds on |X| = R for
-every radius (the R = 1 forms are recovered exactly).
+every radius (the R = 1 forms are recovered exactly). One rule with two fixed
+margins admits every point: a vortex strictly beyond R(1 + MIN_CLEARANCE), a
+field point from R(1 - 1e-12) outward, so the fields are defined on |X| = R.
+A rejection is a ``ValidationError``; the fields take points (..., 2).
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from numpy.typing import NDArray
 FloatArray = NDArray[np.float64]
 
 __all__ = [
-    "DomainError",
     "ValidationError",
     "VortexSet",
     "validate_stack",
@@ -40,22 +42,11 @@ __all__ = [
 
 FOUR_PI = 4.0 * np.pi
 
-# Points closer to the body than this relative clearance are rejected.
 MIN_CLEARANCE = 1e-9
 
 
-class DomainError(ValueError):
-    """Evaluation requested at a point outside the fluid domain."""
-
-
 class ValidationError(ValueError):
-    """A vortex configuration violates its invariants."""
-
-
-def _check_radius(radius: float) -> None:
-    """The radius rule, checked first by each validating function."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValidationError("radius must be a positive finite float")
+    """An input the library does not admit: a point outside the fluid, a radius, a config."""
 
 
 @dataclass(frozen=True)
@@ -93,24 +84,22 @@ class VortexSet:
 def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) -> None:
     """``VortexSet.validate`` of every configuration in positions (..., N, 2) at once, with
     strengths (..., N) that broadcast against them, such as one (N,) for all, raising the
-    ValidationError of the first inadmissible configuration in stack order. A radius that
-    is not positive and finite is rejected first, then strengths that are not N each.
+    ValidationError of the first inadmissible configuration in stack order. Arrays not
+    shaped so are rejected first, then a radius that is not positive and finite.
 
     Within it the first failed rule names its offender: the first vortex whose
     strength is not finite and nonzero, else the first not strictly outside the
     body, else the lowest coincident pair (i, j).
     """
-    _check_radius(radius)
     x = np.asarray(positions, dtype=np.float64)
-    n = x.shape[-2]
     g = np.asarray(strengths, dtype=np.float64)
-    if g.shape[-1:] != (n,):
-        raise ValidationError("strengths and positions must have matching length")
-    k = math.prod(x.shape[:-2])
+    if x.ndim < 2 or x.shape[-1] != 2 or g.shape[-1:] != x.shape[-2:-1]:
+        raise ValidationError(f"positions {x.shape} and strengths {g.shape} are not (..., N, 2) and (..., N)")
+    n, k = x.shape[-2], math.prod(x.shape[:-2])
+    inside = _outside_fluid(x, radius, vortex=True).reshape(k, n)
     g = np.broadcast_to(g, x.shape[:-1]).reshape(k, n)
     x = np.ascontiguousarray(x).reshape(k, n, 2)
     weak = ~(np.isfinite(g) & (g != 0.0))
-    inside = ~(np.hypot(x[..., 0], x[..., 1]) > radius * (1.0 + MIN_CLEARANCE))
     # complex numbers sort by real part, then imaginary part, and compare equal
     # exactly when both coordinates do, so coincident vortices end up adjacent
     points = np.sort(x.view(np.complex128)[..., 0], axis=-1)
@@ -138,27 +127,43 @@ def _check_strengths(g: FloatArray, n: int) -> None:
         raise ValidationError(f"vortex {weak.argmax() % n}: strength must be finite and nonzero")
 
 
-def _check_exterior(point: FloatArray, radius: float, boundary_ok: bool) -> FloatArray:
-    _check_radius(radius)
-    p = np.asarray(point, dtype=np.float64).reshape(2)
-    d = float(np.hypot(p[0], p[1]))
-    limit = radius * (1.0 - 1e-12) if boundary_ok else radius * (1.0 + MIN_CLEARANCE)
-    if d < limit:
-        raise DomainError(f"point at distance {d:.6g} lies inside the body of radius {radius:.6g}")
+def _outside_fluid(points: FloatArray, radius: float, vortex: bool) -> NDArray[np.bool_]:
+    """Mask (...) of the points (..., 2) outside the fluid by the vortex or the field-point
+    margin, once the radius is found positive and finite; a NaN distance is outside."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValidationError("radius must be a positive finite float")
+    d = np.hypot(points[..., 0], points[..., 1])
+    if vortex:
+        return ~(d > radius * (1.0 + MIN_CLEARANCE))
+    return ~(d >= radius * (1.0 - 1e-12))
+
+
+def _admit_points(points: FloatArray, radius: float, vortex: bool = False, one: bool = False) -> FloatArray:
+    """points (..., 2) as a float array, or with ``one`` a single point of size 2 as (2,),
+    once their shape, the radius and then every point pass the fluid's rule."""
+    p = np.asarray(points, dtype=np.float64)
+    if (p.size != 2) if one else (p.shape[-1:] != (2,)):
+        raise ValidationError(f"point shape {p.shape} is not {'(2,)' if one else '(..., 2)'}")
+    p = p.reshape(2) if one else p
+    outside = _outside_fluid(p, radius, vortex)
+    if outside.any():
+        d = float(np.hypot(*p[outside][0]))
+        raise ValidationError(f"point at distance {d:.6g} is not in the fluid around radius {radius:.6g}")
     return p
 
 
 def elementary_potentials(
     point: FloatArray, radius: float, check: bool = True
 ) -> tuple[float, float, float]:
-    """Velocity potentials (Phi_X, Phi_Y, Phi_Omega) of the unit body motions.
+    """Velocity potentials (Phi_X, Phi_Y, Phi_Omega) of the unit body motions at points
+    (..., 2), Phi_X and Phi_Y of shape (...).
 
     Phi_Omega vanishes identically for the circle.
     """
-    p = _check_exterior(point, radius, boundary_ok=True) if check else np.asarray(point, float)
+    p = _admit_points(point, radius) if check else np.asarray(point, float)
     r2 = radius**2
-    d2 = p[0] ** 2 + p[1] ** 2
-    return (-r2 * p[0] / d2, -r2 * p[1] / d2, 0.0)
+    d2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    return (-r2 * p[..., 0] / d2, -r2 * p[..., 1] / d2, 0.0)
 
 
 def elementary_streams(
@@ -166,10 +171,10 @@ def elementary_streams(
 ) -> tuple[float, float, float]:
     """Stream functions (Psi_X, Psi_Y, Psi_Omega) conjugate to the potentials.
 
-    Conjugacy convention: dPsi/dX = -dPhi/dY and dPsi/dY = dPhi/dX. With
-    ``check=False`` it takes points (..., 2) and gives Psi_X and Psi_Y of shape (...).
+    Conjugacy convention: dPsi/dX = -dPhi/dY and dPsi/dY = dPhi/dX. It takes
+    points (..., 2) and gives Psi_X and Psi_Y of shape (...).
     """
-    p = _check_exterior(point, radius, boundary_ok=True) if check else np.asarray(point, float)
+    p = _admit_points(point, radius) if check else np.asarray(point, float)
     r2 = radius**2
     d2 = p[..., 0] ** 2 + p[..., 1] ** 2
     return (r2 * p[..., 1] / d2, -r2 * p[..., 0] / d2, 0.0)
@@ -177,8 +182,8 @@ def elementary_streams(
 
 def green_regular_part(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     """Image contribution g(X, Y): harmonic in the domain, symmetric in its arguments."""
-    p = _check_exterior(x0, radius, boundary_ok=True)
-    q = _check_exterior(x1, radius, boundary_ok=True)
+    p = _admit_points(x0, radius, one=True)
+    q = _admit_points(x1, radius, one=True)
     r2 = radius**2
     a2 = p @ p
     b2 = q @ q
@@ -188,20 +193,19 @@ def green_regular_part(x0: FloatArray, x1: FloatArray, radius: float) -> float:
 
 def green_function(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     """Exterior-domain Green's function: free-space log plus the image term."""
-    p = _check_exterior(x0, radius, boundary_ok=True)
-    q = _check_exterior(x1, radius, boundary_ok=True)
+    p = _admit_points(x0, radius, one=True)
+    q = _admit_points(x1, radius, one=True)
     sep2 = float((p - q) @ (p - q))
     if sep2 == 0.0:
-        raise DomainError("coincident points; use regularized_self for the self-energy term")
+        raise ValidationError("coincident points; use regularized_self for the self-energy term")
     return float(np.log(sep2) / FOUR_PI) + green_regular_part(p, q, radius)
 
 
 def regularized_self(point: FloatArray, radius: float) -> float:
     """Self-interaction term g(X, X) = log(d^2/(d^2 - R^2)) / (2 pi)."""
-    p = _check_exterior(point, radius, boundary_ok=False)
+    p = _admit_points(point, radius, vortex=True, one=True)
     d2 = float(p @ p)
-    r2 = radius**2
-    return float(np.log(d2 / (d2 - r2)) / (2.0 * np.pi))
+    return float(np.log(d2 / (d2 - radius**2)) / (2.0 * np.pi))
 
 
 def kirchhoff_routh(vortices: VortexSet, radius: float) -> float:
@@ -216,11 +220,6 @@ def _sample_blocks(x: FloatArray):
     m, n = x.shape[0], x.shape[1]
     step = max(1, 65536 // (n * n))
     return [slice(s, s + step) for s in range(0, m, step)]
-
-
-def _diagonal(n: int) -> slice:
-    """The diagonal of an (N, N) grid flattened to N^2 entries."""
-    return slice(None, None, n + 1)
 
 
 def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:
@@ -242,12 +241,12 @@ def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: 
     total = (g * g * np.log(d2 / (d2 - r2))).sum(axis=1) / FOUR_PI
     if n > 1:
         gg = (g[..., :, None] * g[..., None, :]).reshape(*g.shape[:-1], n * n)
-        gg[..., _diagonal(n)] = 0.0
+        gg[..., :: n + 1] = 0.0  # the diagonal of the flattened (N, N) grid
         for blk in _sample_blocks(x):
             qx, qy, a2 = px[blk, :, None], py[blk, :, None], d2[blk, :, None]
             dx, dy = qx - px[blk, None, :], qy - py[blk, None, :]
             sep2 = (dx * dx + dy * dy).reshape(-1, n * n)
-            sep2[:, _diagonal(n)] = 1.0  # carries zero weight; keeps the log finite
+            sep2[:, :: n + 1] = 1.0  # carries zero weight; keeps the log finite
             a2b2 = a2 * d2[blk, None, :]
             denom = a2b2 - 2.0 * r2 * (qx * px[blk, None, :] + qy * py[blk, None, :]) + r2 * r2
             terms = np.log(sep2) + np.log(a2b2 / denom).reshape(-1, n * n)
@@ -268,7 +267,7 @@ def min_pair_distance(positions: FloatArray) -> float:
     for blk in _sample_blocks(x):
         diff = x[blk, :, None, :] - x[blk, None, :, :]
         sep2 = (diff * diff).sum(axis=-1).reshape(-1, n * n)
-        sep2[:, _diagonal(n)] = math.inf
+        sep2[:, :: n + 1] = math.inf  # the diagonal
         best = min(best, float(sep2.min()))
     return math.sqrt(best)
 
@@ -285,16 +284,19 @@ def _grad_green_first(p: FloatArray, q: FloatArray, r2: float) -> FloatArray:
 def grad_kirchhoff_routh(vortices: VortexSet, radius: float) -> FloatArray:
     """Analytic dW_G/dX_k for each vortex, shape (N, 2)."""
     vortices.validate(radius)
-    g = vortices.strengths
-    x = vortices.positions
+    return _grad_kirchhoff_routh(vortices.positions, vortices.strengths, radius)
+
+
+def _grad_kirchhoff_routh(x: FloatArray, g: FloatArray, radius: float) -> FloatArray:
+    """``grad_kirchhoff_routh`` of positions x (N, 2) with strengths g (N,), unvalidated."""
     r2 = radius**2
     out = np.zeros_like(x)
-    for k in range(vortices.n):
+    for k in range(len(g)):
         p = x[k]
         d2 = p @ p
         # gradient of the regularized self term
         out[k] = 0.5 * g[k] ** 2 * (p / np.pi) * (1.0 / d2 - 1.0 / (d2 - r2))
-        for j in range(vortices.n):
+        for j in range(len(g)):
             if j != k:
                 out[k] += g[k] * g[j] * _grad_green_first(p, x[j], r2)
     return out

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
+from .fluid import ValidationError, validate_stack
 from .state import ChartState
 
 FloatArray = NDArray[np.float64]
@@ -46,9 +47,9 @@ def _check_fd(h: float | FloatArray, order: int) -> FloatArray:
     """The central-difference step and order rule for one step or one per point; the steps, flat."""
     h = np.asarray(h, dtype=np.float64)
     if not (np.isfinite(h) & (h > 0)).all():
-        raise ValueError("h must be positive")
+        raise ValidationError("h must be positive")
     if order not in _STENCILS:
-        raise ValueError(f"order must be one of {sorted(_STENCILS)}")
+        raise ValidationError(f"order must be one of {sorted(_STENCILS)}")
     return h.reshape(-1)
 
 
@@ -105,12 +106,12 @@ def image_vortex_velocity(point: FloatArray, gamma: float, radius: float) -> Flo
     the center. Self-induction is excluded. The swirl orientation matches
     this package's bracket convention (a positive-strength vortex drives
     clockwise swirl, so the induced orbit here is counterclockwise); speeds
-    and decay rates agree with the textbook image system either way.
+    and decay rates agree with the textbook image system either way. The vortex
+    is admitted as ``fluid.validate_stack`` admits one.
     """
+    validate_stack([gamma], np.reshape(point, (1, -1)), radius)
     p = np.asarray(point, dtype=np.float64).reshape(2)
     d2 = float(p @ p)
-    if d2 <= radius**2:
-        raise ValueError("point must lie outside the body")
     velocity = np.zeros(2)
     for strength, source in ((-gamma, (radius**2 / d2) * p), (gamma, np.zeros(2))):
         rel = p - source

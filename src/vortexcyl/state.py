@@ -74,7 +74,7 @@ class ChartState:
     def from_flat(cls, chart: str, z: FloatArray) -> "ChartState":
         z = np.asarray(z, dtype=np.float64)
         if z.ndim == 0 or z.shape[-1] < 3 or (z.shape[-1] - 3) % 2:
-            raise ValueError("flat state must have length 3 + 2N")
+            raise ValidationError("flat state must have length 3 + 2N")
         return cls(chart, z[..., :3], z[..., 3:].reshape(z.shape[:-1] + ((z.shape[-1] - 3) // 2, 2)))
 
 

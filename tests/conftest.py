@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,24 @@ def random_vortices(rng, n, r_min=1.6, r_max=3.0):
 def random_state(rng, chart, n=2, scale=1.0):
     vs = random_vortices(rng, n)
     return ChartState(chart, scale * rng.normal(size=3), vs.positions), vs.strengths
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Replace the function ``original`` by a counting wrapper wherever a vortexcyl module
+    binds it, as the benchmark's tracer does, so that a call through any binding counts;
+    the returned list grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vortexcyl" or name.startswith("vortexcyl."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

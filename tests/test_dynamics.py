@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_state, random_vortices
+from conftest import count_calls, random_state, random_vortices
 from vortexcyl import (
     BodyParams,
     ChartState,
@@ -17,10 +17,10 @@ from vortexcyl import (
     shift_map,
     structure_matrix,
 )
-from vortexcyl import dynamics
+from vortexcyl import dynamics, fluid
 from vortexcyl._kernels import _pose_step
 from vortexcyl.dynamics import HaltInfo, SimConfig
-from vortexcyl.fluid import ValidationError
+from vortexcyl.fluid import ValidationError, grad_kirchhoff_routh
 from vortexcyl.se2 import rotation, to_inertial
 
 TWO_VORTEX = VortexSet([1.0, -1.0], [[3.0, 0.0], [0.0, 3.0]])
@@ -45,6 +45,28 @@ def test_rhs_is_structure_times_gradient(body, rng):
         st, g = random_state(rng, chart)
         expected = structure_matrix(st, g, body) @ hamiltonian_gradient(chart, st, body, g)
         npt.assert_allclose(rhs(chart, st, body, g), expected, atol=0)
+
+
+@pytest.mark.parametrize("chart, gradient_calls, rhs_calls", [("momentum", 1, 1), ("velocity", 1, 2)])
+def test_gradient_and_rhs_validate_each_state_once_per_admitting_function(
+    body, rng, monkeypatch, chart, gradient_calls, rhs_calls
+):
+    # rhs admits its state in hamiltonian_gradient and, in the velocity chart, again in
+    # velocity_structure_matrix; the momentum-chart matrix checks the strengths only
+    st, g = random_state(rng, chart, n=3)
+    calls = count_calls(monkeypatch, fluid.validate_stack)
+    hamiltonian_gradient(chart, st, body, g)
+    assert len(calls) == gradient_calls
+    calls.clear()
+    rhs(chart, st, body, g)
+    assert len(calls) == rhs_calls
+
+
+def test_gradient_takes_the_kirchhoff_routh_gradient_bitwise(body, rng):
+    for n in range(5):
+        st, g = random_state(rng, "velocity", n=n)
+        wg_grad = grad_kirchhoff_routh(VortexSet(g, st.positions), body.radius).reshape(-1)
+        assert hamiltonian_gradient("velocity", st, body, g)[3:].tobytes() == (-wg_grad).tobytes()
 
 
 def test_rhs_kirchhoff_limit_is_rest(body):

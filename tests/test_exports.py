@@ -1,7 +1,7 @@
 """Every name that the package or one of its modules lists in ``__all__`` resolves,
 so ``from vortexcyl.<module> import *`` cannot fail on a stale entry, every
-module uses each name it imports, and ``cli`` and ``oracle`` import no other
-module's private names."""
+module uses each name it imports, ``cli`` and ``oracle`` import no other
+module's private names, and the package raises one error class of its own."""
 import ast
 import importlib
 import pkgutil
@@ -64,3 +64,27 @@ def _private_imports(path: Path) -> list[str]:
 def test_certificate_callers_import_no_private_name(name):
     # ``verify`` and the pushforward check run only the public certificate functions
     assert _private_imports(Path(vortexcyl.__file__).parent / name) == []
+
+
+def _error_classes_and_value_errors(path: Path) -> list[str]:
+    """Exception classes a module defines, by its resolved bases, and its ``raise ValueError``
+    statements."""
+    module = importlib.import_module("vortexcyl" if path.stem == "__init__" else f"vortexcyl.{path.stem}")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            bases = [eval(ast.unparse(base), vars(module)) for base in node.bases]
+            if any(isinstance(base, type) and issubclass(base, BaseException) for base in bases):
+                found.append(f"{path.stem}.{node.name}")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno} raise ValueError")
+    return found
+
+
+def test_one_error_class_and_no_bare_value_error():
+    # every input the library rejects raises fluid.ValidationError; the drive loop's
+    # private signal for a stage that left the fluid never leaves _kernels
+    found = [entry for path in SOURCES for entry in _error_classes_and_value_errors(path)]
+    assert found == ["_kernels._OutsideDomain", "fluid.ValidationError"]

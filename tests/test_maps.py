@@ -112,6 +112,12 @@ def test_an_unknown_chart_raises_validation_error(make):
         make("foo")
 
 
+@pytest.mark.parametrize("flat", [np.float64(1.0), np.zeros(2), np.zeros(4), np.zeros((2, 6))])
+def test_a_flat_state_of_the_wrong_length_raises_validation_error(flat):
+    with pytest.raises(ValidationError, match=r"^flat state must have length 3 \+ 2N$"):
+        ChartState.from_flat("momentum", flat)
+
+
 def test_shift_jacobian_vs_fd(body, rng):
     st, g = random_state(rng, "momentum")
 

@@ -16,6 +16,7 @@ from vortexcyl import (
     kirchhoff_routh,
     pushforward_check,
 )
+from vortexcyl.fluid import ValidationError
 from vortexcyl.maps import shift_jacobian, shift_map
 from vortexcyl.oracle import _STENCILS, fd_combine, fd_stencil
 from vortexcyl.structures import momentum_structure_matrix, velocity_structure_matrix
@@ -113,7 +114,7 @@ _FD_REJECTIONS = [
 
 @pytest.mark.parametrize("name, h, order, message", _FD_REJECTIONS)
 def test_finite_differences_reject_a_bad_step_or_order(name, h, order, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         _FD_CALLS[name](h, order)
 
 
@@ -152,8 +153,10 @@ def test_image_velocity_equivariance(rng):
 
 
 def test_image_velocity_inside_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^vortex 0: position must lie strictly outside the body$"):
         image_vortex_velocity(np.array([0.5, 0.0]), 1.0, 1.0)
+    with pytest.raises(ValidationError, match="^vortex 0: strength must be finite and nonzero$"):
+        image_vortex_velocity(np.array([2.0, 0.0]), 0.0, 1.0)
 
 
 def test_pushforward_check_no_vortices(body):
