@@ -182,8 +182,11 @@ def elementary_streams(
 
 def green_regular_part(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     """Image contribution g(X, Y): harmonic in the domain, symmetric in its arguments."""
-    p = _admit_points(x0, radius, one=True)
-    q = _admit_points(x1, radius, one=True)
+    return _green_regular(_admit_points(x0, radius, one=True), _admit_points(x1, radius, one=True), radius)
+
+
+def _green_regular(p: FloatArray, q: FloatArray, radius: float) -> float:
+    """``green_regular_part`` of two admitted points (2,)."""
     r2 = radius**2
     a2 = p @ p
     b2 = q @ q
@@ -198,7 +201,7 @@ def green_function(x0: FloatArray, x1: FloatArray, radius: float) -> float:
     sep2 = float((p - q) @ (p - q))
     if sep2 == 0.0:
         raise ValidationError("coincident points; use regularized_self for the self-energy term")
-    return float(np.log(sep2) / FOUR_PI) + green_regular_part(p, q, radius)
+    return float(np.log(sep2) / FOUR_PI) + _green_regular(p, q, radius)
 
 
 def regularized_self(point: FloatArray, radius: float) -> float:

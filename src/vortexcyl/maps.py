@@ -11,12 +11,13 @@ with leading axes: the shift maps take a ``ChartState`` and check it through
 ``state.admit``; the Jacobian, the magnetic potential, the pairing and the
 cocycle take positions (..., N, 2) and strengths (..., N), and all but the
 Jacobian validate them. ``integrate`` runs the shift's private core,
-``_shift_stack``, on its recorded states unvalidated. Everything on the
-symmetry algebra is a plain float array on its (omega, x, y) basis: momenta
-and the magnetic potential are (..., 3) covectors, and the pairing and the
-cocycle are antisymmetric (..., 3, 3) two-forms. A pose is the
-(beta, x0_x, x0_y) array of ``se2``, and ``momentum_map`` takes stacks of
-poses and triples alike.
+``_shift_stack``, on its recorded states unvalidated. The pairing and the
+interaction table of ``structures`` share one stream stencil,
+``_stream_gradient``. Everything on the symmetry algebra is a plain float
+array on its (omega, x, y) basis: momenta and the magnetic potential are
+(..., 3) covectors, and the pairing and the cocycle are antisymmetric
+(..., 3, 3) two-forms. A pose is the (beta, x0_x, x0_y) array of ``se2``,
+and ``momentum_map`` takes stacks of poses and triples alike.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from numpy.typing import NDArray
 
 from . import fluid
 from .energetics import BodyParams, _body_velocity_stack, shift_term_jacobian
-from .oracle import _combine_stack, _stencil_stack
+from .oracle import fd_combine, fd_stencil
 from .state import MOMENTUM, VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
@@ -128,16 +129,12 @@ def magnetic_pairing(positions: FloatArray, strengths: FloatArray, radius: float
     matching elementary stream along the rotational flow. The pose derivative of
     a stream function under a translation cancels its spatial gradient exactly,
     so those contributions are identically zero. Each stream gradient is an
-    order-6 central difference with step 1e-3 (1 + |X_i|).
+    order-6 central difference with step 1e-3 |X_i| (``_stream_gradient``).
     """
     fluid.validate_stack(strengths, positions, radius)
     x = np.asarray(positions, dtype=np.float64)
     g = np.asarray(strengths, dtype=np.float64)
-    points = x.reshape(-1, 2)
-    h = 1e-3 * (1.0 + np.hypot(points[:, 0], points[:, 1]))
-    psi_x, psi_y, _ = fluid.elementary_streams(_stencil_stack(points, 6, h), radius, check=False)
-    # (..., N, coordinate, stream)
-    grad = _combine_stack(np.stack([psi_x, psi_y], axis=-1), 6, h).reshape(x.shape + (2,))
+    grad = _stream_gradient(x, radius)
     px, py = x[..., 0], x[..., 1]
     along = grad[..., 0, :] * -py[..., None] + grad[..., 1, :] * px[..., None]  # (..., N, stream)
     upper = np.zeros(x.shape[:-2] + (3, 3))
@@ -145,6 +142,15 @@ def magnetic_pairing(positions: FloatArray, strengths: FloatArray, radius: float
     upper[..., 0, 2] = (g * (py - along[..., 1])).sum(axis=-1)
     upper[..., 1, 2] = (-g).sum(axis=-1)
     return upper - upper.swapaxes(-1, -2)
+
+
+def _stream_gradient(positions: FloatArray, radius: float) -> FloatArray:
+    """Gradients (..., N, coordinate, stream) of (Psi_X, Psi_Y) at the vortices (..., N, 2),
+    unvalidated: order-6 central differences of step 1e-3 |X_i|, which scales with the
+    system; a stencil may step inside the body, where the streams continue analytically."""
+    h = 1e-3 * np.hypot(positions[..., 0], positions[..., 1])
+    psi_x, psi_y, _ = fluid.elementary_streams(fd_stencil(positions, h, 6), radius, check=False)
+    return fd_combine(np.stack([psi_x, psi_y], axis=-1), h, 6)
 
 
 def cocycle_sigma(positions: FloatArray, strengths: FloatArray, radius: float) -> FloatArray:

@@ -9,15 +9,16 @@ velocity-chart matrix.
 
 Central differences are built in one place: ``fd_stencil(point, h, order)``
 stacks every point a stencil visits and ``fd_combine(values, h, order)`` turns
-field values there into derivatives. Both take the step and the accuracy order
-as plain values, checked by one rule (a positive finite step, an order of 2, 4
-or 6), for one point of any shape; their stack forms take flat points with a
-step each, so that a certificate differentiates all its states at once.
+field values there into derivatives. Both take the accuracy order and the
+step, checked by one rule (a positive finite step, an order of 2, 4 or 6). A
+float step means one point of any shape; an array of steps (...) means a stack
+of points with those leading axes and a step each, so that a certificate
+differentiates all its states or vortices at once.
 ``fd_gradient(f, point, h, order)`` and ``fd_jacobian`` evaluate a one-point
 field on the stack; a caller with a batched field evaluates the whole stack in
 one call. The pushforward check is one function on one velocity-chart state or
 a stack of them, built from the public structure matrices, shift Jacobian and
-shift map.
+shift map, and compares every entry.
 """
 from __future__ import annotations
 
@@ -43,50 +44,51 @@ _STENCILS = {
 }
 
 
-def _check_fd(h: float | FloatArray, order: int) -> FloatArray:
-    """The central-difference step and order rule for one step or one per point; the steps, flat."""
+def _check_fd(h: float | FloatArray, order: int, shape: tuple[int, ...]) -> FloatArray:
+    """The central-difference step and order rule for one step or one per point of a stack
+    whose array has shape ``shape``, led by the steps' shape; the steps."""
     h = np.asarray(h, dtype=np.float64)
     if not (np.isfinite(h) & (h > 0)).all():
         raise ValidationError("h must be positive")
     if order not in _STENCILS:
         raise ValidationError(f"order must be one of {sorted(_STENCILS)}")
-    return h.reshape(-1)
+    if shape[: h.ndim] != h.shape:
+        raise ValidationError(f"an array {shape} does not lead with the steps' shape {h.shape}")
+    return h
 
 
-def fd_stencil(point: FloatArray, h: float, order: int) -> FloatArray:
+def fd_stencil(point: FloatArray, h: float | FloatArray, order: int) -> FloatArray:
     """Every point a central difference of step h and accuracy order ``order``
     visits around ``point``, stacked as one (size * offsets * 2, *point.shape)
-    array in visiting order: flat coordinate, then offset, then sign (+ before -).
-    Evaluate a field on all of them at once, then hand the values to ``fd_combine``."""
+    array in visiting order: flat coordinate, then offset, then sign (+ before -);
+    for a stack of points (..., *point shape) with a step array h (...), a step each,
+    (..., M, *point shape). Evaluate a field there, then call ``fd_combine``."""
     z = np.asarray(point, dtype=np.float64)
-    return _stencil_stack(z.reshape(1, -1), order, _check_fd(h, order))[0].reshape(-1, *z.shape)
-
-
-def fd_combine(values: FloatArray, h: float, order: int) -> FloatArray:
-    """Derivatives from field values at the ``fd_stencil`` points (leading axis in
-    its order), shape (dim, *value shape): sum of w (f+ - f-) over offsets, over h."""
-    return _combine_stack(np.asarray(values)[None], order, _check_fd(h, order))[0]
-
-
-def _stencil_stack(points: FloatArray, order: int, h: FloatArray) -> FloatArray:
-    """``fd_stencil`` of each flat point in points (K, D) with its own step h (K,): (K, M, D)."""
-    k, d = points.shape
+    h = _check_fd(h, order, z.shape)
+    lead, shape = h.shape, z.shape[h.ndim :]
+    d = int(np.prod(shape))
     offsets, _ = _STENCILS[order]
-    steps = np.zeros((k, d, len(offsets), d))
-    steps[:, np.arange(d), :, np.arange(d)] = h[:, None] * np.array(offsets)
-    flat = points[:, None, None, :]
-    return np.stack([flat + steps, flat - steps], axis=3).reshape(k, 2 * len(offsets) * d, d)
+    steps = np.zeros(lead + (d, len(offsets), d))
+    steps[..., np.arange(d), :, np.arange(d)] = h[..., None] * np.array(offsets)
+    flat = z.reshape(lead + (1, 1, d))
+    return np.stack([flat + steps, flat - steps], axis=-2).reshape(lead + (2 * len(offsets) * d,) + shape)
 
 
-def _combine_stack(values: FloatArray, order: int, h: FloatArray) -> FloatArray:
-    """``fd_combine`` of each stack entry, values (K, M, ...) at the ``_stencil_stack``
-    points with step h (K,): (K, D, ...)."""
+def fd_combine(values: FloatArray, h: float | FloatArray, order: int) -> FloatArray:
+    """Derivatives from field values at the ``fd_stencil`` points (leading axis in
+    its order), shape (dim, *value shape): sum of w (f+ - f-) over offsets, over h.
+    A step array h (...) takes values (..., M, *value shape) at a stack's stencils
+    and gives (..., dim, *value shape)."""
+    values = np.asarray(values)
+    h = _check_fd(h, order, values.shape)
     offsets, weights = _STENCILS[order]
-    v = values.reshape(values.shape[0], values.shape[1] // (2 * len(offsets)), len(offsets), 2, *values.shape[2:])
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w * (v[:, :, k, 0] - v[:, :, k, 1])
-    return acc / h.reshape(-1, *[1] * (acc.ndim - 1))
+    if values.ndim <= h.ndim or values.shape[h.ndim] % (2 * len(offsets)):
+        raise ValidationError(f"values {values.shape} hold no order-{order} stencil axis after the steps {h.shape}")
+    lead, m = h.shape, values.shape[h.ndim]
+    v = values.reshape(lead + (m // (2 * len(offsets)), len(offsets), 2) + values.shape[h.ndim + 1 :])
+    at = (slice(None),) * (h.ndim + 1)  # the stack's axes and the coordinate
+    acc = sum(w * (v[at + (k, 0)] - v[at + (k, 1)]) for k, w in enumerate(weights))
+    return acc / h.reshape(h.shape + (1,) * (acc.ndim - h.ndim))
 
 
 def fd_gradient(f: Callable[[FloatArray], float], point: FloatArray, h: float = 1e-5, order: int = 4) -> FloatArray:
@@ -124,9 +126,7 @@ def pushforward_check(state: ChartState, body, strengths: FloatArray) -> float |
     """Max deviation of DS Lambda_momentum DS^T from the closed-form velocity matrix.
 
     ``state`` is a velocity-chart point, or a stack of them with a deviation
-    each (a float for one point); only the (V, X) block is compared (the Omega
-    row of the closed-form matrix is itself defined by pushforward, so
-    including it would be circular).
+    each (a float for one point); every entry is compared.
     """
     from .maps import shift_jacobian, shift_map
     from .structures import momentum_structure_matrix, velocity_structure_matrix
@@ -135,5 +135,5 @@ def pushforward_check(state: ChartState, body, strengths: FloatArray) -> float |
     g = np.broadcast_to(strengths, state.shape + (state.n,))
     ds = shift_jacobian(state.positions, g, body)
     pushed = ds @ momentum_structure_matrix(shift_map(state, g, body), g) @ ds.swapaxes(-1, -2)
-    deviation = np.max(np.abs(pushed - lam)[..., 1:, 1:], axis=(-2, -1))
+    deviation = np.max(np.abs(pushed - lam), axis=(-2, -1))
     return float(deviation) if state.shape == () else deviation

@@ -18,22 +18,21 @@ through ``state.admit``, then give one entry per state. The table is
 (pi_pi, pi_vortex, vortex), a float, a (2, 2N) and an (N, N) array for one
 state. ``jacobi_residual`` takes one flat point or a stack of them and calls
 its structure field once, on the whole stencil stack.
-Stencils come from ``oracle``: the interaction table validates all order-6
-stencil configurations of a stack at once and evaluates the magnetic
-potential on them in one batched call, and the Jacobi verifier sums the
-cyclic terms of all index triples as whole tensors.
+The interaction table differentiates the magnetic potential one vortex at a
+time through ``maps``' stream stencil, which the magnetic pairing also uses;
+the Jacobi verifier takes its stencils from ``oracle.fd_stencil`` and sums
+the cyclic terms of all index triples as whole tensors.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .energetics import BodyParams
-from .fluid import batch_momentum_shift, validate_stack
-from .oracle import _check_fd, _combine_stack, _stencil_stack
+from .maps import _stream_gradient
+from .oracle import fd_combine, fd_stencil
 from .state import MOMENTUM, VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
@@ -103,37 +102,29 @@ def interaction_bracket_coefficients(
 ) -> tuple[float, FloatArray, FloatArray]:
     """Pairwise brackets of the reduced interaction structure, assembled from theory.
 
-    Uses only the magnetic potential (differentiated numerically), the vortex
-    bracket, and the generator pairings; it never touches the closed-form
-    matrix, so agreement with ``velocity_structure_matrix`` certifies the
-    reduction theorem numerically. It takes velocity-chart states, whose
-    bracket this is. Entries are momentum-level, returned as
-    (pi_pi, pi_vortex, vortex): {Pi_x, Pi_y}, a float for one state and (...)
-    for a stack; {Pi_a, X_i} and {Pi_a, Y_i} as (..., 2, 2N),
-    row a in (x, y), columns in flat vortex order (X_0, Y_0, X_1, ...); and
-    {X_i, Y_j} as (..., N, N). Raises the ValidationError of the first
-    inadmissible state, then of the first inadmissible stencil point.
+    Uses only the magnetic potential, differentiated one vortex at a time by
+    ``maps._stream_gradient``, the vortex bracket, and the generator pairings;
+    it never touches the closed-form matrix, so agreement with
+    ``velocity_structure_matrix`` certifies the reduction theorem numerically.
+    It takes velocity-chart states, whose bracket this is. Entries are
+    momentum-level, returned as (pi_pi, pi_vortex, vortex): {Pi_x, Pi_y}, a
+    float for one state and (...) for a stack; {Pi_a, X_i} and {Pi_a, Y_i} as
+    (..., 2, 2N), row a in (x, y), columns in flat vortex order
+    (X_0, Y_0, X_1, ...); and {X_i, Y_j} as (..., N, N). Raises the
+    ValidationError of the first inadmissible state.
     """
-    z, g = admit(state, VELOCITY, strengths, body.radius)
+    _, g = admit(state, VELOCITY, strengths, body.radius)
     lead, n = state.shape, state.n
-    k = math.prod(lead)
-    flat, g = z[..., 3:].reshape(k, 2 * n), g.reshape(k, n)
-    h = 1e-3 * (1.0 + np.max(np.abs(flat), axis=-1, initial=0.0))
-    configs = _stencil_stack(flat, 6, h).reshape(k, -1, n, 2)
-    validate_stack(np.repeat(g, configs.shape[1], axis=0), configs.reshape(-1, n, 2), body.radius)
-    phi_xy = batch_momentum_shift(configs, g[:, None], body.radius)[..., 1:]
-    grad = _combine_stack(phi_xy, 6, h).swapaxes(1, 2)  # (K, 2, 2N): d(phi_x, phi_y)/dz
-    inv = (-1.0 / g)[:, None]  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
+    # d(phi_x, phi_y)/d(X_i, Y_i) = Gamma_i (grad Psi(X_i) + d(-Y_i, X_i)/d(X_i, Y_i)), (..., N, coordinate, stream)
+    grad = g[..., None, None] * (_stream_gradient(state.positions, body.radius) + [[0.0, 1.0], [-1.0, 0.0]])
+    grad = np.moveaxis(grad, -1, -3).reshape(lead + (2, 2 * n))  # (..., 2, 2N): d(phi_x, phi_y)/dz
+    inv = -1.0 / g  # the vortex bracket {X_i, Y_i} = -1/Gamma_i
     # phi_x and phi_y under the vortex bracket, minus the translations' pairing -Gamma_total
-    star = (inv[:, 0] * (grad[:, 0, 0::2] * grad[:, 1, 1::2] - grad[:, 1, 0::2] * grad[:, 0, 1::2])).sum(axis=-1)
+    star = (inv * (grad[..., 0, 0::2] * grad[..., 1, 1::2] - grad[..., 1, 0::2] * grad[..., 0, 1::2])).sum(axis=-1)
     # {Pi_a, X_i} = -1/Gamma_i * -dphi_a/dY_i and {Pi_a, Y_i} = -1/Gamma_i * dphi_a/dX_i
-    pi_vortex = (inv[..., None] * np.stack([-grad[..., 1::2], grad[..., 0::2]], axis=-1)).reshape(grad.shape)
+    pi_vortex = (inv[..., None, :, None] * np.stack([-grad[..., 1::2], grad[..., 0::2]], axis=-1)).reshape(grad.shape)
     pi_pi = star + g.sum(axis=-1)
-    return (
-        float(pi_pi[0]) if lead == () else pi_pi.reshape(lead),
-        pi_vortex.reshape(lead + pi_vortex.shape[1:]),
-        (np.eye(n) * inv.swapaxes(1, 2)).reshape(lead + (n, n)),
-    )
+    return float(pi_pi) if lead == () else pi_pi, pi_vortex, np.eye(n) * inv[..., None]
 
 
 def jacobi_residual(
@@ -148,11 +139,10 @@ def jacobi_residual(
     matrices there, (..., M, D, D)."""
     z = np.asarray(points, dtype=np.float64)
     lead, d = z.shape[:-1], z.shape[-1]
-    h = _check_fd(np.broadcast_to(h, lead), 2)
-    z = z.reshape(-1, d)
-    stencils = np.concatenate([z[:, None], _stencil_stack(z, 2, h)], axis=1)
-    lam = np.asarray(structure_field(stencils.reshape(lead + stencils.shape[1:]))).reshape(stencils.shape + (d,))
-    dlam = _combine_stack(lam[:, 1:], 2, h)
+    h = np.broadcast_to(h, lead)
+    stencils = np.concatenate([z[..., None, :], fd_stencil(z, h, 2)], axis=-2)
+    lam = np.asarray(structure_field(stencils)).reshape((-1,) + stencils.shape[-2:] + (d,))
+    dlam = fd_combine(lam[:, 1:], h.reshape(-1), 2)
     # every triple's cyclic sum at once; summing over l in index order, term by
     # term (not in one einsum), fixes the rounding to that of the scalar sum
     total = np.zeros(dlam.shape)

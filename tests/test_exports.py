@@ -1,7 +1,8 @@
 """Every name that the package or one of its modules lists in ``__all__`` resolves,
 so ``from vortexcyl.<module> import *`` cannot fail on a stale entry, every
 module uses each name it imports, ``cli`` and ``oracle`` import no other
-module's private names, and the package raises one error class of its own."""
+module's private names, no module imports a private name from ``oracle``, and
+the package raises one error class of its own."""
 import ast
 import importlib
 import pkgutil
@@ -49,12 +50,15 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
-def _private_imports(path: Path) -> list[str]:
+def _private_imports(path: Path, source: str | None = None) -> list[str]:
     """Names with a leading underscore (dunders aside) that a module imports from
-    another vortexcyl module, at module level or inside a function."""
+    another vortexcyl module, or only from the module named ``source``, at module
+    level or inside a function."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("vortexcyl")):
+        if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").startswith("vortexcyl")):
+            continue
+        if source is None or (node.module or "").split(".")[-1] == source:
             found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.startswith("_") and not alias.name.endswith("__")]
     return found
@@ -64,6 +68,12 @@ def _private_imports(path: Path) -> list[str]:
 def test_certificate_callers_import_no_private_name(name):
     # ``verify`` and the pushforward check run only the public certificate functions
     assert _private_imports(Path(vortexcyl.__file__).parent / name) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_from_oracle(path):
+    # the certificates take their central differences from the public fd_stencil and fd_combine
+    assert _private_imports(path, "oracle") == []
 
 
 def _error_classes_and_value_errors(path: Path) -> list[str]:

@@ -345,9 +345,7 @@ def test_a_vortex_at_or_inside_the_margin_is_rejected(function, distance):
         _VORTEX_TAKERS[function]([distance, 0.0])
 
 
-# the interaction table's order-6 stencil (step 1e-3 (1 + |X|)) reaches inside the
-# margin from here, and it rejects the stencil configuration
-@pytest.mark.parametrize("function", sorted(set(_VORTEX_TAKERS) - {"interaction_bracket_coefficients"}))
+@pytest.mark.parametrize("function", sorted(_VORTEX_TAKERS))
 def test_a_vortex_one_step_beyond_the_margin_is_admitted(function):
     # admission only: this close to the body the pair sum's image term on its zero-weight
     # diagonal cancels to 0, so W_G divides by zero and comes out nan

@@ -118,6 +118,12 @@ def test_finite_differences_reject_a_bad_step_or_order(name, h, order, message):
         _FD_CALLS[name](h, order)
 
 
+@pytest.mark.parametrize("values, h", [(np.zeros(3), np.ones(3)), (np.zeros((5, 2)), 1e-3)])
+def test_fd_combine_rejects_values_without_a_stencil_axis(values, h):
+    with pytest.raises(ValidationError, match=r"^values \(\d+(, \d+)?,?\) hold no order-2 stencil axis"):
+        fd_combine(values, h, 2)
+
+
 def test_fd_gradient_cross_checks_kirchhoff_routh(rng):
     radius = 1.0
     g = np.array([1.0, -0.6])

@@ -22,7 +22,7 @@ from vortexcyl.maps import (
     shift_jacobian,
     shift_map,
 )
-from vortexcyl.oracle import _combine_stack, _stencil_stack, fd_combine, fd_stencil, pushforward_check
+from vortexcyl.oracle import fd_combine, fd_stencil, pushforward_check
 from vortexcyl.state import ChartState
 from vortexcyl.structures import (
     interaction_bracket_coefficients,
@@ -199,15 +199,20 @@ def test_jacobi_residual_on_a_stack_equals_it_point_by_point(case):
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])
-def test_stencil_and_combine_stacks_equal_one_point_differences(order, rng):
-    points = rng.normal(size=(4, 5))
-    h = rng.uniform(1e-4, 1e-2, 4)
-    stencils = _stencil_stack(points, order, h)
-    values = np.sin(stencils) @ rng.normal(size=(5, 3))
-    derivs = _combine_stack(values, order, h)
-    for k in range(4):
+def test_fd_stencil_and_fd_combine_on_a_stack_equal_one_point_differences(order, rng):
+    # a step array (3, 4) makes the leading axes of points (3, 4, 5, 2) a stack of (5, 2) points
+    points = rng.normal(size=(3, 4, 5, 2))
+    h = rng.uniform(1e-4, 1e-2, (3, 4))
+    stencils = fd_stencil(points, h, order)
+    values = np.sin(stencils) @ rng.normal(size=(2, 3))
+    derivs = fd_combine(values, h, order)
+    assert stencils.shape == (3, 4, 20 * (order // 2), 5, 2) and derivs.shape == (3, 4, 10, 5, 3)
+    for k in np.ndindex(h.shape):
         assert (stencils[k] == fd_stencil(points[k], h[k], order)).all()
         assert (derivs[k] == fd_combine(values[k], h[k], order)).all()
+    for take, stack in ((fd_stencil, points), (fd_combine, values)):
+        with pytest.raises(ValidationError, match=r"does not lead with the steps' shape \(3, 4\)$"):
+            take(stack.swapaxes(0, 1), h, order)
 
 
 @pytest.mark.parametrize(

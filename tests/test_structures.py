@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from conftest import random_state
 from vortexcyl import (
     ChartState,
-    VortexSet,
+    cocycle_sigma,
+    elementary_streams,
     fd_gradient,
     interaction_bracket_coefficients,
     jacobi_residual,
     magnetic_pairing,
+    magnetic_potential,
     momentum_structure_matrix,
     velocity_structure_matrix,
 )
-from vortexcyl import structures
 from vortexcyl.energetics import BodyParams
-from vortexcyl.fluid import ValidationError, batch_momentum_shift
+from vortexcyl.fluid import ValidationError
 
 
 def test_momentum_matrix_algebra_block(rng):
@@ -128,6 +129,38 @@ def test_interaction_star_term(body, rng):
         assert abs(star - expected) <= 1e-10
 
 
+def _small_body_cases(radius):
+    """Strengths (1, -0.6) at (2R, 0.3R) and (-1.5R, 1.7R), then 200 random three-vortex
+    states between 1.01 R and 3 R: stacks of positions (K, N, 2) and strengths (K, N)."""
+    yield np.array([[[2.0, 0.3], [-1.5, 1.7]]]) * radius, np.array([[1.0, -0.6]])
+    rng = np.random.default_rng(11)
+    r = rng.uniform(1.01, 3.0, (200, 3)) * radius
+    th = rng.uniform(0.0, 2.0 * np.pi, (200, 3))
+    g = rng.uniform(0.5, 2.0, (200, 3)) * rng.choice([-1.0, 1.0], (200, 3))
+    yield np.stack([r * np.cos(th), r * np.sin(th)], axis=-1), g
+
+
+# the stream stencil's step scales with the vortex's distance, so both certificates
+# hold on a small body as they do at R = 1
+@pytest.mark.parametrize("radius", [1e-3, 1e-6])
+def test_cocycle_mixed_components_vanish_on_a_small_body(radius):
+    for pos, g in _small_body_cases(radius):
+        sigma = cocycle_sigma(pos, g, radius)
+        phi_xy = np.max(np.abs(magnetic_potential(pos, g, radius)[:, 1:]), axis=-1)
+        assert (np.max(np.abs(sigma[:, 0, 1:]), axis=-1) <= 1e-10 * phi_xy).all()
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1e-6])
+def test_interaction_matches_velocity_matrix_on_a_small_body(radius):
+    body = BodyParams(mass=np.pi, inertia=1.0, radius=radius)
+    for pos, g in _small_body_cases(radius):
+        st = ChartState("velocity", np.zeros((len(pos), 3)), pos)
+        lam = velocity_structure_matrix(st, g, body)
+        pi_pi, pi_vortex, _ = interaction_bracket_coefficients(st, g, body)
+        assert np.max(np.abs(pi_pi - body.c**2 * lam[:, 1, 2])) <= 1e-10 * body.c**2
+        assert np.max(np.abs(pi_vortex - body.c * lam[:, 1:3, 3:])) <= 1e-10 * body.c
+
+
 @st.composite
 def _admissible_sets(draw):
     """N = 1..4 vortices between 1.1 R and 4 R, kept apart by angular spacing."""
@@ -144,44 +177,41 @@ def _admissible_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(_admissible_sets())
 def test_interaction_phi_gradient_matches_fd_gradient_bitwise(case):
+    # d(phi_x, phi_y)/d(X_i, Y_i) is Gamma_i times the elementary streams' order-6
+    # gradient at X_i, step 1e-3 |X_i|, plus the bare term d(-Y_i, X_i)/d(X_i, Y_i)
     g, pos = case
     body = BodyParams(mass=np.pi, inertia=1.0, radius=1.0)
-    combine, seen = structures._combine_stack, []
-
-    def spy(values, order, h):
-        seen.append(combine(values, order, h))
-        return seen[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structures, "_combine_stack", spy)
-        interaction_bracket_coefficients(ChartState("velocity", [0.1, 0.2, 0.3], pos), g, body)
-    flat = pos.reshape(-1)
-    h = 1e-3 * (1.0 + float(np.max(np.abs(flat))))
-    for idx in (0, 1):
-        ref = fd_gradient(lambda p: float(batch_momentum_shift(p.reshape(-1, 2), g, 1.0)[1 + idx]), flat, h, 6)
-        assert (seen[0][0, :, idx] == ref).all()
+    pi_vortex = interaction_bracket_coefficients(ChartState("velocity", [0.1, 0.2, 0.3], pos), g, body)[1]
+    bare = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for i, (gi, x) in enumerate(zip(g, pos)):
+        h = 1e-3 * np.hypot(*x)
+        streams = [fd_gradient(lambda p, k=k: elementary_streams(p, 1.0, check=False)[k], x, h, 6) for k in (0, 1)]
+        grad = gi * (np.stack(streams, axis=-1) + bare)  # (coordinate, stream)
+        # {Pi_a, X_i} = -1/Gamma_i * -dphi_a/dY_i and {Pi_a, Y_i} = -1/Gamma_i * dphi_a/dX_i
+        assert (pi_vortex[:, 2 * i] == -1.0 / gi * -grad[1]).all()
+        assert (pi_vortex[:, 2 * i + 1] == -1.0 / gi * grad[0]).all()
 
 
 @pytest.mark.parametrize(
-    "positions, message",
+    "positions",
     [
-        # h = 4e-3: the stencil moves vortex 1 to y = 0.998, inside the body
-        ([[3.0, 0.0], [0.0, 1.002]], "vortex 1: position must lie strictly outside the body"),
-        # moving vortex 0 by +2h in x lands exactly on vortex 1
-        ([[1.5, 3.0], [1.5 + 2 * 4e-3, 3.0]], "vortices 0 and 1 coincide"),
-        # only the last stencil point, -3h on Y1, lands inside: 1.01 - 3 * 4e-3 = 0.998
-        ([[3.0, 0.0], [0.0, 1.01]], "vortex 1: position must lie strictly outside the body"),
-        # h = 2.005e-3: Y0 + 3h (visited at coordinate 1) and X1 - h (coordinate 2)
-        # both land inside; the first in visiting order is reported
-        ([[0.0, -1.005], [1.001, 0.0]], "vortex 0: position must lie strictly outside the body"),
+        [[3.0, 0.0], [0.0, 1.002]],
+        [[1.5, 3.0], [1.5 + 2 * 4e-3, 3.0]],
+        [[3.0, 0.0], [0.0, 1.01]],
+        [[0.0, -1.005], [1.001, 0.0]],
     ],
 )
-def test_interaction_rejects_inadmissible_stencil_points(body, positions, message):
+def test_interaction_admits_states_near_the_body_or_each_other(body, positions):
+    # phi_xy holds one term per vortex, and each term's stencil moves its own vortex alone,
+    # so no stencil meets another vortex; where one steps inside the body the streams
+    # continue analytically
     g = np.array([1.0, -0.7])
     st = ChartState("velocity", [0.1, 0.2, 0.3], positions)
-    VortexSet(g, st.positions).validate(body.radius)
-    with pytest.raises(ValidationError, match=message):
-        interaction_bracket_coefficients(st, g, body)
+    lam = velocity_structure_matrix(st, g, body)
+    pi_pi, pi_vortex, vortex = interaction_bracket_coefficients(st, g, body)
+    assert abs(pi_pi - body.c**2 * lam[1, 2]) <= 1e-10
+    assert np.max(np.abs(pi_vortex - body.c * lam[1:3, 3:])) <= 1e-10
+    assert np.max(np.abs(vortex - lam[3::2, 4::2])) <= 1e-10
 
 
 def _on_stacks(structure_field):
