@@ -385,7 +385,7 @@ def run(config):
     momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
     # the loops take Python floats, as numpy scalars would slow them; BodyParams,
     # total_strength and the clearance are floats already, dt need not be
-    r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, float(config.dt)
+    r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, config.dt
     body_limit2, pair_limit2 = (body.radius + config.clearance) ** 2, config.clearance**2
     z0 = np.concatenate([config.body_state, vortices.positions.reshape(-1)])
     z, g = ops.load(z0), ops.strengths(vortices.strengths)

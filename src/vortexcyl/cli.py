@@ -121,57 +121,27 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _floats(raw: dict, key: str, default: list, shape: tuple[int | None, ...]) -> np.ndarray:
-    """raw[key] (or default, when absent) as a float array of this shape; None is any length."""
-    try:
-        arr = np.asarray(raw.get(key, default), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be an array of numbers") from None
-    except OverflowError:  # an integer literal too large for a float
-        raise ValidationError(f"{key} holds a number outside the float range") from None
-    if arr.size == 0 and None in shape:
-        arr = arr.reshape([d or 0 for d in shape])
-    if arr.ndim != len(shape) or any(d is not None and d != a for d, a in zip(shape, arr.shape)):
-        want = " x ".join("N" if d is None else str(d) for d in shape)
-        got = " x ".join(map(str, arr.shape)) or "a scalar"
-        raise ValidationError(f"{key} must have shape {want}, got {got}")
-    return arr
-
-
-def _number(raw: dict, key: str, default: float | None = None) -> float:
-    """raw[key] (or default, when absent) as a float."""
-    try:
-        return float(raw.get(key, default))
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be a number") from None
-    except OverflowError:  # an integer literal too large for a float
-        raise ValidationError(f"{key} is outside the float range") from None
-
-
 def config_from_dict(raw: dict) -> SimConfig:
-    """Validate a parsed config dictionary; unknown keys are rejected."""
+    """The SimConfig of a parsed config dictionary: unknown and missing keys are rejected
+    here, and each value is admitted by the constructor that owns its field."""
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     missing = {"chart", "radius", "mass", "inertia", "dt", "t_end"} - set(raw)
     if missing:
         raise ValidationError(f"missing config keys: {sorted(missing)}")
-    if not (isinstance(raw["chart"], str) and raw["chart"].lower() in CHART_ALIASES):
-        raise ValidationError(f"chart must be one of {sorted(CHART_ALIASES)}")
-    body = BodyParams(mass=_number(raw, "mass"), inertia=_number(raw, "inertia"), radius=_number(raw, "radius"))
-    vortices = VortexSet(_floats(raw, "strengths", [], (None,)), _floats(raw, "positions", [], (None, 2)))
     return SimConfig(
         chart=raw["chart"],
-        body=body,
-        vortices=vortices,
-        body_state=_floats(raw, "body", [0.0, 0.0, 0.0], (3,)),
-        dt=_number(raw, "dt"),
-        t_end=_number(raw, "t_end"),
+        body=BodyParams(mass=raw["mass"], inertia=raw["inertia"], radius=raw["radius"]),
+        vortices=VortexSet(raw.get("strengths", []), raw.get("positions", [])),
+        body_state=raw.get("body", [0.0, 0.0, 0.0]),
+        dt=raw["dt"],
+        t_end=raw["t_end"],
         integrator=raw.get("integrator", "rk4"),
-        stride=_number(raw, "stride", 1),
-        clearance=None if raw.get("clearance") is None else _number(raw, "clearance"),
+        stride=raw.get("stride", 1),
+        clearance=raw.get("clearance"),
         name=raw.get("name", ""),
-        pose=_floats(raw, "pose", [0.0, 0.0, 0.0], (3,)),
+        pose=raw.get("pose", [0.0, 0.0, 0.0]),
     )
 
 

@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from . import _kernels
 from .energetics import BodyParams, _energy_stack, hamiltonian_gradient
-from .fluid import ValidationError, VortexSet, min_pair_distance
+from .fluid import ValidationError, VortexSet, _admit_floats, min_pair_distance
 from .maps import _shift_stack
 from .se2 import to_inertial
 from .state import MOMENTUM, ChartState, canonical_chart
@@ -63,15 +63,15 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chart", canonical_chart(self.chart))
-        object.__setattr__(self, "body_state", np.asarray(self.body_state, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=np.float64).reshape(3))
-        if not np.isfinite(self.body_state).all():
-            raise ValidationError("body state must be 3 finite numbers")
-        if not np.isfinite(self.pose).all():
-            raise ValidationError("pose must be 3 finite numbers")
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        for name in ("body_state", "pose"):
+            object.__setattr__(self, name, _admit_floats(getattr(self, name), name, (3,)))
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name} must be 3 finite numbers")
+        for name in ("dt", "t_end", "stride"):
+            object.__setattr__(self, name, _admit_floats(getattr(self, name), name))
+        if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("dt must be positive")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValidationError("t_end must be nonnegative")
         if math.isinf(self.t_end / self.dt):
             # both finite, but the quotient overflows: there is no step count to round
@@ -83,7 +83,7 @@ class SimConfig:
             )
         if self.integrator not in ("rk4", "midpoint"):
             raise ValidationError("integrator must be 'rk4' or 'midpoint'")
-        if not (float(self.stride).is_integer() and self.stride >= 1):
+        if not (self.stride.is_integer() and self.stride >= 1):
             raise ValidationError("stride must be a positive integer")
         object.__setattr__(self, "stride", int(self.stride))
         samples = -(-self.nsteps // self.stride) + 1  # t = 0, every stride-th step and the last
@@ -97,12 +97,12 @@ class SimConfig:
         if self.nsteps > 2**53:
             # past 2**53 float step times stop being distinct, so the whole-step check rejects nothing
             raise ValidationError(f"t_end / dt = {self.nsteps} steps, more than 2**53")
-        eps = self.clearance if self.clearance is not None else 1e-3 * self.body.radius
-        if not (np.isfinite(eps) and eps > 0):
+        eps = 1e-3 * self.body.radius if self.clearance is None else _admit_floats(self.clearance, "clearance")
+        if not (math.isfinite(eps) and eps > 0):
             raise ValidationError("clearance must be positive")
         if math.isinf((self.body.radius + eps) * (self.body.radius + eps)):
             raise ValidationError(f"clearance = {eps:g} puts (radius + clearance)**2 outside the float range")
-        object.__setattr__(self, "clearance", float(eps))
+        object.__setattr__(self, "clearance", eps)
         self.vortices.validate(self.body.radius)
 
     @property

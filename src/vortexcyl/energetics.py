@@ -10,13 +10,14 @@ so the two charts agree identically under the shift map.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import fluid
-from .fluid import ValidationError
+from .fluid import ValidationError, _admit_floats
 from .state import VELOCITY, ChartState, admit
 
 FloatArray = NDArray[np.float64]
@@ -39,10 +40,10 @@ class BodyParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "inertia", "radius"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            v = _admit_floats(getattr(self, name), name)
+            if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite float")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         # the drive loop divides by radius**2, taken with Python's float **, which raises on overflow
         if not np.finfo(float).tiny <= self.radius * self.radius < np.inf:
             raise ValidationError(f"radius = {self.radius:g} has a square outside the float range")

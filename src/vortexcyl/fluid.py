@@ -49,9 +49,32 @@ class ValidationError(ValueError):
     """An input the library does not admit: a point outside the fluid, a radius, a config."""
 
 
+def _admit_floats(value, name: str, shape: tuple | None = None):
+    """The field ``name``'s value as a float, or, given a shape, as a float array of that
+    shape, where None is any length and a leading ... any leading axes; an empty array
+    takes the shape with 0 for each None. Else a ValidationError naming the field."""
+    try:
+        if shape is None:
+            return float(value)
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be {'a number' if shape is None else 'an array of numbers'}") from None
+    except OverflowError:  # an integer too large for a float
+        raise ValidationError(f"{name} {'is' if shape is None else 'holds a number'} outside the float range") from None
+    if shape[:1] == (...,):
+        shape = arr.shape[: max(arr.ndim - len(shape) + 1, 0)] + shape[1:]
+    if arr.size == 0 and None in shape:
+        arr = arr.reshape([d or 0 for d in shape])
+    if arr.ndim != len(shape) or any(d is not None and d != a for d, a in zip(shape, arr.shape)):
+        want = " x ".join("N" if d is None else str(d) for d in shape)
+        got = " x ".join(map(str, arr.shape)) or "a scalar"
+        raise ValidationError(f"{name} must have shape {want}, got {got}")
+    return arr
+
+
 @dataclass(frozen=True)
 class VortexSet:
-    """Vortex strengths and body-frame positions.
+    """Vortex strengths (N,) and body-frame positions (N, 2).
 
     Invariants: every strength nonzero, every position strictly outside the
     body, positions pairwise distinct.
@@ -61,8 +84,8 @@ class VortexSet:
     positions: FloatArray = field(default_factory=lambda: np.zeros((0, 2)))
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.strengths, dtype=np.float64).reshape(-1)
-        x = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
+        g = _admit_floats(self.strengths, "strengths", (None,))
+        x = _admit_floats(self.positions, "positions", (None, 2))
         if g.shape[0] != x.shape[0]:
             raise ValidationError("strengths and positions must have matching length")
         object.__setattr__(self, "strengths", g)
@@ -249,10 +272,12 @@ def batch_kirchhoff_routh(positions: FloatArray, strengths: FloatArray, radius: 
             qx, qy, a2 = px[blk, :, None], py[blk, :, None], d2[blk, :, None]
             dx, dy = qx - px[blk, None, :], qy - py[blk, None, :]
             sep2 = (dx * dx + dy * dy).reshape(-1, n * n)
-            sep2[:, :: n + 1] = 1.0  # carries zero weight; keeps the log finite
-            a2b2 = a2 * d2[blk, None, :]
-            denom = a2b2 - 2.0 * r2 * (qx * px[blk, None, :] + qy * py[blk, None, :]) + r2 * r2
-            terms = np.log(sep2) + np.log(a2b2 / denom).reshape(-1, n * n)
+            a2b2 = (a2 * d2[blk, None, :]).reshape(-1, n * n)
+            denom = a2b2 - 2.0 * r2 * (qx * px[blk, None, :] + qy * py[blk, None, :]).reshape(-1, n * n) + r2 * r2
+            # the diagonal carries zero weight: 1 there keeps its logs finite, also next to
+            # the body, where its image denominator cancels to 0
+            sep2[:, :: n + 1] = a2b2[:, :: n + 1] = denom[:, :: n + 1] = 1.0
+            terms = np.log(sep2) + np.log(a2b2 / denom)
             # per-row weights take one dot product per row, as a single configuration does
             pair = terms @ gg if gg.ndim == 1 else (terms[:, None] @ gg[blk, :, None])[:, 0, 0]
             total[blk] += pair / (2.0 * FOUR_PI)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .fluid import ValidationError, _check_strengths, validate_stack
+from .fluid import ValidationError, _admit_floats, _check_strengths, validate_stack
 
 FloatArray = NDArray[np.float64]
 
@@ -32,6 +32,8 @@ __all__ = ["MOMENTUM", "VELOCITY", "CHART_ALIASES", "canonical_chart", "ChartSta
 
 
 def canonical_chart(tag: str) -> str:
+    if not isinstance(tag, str):
+        raise ValidationError(f"chart must be a string naming one of {sorted(CHART_ALIASES)}, not {type(tag).__name__}")
     try:
         return CHART_ALIASES[tag.lower()]
     except KeyError:
@@ -48,11 +50,9 @@ class ChartState:
     positions: FloatArray = field(default_factory=lambda: np.zeros((0, 2)))
 
     def __post_init__(self) -> None:
-        body = np.asarray(self.body, dtype=np.float64)
-        positions = np.asarray(self.positions, dtype=np.float64)
         object.__setattr__(self, "chart", canonical_chart(self.chart))
-        object.__setattr__(self, "body", body.reshape(body.shape[:-1] + (3,)))
-        object.__setattr__(self, "positions", positions.reshape(self.shape + (-1, 2)))
+        object.__setattr__(self, "body", _admit_floats(self.body, "body", (..., 3)))
+        object.__setattr__(self, "positions", _admit_floats(self.positions, "positions", (*self.shape, None, 2)))
 
     @property
     def shape(self) -> tuple[int, ...]:

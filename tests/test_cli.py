@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import warnings
 
@@ -59,6 +60,35 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     raw = _minimal_config(tolerance=1e-6)
     with pytest.raises(ValidationError, match="unknown config keys"):
         cli.load_config(_write(tmp_path, raw))
+
+
+@pytest.mark.parametrize("keys", [("dt",), ("mass", "chart")])
+def test_load_config_names_its_missing_keys(tmp_path, capsys, keys):
+    raw = {k: v for k, v in _minimal_config().items() if k not in keys}
+    path = _write(tmp_path, raw)
+    with pytest.raises(ValidationError, match=re.escape(f"missing config keys: {sorted(keys)}")):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5", '"config"', "null"])
+def test_load_config_rejects_a_top_level_other_than_an_object(tmp_path, capsys, text):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="^top level must be a JSON object$"):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: top level must be a JSON object\n"
+
+
+@pytest.mark.parametrize("integrator", ["euler", "RK4", "", None, 4])
+def test_load_config_rejects_an_unknown_integrator(tmp_path, capsys, integrator):
+    path = _write(tmp_path, _minimal_config(integrator=integrator))
+    with pytest.raises(ValidationError, match="^integrator must be 'rk4' or 'midpoint'$"):
+        cli.load_config(path)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_load_config_reports_parse_errors(tmp_path):
@@ -139,6 +169,17 @@ def test_non_finite_start_exits_2_with_one_line(tmp_path, capfd, case):
         assert (out / "good" / "trajectory.csv").exists() and not (out / path.stem).exists()
 
 
+def test_a_vortex_next_to_the_margin_halts_at_step_0_with_a_finite_energy(tmp_path, capsys):
+    raw = _minimal_config(strengths=[1.0, 1.0], positions=[[1.0 + 2e-9, 0.0], [0.0, 3.0]])
+    out = tmp_path / "x"
+    assert cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(out)]) == cli.EXIT_HALT
+    assert capsys.readouterr().err == ""
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "halt = vortex reached the body clearance" in summary and "t_final = 0" in summary
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 and np.isfinite(float(rows[0].split(",")[header.split(",").index("H")]))
+
+
 def test_simulate_two_vortex_preset_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["simulate", "--preset", "two-vortex-free", "--out", str(out1), "--t-end", "1.0"]) == 0
@@ -177,6 +218,20 @@ def test_flag_overrides(tmp_path):
     assert code == cli.EXIT_OK
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,Omega,Vx,Vy")
+
+
+def test_integrator_override_runs_the_midpoint_rule(tmp_path):
+    path = _write(tmp_path, _minimal_config(integrator="rk4", t_end=0.1))
+    summaries = {}
+    for flags in ([], ["--integrator", "midpoint"], ["--integrator", "rk4"]):
+        out = tmp_path / "-".join(["run", *flags])
+        assert cli.main(["simulate", str(path), "--out", str(out), *flags]) == cli.EXIT_OK
+        summaries[tuple(flags[1:])] = dict(
+            line.split(" = ") for line in (out / "summary.txt").read_text().splitlines()
+        )
+    assert summaries[()]["max_midpoint_iterations"] == summaries[("rk4",)]["max_midpoint_iterations"] == "0"
+    assert int(summaries[("midpoint",)]["max_midpoint_iterations"]) > 0
+    assert summaries[("rk4",)]["rhs_evals"] == summaries[()]["rhs_evals"] == str(4 * 100)
 
 
 def test_csv_restart_continues_trajectory(tmp_path):
@@ -577,6 +632,20 @@ def test_sweep_keeps_its_pool_while_the_worker_count_holds(tmp_path, recording_p
         assert cli.main(["sweep", *batch, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
     assert recording_pool.workers == [2, 3]
     assert recording_pool.shutdowns == [2]
+
+
+def test_sweep_closes_its_kept_pool_when_a_run_raises(tmp_path, recording_pool, monkeypatch):
+    def raising_map(self, fn, configs, outdirs):
+        raise RuntimeError("worker died")
+        yield
+
+    paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(2)]
+    assert cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+    assert recording_pool.shutdowns == [] and cli._pool is not None
+    monkeypatch.setattr(recording_pool, "map", raising_map)
+    with pytest.raises(RuntimeError, match="worker died"):
+        cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert recording_pool.shutdowns == [2] and cli._pool is None
 
 
 def test_sweep_on_a_kept_pool_writes_where_the_caller_is(tmp_path, monkeypatch):

@@ -42,6 +42,12 @@ def _exterior_points(rng, count, radius, r_min=1.5, r_max=3.0):
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
 
 
+@pytest.mark.parametrize("strengths, positions", [([1.0], [[2.0, 0.0], [3.0, 0.0]]), ([1.0, 2.0], [[2.0, 0.0]])])
+def test_vortex_set_rejects_strengths_and_positions_of_different_lengths(strengths, positions):
+    with pytest.raises(ValidationError, match="^strengths and positions must have matching length$"):
+        VortexSet(strengths, positions)
+
+
 def test_potential_values_unit_radius():
     phi_x, phi_y, phi_om = elementary_potentials([1.0, 0.0], UNIT)
     assert phi_x == -1.0 and phi_y == 0.0 and phi_om == 0.0
@@ -162,6 +168,18 @@ def test_kirchhoff_routh_single_vortex():
     expected = 0.5 * np.log(4.0 / 3.0) / (2.0 * np.pi)
     wg = kirchhoff_routh(VortexSet([1.0], [[2.0, 0.0]]), UNIT)
     assert abs(wg - expected) < 1e-15
+
+
+def test_kirchhoff_routh_next_to_the_margin_is_its_pointwise_sum():
+    # this close to the body the image denominator on the pair grid's zero-weight diagonal
+    # cancels to 0; its log must not reach the sum
+    x = [[1.0 + 2e-9, 0.0], [0.0, 3.0]]
+    pointwise = 0.5 * regularized_self(x[0], UNIT) + 0.5 * regularized_self(x[1], UNIT)
+    pointwise += green_function(x[0], x[1], UNIT)
+    wg = kirchhoff_routh(VortexSet([1.0, 1.0], x), UNIT)
+    npt.assert_allclose(wg, pointwise, rtol=1e-15)
+    stack = batch_kirchhoff_routh([x, [[2.0, 0.0], [0.0, 3.0]]], [1.0, 1.0], UNIT)
+    assert stack[0] == wg and stack[1] == kirchhoff_routh(VortexSet([1.0, 1.0], [[2.0, 0.0], [0.0, 3.0]]), UNIT)
 
 
 @pytest.mark.parametrize("radius", [0.7, 1.3])
@@ -347,10 +365,7 @@ def test_a_vortex_at_or_inside_the_margin_is_rejected(function, distance):
 
 @pytest.mark.parametrize("function", sorted(_VORTEX_TAKERS))
 def test_a_vortex_one_step_beyond_the_margin_is_admitted(function):
-    # admission only: this close to the body the pair sum's image term on its zero-weight
-    # diagonal cancels to 0, so W_G divides by zero and comes out nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _VORTEX_TAKERS[function]([np.nextafter(_VORTEX_MARGIN, np.inf), 0.0])
+    _VORTEX_TAKERS[function]([np.nextafter(_VORTEX_MARGIN, np.inf), 0.0])
 
 
 @pytest.mark.parametrize("angle", _ANGLES)

@@ -50,6 +50,13 @@ def test_momentum_matrix_rejects_strengths_not_finite_and_nonzero(strengths, mes
         momentum_structure_matrix(st, np.array(strengths))
 
 
+@pytest.mark.parametrize("strengths", [[1.0], [1.0, 2.0, 3.0]])
+def test_momentum_matrix_rejects_strengths_of_another_length(strengths):
+    st = ChartState("momentum", [0.1, 0.2, 0.3], [[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValidationError, match="^strengths and positions must have matching length$"):
+        momentum_structure_matrix(st, np.array(strengths))
+
+
 def test_momentum_matrix_vortex_block():
     st = ChartState("momentum", [0.0, 0.0, 0.0], [[2.0, 0.0]])
     lam = momentum_structure_matrix(st, np.array([2.0]))
