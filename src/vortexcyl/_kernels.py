@@ -9,13 +9,16 @@ the momentum chart and returns a new slope; a state with a vortex outside the
 fluid domain raises ``_OutsideDomain`` with its index. ``run`` takes a
 ``SimConfig``, returns why it halted as text (the ``HALT_*`` strings) or None,
 and picks a layout per run from the number of vortices (``_ops``). Below
-``PAIR_ARRAY_MIN`` the state is a list of three body floats and N ``complex``
-positions, the kernels are scalar loops over it and the stages are list
-comprehensions; a sample takes the flat float layout (X, Y interleaved) only
-when recorded. From there up the state is the
-flat ndarray and everything is an array expression, with the Kirchhoff-Routh
-pair terms as one (N, N) grid and one matvec. The layouts sum in different
-orders, so they agree to rounding, not bit for bit.
+``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of three body
+floats and N ``complex`` positions. Its right-hand side and stage arithmetic
+are straight-line code written out for that N from one template
+(``_list_source``) and compiled at the first run of each N in a process; the
+body velocity, the clearance scan and the midpoint increment are scalar loops.
+A sample takes the flat float layout (X, Y interleaved) only when recorded.
+From there up the state is the flat ndarray and everything is an array
+expression, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
+matvec. The layouts sum in different orders, so they agree to rounding, not
+bit for bit.
 
 The implicit midpoint iterates u = z + (dt/2) f(u) from the midpoint that the
 last converged slopes f(u) extrapolate to (Hairer, Lubich and Wanner,
@@ -25,6 +28,7 @@ the result only within what the stopping increment leaves.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from types import SimpleNamespace
 
@@ -44,15 +48,17 @@ HALT_DOMAIN = "stage left the fluid domain"
 MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
-# ``run`` works on ndarrays from this many vortices up, on lists below. Lists /
-# arrays in us (Python 3.11, numpy 2.4, 2 shared vCPUs, interleaved, best of 60):
+# ``run`` works on ndarrays from this many vortices up, on the list layout below.
+# List layout (its code written out for each N) / arrays in us (Python 3.11,
+# numpy 2.4, 2 shared vCPUs, interleaved, best of 3 x 60):
 #   N                     4         8        10        11        12
-#   momentum RHS     8.5/33    33/51     48/53     54/53     56/50
-#   clearance scan   2.7/11    13/17     19/18     22/18     16/12
-#   RK4 step          55/166  173/255   238/267   271/266   218/172
-# Lists win through N = 10, but at 10 and 12 vortices the absolute MIDPOINT_TOL
-# leaves 1e-11 to 6e-11 in 100 momentum-chart steps, more than the array path's
-# whole-trajectory parity test allows; 8 keeps that test's 8-vortex system.
+#   momentum RHS     5.8/29    16/29     21/30     25/30     28/30
+#   clearance scan  2.6/9.8    7.1/10     10/11     12/10     14/11
+#   RK4 step          32/145    78/148   108/153   126/151   139/148
+# The list layout wins through N = 12, but at 10 and 12 vortices the absolute
+# MIDPOINT_TOL leaves 1e-11 to 6e-11 in 100 momentum-chart steps, more than the
+# array path's whole-trajectory parity test allows; 8 keeps that test's
+# 8-vortex system.
 PAIR_ARRAY_MIN = 8
 
 _TWO_PI = 2.0 * math.pi
@@ -88,77 +94,126 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
     return ((gtot - g - g * r2 / gap) / pc + (1.0 / grid) @ (g * gap / p)) / (2.0 * math.pi)
 
 
-def _omv(z, lam, s2, c, inertia):
-    """(Omega, Vx, Vy) of a momentum-chart state from lam = sum g (1 - R^2/|p|^2) p
-    and s2 = sum g |p|^2: Omega = (A + s2/2) / I and V = (L + i lam) / c."""
-    return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
-
-
-def _rhs_scalar(momentum, u, g, r2, c, inertia, gtot):
-    """Right-hand side of the list state u in complex form, as a new list; momentum
-    picks the momentum chart, else the velocity chart.
-
-    Raises ``_OutsideDomain`` with the index of the first vortex at distance
-    <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float divisors
-    are body constants or exceed zero by the domain check, and it takes no
-    modulus, so an overflowing state gives inf or nan entries, not an exception;
-    a divisor that underflows to 0 (two vortices 1e-175 apart, or c I below the
-    smallest float) gives an all-nan slope.
-    """
-    domain2 = r2 * _DOMAIN_SCALE
-    vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
-    lam, s2 = 0j, 0.0
-    for gi, p in zip(g, u[3:]):
-        d2 = p.real * p.real + p.imag * p.imag
-        if d2 <= domain2:
-            raise _OutsideDomain(len(vortices))
-        vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
-        lam += (gi - gi * r2 / d2) * p
-        s2 += gi * d2
+# The list layout's right-hand side and stage arithmetic, written out for one
+# number of vortices n by ``_list_source``. The state is a tuple: three body floats
+# a0, a1, a2, then n complex positions p0, p1, ... Every entry, vortex and pair term
+# is a local, and each sum is spelled in the order of the loop it replaces.
+#
+# rhs evaluates the complex-form formula set of the module docstring; per vortex k,
+# d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both only in pair terms),
+# G = dW_G/dX + i dW_G/dY over g (the self term, then each other vortex's pair term
+# in ascending order: its row of ``_kr_grad_complex``) and i = R^2/p*^2. It raises
+# ``_OutsideDomain`` with the index of the first vortex at distance
+# <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float divisors are
+# body constants or exceed zero by that check, and it takes no modulus, so an
+# overflowing state gives inf or nan entries, not an exception; a divisor that
+# underflows to 0 (two vortices 1e-175 apart, or c I below the smallest float)
+# gives an all-nan slope, as the array layout's 1 / 0 makes its slope non-finite.
+# stage, rk4 and reflect work entry by entry (see ``_ops``).
+_LIST_TEMPLATE = """\
+def rhs(momentum, u, g, r2, c, inertia, gtot):
+    a0, a1, a2{p} = u
+    [{g}] = g
+    domain2 = r2 * _DOMAIN_SCALE{domain}{vortex}
+    lam = 0j{lam}
+    s2 = 0.0{s2}
     try:
-        om, vx, vy = _omv(u, lam, s2, c, inertia) if momentum else (u[0], u[1], u[2])
-        rates = []
-        s4, dv, torque = 0.0, 0j, 0.0
-        if vortices:
-            v = complex(vx, vy)
-            vc = v.conjugate()
-            for this in vortices:
-                pk, pck, d2k, gk, _, _ = this
-                # this vortex's row of _kr_grad_complex: its self term, then each other vortex's pair term
-                acc = (gtot - gk - gk * r2 / (d2k - r2)) / pck
-                for other in vortices:
-                    if other is not this:
-                        _, pcj, _, _, wj, qj = other
-                        acc += wj / ((pck - pcj) * (pck - qj))
-                grad = acc / _TWO_PI
-                image = r2 / (pck * pck)
-                rates.append(v - image * vc + 1j * (om * pk - grad))
-                if not momentum:
-                    s4 += gk / (d2k * d2k)
-                    dv += gk * (grad - image * grad.conjugate())
-                    torque += gk * (pck * grad).imag
         if momentum:
-            lx, ly = u[1], u[2]
-            return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
+            om, vx, vy = (a0 + 0.5 * s2) / inertia, (a1 - lam.imag) / c, (a2 + lam.real) / c
+        else:
+            om, vx, vy = a0, a1, a2{v}{grad}
+        if momentum:
+            return (-a2 * vx + a1 * vy, a2 * om + gtot * vy, -a1 * om - gtot * vx{rates})
+        s4 = 0.0{s4}
+        dv = 0j{dv}
+        torque = 0.0{torque}
         l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
         l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
         # gtot - sum g (1 - R^4/d2^2), without the cancellation
         l_v12 = r2 * r2 * s4 / (c * c)
         h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
-        return [
+        return (
             l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
             -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
-            -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c,
-            *rates,
-        ]
+            -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c{rates}
+        )
     except ZeroDivisionError:
-        # a divisor that underflowed to 0, where the array layout divides to inf:
-        # a non-finite slope, on which the drive loop halts as it does there
-        return [math.nan] * len(u)
+        # a divisor that underflowed to 0, where the array layout divides to inf
+        return (_NAN,) * len(u)
+
+
+def stage(z, h, k):
+    {z} = z
+    {k} = k
+    return ({stage})
+
+
+def rk4(z, h, k1, k2, k3, k4):
+    {z} = z
+    {k1} = k1
+    {k2} = k2
+    {k3} = k3
+    {k4} = k4
+    return ({rk4})
+
+
+def reflect(m, z):
+    {m} = m
+    {z} = z
+    return ({reflect})
+"""
+
+
+def _list_source(n):
+    """``_LIST_TEMPLATE`` written out for n vortices; only integers enter the text."""
+    vortices, entries = range(n), range(3 + n)
+
+    def each(pattern, indices=vortices, sep=""):
+        return sep.join(pattern.format(k=k) for k in indices)
+
+    def pair_terms(k):
+        return "".join(f" + w{j} / ((pc{k} - pc{j}) * (pc{k} - q{j}))" for j in vortices if j != k)
+
+    def unpack(name):
+        return each(name + "_{k}", entries, ", ")
+
+    vortex = "\n    pc{k} = p{k}.conjugate()"
+    if n > 1:
+        vortex += "\n    w{k} = g{k} * (d{k} - r2) / p{k}\n    q{k} = r2 / p{k}"
+    grad = "".join(
+        f"\n        G{k} = ((gtot - g{k} - g{k} * r2 / (d{k} - r2)) / pc{k}{pair_terms(k)}) / _TWO_PI"
+        f"\n        i{k} = r2 / (pc{k} * pc{k})"
+        for k in vortices
+    )
+    return _LIST_TEMPLATE.format(
+        p=each(", p{k}"),
+        g=each("g{k}", sep=", "),
+        domain=each(
+            "\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag"
+            "\n    if d{k} <= domain2:\n        raise _OutsideDomain({k})"
+        ),
+        vortex=each(vortex),
+        lam=each(" + (g{k} - g{k} * r2 / d{k}) * p{k}"),
+        s2=each(" + g{k} * d{k}"),
+        v="\n        v = complex(vx, vy)\n        vc = v.conjugate()" if n else "",
+        grad=grad,
+        rates=each(", v - i{k} * vc + 1j * (om * p{k} - G{k})"),
+        s4=each(" + g{k} / (d{k} * d{k})"),
+        dv=each(" + g{k} * (G{k} - i{k} * G{k}.conjugate())"),
+        torque=each(" + g{k} * (pc{k} * G{k}).imag"),
+        **{name: unpack(name) for name in ("z", "k", "k1", "k2", "k3", "k4", "m")},
+        stage=each("z_{k} + h * k_{k}", entries, ", "),
+        rk4=each("z_{k} + h * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})", entries, ", "),
+        reflect=each("2.0 * m_{k} - z_{k}", entries, ", "),
+    )
 
 
 def _body_velocity_scalar(momentum, z, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a list state in the momentum chart, or else the velocity chart."""
+    """(Omega, Vx, Vy) of a list state in the momentum chart, or else the velocity chart.
+
+    In the momentum chart, with lam = sum g (1 - R^2/|p|^2) p and s2 = sum g |p|^2,
+    Omega = (A + s2/2) / I and V = (L + i lam) / c, as the list layout's rhs has them.
+    """
     if not momentum:
         return z[0], z[1], z[2]
     lam, s2 = 0j, 0.0
@@ -166,7 +221,7 @@ def _body_velocity_scalar(momentum, z, g, r2, c, inertia):
         d2 = p.real * p.real + p.imag * p.imag
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
-    return _omv(z, lam, s2, c, inertia)
+    return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
 
 
 def _collision_scalar(z, n, body_limit2, pair_limit2):
@@ -199,7 +254,7 @@ def _omv_array(z, d2, g, r2, c, inertia):
 
 
 def _rhs_array(momentum, u, g, r2, c, inertia, gtot):
-    """``_rhs_scalar`` on the flat ndarray state, as array expressions over the vortices."""
+    """The list layout's ``rhs`` on the flat ndarray state, as array expressions over the vortices."""
     p = u[3:].view(np.complex128)
     d2 = p.real * p.real + p.imag * p.imag
     inside = d2 <= r2 * _DOMAIN_SCALE
@@ -292,8 +347,8 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
 
 
 def _load_list(z):
-    """A flat float state as a list: three body floats, then N complex positions."""
-    return [*z[:3].tolist(), *z[3:].view(np.complex128).tolist()]
+    """A flat float state in the list layout: a tuple of three body floats, then N complex positions."""
+    return (*z[:3].tolist(), *z[3:].view(np.complex128).tolist())
 
 
 def _store_list(row, z):
@@ -327,26 +382,11 @@ def _increment_list(u, v):
     return delta
 
 
-# How ``run`` works, chosen once per run by ``_ops``. Both namespaces write the
+# How ``run`` works, chosen once per run by ``_ops``. Both layouts write the
 # same operations in the same order: stage(z, h, k) = z + h k,
 # rk4(z, h, k1..k4) = z + h (((k1 + 2 k2) + 2 k3) + k4), reflect(m, z) = 2 m - z,
 # increment(a, b) = max |a - b| over the flat float entries, and finite(z)
 # tests every entry.
-_LISTS = SimpleNamespace(
-    load=_load_list,
-    store=_store_list,
-    strengths=np.ndarray.tolist,
-    rhs=_rhs_scalar,
-    body_velocity=_body_velocity_scalar,
-    collision=_collision_scalar,
-    stage=lambda z, h, k: [a + h * b for a, b in zip(z, k)],
-    rk4=lambda z, h, k1, k2, k3, k4: [
-        a + h * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(z, k1, k2, k3, k4)
-    ],
-    reflect=lambda m, z: [2.0 * a - b for a, b in zip(m, z)],
-    increment=_increment_list,
-    finite=lambda z: all(map(cmath.isfinite, z)),
-)
 _ARRAYS = SimpleNamespace(
     load=np.array,
     store=np.copyto,
@@ -362,10 +402,31 @@ _ARRAYS = SimpleNamespace(
 )
 
 
+@functools.cache
+def _list_ops(n):
+    """The list layout for n vortices, its ``rhs``, ``stage``, ``rk4`` and
+    ``reflect`` compiled from ``_list_source(n)`` once per process."""
+    scope = {"_DOMAIN_SCALE": _DOMAIN_SCALE, "_TWO_PI": _TWO_PI, "_NAN": math.nan, "_OutsideDomain": _OutsideDomain}
+    exec(compile(_list_source(n), f"<vortexcyl list layout, n = {n}>", "exec"), scope)
+    return SimpleNamespace(
+        load=_load_list,
+        store=_store_list,
+        strengths=np.ndarray.tolist,
+        rhs=scope["rhs"],
+        body_velocity=_body_velocity_scalar,
+        collision=_collision_scalar,
+        stage=scope["stage"],
+        rk4=scope["rk4"],
+        reflect=scope["reflect"],
+        increment=_increment_list,
+        finite=lambda z: all(map(cmath.isfinite, z)),
+    )
+
+
 def _ops(n):
-    """How ``run`` works on n vortices: Python lists and scalar loops below
-    ``PAIR_ARRAY_MIN``, ndarrays and array expressions from there up."""
-    return _LISTS if n < PAIR_ARRAY_MIN else _ARRAYS
+    """How ``run`` works on n vortices: tuples of Python scalars and code written
+    out for n below ``PAIR_ARRAY_MIN``, ndarrays and array expressions from there up."""
+    return _list_ops(n) if n < PAIR_ARRAY_MIN else _ARRAYS
 
 
 def run(config):

@@ -3,9 +3,11 @@
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` hands the config to ``_kernels.run``,
 the one fixed-step RK4 and implicit midpoint loop, whose fused kernels evaluate
-the same product in complex form without assembling the matrix: as scalar loops
-on Python lists below ``_kernels.PAIR_ARRAY_MIN`` vortices, as array
-expressions from there up. The loop names the reason it halted.
+the same product in complex form without assembling the matrix: below
+``_kernels.PAIR_ARRAY_MIN`` vortices as straight-line code on a tuple of Python
+scalars, written out for the run's number of vortices and compiled at its first
+run in the process; as array expressions from there up. The loop names the
+reason it halted.
 Poses are reconstructed during integration by exact screw increments using
 the average of each step's two endpoint body velocities, from the config's
 starting pose. Energy, Casimir, momentum drift and inertial positions are
@@ -63,6 +65,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chart", canonical_chart(self.chart))
+        for name, cls in (("body", BodyParams), ("vortices", VortexSet)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValidationError(f"{name} must be a {cls.__name__}, not {type(getattr(self, name)).__name__}")
         for name in ("body_state", "pose"):
             object.__setattr__(self, name, _admit_floats(getattr(self, name), name, (3,)))
             if not np.isfinite(getattr(self, name)).all():

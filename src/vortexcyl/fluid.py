@@ -17,6 +17,7 @@ A rejection is a ``ValidationError``; the fields take points (..., 2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,8 @@ def validate_stack(strengths: FloatArray, positions: FloatArray, radius: float) 
     strength is not finite and nonzero, else the first not strictly outside the
     body, else the lowest coincident pair (i, j).
     """
-    x = np.asarray(positions, dtype=np.float64)
-    g = np.asarray(strengths, dtype=np.float64)
+    x = _admit_floats(positions, "positions", (...,))
+    g = _admit_floats(strengths, "strengths", (...,))
     if x.ndim < 2 or x.shape[-1] != 2 or g.shape[-1:] != x.shape[-2:-1]:
         raise ValidationError(f"positions {x.shape} and strengths {g.shape} are not (..., N, 2) and (..., N)")
     n, k = x.shape[-2], math.prod(x.shape[:-2])
@@ -152,8 +153,8 @@ def _check_strengths(g: FloatArray, n: int) -> None:
 
 def _outside_fluid(points: FloatArray, radius: float, vortex: bool) -> NDArray[np.bool_]:
     """Mask (...) of the points (..., 2) outside the fluid by the vortex or the field-point
-    margin, once the radius is found positive and finite; a NaN distance is outside."""
-    if not (math.isfinite(radius) and radius > 0):
+    margin, once the radius is found a positive finite real number; a NaN distance is outside."""
+    if not (isinstance(radius, numbers.Real) and math.isfinite(radius) and radius > 0):
         raise ValidationError("radius must be a positive finite float")
     d = np.hypot(points[..., 0], points[..., 1])
     if vortex:
@@ -164,7 +165,7 @@ def _outside_fluid(points: FloatArray, radius: float, vortex: bool) -> NDArray[n
 def _admit_points(points: FloatArray, radius: float, vortex: bool = False, one: bool = False) -> FloatArray:
     """points (..., 2) as a float array, or with ``one`` a single point of size 2 as (2,),
     once their shape, the radius and then every point pass the fluid's rule."""
-    p = np.asarray(points, dtype=np.float64)
+    p = _admit_floats(points, "point", (...,))
     if (p.size != 2) if one else (p.shape[-1:] != (2,)):
         raise ValidationError(f"point shape {p.shape} is not {'(2,)' if one else '(..., 2)'}")
     p = p.reshape(2) if one else p

@@ -88,7 +88,7 @@ def admit(
     chart = canonical_chart(chart)
     if state.chart != chart:
         raise ValidationError(f"state belongs to chart {state.chart!r}, not {chart!r}")
-    g = np.asarray(strengths, dtype=np.float64)
+    g = _admit_floats(strengths, "strengths", (...,))
     if radius is None:
         _check_strengths(g, state.n)
     else:

@@ -1,5 +1,6 @@
 """The library's constructors admit their own fields: ``BodyParams``, ``VortexSet``,
-``ChartState`` and ``SimConfig``, called directly with wrong shapes, strings, None,
+``ChartState`` and ``SimConfig`` (whose body and vortices must be a ``BodyParams``
+and a ``VortexSet``), called directly with wrong shapes, strings, None,
 lists, huge integers and NaN, either build or raise a one-line ``ValidationError``,
 and nothing else escapes; each malformed field once seen raises one that names it.
 This is the runtime counterpart of
@@ -29,9 +30,7 @@ GOOD = {
         "t_end": 0.1, "integrator": "rk4", "stride": 2, "clearance": 1e-3, "pose": [0.0, 0.0, 0.0],
     },
 }
-# SimConfig's body and vortices are built objects, admitted by their own constructors
-FIELDS = {cls: [key for key in good if cls is not SimConfig or key not in ("body", "vortices")]
-          for cls, good in GOOD.items()}
+FIELDS = {cls: list(good) for cls, good in GOOD.items()}
 
 # wrong shapes, strings, None, lists, huge integers, NaN and values that are fine somewhere
 WRONG = [
@@ -54,6 +53,8 @@ DIRECT = [
     (SimConfig, {"dt": "x"}, "dt"),
     (SimConfig, {"stride": "a"}, "stride"),
     (ChartState, {"body": [[0, 0, 0], [0, 0, 0]], "positions": [[3, 0], [0, 3]]}, "positions"),
+    (SimConfig, {"body": None}, "body"),
+    (SimConfig, {"vortices": [1.0]}, "vortices"),
 ]
 
 

@@ -131,14 +131,14 @@ def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
 
     def spy(kernel):
         def spied(*args):
-            scalars.update(type(a) for a in args if not isinstance(a, list))
+            scalars.update(type(a) for a in args if not isinstance(a, (list, tuple)))
             return kernel(*args)
 
         return spied
 
     # the right-hand side, the stages and the clearance check take every scalar
-    # of the config that the two-vortex run's list loops use
-    loops = dynamics._kernels._LISTS
+    # of the config that the two-vortex run's list layout uses
+    loops = dynamics._kernels._ops(2)
     for name in ("rhs", "stage", "collision"):
         monkeypatch.setattr(loops, name, spy(getattr(loops, name)))
     plain = integrate(config(float))

@@ -285,7 +285,7 @@ _RADIUS_GATES = {
 }
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, "r"])
 @pytest.mark.parametrize("function", sorted(_RADIUS_GATES))
 def test_every_validating_function_rejects_a_bad_radius_first(function, radius):
     with pytest.raises(ValidationError, match="^radius must be a positive finite float$"):
@@ -409,3 +409,20 @@ _MISSHAPEN = {
 def test_a_misshapen_array_raises_validation_error(case):
     with pytest.raises(ValidationError, match="are not|is not"):
         _MISSHAPEN[case]()
+
+
+# arrays of numbers given something else, which numpy's float conversion used to reject
+_NOT_NUMBERS = {
+    "regularized_self point": lambda: regularized_self("ab", UNIT),
+    "validate_stack strengths": lambda: validate_stack(["a"], [[2.0, 0.0]], UNIT),
+    "validate_stack ragged positions": lambda: validate_stack([1.0, 1.0], [[2.0, 0.0], [3.0]], UNIT),
+    "green_function point": lambda: green_function([2.0, 0.0], [0.0, "x"], UNIT),
+    "elementary_streams point": lambda: elementary_streams([[2.0, 0.0], ["y", 1.0]], UNIT),
+    "hamiltonian strengths": lambda: hamiltonian("momentum", _state("momentum", [2.0, 0.0]), _STATE_BODY, ["x", 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_NUMBERS))
+def test_a_non_numeric_array_raises_validation_error(case):
+    with pytest.raises(ValidationError, match="^(point|positions|strengths) must be an array of numbers$"):
+        _NOT_NUMBERS[case]()

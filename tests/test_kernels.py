@@ -1,6 +1,9 @@
 """Fused kernels and the drive loop against the structure-matrix route."""
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -122,11 +125,67 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
         z = np.concatenate([[0.1, -0.2, 0.3], pos.reshape(-1)])
         rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
         with pytest.raises(_kernels._OutsideDomain) as loops:
-            _kernels._rhs_scalar(chart == "momentum", _kernels._load_list(z), g.tolist(), *rest)
+            # the list layout's code, written out for 8 vortices on request
+            _kernels._list_ops(n).rhs(chart == "momentum", _kernels._load_list(z), g.tolist(), *rest)
         assert loops.value.index == min(inside)
         with pytest.raises(_kernels._OutsideDomain) as array:
             _kernels._rhs_array(chart == "momentum", z, g, *rest)
         assert array.value.index == min(inside)
+
+
+def _loop_rhs(momentum, u, g, r2, c, inertia, gtot):
+    """The list layout's right-hand side as one loop over the vortices, the
+    reference for the code ``_kernels._list_source`` writes out: the same
+    operations in the same order, so the same bits and the same halts."""
+    domain2 = r2 * _kernels._DOMAIN_SCALE
+    vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
+    lam, s2 = 0j, 0.0
+    for gi, p in zip(g, u[3:]):
+        d2 = p.real * p.real + p.imag * p.imag
+        if d2 <= domain2:
+            raise _kernels._OutsideDomain(len(vortices))
+        vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
+        lam += (gi - gi * r2 / d2) * p
+        s2 += gi * d2
+    try:
+        if momentum:
+            om, vx, vy = (u[0] + 0.5 * s2) / inertia, (u[1] - lam.imag) / c, (u[2] + lam.real) / c
+        else:
+            om, vx, vy = u[0], u[1], u[2]
+        rates = []
+        s4, dv, torque = 0.0, 0j, 0.0
+        if vortices:
+            v = complex(vx, vy)
+            vc = v.conjugate()
+            for this in vortices:
+                pk, pck, d2k, gk, _, _ = this
+                acc = (gtot - gk - gk * r2 / (d2k - r2)) / pck
+                for other in vortices:
+                    if other is not this:
+                        _, pcj, _, _, wj, qj = other
+                        acc += wj / ((pck - pcj) * (pck - qj))
+                grad = acc / _kernels._TWO_PI
+                image = r2 / (pck * pck)
+                rates.append(v - image * vc + 1j * (om * pk - grad))
+                if not momentum:
+                    s4 += gk / (d2k * d2k)
+                    dv += gk * (grad - image * grad.conjugate())
+                    torque += gk * (pck * grad).imag
+        if momentum:
+            lx, ly = u[1], u[2]
+            return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
+        l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
+        l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
+        l_v12 = r2 * r2 * s4 / (c * c)
+        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
+        return [
+            l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
+            -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
+            -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c,
+            *rates,
+        ]
+    except ZeroDivisionError:
+        return [math.nan] * len(u)
 
 
 _SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
@@ -140,16 +199,17 @@ def _bits(values):
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases(sizes=_SMALL))
 def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
-    """Below PAIR_ARRAY_MIN ``run`` loads a list of three body floats and N
-    complex positions. Its scalar loops give the same bits on an object ndarray
-    of the same Python scalars, the layout ``_reference_run`` drives, and its
-    clearance scan finds what the array scan finds on the flat layout."""
+    """Below PAIR_ARRAY_MIN ``run`` loads a tuple of three body floats and N
+    complex positions. Its right-hand side, written out for N, gives the bits of
+    the loop it replaces, and it and the scalar loops give the same bits on an
+    object ndarray of the same Python scalars, the layout ``_reference_run``
+    drives; the clearance scan finds what the array scan finds on the flat layout."""
     chart, body, state, g = case
     z, n = state.flat(), state.n
     ops = _kernels._ops(n)
-    assert ops is _kernels._LISTS
+    assert ops is _kernels._list_ops(n)
     loaded = ops.load(z)
-    assert [type(v) for v in loaded] == [float] * 3 + [complex] * n
+    assert type(loaded) is tuple and [type(v) for v in loaded] == [float] * 3 + [complex] * n
     flat = np.empty(z.size)
     ops.store(flat, loaded)
     assert flat.tobytes() == z.tobytes()
@@ -157,6 +217,7 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     momentum, rest = chart == "momentum", (body.radius**2, body.c, body.inertia, float(g.sum()))
     on_list = ops.rhs(momentum, loaded, ops.strengths(g), *rest)
     assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
+    assert _bits(on_list) == _bits(_loop_rhs(momentum, list(loaded), g.tolist(), *rest))
     on_objects = ops.rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)
     assert _bits(on_objects) == _bits(on_list)
 
@@ -287,6 +348,29 @@ def test_integrate_matches_matrix_route_loop(body, chart, integrator):
         npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
 
 
+def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body):
+    """Importing vortexcyl and building every preset's config compiles no
+    list-layout code (a fresh interpreter); two runs with one N compile it once."""
+    script = (
+        "from vortexcyl import _kernels, cli\n"
+        "for raw in cli.PRESETS.values():\n"
+        "    cli.config_from_dict(raw)\n"
+        "print(_kernels._list_ops.cache_info().misses)\n"
+    )
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert fresh.stdout == "0\n"
+
+    _kernels._list_ops.cache_clear()
+    config = SimConfig("momentum", body, SYSTEMS[0], [0.05, 0.1, -0.08], 5e-3, 0.05)
+    first, second = integrate(config), integrate(config)
+    assert first.states.tobytes() == second.states.tobytes()
+    info = _kernels._list_ops.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def _reference_run(cfg):
     """``_kernels.run(cfg)`` as an ndarray loop: the state is an array throughout
     and the stages and the midpoint start are array expressions. From
@@ -294,7 +378,7 @@ def _reference_run(cfg):
     the array forms. Below, it is an object array of the Python scalars that
     ``run`` holds in a list (three body floats, N complex positions), so the
     same expressions do the same Python arithmetic, and the kernels are the
-    scalar loops. Evaluations and midpoint iterations are counted as each
+    scalar loops, ``_loop_rhs`` for the code ``run`` writes out. Evaluations and midpoint iterations are counted as each
     evaluation starts. A start inside a clearance halts at step 0 before any
     evaluation."""
     body, n = cfg.body, cfg.vortices.n
@@ -309,7 +393,7 @@ def _reference_run(cfg):
         g = g.tolist()
 
         def f(u):
-            return np.array(_kernels._rhs_scalar(momentum, u, g, *args), dtype=object)
+            return np.array(_loop_rhs(momentum, u, g, *args), dtype=object)
 
     else:
         collision, body_velocity = _kernels._collision_array, _kernels._body_velocity_array
@@ -533,7 +617,7 @@ def test_an_underflowing_divisor_halts_alike_on_both_layouts(integrator):
         traj = integrate(config)
         assert traj.n_samples == 1
         halts.append(traj.halt)
-    assert _kernels._ops(len(_UNDERFLOW_PAIR)) is _kernels._LISTS and _kernels._ops(8) is _kernels._ARRAYS
+    assert _kernels._ops(len(_UNDERFLOW_PAIR)) is _kernels._list_ops(2) and _kernels._ops(8) is _kernels._ARRAYS
     reason = _kernels.HALT_NONFINITE if integrator == "rk4" else _kernels.HALT_NO_CONVERGENCE
     assert halts == [HaltInfo(reason, -1, 0.0)] * 2
 
