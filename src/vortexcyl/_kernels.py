@@ -4,19 +4,25 @@ Each chart's right-hand side evaluates ``structure_matrix @ grad H`` without
 assembling the matrix (``dynamics.rhs`` keeps that product as the test oracle),
 in one complex-form formula set: with p = X + i Y and V = Vx + i Vy the vortex
 rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY, and the
-velocity chart's body rates are sums of G. Each right-hand side takes a flag for
-the momentum chart and returns a new slope; a state with a vortex outside the
-fluid domain raises ``_OutsideDomain`` with its index. ``run`` takes a
-``SimConfig``, returns why it halted as text (the ``HALT_*`` strings) or None,
-and picks a layout per run from the number of vortices (``_ops``). Below
-``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of three body
-floats and N ``complex`` positions. Its right-hand side and stage arithmetic
-are straight-line code written out for that N from one template
-(``_list_source``) and compiled at the first run of each N in a process; the
-body velocity, the clearance scan and the midpoint increment are scalar loops.
-A sample takes the flat float layout (X, Y interleaved) only when recorded.
-From there up the state is the flat ndarray and everything is an array
-expression, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
+velocity chart's body rates are sums of G. A right-hand side takes a flag for
+the momentum chart and gives a new slope; a state with a vortex outside the
+fluid domain raises ``_OutsideDomain`` with its index and RK4 stage.
+
+``run`` takes a ``SimConfig``, returns why it halted as text (the ``HALT_*``
+strings) or None, and picks a layout per run from the number of vortices
+(``_ops``). Each layout gives it the same five operations: one RK4 step, the
+midpoint's extrapolated start, one midpoint iteration, the midpoint's
+reflection, and the end-of-step tail alone (finiteness, clearances and the
+body velocity (Omega, V) that the next step starts from, handed from step to
+step). Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of
+three body floats and N ``complex`` positions, and each operation is one
+function of straight-line code written out for that N from one template
+(``_list_source``) and compiled at the first run of each N in a process: an
+RK4 step holds its four right-hand sides, the stage arithmetic and the tail,
+so ``run`` makes one call per step and one per midpoint iteration. A sample
+takes the flat float layout (X, Y interleaved) only when recorded. From there
+up the state is the flat ndarray and the operations compose array
+expressions, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
 matvec. The layouts sum in different orders, so they agree to rounding, not
 bit for bit.
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import linecache
 import math
 from types import SimpleNamespace
 
@@ -49,12 +56,11 @@ MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
 # ``run`` works on ndarrays from this many vortices up, on the list layout below.
-# List layout (its code written out for each N) / arrays in us (Python 3.11,
-# numpy 2.4, 2 shared vCPUs, interleaved, best of 3 x 60):
-#   N                     4         8        10        11        12
-#   momentum RHS     5.8/29    16/29     21/30     25/30     28/30
-#   clearance scan  2.6/9.8    7.1/10     10/11     12/10     14/11
-#   RK4 step          32/145    78/148   108/153   126/151   139/148
+# List layout (its code written out for each N) / arrays in us, momentum chart
+# (Python 3.11, numpy 2.4, 2 shared vCPUs, interleaved, best of 3 x 5 x 60):
+#   N                       4         8        10        11        12
+#   midpoint iteration  7.5/33     18/34     26/36     28/36     33/35
+#   RK4 step             26/147    71/147   107/153   120/152   138/153
 # The list layout wins through N = 12, but at 10 and 12 vortices the absolute
 # MIDPOINT_TOL leaves 1e-11 to 6e-11 in 100 momentum-chart steps, more than the
 # array path's whole-trajectory parity test allows; 8 keeps that test's
@@ -67,11 +73,12 @@ _DOMAIN_SCALE = (1.0 + MIN_CLEARANCE) ** 2
 
 
 class _OutsideDomain(Exception):
-    """A right-hand side was asked for where vortex ``index`` is outside the fluid domain."""
+    """A right-hand side was asked for where vortex ``index`` is outside the fluid
+    domain, at RK4 stage ``stage`` (1 for a midpoint iterate)."""
 
-    def __init__(self, index):
-        super().__init__(index)
-        self.index = index
+    def __init__(self, index, stage):
+        super().__init__(index, stage)
+        self.index, self.stage = index, stage
 
 
 def _pair_grid(v):
@@ -94,157 +101,234 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
     return ((gtot - g - g * r2 / gap) / pc + (1.0 / grid) @ (g * gap / p)) / (2.0 * math.pi)
 
 
-# The list layout's right-hand side and stage arithmetic, written out for one
-# number of vortices n by ``_list_source``. The state is a tuple: three body floats
-# a0, a1, a2, then n complex positions p0, p1, ... Every entry, vortex and pair term
-# is a local, and each sum is spelled in the order of the loop it replaces.
+# The list layout, written out for one number of vortices n by ``_list_source``.
+# The state is a tuple: three body floats a0, a1, a2, then n complex positions p0,
+# p1, ... Every entry, vortex and pair term is a local, and each sum is spelled in
+# the order of the loop it replaces. The locals of one right-hand side carry the
+# suffix of its stage (_1 to _4; a midpoint iterate is _1), the step's start carries
+# _0 where it is not the stage-1 state, and the new state carries none.
 #
-# rhs evaluates the complex-form formula set of the module docstring; per vortex k,
-# d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both only in pair terms),
-# G = dW_G/dX + i dW_G/dY over g (the self term, then each other vortex's pair term
-# in ascending order: its row of ``_kr_grad_complex``) and i = R^2/p*^2. It raises
+# step is one RK4 step: four right-hand sides, each at z + h k of the one before;
+# the combination z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); then the end-of-step tail. Its
+# first stage takes the (Omega, V) of z that the last tail handed back. iterate
+# is one midpoint fixed-point iteration u -> z + (dt/2) f(u), returning the new
+# iterate, f(u) and the increment max |new - u| over the flat float entries, or
+# None for each where the new iterate is not finite. predict is the extrapolated
+# start (see ``run``), settle the reflection 2 u - z of the converged midpoint
+# followed by the tail, and start the tail alone. The tail tests every entry for
+# finiteness, then the clearances (the body first: the vortex nearest it, the
+# lowest index on a tie; then the pairs in row-major order, naming the lower
+# index), then evaluates (Omega, V); it returns (halt reason or None, vortex
+# index or -1, state, Omega, Vx, Vy).
+#
+# A right-hand side evaluates the complex-form formula set of the module
+# docstring; per vortex k, d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both
+# only in pair terms), G = dW_G/dX + i dW_G/dY over g (the self term, then each
+# other vortex's pair term in ascending order: its row of ``_kr_grad_complex``) and
+# i = R^2/p*^2; in the momentum chart, with lam = sum g (1 - R^2/d) p and
+# s2 = sum g d, Omega = (A + s2/2) / I and V = (L + i lam) / c. It raises
 # ``_OutsideDomain`` with the index of the first vortex at distance
-# <= R (1 + MIN_CLEARANCE), where the flow is not defined. Its float divisors are
-# body constants or exceed zero by that check, and it takes no modulus, so an
-# overflowing state gives inf or nan entries, not an exception; a divisor that
-# underflows to 0 (two vortices 1e-175 apart, or c I below the smallest float)
-# gives an all-nan slope, as the array layout's 1 / 0 makes its slope non-finite.
-# stage, rk4 and reflect work entry by entry (see ``_ops``).
+# <= R (1 + MIN_CLEARANCE), where the flow is not defined, and its stage. Its float
+# divisors are body constants or exceed zero by that check, and it takes no
+# modulus, so an overflowing state gives inf or nan entries, not an exception. A
+# divisor that underflows to 0 (two vortices 1e-175 apart, or c I below the
+# smallest float) would give an all-nan slope, as the array layout's 1 / 0 makes
+# its slope non-finite, and so a non-finite new state: step halts as non-finite
+# and iterate reports a non-finite iterate.
 _LIST_TEMPLATE = """\
-def rhs(momentum, u, g, r2, c, inertia, gtot):
-    a0, a1, a2{p} = u
+def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+    half, sixth = 0.5 * dt, dt / 6.0
+    domain2 = r2 * _DOMAIN_SCALE
     [{g}] = g
-    domain2 = r2 * _DOMAIN_SCALE{domain}{vortex}
-    lam = 0j{lam}
-    s2 = 0.0{s2}
-    try:
-        if momentum:
-            om, vx, vy = (a0 + 0.5 * s2) / inertia, (a1 - lam.imag) / c, (a2 + lam.real) / c
-        else:
-            om, vx, vy = a0, a1, a2{v}{grad}
-        if momentum:
-            return (-a2 * vx + a1 * vy, a2 * om + gtot * vy, -a1 * om - gtot * vx{rates})
-        s4 = 0.0{s4}
-        dv = 0j{dv}
-        torque = 0.0{torque}
-        l_ov1 = (-c * vy + 2.0 * lam.real) / (c * inertia)
-        l_ov2 = (c * vx + 2.0 * lam.imag) / (c * inertia)
-        # gtot - sum g (1 - R^4/d2^2), without the cancellation
-        l_v12 = r2 * r2 * s4 / (c * c)
-        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
-        return (
-            l_ov1 * h_vx + l_ov2 * h_vy + torque / inertia,
-            -l_ov1 * h_om + l_v12 * h_vy + dv.real / c,
-            -l_ov2 * h_om - l_v12 * h_vx + dv.imag / c{rates}
-        )
+    {state_1} = z
+    try:{rhs_1}{stage_2}{rhs_2}{stage_3}{rhs_3}{stage_4}{rhs_4}
     except ZeroDivisionError:
-        # a divisor that underflowed to 0, where the array layout divides to inf
-        return (_NAN,) * len(u)
+        return HALT_NONFINITE, -1, None, None, None, None{rk4}{tail}
 
 
-def stage(z, h, k):
-    {z} = z
-    {k} = k
-    return ({stage})
+def predict(z, h, slopes):
+    if not slopes:
+        return z
+    {state} = z
+    {slope_1} = slopes[0]
+    if len(slopes) == 1:
+        return ({predict_1},)
+    {slope_2} = slopes[1]
+    if len(slopes) == 2:
+        return ({predict_2},)
+    {slope_3} = slopes[2]
+    return ({predict_3},)
 
 
-def rk4(z, h, k1, k2, k3, k4):
-    {z} = z
-    {k1} = k1
-    {k2} = k2
-    {k3} = k3
-    {k4} = k4
-    return ({rk4})
+def iterate(momentum, z, u, g, r2, c, inertia, gtot, half):
+    domain2 = r2 * _DOMAIN_SCALE
+    [{g}] = g
+    {state_0} = z
+    {state_1} = u
+    try:{rhs_iterate}
+    except ZeroDivisionError:
+        return None, None, None{midpoint}
+    if not ({finite}):
+        return None, None, None
+    return ({state},), ({slope_1},), max(0.0{increment})
 
 
-def reflect(m, z):
-    {m} = m
-    {z} = z
-    return ({reflect})
+def settle(momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2):
+    [{g}] = g
+    {state_1} = u
+    {state_0} = z{reflect}{tail}
+
+
+def start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
+    [{g}] = g
+    {state} = z{tail}
 """
+
+# One right-hand side at the state of one stage, its locals suffixed by s; the
+# slope it leaves is ka0, ka1, ka2 (body) and kp0, kp1, ... (vortices), suffixed
+# alike. {velocity} is where (Omega, V) comes from: computed, or handed back.
+_RHS_TEMPLATE = """
+        # the slope at stage {stage}{domain}{vortex}{velocity}{v}{grad}
+        if momentum:
+            ka0{s}, ka1{s}, ka2{s} = (
+                -a2{s} * vx{s} + a1{s} * vy{s}, a2{s} * om{s} + gtot * vy{s}, -a1{s} * om{s} - gtot * vx{s}
+            )
+        else:
+            s4{s} = 0.0{s4}
+            dv{s} = 0j{dv}
+            torque{s} = 0.0{torque}
+            l_ov1{s} = (-c * vy{s} + 2.0 * lam{s}.real) / (c * inertia)
+            l_ov2{s} = (c * vx{s} + 2.0 * lam{s}.imag) / (c * inertia)
+            # gtot - sum g (1 - R^4/d2^2), without the cancellation
+            l_v12{s} = r2 * r2 * s4{s} / (c * c)
+            h_om{s}, h_vx{s}, h_vy{s} = inertia * om{s}, c * vx{s}, c * vy{s}
+            ka0{s} = l_ov1{s} * h_vx{s} + l_ov2{s} * h_vy{s} + torque{s} / inertia
+            ka1{s} = -l_ov1{s} * h_om{s} + l_v12{s} * h_vy{s} + dv{s}.real / c
+            ka2{s} = -l_ov2{s} * h_om{s} - l_v12{s} * h_vx{s} + dv{s}.imag / c{rates}"""
+
+# The end-of-step tail on the new state a0, a1, a2, p0, ...
+_TAIL_TEMPLATE = """
+    if not ({finite}):
+        return HALT_NONFINITE, -1, None, None, None, None{clearance}
+    if momentum:
+        {lam}
+        {s2}
+        {omv}
+    else:
+        om, vx, vy = a0, a1, a2
+    return None, -1, ({state},), om, vx, vy"""
 
 
 def _list_source(n):
     """``_LIST_TEMPLATE`` written out for n vortices; only integers enter the text."""
-    vortices, entries = range(n), range(3 + n)
+    vortices = range(n)
+    entries = ["a0", "a1", "a2", *(f"p{k}" for k in vortices)]
 
-    def each(pattern, indices=vortices, sep=""):
-        return sep.join(pattern.format(k=k) for k in indices)
+    def each(pattern, sep="", **fields):
+        return sep.join(pattern.format(k=k, **fields) for k in vortices)
 
-    def pair_terms(k):
-        return "".join(f" + w{j} / ((pc{k} - pc{j}) * (pc{k} - q{j}))" for j in vortices if j != k)
+    def state(s=""):
+        return ", ".join(e + s for e in entries)
 
-    def unpack(name):
-        return each(name + "_{k}", entries, ", ")
+    def assign(indent, target, expression):
+        """One line per entry: its name suffixed by target = expression, with {e} the entry."""
+        return "".join(f"\n{indent}{e}{target} = {expression.format(e=e)}" for e in entries)
 
-    vortex = "\n    pc{k} = p{k}.conjugate()"
-    if n > 1:
-        vortex += "\n    w{k} = g{k} * (d{k} - r2) / p{k}\n    q{k} = r2 / p{k}"
-    grad = "".join(
-        f"\n        G{k} = ((gtot - g{k} - g{k} * r2 / (d{k} - r2)) / pc{k}{pair_terms(k)}) / _TWO_PI"
-        f"\n        i{k} = r2 / (pc{k} * pc{k})"
-        for k in vortices
+    def lam(s):
+        return f"lam{s} = 0j" + each(" + (g{k} - g{k} * r2 / d{k}{s}) * p{k}{s}", s=s)
+
+    def s2(s):
+        return f"s2{s} = 0.0" + each(" + g{k} * d{k}{s}", s=s)
+
+    def omv(s):
+        return (
+            f"om{s}, vx{s}, vy{s} = (a0{s} + 0.5 * s2{s}) / inertia, (a1{s} - lam{s}.imag) / c, "
+            f"(a2{s} + lam{s}.real) / c"
+        )
+
+    def rhs(stage, handed=False):
+        s = f"_{stage}"
+        if handed:  # (Omega, V) of z are arguments; the velocity chart's rates need lam
+            velocity = f"\n        if not momentum:\n            {lam(s)}"
+        else:
+            velocity = (
+                f"\n        {lam(s)}\n        if momentum:\n            {s2(s)}\n            {omv(s)}"
+                f"\n        else:\n            om{s}, vx{s}, vy{s} = a0{s}, a1{s}, a2{s}"
+            )
+        vortex = "\n        pc{k}{s} = p{k}{s}.conjugate()"
+        if n > 1:
+            vortex += "\n        w{k}{s} = g{k} * (d{k}{s} - r2) / p{k}{s}\n        q{k}{s} = r2 / p{k}{s}"
+        grad = "".join(
+            f"\n        G{k}{s} = ((gtot - g{k} - g{k} * r2 / (d{k}{s} - r2)) / pc{k}{s}"
+            + "".join(f" + w{j}{s} / ((pc{k}{s} - pc{j}{s}) * (pc{k}{s} - q{j}{s}))" for j in vortices if j != k)
+            + f") / _TWO_PI\n        i{k}{s} = r2 / (pc{k}{s} * pc{k}{s})"
+            for k in vortices
+        )
+        return _RHS_TEMPLATE.format(
+            s=s,
+            stage=stage,
+            domain=each(
+                "\n        d{k}{s} = p{k}{s}.real * p{k}{s}.real + p{k}{s}.imag * p{k}{s}.imag"
+                "\n        if d{k}{s} <= domain2:\n            raise _OutsideDomain({k}, {stage})",
+                s=s,
+                stage=stage,
+            ),
+            vortex=each(vortex, s=s),
+            velocity=velocity,
+            v=f"\n        v{s} = complex(vx{s}, vy{s})\n        vc{s} = v{s}.conjugate()" if n else "",
+            grad=grad,
+            s4=each(" + g{k} / (d{k}{s} * d{k}{s})", s=s),
+            dv=each(" + g{k} * (G{k}{s} - i{k}{s} * G{k}{s}.conjugate())", s=s),
+            torque=each(" + g{k} * (pc{k}{s} * G{k}{s}).imag", s=s),
+            rates=each("\n        kp{k}{s} = v{s} - i{k}{s} * vc{s} + 1j * (om{s} * p{k}{s} - G{k}{s})", s=s),
+        )
+
+    finite = " and ".join(f"_isfinite({e})" for e in entries)
+    clearance = ""
+    if n:
+        clearance = each("\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag")
+        clearance += (
+            f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
+            f"\n        nearest = ({each('d{k}', sep=', ')},)"
+            "\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None, None"
+        )
+        for i in vortices:
+            for j in range(i + 1, n):
+                clearance += (
+                    f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
+                    f"\n        return HALT_PAIR, {i}, None, None, None, None"
+                )
+    tail = _TAIL_TEMPLATE.format(
+        finite=finite, clearance=clearance, lam=lam(""), s2=s2(""), omv=omv(""), state=state()
     )
     return _LIST_TEMPLATE.format(
-        p=each(", p{k}"),
         g=each("g{k}", sep=", "),
-        domain=each(
-            "\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag"
-            "\n    if d{k} <= domain2:\n        raise _OutsideDomain({k})"
+        state=state(),
+        state_0=state("_0"),
+        state_1=state("_1"),
+        **{f"slope_{s}": ", ".join(f"k{e}_{s}" for e in entries) for s in (1, 2, 3)},
+        rhs_1=rhs(1, handed=True),
+        rhs_2=rhs(2),
+        rhs_3=rhs(3),
+        rhs_4=rhs(4),
+        rhs_iterate=rhs(1),
+        stage_2=assign("        ", "_2", "{e}_1 + half * k{e}_1"),
+        stage_3=assign("        ", "_3", "{e}_1 + half * k{e}_2"),
+        stage_4=assign("        ", "_4", "{e}_1 + dt * k{e}_3"),
+        rk4=assign("    ", "", "{e}_1 + sixth * (k{e}_1 + 2.0 * k{e}_2 + 2.0 * k{e}_3 + k{e}_4)"),
+        tail=tail,
+        # the slopes latest first: z + h k1, z + h (2 k1 - k2), z + h (3 (k1 - k2) + k3)
+        predict_1=", ".join(f"{e} + h * k{e}_1" for e in entries),
+        predict_2=", ".join(f"{e} + h * (k{e}_1 + 1.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
+        predict_3=", ".join(f"{e} + h * (k{e}_3 + 3.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
+        midpoint=assign("    ", "", "{e}_0 + half * k{e}_1"),
+        finite=finite,
+        increment="".join(
+            f", abs({e} - {e}_1)" if e[0] == "a" else f", abs(({e} - {e}_1).real), abs(({e} - {e}_1).imag)"
+            for e in entries
         ),
-        vortex=each(vortex),
-        lam=each(" + (g{k} - g{k} * r2 / d{k}) * p{k}"),
-        s2=each(" + g{k} * d{k}"),
-        v="\n        v = complex(vx, vy)\n        vc = v.conjugate()" if n else "",
-        grad=grad,
-        rates=each(", v - i{k} * vc + 1j * (om * p{k} - G{k})"),
-        s4=each(" + g{k} / (d{k} * d{k})"),
-        dv=each(" + g{k} * (G{k} - i{k} * G{k}.conjugate())"),
-        torque=each(" + g{k} * (pc{k} * G{k}).imag"),
-        **{name: unpack(name) for name in ("z", "k", "k1", "k2", "k3", "k4", "m")},
-        stage=each("z_{k} + h * k_{k}", entries, ", "),
-        rk4=each("z_{k} + h * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})", entries, ", "),
-        reflect=each("2.0 * m_{k} - z_{k}", entries, ", "),
+        reflect=assign("    ", "", "2.0 * {e}_1 - {e}_0"),
     )
-
-
-def _body_velocity_scalar(momentum, z, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a list state in the momentum chart, or else the velocity chart.
-
-    In the momentum chart, with lam = sum g (1 - R^2/|p|^2) p and s2 = sum g |p|^2,
-    Omega = (A + s2/2) / I and V = (L + i lam) / c, as the list layout's rhs has them.
-    """
-    if not momentum:
-        return z[0], z[1], z[2]
-    lam, s2 = 0j, 0.0
-    for gi, p in zip(g, z[3:]):
-        d2 = p.real * p.real + p.imag * p.imag
-        lam += (gi - gi * r2 / d2) * p
-        s2 += gi * d2
-    return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
-
-
-def _collision_scalar(z, n, body_limit2, pair_limit2):
-    """Halt reason and vortex index of a clearance violation in the list state z, or (None, -1).
-
-    A body violation names the vortex nearest the body; a pair violation
-    names the lower index of the first pair found in row-major order.
-    """
-    nearest, d2min = -1, math.inf
-    for i in range(n):
-        p = z[3 + i]
-        d2 = p.real * p.real + p.imag * p.imag
-        if d2 < d2min:
-            nearest, d2min = i, d2
-    if d2min < body_limit2:
-        return HALT_BODY, nearest
-    for i in range(n - 1):
-        p = z[3 + i]
-        for q in z[4 + i :]:
-            d = p - q
-            if d.real * d.real + d.imag * d.imag < pair_limit2:
-                return HALT_PAIR, i
-    return None, -1
 
 
 def _omv_array(z, d2, g, r2, c, inertia):
@@ -253,13 +337,14 @@ def _omv_array(z, d2, g, r2, c, inertia):
     return (z[0] + 0.5 * (g @ d2)) / inertia, (z[1] - phi[1]) / c, (z[2] + phi[0]) / c
 
 
-def _rhs_array(momentum, u, g, r2, c, inertia, gtot):
-    """The list layout's ``rhs`` on the flat ndarray state, as array expressions over the vortices."""
+def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1):
+    """The list layout's right-hand side on the flat ndarray state, as array
+    expressions over the vortices; ``stage`` is the one an exit reports."""
     p = u[3:].view(np.complex128)
     d2 = p.real * p.real + p.imag * p.imag
     inside = d2 <= r2 * _DOMAIN_SCALE
     if inside.any():
-        raise _OutsideDomain(int(inside.argmax()))
+        raise _OutsideDomain(int(inside.argmax()), stage)
     grad_g = _kr_grad_complex(p, d2, g, r2, gtot)
     image = r2 / (p * p).conj()
     out = np.empty_like(u)
@@ -287,7 +372,8 @@ def _rhs_array(momentum, u, g, r2, c, inertia, gtot):
 
 
 def _collision_array(z, n, body_limit2, pair_limit2):
-    """``_collision_scalar`` on the flat ndarray state, with the same reason and index."""
+    """Halt reason and vortex index of a clearance violation in the flat ndarray
+    state z, or (None, -1), found in the order of the list layout's tail."""
     px, py = z[3::2], z[4::2]
     d2 = px * px + py * py
     nearest = int(d2.argmin())
@@ -305,7 +391,8 @@ def _collision_array(z, n, body_limit2, pair_limit2):
 
 
 def _body_velocity_array(momentum, z, g, r2, c, inertia):
-    """``_body_velocity_scalar`` of a flat ndarray state."""
+    """(Omega, Vx, Vy) of a flat ndarray state: in the momentum chart from the
+    state, as the list layout's tail has them; else its body entries."""
     if momentum:
         return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
     return z[:3].tolist()
@@ -346,6 +433,54 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     return beta, comp_b, x0, comp_x, y0, comp_y
 
 
+def _end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
+    """The list layout's end-of-step tail on the flat ndarray state."""
+    if not np.isfinite(z).all():
+        return HALT_NONFINITE, -1, None, None, None, None
+    halt, index = _collision_array(z, g.size, body_limit2, pair_limit2)
+    if halt is not None:
+        return halt, index, None, None, None, None
+    return (None, -1, z, *_body_velocity_array(momentum, z, g, r2, c, inertia))
+
+
+def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+    """The list layout's ``step`` on the flat ndarray state; its first stage
+    evaluates (Omega, V) itself."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    args = (g, r2, c, inertia, gtot)
+    k1 = _rhs_array(momentum, z, *args)
+    k2 = _rhs_array(momentum, z + half * k1, *args, 2)
+    k3 = _rhs_array(momentum, z + half * k2, *args, 3)
+    k4 = _rhs_array(momentum, z + dt * k3, *args, 4)
+    z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
+
+
+def _predict_array(z, h, slopes):
+    """The list layout's ``predict`` on the flat ndarray state."""
+    if not slopes:
+        return z
+    k = slopes[0]
+    if len(slopes) > 1:
+        diff = k + -1.0 * slopes[1]
+        k = slopes[2] + 3.0 * diff if len(slopes) > 2 else k + 1.0 * diff
+    return z + h * k
+
+
+def _iterate_array(momentum, z, u, g, r2, c, inertia, gtot, half):
+    """The list layout's ``iterate`` on the flat ndarray state."""
+    k = _rhs_array(momentum, u, g, r2, c, inertia, gtot)
+    unew = z + half * k
+    if not np.isfinite(unew).all():
+        return None, None, None
+    return unew, k, np.abs(unew - u).max()
+
+
+def _settle_array(momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2):
+    """The list layout's ``settle`` on the flat ndarray state."""
+    return _end_array(momentum, 2.0 * u - z, g, r2, c, inertia, body_limit2, pair_limit2)
+
+
 def _load_list(z):
     """A flat float state in the list layout: a tuple of three body floats, then N complex positions."""
     return (*z[:3].tolist(), *z[3:].view(np.complex128).tolist())
@@ -357,69 +492,50 @@ def _store_list(row, z):
     row[3:].view(np.complex128)[:] = z[3:]
 
 
-def _predict(stage, z, h, slopes):
-    """z + h k with k = k1, 2 k1 - k2 or 3 (k1 - k2) + k3 from the slopes (k1, k2, k3),
-    latest first, that there are; z without one."""
-    if not slopes:
-        return z
-    k = slopes[0]
-    if len(slopes) > 1:
-        diff = stage(k, -1.0, slopes[1])
-        k = stage(slopes[2], 3.0, diff) if len(slopes) > 2 else stage(k, 1.0, diff)
-    return stage(z, h, k)
-
-
-def _increment_list(u, v):
-    """max |a - b| over the entries of the flat float layout of two list states."""
-    delta = 0.0
-    for a, b in zip(u, v):
-        d = a - b
-        re, im = abs(d.real), abs(d.imag)
-        if re > delta:
-            delta = re
-        if im > delta:
-            delta = im
-    return delta
-
-
-# How ``run`` works, chosen once per run by ``_ops``. Both layouts write the
-# same operations in the same order: stage(z, h, k) = z + h k,
-# rk4(z, h, k1..k4) = z + h (((k1 + 2 k2) + 2 k3) + k4), reflect(m, z) = 2 m - z,
-# increment(a, b) = max |a - b| over the flat float entries, and finite(z)
-# tests every entry.
+# How ``run`` works, chosen once per run by ``_ops``. Both layouts do the same
+# operations in the same order (see ``_LIST_TEMPLATE``): step, predict, iterate,
+# settle and start, with z + h k, z + h (((k1 + 2 k2) + 2 k3) + k4) and 2 u - z
+# entry by entry.
 _ARRAYS = SimpleNamespace(
     load=np.array,
     store=np.copyto,
     strengths=np.array,
-    rhs=_rhs_array,
-    body_velocity=_body_velocity_array,
-    collision=_collision_array,
-    stage=lambda z, h, k: z + h * k,
-    rk4=lambda z, h, k1, k2, k3, k4: z + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-    reflect=lambda m, z: 2.0 * m - z,
-    increment=lambda u, v: np.abs(u - v).max(),
-    finite=lambda z: np.isfinite(z).all(),
+    step=_step_array,
+    predict=_predict_array,
+    iterate=_iterate_array,
+    settle=_settle_array,
+    start=_end_array,
 )
 
 
 @functools.cache
 def _list_ops(n):
-    """The list layout for n vortices, its ``rhs``, ``stage``, ``rk4`` and
-    ``reflect`` compiled from ``_list_source(n)`` once per process."""
-    scope = {"_DOMAIN_SCALE": _DOMAIN_SCALE, "_TWO_PI": _TWO_PI, "_NAN": math.nan, "_OutsideDomain": _OutsideDomain}
-    exec(compile(_list_source(n), f"<vortexcyl list layout, n = {n}>", "exec"), scope)
+    """The list layout for n vortices, its ``step``, ``predict``, ``iterate``,
+    ``settle`` and ``start`` compiled from ``_list_source(n)`` once per process.
+    The source is entered in ``linecache`` under its file name, so tracebacks,
+    profilers and ``inspect.getsource`` show the written-out lines."""
+    source, filename = _list_source(n), f"<vortexcyl list layout, n = {n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = {
+        "_DOMAIN_SCALE": _DOMAIN_SCALE,
+        "_TWO_PI": _TWO_PI,
+        "_OutsideDomain": _OutsideDomain,
+        "_isfinite": cmath.isfinite,
+        "HALT_BODY": HALT_BODY,
+        "HALT_PAIR": HALT_PAIR,
+        "HALT_NONFINITE": HALT_NONFINITE,
+    }
+    # one function at a time, each at its own line numbers: the compiler's peak
+    # memory grows with the text it takes in at once
+    line = 0
+    for function in source.split("\n\n\n"):
+        exec(compile("\n" * line + function, filename, "exec"), scope)
+        line += function.count("\n") + 3
     return SimpleNamespace(
         load=_load_list,
         store=_store_list,
         strengths=np.ndarray.tolist,
-        rhs=scope["rhs"],
-        body_velocity=_body_velocity_scalar,
-        collision=_collision_scalar,
-        stage=scope["stage"],
-        rk4=scope["rk4"],
-        reflect=scope["reflect"],
-        increment=_increment_list,
-        finite=lambda z: all(map(cmath.isfinite, z)),
+        **{name: scope[name] for name in ("step", "predict", "iterate", "settle", "start")},
     )
 
 
@@ -440,9 +556,8 @@ def run(config):
     of midpoint iterations in one step (0 under RK4).
     """
     body, vortices = config.body, config.vortices
-    n = vortices.n
-    ops = _ops(n)
-    rhs, stage, finite = ops.rhs, ops.stage, ops.finite
+    ops = _ops(vortices.n)
+    step_rk4, iterate = ops.step, ops.iterate
     momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
     # the loops take Python floats, as numpy scalars would slow them; BodyParams,
     # total_strength and the clearance are floats already, dt need not be
@@ -456,7 +571,7 @@ def run(config):
     rec_states = np.empty((n_rec_max, len(z0)))
     rec_poses = np.empty((n_rec_max, 3))
 
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
     beta, px0, py0 = config.pose.tolist()
     # (beta, its compensation, x0_x, its compensation, x0_y, its compensation)
     pose = (beta, 0.0, px0, 0.0, py0, 0.0)
@@ -467,37 +582,28 @@ def run(config):
     rec_poses[0] = pose[::2]
     n_rec = 1
 
-    # a start inside a clearance halts at step 0, before any evaluation
-    halt, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
+    # a start inside a clearance halts at step 0, before any evaluation; else the
+    # tail hands back (Omega, V) at the start, as each step does at its end
+    halt, halt_index, _, om0, vx0, vy0 = ops.start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
     halt_step = nsteps if halt is None else 0
 
-    om0, vx0, vy0 = ops.body_velocity(momentum, z, g, r2, c, inertia)
     for step in range(halt_step):
-        converged = True
         try:
             if rk4:
-                n_evals += 1
-                k1 = rhs(momentum, z, g, r2, c, inertia, gtot)
-                n_evals += 1
-                k2 = rhs(momentum, stage(z, half, k1), g, r2, c, inertia, gtot)
-                n_evals += 1
-                k3 = rhs(momentum, stage(z, half, k2), g, r2, c, inertia, gtot)
-                n_evals += 1
-                k4 = rhs(momentum, stage(z, dt, k3), g, r2, c, inertia, gtot)
-                z = ops.rk4(z, sixth, k1, k2, k3, k4)
+                halt, halt_index, z, om1, vx1, vy1 = step_rk4(
+                    momentum, z, om0, vx0, vy0, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2
+                )
+                n_evals += 4
             else:
                 # fixed-point iteration on the midpoint state, from the extrapolated
                 # start; a non-finite iterate counts as non-convergence
-                umid = _predict(stage, z, half, slopes)
+                u = ops.predict(z, half, slopes)
                 converged = False
                 try:
                     for iters in range(1, MIDPOINT_MAX_ITER + 1):
-                        k = rhs(momentum, umid, g, r2, c, inertia, gtot)
-                        unew = stage(z, half, k)
-                        if not finite(unew):
+                        u, k, delta = iterate(momentum, z, u, g, r2, c, inertia, gtot, half)
+                        if delta is None:
                             break
-                        delta = ops.increment(unew, umid)
-                        umid = unew
                         if delta <= MIDPOINT_TOL:
                             converged = True
                             break
@@ -505,22 +611,20 @@ def run(config):
                     n_evals += iters
                     max_iters = max(max_iters, iters)
                 if converged:
-                    z = ops.reflect(umid, z)
                     slopes = (k, *slopes[:2])
+                    halt, halt_index, z, om1, vx1, vy1 = ops.settle(
+                        momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2
+                    )
+                else:
+                    halt = HALT_NO_CONVERGENCE
         except _OutsideDomain as outside:
             halt, halt_index = HALT_DOMAIN, outside.index
-        else:
-            if not converged:
-                halt = HALT_NO_CONVERGENCE
-            elif not finite(z):
-                halt = HALT_NONFINITE
-            else:
-                halt, halt_index = ops.collision(z, n, body_limit2, pair_limit2)
+            if rk4:  # the stages up to the one that left the domain count
+                n_evals += outside.stage
         if halt is not None:
             halt_step = step
             break
 
-        om1, vx1, vy1 = ops.body_velocity(momentum, z, g, r2, c, inertia)
         pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt)
         if not (math.isfinite(pose[0]) and math.isfinite(pose[2]) and math.isfinite(pose[4])):
             halt, halt_step = HALT_NONFINITE, step

@@ -5,13 +5,14 @@ kept as the test oracle. ``integrate`` hands the config to ``_kernels.run``,
 the one fixed-step RK4 and implicit midpoint loop, whose fused kernels evaluate
 the same product in complex form without assembling the matrix: below
 ``_kernels.PAIR_ARRAY_MIN`` vortices as straight-line code on a tuple of Python
-scalars, written out for the run's number of vortices and compiled at its first
-run in the process; as array expressions from there up. The loop names the
-reason it halted.
+scalars, one function per RK4 step and one per midpoint iteration, written out
+for the run's number of vortices and compiled at its first run in the process;
+as array expressions from there up. The loop names the reason it halted.
 Poses are reconstructed during integration by exact screw increments using
 the average of each step's two endpoint body velocities, from the config's
-starting pose. Energy, Casimir, momentum drift and inertial positions are
-then computed for all recorded samples at once: the energy by the batch core
+starting pose; each step hands the body velocity at its end to the next.
+Energy, Casimir, momentum drift and inertial positions are then computed for
+all recorded samples at once: the energy by the batch core
 of ``energetics``, in the velocity chart the momentum triple (A, L) by the
 shift core of ``maps``, the Casimir Lx^2 + Ly^2 - 2 Gamma_total A of the
 momentum chart from it, and the inertial positions by the frame change

@@ -58,6 +58,12 @@ DIRECT = [
 ]
 
 
+def test_a_flat_state_that_is_not_numbers_raises_one_line_naming_it():
+    with pytest.raises(ValidationError, match="flat state") as info:
+        ChartState.from_flat("momentum", ["a", 0, 0])
+    assert "\n" not in str(info.value)
+
+
 def _build(cls, fields):
     return cls(**{**GOOD[cls], **fields})
 

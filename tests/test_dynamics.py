@@ -123,9 +123,11 @@ def test_integrate_deterministic(body):
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
 def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
-    def config(num):
+    def config(num, integrator):
         body = BodyParams(mass=num(np.pi), inertia=num(1.3), radius=num(1.1))
-        return _two_vortex_config(body, chart, dt=num(1e-3), t_end=num(0.5), stride=10, clearance=num(1e-3))
+        return _two_vortex_config(
+            body, chart, dt=num(1e-3), t_end=num(0.5), integrator=integrator, stride=10, clearance=num(1e-3)
+        )
 
     scalars = set()
 
@@ -136,19 +138,21 @@ def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
 
         return spied
 
-    # the right-hand side, the stages and the clearance check take every scalar
-    # of the config that the two-vortex run's list layout uses
+    # the written-out step, midpoint iteration and tails take every scalar of the
+    # config that the two-vortex run's list layout uses
     loops = dynamics._kernels._ops(2)
-    for name in ("rhs", "stage", "collision"):
+    for name in ("step", "predict", "iterate", "settle", "start"):
         monkeypatch.setattr(loops, name, spy(getattr(loops, name)))
-    plain = integrate(config(float))
-    seen = scalars.copy()
-    scalars.clear()
-    numpy_scalars = integrate(config(np.float64))
-    npt.assert_array_equal(numpy_scalars.states, plain.states)
-    npt.assert_array_equal(numpy_scalars.poses, plain.poses)
-    # numpy scalars would make every loop operation several times slower
-    assert scalars == seen == {bool, int, float}
+    for integrator in ("rk4", "midpoint"):
+        plain = integrate(config(float, integrator))
+        seen = scalars.copy()
+        scalars.clear()
+        numpy_scalars = integrate(config(np.float64, integrator))
+        npt.assert_array_equal(numpy_scalars.states, plain.states)
+        npt.assert_array_equal(numpy_scalars.poses, plain.poses)
+        # numpy scalars would make every loop operation several times slower
+        assert scalars == seen == {bool, float}
+        scalars.clear()
 
 
 def test_rk4_observed_order(body):

@@ -1,5 +1,7 @@
 """Fused kernels and the drive loop against the structure-matrix route."""
 import cmath
+import inspect
+import linecache
 import math
 import os
 import subprocess
@@ -12,18 +14,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
-from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, structure_matrix
+from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, shift_map, structure_matrix
 from vortexcyl import _kernels
 from vortexcyl.dynamics import HaltInfo, SimConfig, integrate
 from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
 
 
 def _kernel_rhs(chart, state, body, g):
-    """The right-hand side as ``run`` evaluates it at this size, in the flat layout."""
+    """The right-hand side as ``run`` evaluates it at this size, in the flat layout:
+    the slope a midpoint iteration takes at the state."""
     ops = _kernels._ops(state.n)
-    flat = np.empty(state.flat().size)
+    z = ops.load(state.flat())
     args = (ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()))
-    ops.store(flat, ops.rhs(chart == "momentum", ops.load(state.flat()), *args))
+    _, slope, _ = ops.iterate(chart == "momentum", z, z, *args, 0.0)
+    flat = np.empty(state.flat().size)
+    ops.store(flat, slope)
     return flat
 
 
@@ -86,16 +91,17 @@ def test_kernel_matches_matrix_route_everywhere(case):
 @settings(max_examples=100, deadline=None)
 @given(_kernel_cases())
 def test_body_velocity_matches_loops(case):
-    """The scalar loops on the list layout and the array form on the flat layout
-    agree, and ``run`` calls the one of its layout."""
+    """The scalar loop on the list layout and the array form on the flat layout
+    agree, and the tail that ``run`` starts with gives the one of its layout."""
     chart, body, state, g = case
     z, rest = state.flat(), (body.radius**2, body.c, body.inertia)
     momentum = chart == "momentum"
-    loops = np.array(_kernels._body_velocity_scalar(momentum, _kernels._load_list(z), g.tolist(), *rest))
+    loops = np.array(_loop_body_velocity(momentum, _kernels._load_list(z), g.tolist(), *rest))
     array = np.array(_kernels._body_velocity_array(momentum, z, g, *rest))
     ops = _kernels._ops(state.n)
-    dispatched = ops.body_velocity(momentum, ops.load(z), ops.strengths(g), *rest)
-    npt.assert_array_equal(dispatched, loops if state.n < _kernels.PAIR_ARRAY_MIN else array)
+    halt, _, _, *started = ops.start(momentum, ops.load(z), ops.strengths(g), *rest, 0.0, 0.0)
+    assert halt is None
+    npt.assert_array_equal(started, loops if state.n < _kernels.PAIR_ARRAY_MIN else array)
     # (A + sum g |X|^2 / 2) / I and (L -+ phi) / c sum terms as large as these
     d2 = np.sum(state.positions**2, axis=1)
     scale = max(
@@ -126,24 +132,26 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
         rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
         with pytest.raises(_kernels._OutsideDomain) as loops:
             # the list layout's code, written out for 8 vortices on request
-            _kernels._list_ops(n).rhs(chart == "momentum", _kernels._load_list(z), g.tolist(), *rest)
-        assert loops.value.index == min(inside)
+            loaded = _kernels._load_list(z)
+            _kernels._list_ops(n).iterate(chart == "momentum", loaded, loaded, g.tolist(), *rest, 0.0)
+        assert (loops.value.index, loops.value.stage) == (min(inside), 1)
         with pytest.raises(_kernels._OutsideDomain) as array:
             _kernels._rhs_array(chart == "momentum", z, g, *rest)
-        assert array.value.index == min(inside)
+        assert (array.value.index, array.value.stage) == (min(inside), 1)
 
 
-def _loop_rhs(momentum, u, g, r2, c, inertia, gtot):
+def _loop_rhs(momentum, u, g, r2, c, inertia, gtot, stage=1):
     """The list layout's right-hand side as one loop over the vortices, the
     reference for the code ``_kernels._list_source`` writes out: the same
-    operations in the same order, so the same bits and the same halts."""
+    operations in the same order, so the same bits and the same halts, which
+    report ``stage``."""
     domain2 = r2 * _kernels._DOMAIN_SCALE
     vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
     lam, s2 = 0j, 0.0
     for gi, p in zip(g, u[3:]):
         d2 = p.real * p.real + p.imag * p.imag
         if d2 <= domain2:
-            raise _kernels._OutsideDomain(len(vortices))
+            raise _kernels._OutsideDomain(len(vortices), stage)
         vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
@@ -188,6 +196,43 @@ def _loop_rhs(momentum, u, g, r2, c, inertia, gtot):
         return [math.nan] * len(u)
 
 
+def _loop_body_velocity(momentum, z, g, r2, c, inertia):
+    """(Omega, Vx, Vy) of a list state as one loop over the vortices, the reference
+    for the tail ``_kernels._list_source`` writes out. In the momentum chart, with
+    lam = sum g (1 - R^2/|p|^2) p and s2 = sum g |p|^2, Omega = (A + s2/2) / I and
+    V = (L + i lam) / c; in the velocity chart the body entries."""
+    if not momentum:
+        return z[0], z[1], z[2]
+    lam, s2 = 0j, 0.0
+    for gi, p in zip(g, z[3:]):
+        d2 = p.real * p.real + p.imag * p.imag
+        lam += (gi - gi * r2 / d2) * p
+        s2 += gi * d2
+    return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
+
+
+def _loop_collision(z, n, body_limit2, pair_limit2):
+    """Halt reason and vortex index of a clearance violation in the list state z, or
+    (None, -1), as loops: a body violation names the vortex nearest the body (the
+    lowest index on a tie), a pair violation the lower index of the first pair found
+    in row-major order."""
+    nearest, d2min = -1, math.inf
+    for i in range(n):
+        p = z[3 + i]
+        d2 = p.real * p.real + p.imag * p.imag
+        if d2 < d2min:
+            nearest, d2min = i, d2
+    if d2min < body_limit2:
+        return _kernels.HALT_BODY, nearest
+    for i in range(n - 1):
+        p = z[3 + i]
+        for q in z[4 + i :]:
+            d = p - q
+            if d.real * d.real + d.imag * d.imag < pair_limit2:
+                return _kernels.HALT_PAIR, i
+    return None, -1
+
+
 _SMALL = st.integers(0, _kernels.PAIR_ARRAY_MIN - 1)
 
 
@@ -200,10 +245,10 @@ def _bits(values):
 @given(_kernel_cases(sizes=_SMALL))
 def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     """Below PAIR_ARRAY_MIN ``run`` loads a tuple of three body floats and N
-    complex positions. Its right-hand side, written out for N, gives the bits of
-    the loop it replaces, and it and the scalar loops give the same bits on an
+    complex positions. The right-hand side written out for N (here a midpoint
+    iteration's) gives the bits of the loop it replaces, on the tuple and on an
     object ndarray of the same Python scalars, the layout ``_reference_run``
-    drives; the clearance scan finds what the array scan finds on the flat layout."""
+    drives; the written-out tail finds what the loops and the array scan find."""
     chart, body, state, g = case
     z, n = state.flat(), state.n
     ops = _kernels._ops(n)
@@ -215,14 +260,10 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     assert flat.tobytes() == z.tobytes()
 
     momentum, rest = chart == "momentum", (body.radius**2, body.c, body.inertia, float(g.sum()))
-    on_list = ops.rhs(momentum, loaded, ops.strengths(g), *rest)
+    _, on_list, _ = ops.iterate(momentum, loaded, loaded, ops.strengths(g), *rest, 0.0)
     assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
     assert _bits(on_list) == _bits(_loop_rhs(momentum, list(loaded), g.tolist(), *rest))
-    on_objects = ops.rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)
-    assert _bits(on_objects) == _bits(on_list)
-
-    on_objects = ops.body_velocity(momentum, np.array(loaded, dtype=object), g.tolist(), *rest[:3])
-    assert _bits(on_objects) == _bits(ops.body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
+    assert _bits(_loop_rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)) == _bits(on_list)
 
     # limits between the closest and the farthest vortex hit every outcome
     d2 = np.sum(state.positions**2, axis=1)
@@ -230,8 +271,58 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
         for pair_limit2 in (0.0, 1.0, float(np.max(d2)) if n else 1.0):
             limits = (n, body_limit2, pair_limit2)
             on_flat = _kernels._collision_array(z, *limits) if n else (None, -1)
-            assert ops.collision(loaded, *limits) == on_flat
-            assert ops.collision(np.array(loaded, dtype=object), *limits) == on_flat
+            halt, index, *end = ops.start(momentum, loaded, g.tolist(), *rest[:3], body_limit2, pair_limit2)
+            assert (halt, index) == _loop_collision(loaded, *limits) == on_flat
+            assert _loop_collision(np.array(loaded, dtype=object), *limits) == on_flat
+            if halt is None:
+                assert _bits(end[0]) == _bits(loaded)
+                assert _bits(end[1:]) == _bits(_loop_body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_cases(sizes=_SMALL))
+def test_written_out_step_hands_back_the_body_velocity_bitwise(case):
+    """The (Omega, V) that the written-out RK4 step hands back, which the next
+    step's first stage takes in place of its own, has the bits of the scalar
+    loop at the new state, in both charts; the new state has the bits of RK4 on
+    ``_loop_rhs`` over object ndarrays, the arithmetic of ``_reference_run``."""
+    chart, body, state, g = case
+    n, momentum = state.n, chart == "momentum"
+    ops = _kernels._ops(n)
+    z, strengths = ops.load(state.flat()), g.tolist()
+    rest = (body.radius**2, body.c, body.inertia)
+    gtot = float(g.sum())
+    _, slope, _ = ops.iterate(momentum, z, z, strengths, *rest, gtot, 0.0)
+    dt = 1e-9 * body.radius / (1.0 + max(map(abs, slope)))  # a step too short to leave the domain
+    *_, om, vx, vy = ops.start(momentum, z, strengths, *rest, 0.0, 0.0)
+    assert _bits((om, vx, vy)) == _bits(_loop_body_velocity(momentum, z, strengths, *rest))
+    halt, _, new, *handed = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt, 0.0, 0.0)
+    assert halt is None
+    assert _bits(handed) == _bits(_loop_body_velocity(momentum, new, strengths, *rest))
+
+    u = np.array(z, dtype=object)
+
+    def f(v):
+        return np.array(_loop_rhs(momentum, v, strengths, *rest, gtot), dtype=object)
+
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    assert _bits(new) == _bits(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def test_written_out_source_is_readable_to_tools():
+    """The list layout's code is entered in ``linecache`` under its file name, so
+    ``inspect`` and tracebacks show the generated lines, each function at its own."""
+    ops = _kernels._list_ops(2)
+    source = inspect.getsource(ops.step)
+    assert source.startswith("def step(") and "raise _OutsideDomain(1, 4)" in source
+    for name in ("step", "predict", "iterate", "settle", "start"):
+        code = getattr(ops, name).__code__
+        assert code.co_filename == "<vortexcyl list layout, n = 2>"
+        assert inspect.getsource(getattr(ops, name)) in _kernels._list_source(2)
+        assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(f"def {name}(")
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -247,7 +338,7 @@ def test_list_path_reports_the_domain_halt(body, chart):
     rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
     ops = _kernels._ops(n)
     with pytest.raises(_kernels._OutsideDomain) as outside:
-        ops.rhs(chart == "momentum", ops.load(z), ops.strengths(g), *rest)
+        ops.iterate(chart == "momentum", ops.load(z), ops.load(z), ops.strengths(g), *rest, 0.0)
     assert outside.value.index == 1
 
 
@@ -269,7 +360,7 @@ def test_collision_array_matches_loops(rng, n):
     found = {}
     for name, pos in cases.items():
         z = np.concatenate([[0.1, 0.2, 0.3], pos.reshape(-1)])
-        loops = _kernels._collision_scalar(_kernels._load_list(z), n, body_limit2, pair_limit2)
+        loops = _loop_collision(_kernels._load_list(z), n, body_limit2, pair_limit2)
         assert _kernels._collision_array(z, n, body_limit2, pair_limit2) == loops
         found[name] = loops
     assert found["none"] == (None, -1)
@@ -388,19 +479,19 @@ def _reference_run(cfg):
     z0, g = np.concatenate([cfg.body_state, cfg.vortices.positions.reshape(-1)]), cfg.vortices.strengths
     loops = n < _kernels.PAIR_ARRAY_MIN
     if loops:
-        collision, body_velocity = _kernels._collision_scalar, _kernels._body_velocity_scalar
+        collision, body_velocity = _loop_collision, _loop_body_velocity
         z = np.array([*z0[:3].tolist(), *(complex(x, y) for x, y in z0[3:].reshape(-1, 2).tolist())], dtype=object)
         g = g.tolist()
 
-        def f(u):
-            return np.array(_loop_rhs(momentum, u, g, *args), dtype=object)
+        def f(u, stage=1):
+            return np.array(_loop_rhs(momentum, u, g, *args, stage), dtype=object)
 
     else:
         collision, body_velocity = _kernels._collision_array, _kernels._body_velocity_array
         z = z0.copy()
 
-        def f(u):
-            return _kernels._rhs_array(momentum, u, g, *args)
+        def f(u, stage=1):
+            return _kernels._rhs_array(momentum, u, g, *args, stage)
 
     def flat(z):
         if not loops:
@@ -427,15 +518,15 @@ def _reference_run(cfg):
                 n_evals += 1
                 k1 = f(z)
                 n_evals += 1
-                k2 = f(z + 0.5 * dt * k1)
+                k2 = f(z + 0.5 * dt * k1, 2)
                 n_evals += 1
-                k3 = f(z + 0.5 * dt * k2)
+                k3 = f(z + 0.5 * dt * k2, 3)
                 n_evals += 1
-                k4 = f(z + dt * k3)
+                k4 = f(z + dt * k3, 4)
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
                 # z + h k1, z + h (2 k1 - k2), then z + h (3 k1 - 3 k2 + k3), with the
-                # differences formed as in _kernels._predict
+                # differences formed as in the list layout's predict
                 umid = z
                 if len(slopes) == 1:
                     umid = z + 0.5 * dt * slopes[0]
@@ -460,6 +551,7 @@ def _reference_run(cfg):
                     z = 2.0 * umid - z
                     slopes = [k, *slopes[:2]]
         except _kernels._OutsideDomain as outside:
+            assert outside.stage == (n_evals - 4 * step if cfg.integrator == "rk4" else 1)
             halt = (_kernels.HALT_DOMAIN, outside.index, step)
         else:
             if not converged:
@@ -556,6 +648,56 @@ HALTS = {
 }
 # the vortex each RK4 stage exit halts on
 RK4_STAGE_EXITS = {"domain-rk4": 0, "domain-arrays": 3}
+
+
+# RK4 runs that leave the fluid domain at each stage, on both layouts and in both
+# charts (clearance 1e-12). On the list layout a vortex of strength -50 (or 20, 50)
+# beside a unit vortex at 1.01 R or 1.02 R drives it into the body; on the array
+# layout the body moves at the given speed toward vortex 3 of an 8-vortex ring, at
+# 1.01 R (the halt names the first vortex found inside). A stage-1 exit needs a step
+# that ends within R (1 + MIN_CLEARANCE) but outside the clearance: its strength or
+# speed is where a bisection put the end of step 0 in that band.
+# (layout, chart, strength or body speed, dt) -> (vortex index, halted step, stage)
+_STAGE_RING = 2.5 * np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
+_STAGE_RING[3] *= 1.01 / 2.5
+_TOWARD_3 = _STAGE_RING[3] / np.linalg.norm(_STAGE_RING[3])
+RK4_STAGES = {
+    ("lists", "momentum", -46.94194802767983, 0.001467799267622069): (0, 1, 1),
+    ("lists", "momentum", -50.0, 0.0021544346900318843): (1, 1, 2),
+    ("lists", "momentum", -50.0, 0.003831186849557285): (1, 0, 3),
+    ("lists", "momentum", -50.0, 0.0026101572156825357): (0, 0, 4),
+    ("lists", "velocity", -49.62225814204811, 0.001467799267622069): (0, 1, 1),
+    ("lists", "velocity", 50.0, 0.01778279410038923): (0, 0, 2),
+    ("lists", "velocity", -50.0, 0.003831186849557285): (0, 0, 3),
+    ("lists", "velocity", 20.0, 0.06812920690579612): (0, 0, 4),
+    ("arrays", "momentum", 77.47715931367532, 0.03217891350952208): (7, 1, 1),
+    ("arrays", "momentum", 20.0, 0.2): (7, 0, 2),
+    ("arrays", "momentum", 200.0, 0.04637277659690335): (7, 0, 3),
+    ("arrays", "momentum", 20.0, 0.13878363932890272): (6, 0, 4),
+    ("arrays", "velocity", 77.32644724690441, 0.03217891350952208): (7, 1, 1),
+    ("arrays", "velocity", 20.0, 0.2): (7, 0, 2),
+    ("arrays", "velocity", 200.0, 0.04637277659690335): (7, 0, 3),
+    ("arrays", "velocity", 20.0, 0.13878363932890272): (6, 0, 4),
+}
+
+
+@pytest.mark.parametrize("case", RK4_STAGES, ids=lambda case: "-".join(map(str, case[:2])) + f"-{RK4_STAGES[case][2]}")
+def test_an_exit_at_each_rk4_stage_counts_the_stages_it_evaluated(monkeypatch, body, case):
+    layout, chart, push, dt = case
+    index, step, stage = RK4_STAGES[case]
+    if layout == "lists":
+        near = 1.02 if push > 0 else 1.01
+        vortices = VortexSet([1.0, push], [[near, 0.0], [near, 0.2]])
+        body_state = [0.0, 0.0, 0.0]
+    else:
+        vortices = VortexSet([1.0, -1.0] * 4, _STAGE_RING)
+        velocity = [0.0, *(push * _TOWARD_3)]
+        state = ChartState("velocity", velocity, _STAGE_RING)
+        body_state = shift_map(state, vortices.strengths, body).body if chart == "momentum" else velocity
+    cfg = SimConfig(chart, body, vortices, body_state, dt, 3 * dt, "rk4", 1, 1e-12)
+    traj = _pinned_integrate(monkeypatch, cfg)
+    assert traj.halt == HaltInfo(_kernels.HALT_DOMAIN, index, step * dt)
+    assert traj.rhs_evals == 4 * step + stage
 
 
 @pytest.mark.parametrize("case", HALTS)
