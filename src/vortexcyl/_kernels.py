@@ -17,9 +17,10 @@ body velocity (Omega, V) that the next step starts from, handed from step to
 step). Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of
 three body floats and N ``complex`` positions, and each operation is one
 function of straight-line code written out for that N from one template
-(``_list_source``) and compiled at the first run of each N in a process: an
-RK4 step holds its four right-hand sides, the stage arithmetic and the tail,
-so ``run`` makes one call per step and one per midpoint iteration. A sample
+(``_list_source``) and compiled at its first use in a process (``_ListOps``),
+so a run compiles only what its integrator calls: an RK4 step holds its four
+right-hand sides, the stage arithmetic and the tail, so ``run`` makes one call
+per step and one per midpoint iteration. A sample
 takes the flat float layout (X, Y interleaved) only when recorded. From there
 up the state is the flat ndarray and the operations compose array
 expressions, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
@@ -337,9 +338,10 @@ def _omv_array(z, d2, g, r2, c, inertia):
     return (z[0] + 0.5 * (g @ d2)) / inertia, (z[1] - phi[1]) / c, (z[2] + phi[0]) / c
 
 
-def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1):
+def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1, omv=None):
     """The list layout's right-hand side on the flat ndarray state, as array
-    expressions over the vortices; ``stage`` is the one an exit reports."""
+    expressions over the vortices; ``stage`` is the one an exit reports, and
+    omv, if given, is the (Omega, Vx, Vy) of u, taken in place of evaluating it."""
     p = u[3:].view(np.complex128)
     d2 = p.real * p.real + p.imag * p.imag
     inside = d2 <= r2 * _DOMAIN_SCALE
@@ -348,14 +350,15 @@ def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1):
     grad_g = _kr_grad_complex(p, d2, g, r2, gtot)
     image = r2 / (p * p).conj()
     out = np.empty_like(u)
+    if omv is None:
+        omv = _omv_array(u, d2, g, r2, c, inertia) if momentum else (u[0], u[1], u[2])
+    om, vx, vy = omv
     if momentum:
-        om, vx, vy = _omv_array(u, d2, g, r2, c, inertia)
         lx, ly = u[1], u[2]
         out[0] = -ly * vx + lx * vy
         out[1] = ly * om + gtot * vy
         out[2] = -lx * om - gtot * vx
     else:
-        om, vx, vy = u[0], u[1], u[2]
         sum_lam = (g - g * r2 / d2) @ u[3:].reshape(-1, 2)
         l_ov1 = (-c * vy + 2.0 * sum_lam[0]) / (c * inertia)
         l_ov2 = (c * vx + 2.0 * sum_lam[1]) / (c * inertia)
@@ -445,10 +448,10 @@ def _end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
 
 def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
     """The list layout's ``step`` on the flat ndarray state; its first stage
-    evaluates (Omega, V) itself."""
+    takes the (Omega, V) of z that the last tail handed back."""
     half, sixth = 0.5 * dt, dt / 6.0
     args = (g, r2, c, inertia, gtot)
-    k1 = _rhs_array(momentum, z, *args)
+    k1 = _rhs_array(momentum, z, *args, 1, (om, vx, vy))
     k2 = _rhs_array(momentum, z + half * k1, *args, 2)
     k3 = _rhs_array(momentum, z + half * k2, *args, 3)
     k4 = _rhs_array(momentum, z + dt * k3, *args, 4)
@@ -508,35 +511,48 @@ _ARRAYS = SimpleNamespace(
 )
 
 
-@functools.cache
-def _list_ops(n):
-    """The list layout for n vortices, its ``step``, ``predict``, ``iterate``,
-    ``settle`` and ``start`` compiled from ``_list_source(n)`` once per process.
-    The source is entered in ``linecache`` under its file name, so tracebacks,
-    profilers and ``inspect.getsource`` show the written-out lines."""
-    source, filename = _list_source(n), f"<vortexcyl list layout, n = {n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    scope = {
-        "_DOMAIN_SCALE": _DOMAIN_SCALE,
-        "_TWO_PI": _TWO_PI,
-        "_OutsideDomain": _OutsideDomain,
-        "_isfinite": cmath.isfinite,
-        "HALT_BODY": HALT_BODY,
-        "HALT_PAIR": HALT_PAIR,
-        "HALT_NONFINITE": HALT_NONFINITE,
-    }
-    # one function at a time, each at its own line numbers: the compiler's peak
-    # memory grows with the text it takes in at once
-    line = 0
-    for function in source.split("\n\n\n"):
-        exec(compile("\n" * line + function, filename, "exec"), scope)
-        line += function.count("\n") + 3
-    return SimpleNamespace(
-        load=_load_list,
-        store=_store_list,
-        strengths=np.ndarray.tolist,
-        **{name: scope[name] for name in ("step", "predict", "iterate", "settle", "start")},
-    )
+class _ListOps:
+    """The list layout for n vortices. Its ``step``, ``predict``, ``iterate``,
+    ``settle`` and ``start`` are each compiled from their own slice of
+    ``_list_source(n)`` at their first use and kept as attributes, so a run
+    compiles only what its integrator calls. The source is entered in
+    ``linecache`` under its file name, each function at its own line numbers,
+    so tracebacks, profilers and ``inspect.getsource`` show the written-out
+    lines."""
+
+    def __init__(self, n):
+        source, self._filename = _list_source(n), f"<vortexcyl list layout, n = {n}>"
+        linecache.cache[self._filename] = (len(source), None, source.splitlines(True), self._filename)
+        self.load, self.store, self.strengths = _load_list, _store_list, np.ndarray.tolist
+        self._scope = {
+            "_DOMAIN_SCALE": _DOMAIN_SCALE,
+            "_TWO_PI": _TWO_PI,
+            "_OutsideDomain": _OutsideDomain,
+            "_isfinite": cmath.isfinite,
+            "HALT_BODY": HALT_BODY,
+            "HALT_PAIR": HALT_PAIR,
+            "HALT_NONFINITE": HALT_NONFINITE,
+        }
+        # each function's text, led by the blank lines that put it at its own
+        # line numbers; compiled alone, as the compiler's peak memory grows with
+        # the text it takes in at once
+        self._texts, line = {}, 0
+        for function in source.split("\n\n\n"):
+            self._texts[function[4 : function.index("(")]] = "\n" * line + function
+            line += function.count("\n") + 3
+
+    def __getattr__(self, name):
+        """Compile the function ``name`` at its first use; from then on it is an
+        attribute, found without this call."""
+        if name not in ("step", "predict", "iterate", "settle", "start"):
+            raise AttributeError(name)
+        exec(compile(self._texts.pop(name), self._filename, "exec"), self._scope)
+        setattr(self, name, self._scope[name])
+        return self._scope[name]
+
+
+# one list layout per n and process, which compiles nothing until a function is asked for
+_list_ops = functools.cache(_ListOps)
 
 
 def _ops(n):
@@ -557,8 +573,13 @@ def run(config):
     """
     body, vortices = config.body, config.vortices
     ops = _ops(vortices.n)
-    step_rk4, iterate = ops.step, ops.iterate
     momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
+    # only the integrator's own functions, fetched once: the list layout compiles
+    # each at its first use
+    if rk4:
+        step_rk4 = ops.step
+    else:
+        predict, iterate, settle = ops.predict, ops.iterate, ops.settle
     # the loops take Python floats, as numpy scalars would slow them; BodyParams,
     # total_strength and the clearance are floats already, dt need not be
     r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, config.dt
@@ -597,7 +618,7 @@ def run(config):
             else:
                 # fixed-point iteration on the midpoint state, from the extrapolated
                 # start; a non-finite iterate counts as non-convergence
-                u = ops.predict(z, half, slopes)
+                u = predict(z, half, slopes)
                 converged = False
                 try:
                     for iters in range(1, MIDPOINT_MAX_ITER + 1):
@@ -612,7 +633,7 @@ def run(config):
                     max_iters = max(max_iters, iters)
                 if converged:
                     slopes = (k, *slopes[:2])
-                    halt, halt_index, z, om1, vx1, vy1 = ops.settle(
+                    halt, halt_index, z, om1, vx1, vy1 = settle(
                         momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2
                     )
                 else:

@@ -292,10 +292,12 @@ def min_pair_distance(positions: FloatArray) -> float:
     if n < 2 or x.size == 0:
         return math.inf
     x = x.reshape(-1, n, 2)
+    px, py = x[..., 0], x[..., 1]
     best = math.inf
     for blk in _sample_blocks(x):
-        diff = x[blk, :, None, :] - x[blk, None, :, :]
-        sep2 = (diff * diff).sum(axis=-1).reshape(-1, n * n)
+        dx = px[blk, :, None] - px[blk, None, :]
+        dy = py[blk, :, None] - py[blk, None, :]
+        sep2 = (dx * dx + dy * dy).reshape(-1, n * n)
         sep2[:, :: n + 1] = math.inf  # the diagonal
         best = min(best, float(sep2.min()))
     return math.sqrt(best)

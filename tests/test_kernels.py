@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -439,20 +440,34 @@ def test_integrate_matches_matrix_route_loop(body, chart, integrator):
         npt.assert_allclose(traj.poses, poses[steps], rtol=0, atol=1e-11)
 
 
-def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body):
+def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body, tmp_path):
     """Importing vortexcyl and building every preset's config compiles no
-    list-layout code (a fresh interpreter); two runs with one N compile it once."""
+    list-layout code, nor does a two-worker sweep in its own process (a fresh
+    interpreter); two runs with one N compile it once."""
     script = (
+        "import json, sys\n"
         "from vortexcyl import _kernels, cli\n"
         "for raw in cli.PRESETS.values():\n"
         "    cli.config_from_dict(raw)\n"
         "print(_kernels._list_ops.cache_info().misses)\n"
+        "paths = []\n"
+        "for name, raw in sorted(cli.PRESETS.items()):\n"
+        "    paths.append(f'{sys.argv[1]}/{name}.json')\n"
+        "    with open(paths[-1], 'w') as f:\n"
+        "        json.dump({**raw, 't_end': 0.01}, f)\n"
+        "assert cli.sweep(paths, sys.argv[1] + '/out', jobs=2) == 0\n"
+        "print(_kernels._list_ops.cache_info().misses)\n"
     )
     src = os.path.dirname(os.path.dirname(_kernels.__file__))
     fresh = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert fresh.stdout == "0\n"
+    lines = fresh.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "0")
 
     _kernels._list_ops.cache_clear()
     config = SimConfig("momentum", body, SYSTEMS[0], [0.05, 0.1, -0.08], 5e-3, 0.05)
@@ -460,6 +475,66 @@ def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body):
     assert first.states.tobytes() == second.states.tobytes()
     info = _kernels._list_ops.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "integrator, compiled, other",
+    [
+        ("midpoint", ["iterate", "predict", "settle", "start"], ["step"]),
+        ("rk4", ["start", "step"], ["iterate", "predict", "settle"]),
+    ],
+)
+def test_a_run_compiles_only_the_functions_of_its_integrator_once(monkeypatch, body, integrator, compiled, other):
+    """At a run's first use of N the list layout compiles only what the run's
+    integrator calls: a midpoint run no ``step``, an RK4 run no ``predict``,
+    ``iterate`` or ``settle``. A second run of that N compiles nothing, and a
+    run under the other integrator only the functions it adds."""
+    seen = []
+
+    def spied(*args):
+        code = compile(*args)
+        seen.extend(const.co_name for const in code.co_consts if inspect.iscode(const))
+        return code
+
+    monkeypatch.setattr(_kernels, "compile", spied, raising=False)
+    _kernels._list_ops.cache_clear()
+    angles = np.arange(4) * np.pi / 2 + 0.3
+    vortices = VortexSet([1.0, -0.8, 0.6, -1.2], 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    config = SimConfig("momentum", body, vortices, [0.05, 0.1, -0.08], 5e-3, 0.05, integrator)
+    first = integrate(config)
+    assert sorted(seen) == compiled
+    seen.clear()
+    assert integrate(config).states.tobytes() == first.states.tobytes()
+    assert seen == []
+    integrate(replace(config, integrator="rk4" if integrator == "midpoint" else "midpoint"))
+    assert sorted(seen) == other
+    assert _kernels._list_ops.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+@pytest.mark.parametrize("n", [8, 12, 32])
+def test_array_step_takes_the_handed_body_velocity(monkeypatch, body, n, chart):
+    """The array layout's RK4 step takes the (Omega, V) that the last tail handed
+    back: a momentum-chart run evaluates it once at the start, then 4 times per
+    step (stages 2-4 and the tail), and the run has the bits of
+    ``_reference_run``, whose first stage evaluates it again."""
+    calls = []
+    omv = _kernels._omv_array
+
+    def counted(*args):
+        calls.append(1)
+        return omv(*args)
+
+    monkeypatch.setattr(_kernels, "_omv_array", counted)
+    i = np.arange(n)
+    angles = 2.0 * np.pi * i / n + 0.3
+    radii = 2.5 + 0.4 * (i % 3)
+    vortices = VortexSet((1.0 + 0.1 * i) * (-1.0) ** i, radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1))
+    cfg = SimConfig(chart, body, vortices, [0.05, 0.1, -0.08], 5e-3, 0.1, "rk4", 7)
+    assert _kernels.run(cfg)[3] is None
+    assert len(calls) == (1 + 4 * cfg.nsteps if chart == "momentum" else 0)
+    traj = _pinned_integrate(monkeypatch, cfg)
+    assert traj.halt is None and traj.n_samples == 4
 
 
 def _reference_run(cfg):
