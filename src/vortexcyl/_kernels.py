@@ -10,17 +10,17 @@ fluid domain raises ``_OutsideDomain`` with its index and RK4 stage.
 
 ``run`` takes a ``SimConfig``, returns why it halted as text (the ``HALT_*``
 strings) or None, and picks a layout per run from the number of vortices
-(``_ops``). Each layout gives it the same five operations: one RK4 step, the
-midpoint's extrapolated start, one midpoint iteration, the midpoint's
-reflection, and the end-of-step tail alone (finiteness, clearances and the
-body velocity (Omega, V) that the next step starts from, handed from step to
-step). Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of
-three body floats and N ``complex`` positions, and each operation is one
-function of straight-line code written out for that N from one template
-(``_list_source``) and compiled at its first use in a process (``_ListOps``),
-so a run compiles only what its integrator calls: an RK4 step holds its four
-right-hand sides, the stage arithmetic and the tail, so ``run`` makes one call
-per step and one per midpoint iteration. A sample
+(``_ops``). Each layout gives it the same three operations: one RK4 step (its
+four right-hand sides and the stage arithmetic), one implicit midpoint step
+(the extrapolated start, the fixed-point iterations and the reflection), and
+the end-of-step tail alone, which ends the other two (finiteness, clearances
+and the body velocity (Omega, V) that the next step starts from, handed from
+step to step). So ``run`` makes one call per step under either integrator.
+Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of three
+body floats and N ``complex`` positions, and each operation is one function of
+straight-line code written out for that N from one template (``_list_source``)
+and compiled at its first use in a process (``_ListOps``), so a run compiles
+only what its integrator calls. A sample
 takes the flat float layout (X, Y interleaved) only when recorded. From there
 up the state is the flat ndarray and the operations compose array
 expressions, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
@@ -75,7 +75,8 @@ _DOMAIN_SCALE = (1.0 + MIN_CLEARANCE) ** 2
 
 class _OutsideDomain(Exception):
     """A right-hand side was asked for where vortex ``index`` is outside the fluid
-    domain, at RK4 stage ``stage`` (1 for a midpoint iterate)."""
+    domain; ``stage`` is the number of evaluations made in the step so far, this
+    one included: the RK4 stage, or the midpoint iteration."""
 
     def __init__(self, index, stage):
         super().__init__(index, stage)
@@ -106,21 +107,24 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # The state is a tuple: three body floats a0, a1, a2, then n complex positions p0,
 # p1, ... Every entry, vortex and pair term is a local, and each sum is spelled in
 # the order of the loop it replaces. The locals of one right-hand side carry the
-# suffix of its stage (_1 to _4; a midpoint iterate is _1), the step's start carries
-# _0 where it is not the stage-1 state, and the new state carries none.
+# suffix of its stage (_1 to _4; a midpoint iteration's are _1), the step's start
+# carries _0 where it is not the stage-1 state, and the new state carries none.
 #
 # step is one RK4 step: four right-hand sides, each at z + h k of the one before;
 # the combination z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); then the end-of-step tail. Its
-# first stage takes the (Omega, V) of z that the last tail handed back. iterate
-# is one midpoint fixed-point iteration u -> z + (dt/2) f(u), returning the new
-# iterate, f(u) and the increment max |new - u| over the flat float entries, or
-# None for each where the new iterate is not finite. predict is the extrapolated
-# start (see ``run``), settle the reflection 2 u - z of the converged midpoint
-# followed by the tail, and start the tail alone. The tail tests every entry for
-# finiteness, then the clearances (the body first: the vortex nearest it, the
-# lowest index on a tie; then the pairs in row-major order, naming the lower
-# index), then evaluates (Omega, V); it returns (halt reason or None, vortex
-# index or -1, state, Omega, Vx, Vy).
+# first stage takes the (Omega, V) of z that the last tail handed back. midpoint is
+# one implicit midpoint step: u starts where the given slopes (the last converged
+# ones, latest first) extrapolate to (see the module docstring); each iteration
+# evaluates f(u), forms z + (dt/2) f(u) and stops once the increment max |new - u|
+# over the flat float entries is at most MIDPOINT_TOL; the reflection 2 u - z of the
+# converged midpoint follows, then the tail. A new u that is not finite, or MIDPOINT_MAX_ITER
+# iterations without that increment, halts it as non-convergent. start is the tail
+# alone. The tail tests every entry for finiteness, then the clearances (the body
+# first: the vortex nearest it, the lowest index on a tie; then the pairs in
+# row-major order, naming the lower index), then evaluates (Omega, V); it returns
+# (halt reason or None, vortex index or -1, state, Omega, Vx, Vy), to which step adds
+# its 4 evaluations and midpoint its iterations and the slopes, the converged f(u)
+# first.
 #
 # A right-hand side evaluates the complex-form formula set of the module
 # docstring; per vortex k, d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both
@@ -129,13 +133,13 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # i = R^2/p*^2; in the momentum chart, with lam = sum g (1 - R^2/d) p and
 # s2 = sum g d, Omega = (A + s2/2) / I and V = (L + i lam) / c. It raises
 # ``_OutsideDomain`` with the index of the first vortex at distance
-# <= R (1 + MIN_CLEARANCE), where the flow is not defined, and its stage. Its float
-# divisors are body constants or exceed zero by that check, and it takes no
-# modulus, so an overflowing state gives inf or nan entries, not an exception. A
-# divisor that underflows to 0 (two vortices 1e-175 apart, or c I below the
-# smallest float) would give an all-nan slope, as the array layout's 1 / 0 makes
-# its slope non-finite, and so a non-finite new state: step halts as non-finite
-# and iterate reports a non-finite iterate.
+# <= R (1 + MIN_CLEARANCE), where the flow is not defined, and the evaluations of
+# the step so far. Its float divisors are body constants or exceed zero by that
+# check, and it takes no modulus, so an overflowing state gives inf or nan entries,
+# not an exception. A divisor that underflows to 0 (two vortices 1e-175 apart, or
+# c I below the smallest float) would give an all-nan slope, as the array layout's
+# 1 / 0 makes its slope non-finite, and so a non-finite new state: step halts as
+# non-finite and midpoint as non-convergent.
 _LIST_TEMPLATE = """\
 def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
     half, sixth = 0.5 * dt, dt / 6.0
@@ -144,40 +148,35 @@ def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt, body_limit2
     {state_1} = z
     try:{rhs_1}{stage_2}{rhs_2}{stage_3}{rhs_3}{stage_4}{rhs_4}
     except ZeroDivisionError:
-        return HALT_NONFINITE, -1, None, None, None, None{rk4}{tail}
+        return HALT_NONFINITE, -1, None, None, None, None, 4{rk4}{step_tail}
 
 
-def predict(z, h, slopes):
-    if not slopes:
-        return z
-    {state} = z
-    {slope_1} = slopes[0]
-    if len(slopes) == 1:
-        return ({predict_1},)
-    {slope_2} = slopes[1]
-    if len(slopes) == 2:
-        return ({predict_2},)
-    {slope_3} = slopes[2]
-    return ({predict_3},)
-
-
-def iterate(momentum, z, u, g, r2, c, inertia, gtot, half):
+def midpoint(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+    half = 0.5 * dt
     domain2 = r2 * _DOMAIN_SCALE
     [{g}] = g
     {state_0} = z
-    {state_1} = u
-    try:{rhs_iterate}
-    except ZeroDivisionError:
-        return None, None, None{midpoint}
-    if not ({finite}):
-        return None, None, None
-    return ({state},), ({slope_1},), max(0.0{increment})
-
-
-def settle(momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2):
-    [{g}] = g
-    {state_1} = u
-    {state_0} = z{reflect}{tail}
+    if len(slopes) == 3:
+        ({slope_1}), ({slope_2}), ({slope_3}) = slopes
+        {state_1} = {extrapolated_3}
+    elif len(slopes) == 2:
+        ({slope_1}), ({slope_2}) = slopes
+        {state_1} = {extrapolated_2}
+    elif slopes:
+        ({slope_1}), = slopes
+        {state_1} = {extrapolated_1}
+    else:
+        {state_1} = z
+    for iters in range(1, MIDPOINT_MAX_ITER + 1):
+        try:{rhs_midpoint}
+        except ZeroDivisionError:
+            break{half_step}
+        if not ({finite}):
+            break
+        if max(0.0{increment}) <= MIDPOINT_TOL:
+            slopes = ({slope_1}), *slopes[:2]{converged}
+        {state_1} = {state}
+    return HALT_NO_CONVERGENCE, -1, None, None, None, None, iters, slopes
 
 
 def start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
@@ -189,7 +188,7 @@ def start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
 # slope it leaves is ka0, ka1, ka2 (body) and kp0, kp1, ... (vortices), suffixed
 # alike. {velocity} is where (Omega, V) comes from: computed, or handed back.
 _RHS_TEMPLATE = """
-        # the slope at stage {stage}{domain}{vortex}{velocity}{v}{grad}
+        # the slope at {where}{domain}{vortex}{velocity}{v}{grad}
         if momentum:
             ka0{s}, ka1{s}, ka2{s} = (
                 -a2{s} * vx{s} + a1{s} * vy{s}, a2{s} * om{s} + gtot * vy{s}, -a1{s} * om{s} - gtot * vx{s}
@@ -207,17 +206,18 @@ _RHS_TEMPLATE = """
             ka1{s} = -l_ov1{s} * h_om{s} + l_v12{s} * h_vy{s} + dv{s}.real / c
             ka2{s} = -l_ov2{s} * h_om{s} - l_v12{s} * h_vx{s} + dv{s}.imag / c{rates}"""
 
-# The end-of-step tail on the new state a0, a1, a2, p0, ...
+# The end-of-step tail on the new state a0, a1, a2, p0, ...; {more} is what its
+# caller adds to each tuple it returns.
 _TAIL_TEMPLATE = """
     if not ({finite}):
-        return HALT_NONFINITE, -1, None, None, None, None{clearance}
+        return HALT_NONFINITE, -1, None, None, None, None{more}{clearance}
     if momentum:
         {lam}
         {s2}
         {omv}
     else:
         om, vx, vy = a0, a1, a2
-    return None, -1, ({state},), om, vx, vy"""
+    return None, -1, ({state},), om, vx, vy{more}"""
 
 
 def _list_source(n):
@@ -247,7 +247,9 @@ def _list_source(n):
             f"(a2{s} + lam{s}.real) / c"
         )
 
-    def rhs(stage, handed=False):
+    def rhs(stage, handed=False, count=None):
+        """The right-hand side at an RK4 stage, whose exit reports that stage; given the
+        text count, the one at the midpoint's iterated state, whose exit reports count."""
         s = f"_{stage}"
         if handed:  # (Omega, V) of z are arguments; the velocity chart's rates need lam
             velocity = f"\n        if not momentum:\n            {lam(s)}"
@@ -267,12 +269,12 @@ def _list_source(n):
         )
         return _RHS_TEMPLATE.format(
             s=s,
-            stage=stage,
+            where=f"stage {stage}" if count is None else "the iterated midpoint",
             domain=each(
                 "\n        d{k}{s} = p{k}{s}.real * p{k}{s}.real + p{k}{s}.imag * p{k}{s}.imag"
-                "\n        if d{k}{s} <= domain2:\n            raise _OutsideDomain({k}, {stage})",
+                "\n        if d{k}{s} <= domain2:\n            raise _OutsideDomain({k}, {count})",
                 s=s,
-                stage=stage,
+                count=stage if count is None else count,
             ),
             vortex=each(vortex, s=s),
             velocity=velocity,
@@ -285,23 +287,26 @@ def _list_source(n):
         )
 
     finite = " and ".join(f"_isfinite({e})" for e in entries)
-    clearance = ""
-    if n:
-        clearance = each("\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag")
-        clearance += (
-            f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
-            f"\n        nearest = ({each('d{k}', sep=', ')},)"
-            "\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None, None"
+
+    def tail(more=""):
+        clearance = ""
+        if n:
+            clearance = each("\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag")
+            clearance += (
+                f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
+                f"\n        nearest = ({each('d{k}', sep=', ')},)"
+                f"\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None, None{more}"
+            )
+            for i in vortices:
+                for j in range(i + 1, n):
+                    clearance += (
+                        f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
+                        f"\n        return HALT_PAIR, {i}, None, None, None, None{more}"
+                    )
+        return _TAIL_TEMPLATE.format(
+            finite=finite, clearance=clearance, lam=lam(""), s2=s2(""), omv=omv(""), state=state(), more=more
         )
-        for i in vortices:
-            for j in range(i + 1, n):
-                clearance += (
-                    f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
-                    f"\n        return HALT_PAIR, {i}, None, None, None, None"
-                )
-    tail = _TAIL_TEMPLATE.format(
-        finite=finite, clearance=clearance, lam=lam(""), s2=s2(""), omv=omv(""), state=state()
-    )
+
     return _LIST_TEMPLATE.format(
         g=each("g{k}", sep=", "),
         state=state(),
@@ -312,23 +317,26 @@ def _list_source(n):
         rhs_2=rhs(2),
         rhs_3=rhs(3),
         rhs_4=rhs(4),
-        rhs_iterate=rhs(1),
+        # one indent deeper, in the iteration loop
+        rhs_midpoint=rhs(1, count="iters").replace("\n", "\n    "),
         stage_2=assign("        ", "_2", "{e}_1 + half * k{e}_1"),
         stage_3=assign("        ", "_3", "{e}_1 + half * k{e}_2"),
         stage_4=assign("        ", "_4", "{e}_1 + dt * k{e}_3"),
         rk4=assign("    ", "", "{e}_1 + sixth * (k{e}_1 + 2.0 * k{e}_2 + 2.0 * k{e}_3 + k{e}_4)"),
-        tail=tail,
+        step_tail=tail(", 4"),
         # the slopes latest first: z + h k1, z + h (2 k1 - k2), z + h (3 (k1 - k2) + k3)
-        predict_1=", ".join(f"{e} + h * k{e}_1" for e in entries),
-        predict_2=", ".join(f"{e} + h * (k{e}_1 + 1.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
-        predict_3=", ".join(f"{e} + h * (k{e}_3 + 3.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
-        midpoint=assign("    ", "", "{e}_0 + half * k{e}_1"),
+        extrapolated_1=", ".join(f"{e}_0 + half * k{e}_1" for e in entries),
+        extrapolated_2=", ".join(f"{e}_0 + half * (k{e}_1 + 1.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
+        extrapolated_3=", ".join(f"{e}_0 + half * (k{e}_3 + 3.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
+        half_step=assign("        ", "", "{e}_0 + half * k{e}_1"),
         finite=finite,
         increment="".join(
             f", abs({e} - {e}_1)" if e[0] == "a" else f", abs(({e} - {e}_1).real), abs(({e} - {e}_1).imag)"
             for e in entries
         ),
-        reflect=assign("    ", "", "2.0 * {e}_1 - {e}_0"),
+        # the reflection and the tail, in the iteration loop's stop test
+        converged=(assign("    ", "", "2.0 * {e} - {e}_0") + tail(", iters, slopes")).replace("\n", "\n        "),
+        tail=tail(),
     )
 
 
@@ -456,32 +464,29 @@ def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt, body_limit
     k3 = _rhs_array(momentum, z + half * k2, *args, 3)
     k4 = _rhs_array(momentum, z + dt * k3, *args, 4)
     z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
+    return (*_end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2), 4)
 
 
-def _predict_array(z, h, slopes):
-    """The list layout's ``predict`` on the flat ndarray state."""
-    if not slopes:
-        return z
-    k = slopes[0]
-    if len(slopes) > 1:
-        diff = k + -1.0 * slopes[1]
-        k = slopes[2] + 3.0 * diff if len(slopes) > 2 else k + 1.0 * diff
-    return z + h * k
-
-
-def _iterate_array(momentum, z, u, g, r2, c, inertia, gtot, half):
-    """The list layout's ``iterate`` on the flat ndarray state."""
-    k = _rhs_array(momentum, u, g, r2, c, inertia, gtot)
-    unew = z + half * k
-    if not np.isfinite(unew).all():
-        return None, None, None
-    return unew, k, np.abs(unew - u).max()
-
-
-def _settle_array(momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2):
-    """The list layout's ``settle`` on the flat ndarray state."""
-    return _end_array(momentum, 2.0 * u - z, g, r2, c, inertia, body_limit2, pair_limit2)
+def _midpoint_array(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+    """The list layout's ``midpoint`` on the flat ndarray state."""
+    half = 0.5 * dt
+    u = z
+    if slopes:
+        k = slopes[0]
+        if len(slopes) > 1:
+            diff = k + -1.0 * slopes[1]
+            k = slopes[2] + 3.0 * diff if len(slopes) > 2 else k + 1.0 * diff
+        u = z + half * k
+    for iters in range(1, MIDPOINT_MAX_ITER + 1):
+        k = _rhs_array(momentum, u, g, r2, c, inertia, gtot, iters)
+        unew = z + half * k
+        if not np.isfinite(unew).all():
+            break
+        if np.abs(unew - u).max() <= MIDPOINT_TOL:
+            end = _end_array(momentum, 2.0 * unew - z, g, r2, c, inertia, body_limit2, pair_limit2)
+            return (*end, iters, (k, *slopes[:2]))
+        u = unew
+    return HALT_NO_CONVERGENCE, -1, None, None, None, None, iters, slopes
 
 
 def _load_list(z):
@@ -496,29 +501,25 @@ def _store_list(row, z):
 
 
 # How ``run`` works, chosen once per run by ``_ops``. Both layouts do the same
-# operations in the same order (see ``_LIST_TEMPLATE``): step, predict, iterate,
-# settle and start, with z + h k, z + h (((k1 + 2 k2) + 2 k3) + k4) and 2 u - z
-# entry by entry.
+# operations in the same order (see ``_LIST_TEMPLATE``): step, midpoint and start,
+# with z + h k, z + h (((k1 + 2 k2) + 2 k3) + k4) and 2 u - z entry by entry.
 _ARRAYS = SimpleNamespace(
     load=np.array,
     store=np.copyto,
     strengths=np.array,
     step=_step_array,
-    predict=_predict_array,
-    iterate=_iterate_array,
-    settle=_settle_array,
+    midpoint=_midpoint_array,
     start=_end_array,
 )
 
 
 class _ListOps:
-    """The list layout for n vortices. Its ``step``, ``predict``, ``iterate``,
-    ``settle`` and ``start`` are each compiled from their own slice of
-    ``_list_source(n)`` at their first use and kept as attributes, so a run
-    compiles only what its integrator calls. The source is entered in
-    ``linecache`` under its file name, each function at its own line numbers,
-    so tracebacks, profilers and ``inspect.getsource`` show the written-out
-    lines."""
+    """The list layout for n vortices. Its ``step``, ``midpoint`` and ``start``
+    are each compiled from their own slice of ``_list_source(n)`` at their
+    first use and kept as attributes, so a run compiles only what its
+    integrator calls. The source is entered in ``linecache`` under its file
+    name, each function at its own line numbers, so tracebacks, profilers and
+    ``inspect.getsource`` show the written-out lines."""
 
     def __init__(self, n):
         source, self._filename = _list_source(n), f"<vortexcyl list layout, n = {n}>"
@@ -532,6 +533,9 @@ class _ListOps:
             "HALT_BODY": HALT_BODY,
             "HALT_PAIR": HALT_PAIR,
             "HALT_NONFINITE": HALT_NONFINITE,
+            "HALT_NO_CONVERGENCE": HALT_NO_CONVERGENCE,
+            "MIDPOINT_TOL": MIDPOINT_TOL,
+            "MIDPOINT_MAX_ITER": MIDPOINT_MAX_ITER,
         }
         # each function's text, led by the blank lines that put it at its own
         # line numbers; compiled alone, as the compiler's peak memory grows with
@@ -544,7 +548,7 @@ class _ListOps:
     def __getattr__(self, name):
         """Compile the function ``name`` at its first use; from then on it is an
         attribute, found without this call."""
-        if name not in ("step", "predict", "iterate", "settle", "start"):
+        if name not in ("step", "midpoint", "start"):
             raise AttributeError(name)
         exec(compile(self._texts.pop(name), self._filename, "exec"), self._scope)
         setattr(self, name, self._scope[name])
@@ -565,21 +569,21 @@ def run(config):
     """Fixed-step RK4 or implicit midpoint of the ``SimConfig`` config, with exact
     screw pose steps from its pose.
 
-    Returns the recorded states, poses (beta, x0_x, x0_y) and step numbers;
-    then the halt reason (None if the run reached its end), vortex index and
-    step (0 for a start inside a clearance); then the number of right-hand side
-    evaluations, the one that left the domain included, and the largest number
-    of midpoint iterations in one step (0 under RK4).
+    Each step is one call of the layout's ``step`` or ``midpoint``, which
+    returns its evaluation count; a stage outside the fluid domain raises
+    ``_OutsideDomain`` with the count so far. Returns the recorded states,
+    poses (beta, x0_x, x0_y) and step numbers; then the halt reason (None if
+    the run reached its end), vortex index and step (0 for a start inside a
+    clearance); then the number of right-hand side evaluations, the one that
+    left the domain included, and the largest number of midpoint iterations in
+    one step (0 under RK4).
     """
     body, vortices = config.body, config.vortices
     ops = _ops(vortices.n)
     momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
-    # only the integrator's own functions, fetched once: the list layout compiles
+    # only the integrator's own function, fetched once: the list layout compiles
     # each at its first use
-    if rk4:
-        step_rk4 = ops.step
-    else:
-        predict, iterate, settle = ops.predict, ops.iterate, ops.settle
+    advance = ops.step if rk4 else ops.midpoint
     # the loops take Python floats, as numpy scalars would slow them; BodyParams,
     # total_strength and the clearance are floats already, dt need not be
     r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, config.dt
@@ -592,12 +596,11 @@ def run(config):
     rec_states = np.empty((n_rec_max, len(z0)))
     rec_poses = np.empty((n_rec_max, 3))
 
-    half = 0.5 * dt
     beta, px0, py0 = config.pose.tolist()
     # (beta, its compensation, x0_x, its compensation, x0_y, its compensation)
     pose = (beta, 0.0, px0, 0.0, py0, 0.0)
-    slopes = ()  # the last converged midpoint slopes, latest first
-    n_evals = max_iters = 0
+    slopes = ()  # the midpoint's last converged slopes, latest first
+    n_evals = most_evals = 0
 
     ops.store(rec_states[0], z)
     rec_poses[0] = pose[::2]
@@ -611,37 +614,18 @@ def run(config):
     for step in range(halt_step):
         try:
             if rk4:
-                halt, halt_index, z, om1, vx1, vy1 = step_rk4(
+                halt, halt_index, z, om1, vx1, vy1, evals = advance(
                     momentum, z, om0, vx0, vy0, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2
                 )
-                n_evals += 4
             else:
-                # fixed-point iteration on the midpoint state, from the extrapolated
-                # start; a non-finite iterate counts as non-convergence
-                u = predict(z, half, slopes)
-                converged = False
-                try:
-                    for iters in range(1, MIDPOINT_MAX_ITER + 1):
-                        u, k, delta = iterate(momentum, z, u, g, r2, c, inertia, gtot, half)
-                        if delta is None:
-                            break
-                        if delta <= MIDPOINT_TOL:
-                            converged = True
-                            break
-                finally:
-                    n_evals += iters
-                    max_iters = max(max_iters, iters)
-                if converged:
-                    slopes = (k, *slopes[:2])
-                    halt, halt_index, z, om1, vx1, vy1 = settle(
-                        momentum, u, z, g, r2, c, inertia, body_limit2, pair_limit2
-                    )
-                else:
-                    halt = HALT_NO_CONVERGENCE
+                halt, halt_index, z, om1, vx1, vy1, evals, slopes = advance(
+                    momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2
+                )
         except _OutsideDomain as outside:
-            halt, halt_index = HALT_DOMAIN, outside.index
-            if rk4:  # the stages up to the one that left the domain count
-                n_evals += outside.stage
+            halt, halt_index, evals = HALT_DOMAIN, outside.index, outside.stage
+        n_evals += evals
+        if evals > most_evals:  # not max(): its call costs 4% of an RK4 step at N = 0
+            most_evals = evals
         if halt is not None:
             halt_step = step
             break
@@ -659,4 +643,6 @@ def run(config):
 
     # sample k is taken after step min(k stride, nsteps)
     rec_steps = np.minimum(np.arange(n_rec, dtype=np.int64) * stride, nsteps)
+    # a midpoint step's evaluations are its iterations
+    max_iters = 0 if rk4 else most_evals
     return rec_states[:n_rec], rec_poses[:n_rec], rec_steps, halt, halt_index, halt_step, n_evals, max_iters

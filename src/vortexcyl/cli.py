@@ -16,7 +16,8 @@ table of recorded samples larger than physical memory, more than 2**53 steps
 or a ``t_end / dt`` that overflows, ``sweep --jobs`` below 1, a number outside
 the float range, JSON nested too deeply to parse, a radius or clearance
 whose square leaves the float range, a locked inertia mass + pi radius**2
-that overflows, or an energy or Casimir at t = 0 that is not finite), 3 halted run
+that overflows, an energy or Casimir at t = 0 that is not finite, or an output
+directory that cannot be made or written), 3 halted run
 (collision, a stage outside the fluid domain, or non-convergence).
 """
 from __future__ import annotations
@@ -241,7 +242,8 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
 
 def run(config: SimConfig, outdir: str | Path) -> int:
     """Integrate one scenario and write trajectory.csv + summary.txt; raises
-    ValidationError, and writes nothing, if the energy or Casimir at t = 0 is not finite."""
+    ValidationError, and writes nothing, if the energy or Casimir at t = 0 is not
+    finite, and a one-line ValidationError if the output cannot be written."""
     start = time.perf_counter()
     traj = integrate(config)
     wall = time.perf_counter() - start
@@ -249,9 +251,13 @@ def run(config: SimConfig, outdir: str | Path) -> int:
         if not np.isfinite(value):
             raise ValidationError(f"{name} at t = 0 is {value}, not a finite number")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
-    (outdir / "summary.txt").write_text("\n".join(_summary_lines(traj, wall)) + "\n")
+    summary = "\n".join(_summary_lines(traj, wall)) + "\n"
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(traj, outdir / "trajectory.csv")
+        (outdir / "summary.txt").write_text(summary)
+    except OSError as exc:  # such as an --out that names a file, or a directory without write permission
+        raise ValidationError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from None
     return EXIT_HALT if traj.halt else EXIT_OK
 
 

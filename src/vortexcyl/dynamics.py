@@ -5,10 +5,11 @@ kept as the test oracle. ``integrate`` hands the config to ``_kernels.run``,
 the one fixed-step RK4 and implicit midpoint loop, whose fused kernels evaluate
 the same product in complex form without assembling the matrix: below
 ``_kernels.PAIR_ARRAY_MIN`` vortices as straight-line code on a tuple of Python
-scalars, one function per RK4 step and one per midpoint iteration, written out
-for the run's number of vortices and each compiled at its first use in the
-process, so a run compiles only its integrator's functions; as array
-expressions from there up. The loop names the reason it halted.
+scalars, one function per RK4 step and one per midpoint step (its fixed-point
+iterations included), written out for the run's number of vortices and each
+compiled at its first use in the process, so a run compiles only its
+integrator's functions; as array expressions from there up. The loop names the
+reason it halted.
 Poses are reconstructed during integration by exact screw increments using
 the average of each step's two endpoint body velocities, from the config's
 starting pose; each step hands the body velocity at its end to the next.
@@ -67,6 +68,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chart", canonical_chart(self.chart))
+        # the name heads summary.txt, one line of it
+        if not isinstance(self.name, str) or "".join(self.name.splitlines()) != self.name:
+            raise ValidationError("name must be a string with no line break")
         for name, cls in (("body", BodyParams), ("vortices", VortexSet)):
             if not isinstance(getattr(self, name), cls):
                 raise ValidationError(f"{name} must be a {cls.__name__}, not {type(getattr(self, name)).__name__}")
@@ -88,7 +92,7 @@ class SimConfig:
             raise ValidationError(
                 f"t_end = {self.t_end} is not a whole number of dt = {self.dt} steps (nearest: {steps} steps)"
             )
-        if self.integrator not in ("rk4", "midpoint"):
+        if not isinstance(self.integrator, str) or self.integrator not in ("rk4", "midpoint"):
             raise ValidationError("integrator must be 'rk4' or 'midpoint'")
         if not (self.stride.is_integer() and self.stride >= 1):
             raise ValidationError("stride must be a positive integer")
@@ -176,7 +180,7 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
 def integrate(config: SimConfig) -> Trajectory:
     """Run one simulation; deterministic for a given config and backend."""
     body = config.body
-    # a diverging midpoint iterate and a halted run's non-finite sums are reported, not warned about
+    # a diverging midpoint iteration and a halted run's non-finite sums are reported, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states, poses, steps, reason, halt_index, halt_step, rhs_evals, max_iters = _kernels.run(config)
         g = config.vortices.strengths

@@ -169,6 +169,27 @@ def test_non_finite_start_exits_2_with_one_line(tmp_path, capfd, case):
         assert (out / "good" / "trajectory.csv").exists() and not (out / path.stem).exists()
 
 
+def test_an_unusable_output_directory_exits_2_with_one_line(tmp_path, capfd):
+    path = _write(tmp_path, _minimal_config(t_end=0.01))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):  # a file, and a directory under one
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
+    # a sweep entry whose output directory is taken by a file exits 2; the next one runs
+    first, second = (_write(tmp_path, _minimal_config(t_end=0.01), name) for name in ("a.json", "b.json"))
+    for jobs in ("1", "2"):  # in this process, and on the pool
+        out = tmp_path / f"sweep-{jobs}"
+        out.mkdir()
+        (out / "a").write_text("")
+        assert cli.main(["sweep", str(first), str(second), "--out", str(out), "--jobs", jobs]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out.splitlines() == [f"{first}: exit 2", f"{second}: exit 0"]
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"{first}: cannot write {out / 'a'}: ")
+        assert (out / "b" / "trajectory.csv").exists()
+
+
 def test_a_vortex_next_to_the_margin_halts_at_step_0_with_a_finite_energy(tmp_path, capsys):
     raw = _minimal_config(strengths=[1.0, 1.0], positions=[[1.0 + 2e-9, 0.0], [0.0, 3.0]])
     out = tmp_path / "x"

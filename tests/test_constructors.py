@@ -27,7 +27,7 @@ GOOD = {
     ChartState: {"chart": "velocity", "body": [0.1, 0.2, 0.3], "positions": [[3.0, 0.0], [0.0, 3.0]]},
     SimConfig: {
         "chart": "momentum", "body": BODY, "vortices": VORTICES, "body_state": [0.0, 0.1, 0.0], "dt": 1e-2,
-        "t_end": 0.1, "integrator": "rk4", "stride": 2, "clearance": 1e-3, "pose": [0.0, 0.0, 0.0],
+        "t_end": 0.1, "integrator": "rk4", "stride": 2, "clearance": 1e-3, "name": "run", "pose": [0.0, 0.0, 0.0],
     },
 }
 FIELDS = {cls: list(good) for cls, good in GOOD.items()}
@@ -55,6 +55,13 @@ DIRECT = [
     (ChartState, {"body": [[0, 0, 0], [0, 0, 0]], "positions": [[3, 0], [0, 3]]}, "positions"),
     (SimConfig, {"body": None}, "body"),
     (SimConfig, {"vortices": [1.0]}, "vortices"),
+    # a line break would write a line of its own into summary.txt, such as a false halt
+    (SimConfig, {"name": "a\nhalt = vortex reached the body clearance"}, "name"),
+    (SimConfig, {"name": "a\r"}, "name"),
+    (SimConfig, {"name": 5}, "name"),
+    (SimConfig, {"name": [1, 2]}, "name"),
+    (SimConfig, {"name": None}, "name"),
+    (SimConfig, {"integrator": np.zeros((2, 2))}, "integrator"),
 ]
 
 

@@ -138,10 +138,10 @@ def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
 
         return spied
 
-    # the written-out step, midpoint iteration and tails take every scalar of the
-    # config that the two-vortex run's list layout uses
+    # the written-out steps and tail take every scalar of the config that the
+    # two-vortex run's list layout uses
     loops = dynamics._kernels._ops(2)
-    for name in ("step", "predict", "iterate", "settle", "start"):
+    for name in ("step", "midpoint", "start"):
         monkeypatch.setattr(loops, name, spy(getattr(loops, name)))
     for integrator in ("rk4", "midpoint"):
         plain = integrate(config(float, integrator))

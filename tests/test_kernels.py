@@ -21,13 +21,20 @@ from vortexcyl.dynamics import HaltInfo, SimConfig, integrate
 from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
 
 
+def _slope(ops, momentum, z, g, r2, c, inertia, gtot):
+    """The slope of the layout ops at its state z: the one a midpoint step of
+    length 0 takes at its first iteration, which converges."""
+    halt, _, _, _, _, _, iters, slopes = ops.midpoint(momentum, z, (), g, r2, c, inertia, gtot, 0.0, 0.0, 0.0)
+    assert (halt, iters, len(slopes)) == (None, 1, 1)
+    return slopes[0]
+
+
 def _kernel_rhs(chart, state, body, g):
     """The right-hand side as ``run`` evaluates it at this size, in the flat layout:
     the slope a midpoint iteration takes at the state."""
     ops = _kernels._ops(state.n)
     z = ops.load(state.flat())
-    args = (ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()))
-    _, slope, _ = ops.iterate(chart == "momentum", z, z, *args, 0.0)
+    slope = _slope(ops, chart == "momentum", z, ops.strengths(g), body.radius**2, body.c, body.inertia, float(g.sum()))
     flat = np.empty(state.flat().size)
     ops.store(flat, slope)
     return flat
@@ -133,8 +140,7 @@ def test_array_rhs_reports_the_loops_domain_halt(body, chart):
         rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
         with pytest.raises(_kernels._OutsideDomain) as loops:
             # the list layout's code, written out for 8 vortices on request
-            loaded = _kernels._load_list(z)
-            _kernels._list_ops(n).iterate(chart == "momentum", loaded, loaded, g.tolist(), *rest, 0.0)
+            _slope(_kernels._list_ops(n), chart == "momentum", _kernels._load_list(z), g.tolist(), *rest)
         assert (loops.value.index, loops.value.stage) == (min(inside), 1)
         with pytest.raises(_kernels._OutsideDomain) as array:
             _kernels._rhs_array(chart == "momentum", z, g, *rest)
@@ -261,7 +267,7 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
     assert flat.tobytes() == z.tobytes()
 
     momentum, rest = chart == "momentum", (body.radius**2, body.c, body.inertia, float(g.sum()))
-    _, on_list, _ = ops.iterate(momentum, loaded, loaded, ops.strengths(g), *rest, 0.0)
+    on_list = _slope(ops, momentum, loaded, ops.strengths(g), *rest)
     assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
     assert _bits(on_list) == _bits(_loop_rhs(momentum, list(loaded), g.tolist(), *rest))
     assert _bits(_loop_rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)) == _bits(on_list)
@@ -293,12 +299,12 @@ def test_written_out_step_hands_back_the_body_velocity_bitwise(case):
     z, strengths = ops.load(state.flat()), g.tolist()
     rest = (body.radius**2, body.c, body.inertia)
     gtot = float(g.sum())
-    _, slope, _ = ops.iterate(momentum, z, z, strengths, *rest, gtot, 0.0)
+    slope = _slope(ops, momentum, z, strengths, *rest, gtot)
     dt = 1e-9 * body.radius / (1.0 + max(map(abs, slope)))  # a step too short to leave the domain
     *_, om, vx, vy = ops.start(momentum, z, strengths, *rest, 0.0, 0.0)
     assert _bits((om, vx, vy)) == _bits(_loop_body_velocity(momentum, z, strengths, *rest))
-    halt, _, new, *handed = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt, 0.0, 0.0)
-    assert halt is None
+    halt, _, new, *handed, evals = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt, 0.0, 0.0)
+    assert halt is None and evals == 4
     assert _bits(handed) == _bits(_loop_body_velocity(momentum, new, strengths, *rest))
 
     u = np.array(z, dtype=object)
@@ -319,7 +325,7 @@ def test_written_out_source_is_readable_to_tools():
     ops = _kernels._list_ops(2)
     source = inspect.getsource(ops.step)
     assert source.startswith("def step(") and "raise _OutsideDomain(1, 4)" in source
-    for name in ("step", "predict", "iterate", "settle", "start"):
+    for name in ("step", "midpoint", "start"):
         code = getattr(ops, name).__code__
         assert code.co_filename == "<vortexcyl list layout, n = 2>"
         assert inspect.getsource(getattr(ops, name)) in _kernels._list_source(2)
@@ -339,7 +345,7 @@ def test_list_path_reports_the_domain_halt(body, chart):
     rest = (body.radius**2, body.c, body.inertia, float(g.sum()))
     ops = _kernels._ops(n)
     with pytest.raises(_kernels._OutsideDomain) as outside:
-        ops.iterate(chart == "momentum", ops.load(z), ops.load(z), ops.strengths(g), *rest, 0.0)
+        _slope(ops, chart == "momentum", ops.load(z), ops.strengths(g), *rest)
     assert outside.value.index == 1
 
 
@@ -480,14 +486,14 @@ def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body, 
 @pytest.mark.parametrize(
     "integrator, compiled, other",
     [
-        ("midpoint", ["iterate", "predict", "settle", "start"], ["step"]),
-        ("rk4", ["start", "step"], ["iterate", "predict", "settle"]),
+        ("midpoint", ["midpoint", "start"], ["step"]),
+        ("rk4", ["start", "step"], ["midpoint"]),
     ],
 )
 def test_a_run_compiles_only_the_functions_of_its_integrator_once(monkeypatch, body, integrator, compiled, other):
     """At a run's first use of N the list layout compiles only what the run's
-    integrator calls: a midpoint run no ``step``, an RK4 run no ``predict``,
-    ``iterate`` or ``settle``. A second run of that N compiles nothing, and a
+    integrator calls: a midpoint run no ``step``, an RK4 run no ``midpoint``.
+    A second run of that N compiles nothing, and a
     run under the other integrator only the functions it adds."""
     seen = []
 
@@ -601,7 +607,7 @@ def _reference_run(cfg):
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
                 # z + h k1, z + h (2 k1 - k2), then z + h (3 k1 - 3 k2 + k3), with the
-                # differences formed as in the list layout's predict
+                # differences formed as in the list layout's extrapolated start
                 umid = z
                 if len(slopes) == 1:
                     umid = z + 0.5 * dt * slopes[0]
@@ -613,7 +619,7 @@ def _reference_run(cfg):
                 for iters in range(1, _kernels.MIDPOINT_MAX_ITER + 1):
                     n_evals += 1
                     max_iters = max(max_iters, iters)
-                    k = f(umid)
+                    k = f(umid, iters)
                     unew = z + 0.5 * dt * k
                     if not finite(unew):
                         break
@@ -626,7 +632,7 @@ def _reference_run(cfg):
                     z = 2.0 * umid - z
                     slopes = [k, *slopes[:2]]
         except _kernels._OutsideDomain as outside:
-            assert outside.stage == (n_evals - 4 * step if cfg.integrator == "rk4" else 1)
+            assert outside.stage == (n_evals - 4 * step if cfg.integrator == "rk4" else iters)
             halt = (_kernels.HALT_DOMAIN, outside.index, step)
         else:
             if not converged:
@@ -694,14 +700,23 @@ def test_run_matches_array_reference_bitwise(monkeypatch, body, n, chart, integr
 # an 8-vortex ring (the array layout) whose vortex 3 sits at 1.02 R with strength 6
 _RING_EXIT = 2.5 * np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
 _RING_EXIT[3] *= 1.02 / 2.5
-# one run of each halt kind, RK4 stage exits on both layouts, and a body-only
-# overflow and pose overflow (no vortices):
+# one run of each halt kind, RK4 stage exits and midpoint iteration exits on both
+# layouts, and a body-only overflow and pose overflow (no vortices):
 # (reason, chart, integrator, strengths, positions, body state, dt, t_end, clearance)
 HALTS = {
     "domain": ("stage left the fluid domain", "velocity", "midpoint", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
+    # a vortex of strength -20 beside a unit vortex at 1.1 R: step 1 leaves the domain
+    "domain-step-1": (
+        "stage left the fluid domain", "momentum", "midpoint", [1.0, -20.0], [[1.1, 0.0], [1.1, 0.2]], [0, 0, 0],
+        8e-3, 0.16, 1e-12,
+    ),
     "domain-rk4": ("stage left the fluid domain", "velocity", "rk4", [6.0], [[1.02, 0.0]], [0, 0, 0], 0.05, 0.5, None),
     "domain-arrays": (
         "stage left the fluid domain", "momentum", "rk4", [1.0, 1.0, 1.0, 6.0, 1.0, 1.0, 1.0, 1.0], _RING_EXIT,
+        [0, 0, 0], 0.05, 0.5, None,
+    ),
+    "domain-arrays-midpoint": (
+        "stage left the fluid domain", "momentum", "midpoint", [1.0, 1.0, 1.0, 6.0, 1.0, 1.0, 1.0, 1.0], _RING_EXIT,
         [0, 0, 0], 0.05, 0.5, None,
     ),
     "body": (
@@ -720,9 +735,25 @@ HALTS = {
         "implicit midpoint iteration did not converge", "momentum", "midpoint", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]],
         [0, 0, 0], 1.0, 5.0, None,
     ),
+    # A = 1.5e4 spins the body so fast that the fixed-point map neither converges nor diverges
+    "no-convergence-in-50": (
+        "implicit midpoint iteration did not converge", "momentum", "midpoint", [1.0, -0.7], [[3.0, 0.0], [0.0, 3.0]],
+        [1.5e4, 0, 0], 1e-4, 1e-2, None,
+    ),
 }
 # the vortex each RK4 stage exit halts on
 RK4_STAGE_EXITS = {"domain-rk4": 0, "domain-arrays": 3}
+# each midpoint halt's vortex, halted step, right-hand side evaluations and most
+# iterations in one step: an exit counts the iterations up to the one that left,
+# the third of step 0, or the 40th of step 1 after 30 in step 0; a run that does
+# not converge, those up to a non-finite one, or all MIDPOINT_MAX_ITER
+MIDPOINT_HALTS = {
+    "domain": (0, 0, 3, 3),
+    "domain-step-1": (0, 1, 70, 40),
+    "domain-arrays-midpoint": (3, 0, 3, 3),
+    "no-convergence": (-1, 0, 6, 6),
+    "no-convergence-in-50": (-1, 0, 50, 50),
+}
 
 
 # RK4 runs that leave the fluid domain at each stage, on both layouts and in both
@@ -784,6 +815,10 @@ def test_run_matches_array_reference_bitwise_on_halts(monkeypatch, body, case):
     if case in RK4_STAGE_EXITS:
         # the third stage of step 0 leaves the domain, and its evaluation counts
         assert traj.halt == HaltInfo(reason, RK4_STAGE_EXITS[case], 0.0) and traj.rhs_evals == 3
+    if case in MIDPOINT_HALTS:
+        index, step, evals, iters = MIDPOINT_HALTS[case]
+        assert traj.halt == HaltInfo(reason, index, step * dt)
+        assert (traj.rhs_evals, traj.max_midpoint_iterations) == (evals, iters)
 
 
 # configs that start inside the default clearance (1e-3): a unit pair 1e-4 apart,
