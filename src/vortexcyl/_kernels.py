@@ -6,16 +6,18 @@ in one complex-form formula set: with p = X + i Y and V = Vx + i Vy the vortex
 rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY, and the
 velocity chart's body rates are sums of G. A right-hand side takes a flag for
 the momentum chart and gives a new slope; a state with a vortex outside the
-fluid domain raises ``_OutsideDomain`` with its index and RK4 stage.
+fluid domain raises ``_OutsideDomain`` with its index and the number of
+evaluations made in the step so far (the RK4 stage or the midpoint iteration).
 
 ``run`` takes a ``SimConfig``, returns why it halted as text (the ``HALT_*``
 strings) or None, and picks a layout per run from the number of vortices
-(``_ops``). Each layout gives it the same three operations: one RK4 step (its
-four right-hand sides and the stage arithmetic), one implicit midpoint step
-(the extrapolated start, the fixed-point iterations and the reflection), and
-the end-of-step tail alone, which ends the other two (finiteness, clearances
-and the body velocity (Omega, V) that the next step starts from, handed from
-step to step). So ``run`` makes one call per step under either integrator.
+(``_ops``). Each layout gives it the same three operations: ``step``, one RK4
+step (its four right-hand sides and the stage arithmetic); ``midpoint``, one
+implicit midpoint step (the extrapolated start, the fixed-point iterations and
+the reflection); and ``tail``, which ``run`` calls at the start and after each
+step: finiteness, clearances and the body velocity (Omega, V) that the next
+step starts from. ``step`` and ``midpoint`` return the new state (None if the
+midpoint did not converge) and know no clearance or halt reason.
 Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of three
 body floats and N ``complex`` positions, and each operation is one function of
 straight-line code written out for that N from one template (``_list_source``)
@@ -110,21 +112,21 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # suffix of its stage (_1 to _4; a midpoint iteration's are _1), the step's start
 # carries _0 where it is not the stage-1 state, and the new state carries none.
 #
-# step is one RK4 step: four right-hand sides, each at z + h k of the one before;
-# the combination z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); then the end-of-step tail. Its
-# first stage takes the (Omega, V) of z that the last tail handed back. midpoint is
-# one implicit midpoint step: u starts where the given slopes (the last converged
-# ones, latest first) extrapolate to (see the module docstring); each iteration
-# evaluates f(u), forms z + (dt/2) f(u) and stops once the increment max |new - u|
-# over the flat float entries is at most MIDPOINT_TOL; the reflection 2 u - z of the
-# converged midpoint follows, then the tail. A new u that is not finite, or MIDPOINT_MAX_ITER
-# iterations without that increment, halts it as non-convergent. start is the tail
-# alone. The tail tests every entry for finiteness, then the clearances (the body
-# first: the vortex nearest it, the lowest index on a tie; then the pairs in
-# row-major order, naming the lower index), then evaluates (Omega, V); it returns
-# (halt reason or None, vortex index or -1, state, Omega, Vx, Vy), to which step adds
-# its 4 evaluations and midpoint its iterations and the slopes, the converged f(u)
-# first.
+# step is one RK4 step: four right-hand sides, each at z + h k of the one before,
+# and the combination z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); its first stage takes the
+# (Omega, V) of z that the last tail handed back. It returns the new state and its
+# 4 evaluations. midpoint is one implicit midpoint step: u starts where the given
+# slopes (the last converged ones, latest first) extrapolate to (see the module
+# docstring); each iteration evaluates f(u), forms z + (dt/2) f(u) and stops once
+# the increment max |new - u| over the flat float entries is at most MIDPOINT_TOL.
+# It returns the reflection 2 u - z of the converged midpoint, its iterations and
+# the slopes, the converged f(u) first; a new u that is not finite, or
+# MIDPOINT_MAX_ITER iterations without that increment, return None in place of the
+# state. tail, which run calls at the start and after each step, tests every entry
+# for finiteness, then the clearances (the body first: the vortex nearest it, the
+# lowest index on a tie; then the pairs in row-major order, naming the lower index),
+# then evaluates (Omega, V); it returns (halt reason or None, vortex index or -1,
+# Omega, Vx, Vy).
 #
 # A right-hand side evaluates the complex-form formula set of the module
 # docstring; per vortex k, d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both
@@ -137,21 +139,24 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # the step so far. Its float divisors are body constants or exceed zero by that
 # check, and it takes no modulus, so an overflowing state gives inf or nan entries,
 # not an exception. A divisor that underflows to 0 (two vortices 1e-175 apart, or
-# c I below the smallest float) would give an all-nan slope, as the array layout's
-# 1 / 0 makes its slope non-finite, and so a non-finite new state: step halts as
-# non-finite and midpoint as non-convergent.
+# c I below the smallest float) raises ZeroDivisionError where the array layout's
+# 1 / 0 makes its slope non-finite. step then returns an all-nan state, which the
+# tail halts as non-finite, as it halts the array layout's; midpoint stops
+# iterating, as on a non-finite u, and returns None, which run halts as
+# non-convergent.
 _LIST_TEMPLATE = """\
-def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt):
     half, sixth = 0.5 * dt, dt / 6.0
     domain2 = r2 * _DOMAIN_SCALE
     [{g}] = g
     {state_1} = z
     try:{rhs_1}{stage_2}{rhs_2}{stage_3}{rhs_3}{stage_4}{rhs_4}
     except ZeroDivisionError:
-        return HALT_NONFINITE, -1, None, None, None, None, 4{rk4}{step_tail}
+        return (_NAN,) * {size}, 4{rk4}
+    return ({state},), 4
 
 
-def midpoint(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+def midpoint(momentum, z, slopes, g, r2, c, inertia, gtot, dt):
     half = 0.5 * dt
     domain2 = r2 * _DOMAIN_SCALE
     [{g}] = g
@@ -174,14 +179,22 @@ def midpoint(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair
         if not ({finite}):
             break
         if max(0.0{increment}) <= MIDPOINT_TOL:
-            slopes = ({slope_1}), *slopes[:2]{converged}
+            return ({reflection},), iters, (({slope_1}), *slopes[:2])
         {state_1} = {state}
-    return HALT_NO_CONVERGENCE, -1, None, None, None, None, iters, slopes
+    return None, iters, slopes
 
 
-def start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
+def tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
     [{g}] = g
-    {state} = z{tail}
+    {state} = z
+    if not ({finite}):
+        return HALT_NONFINITE, -1, None, None, None{clearance}
+    if momentum:
+        {lam}
+        {s2}
+        {omv}
+        return None, -1, om, vx, vy
+    return None, -1, a0, a1, a2
 """
 
 # One right-hand side at the state of one stage, its locals suffixed by s; the
@@ -205,19 +218,6 @@ _RHS_TEMPLATE = """
             ka0{s} = l_ov1{s} * h_vx{s} + l_ov2{s} * h_vy{s} + torque{s} / inertia
             ka1{s} = -l_ov1{s} * h_om{s} + l_v12{s} * h_vy{s} + dv{s}.real / c
             ka2{s} = -l_ov2{s} * h_om{s} - l_v12{s} * h_vx{s} + dv{s}.imag / c{rates}"""
-
-# The end-of-step tail on the new state a0, a1, a2, p0, ...; {more} is what its
-# caller adds to each tuple it returns.
-_TAIL_TEMPLATE = """
-    if not ({finite}):
-        return HALT_NONFINITE, -1, None, None, None, None{more}{clearance}
-    if momentum:
-        {lam}
-        {s2}
-        {omv}
-    else:
-        om, vx, vy = a0, a1, a2
-    return None, -1, ({state},), om, vx, vy{more}"""
 
 
 def _list_source(n):
@@ -286,26 +286,20 @@ def _list_source(n):
             rates=each("\n        kp{k}{s} = v{s} - i{k}{s} * vc{s} + 1j * (om{s} * p{k}{s} - G{k}{s})", s=s),
         )
 
-    finite = " and ".join(f"_isfinite({e})" for e in entries)
-
-    def tail(more=""):
-        clearance = ""
-        if n:
-            clearance = each("\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag")
-            clearance += (
-                f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
-                f"\n        nearest = ({each('d{k}', sep=', ')},)"
-                f"\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None, None{more}"
-            )
-            for i in vortices:
-                for j in range(i + 1, n):
-                    clearance += (
-                        f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
-                        f"\n        return HALT_PAIR, {i}, None, None, None, None{more}"
-                    )
-        return _TAIL_TEMPLATE.format(
-            finite=finite, clearance=clearance, lam=lam(""), s2=s2(""), omv=omv(""), state=state(), more=more
+    clearance = ""
+    if n:
+        clearance = each("\n    d{k} = p{k}.real * p{k}.real + p{k}.imag * p{k}.imag")
+        clearance += (
+            f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
+            f"\n        nearest = ({each('d{k}', sep=', ')},)"
+            "\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None"
         )
+        for i in vortices:
+            for j in range(i + 1, n):
+                clearance += (
+                    f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
+                    f"\n        return HALT_PAIR, {i}, None, None, None"
+                )
 
     return _LIST_TEMPLATE.format(
         g=each("g{k}", sep=", "),
@@ -323,20 +317,22 @@ def _list_source(n):
         stage_3=assign("        ", "_3", "{e}_1 + half * k{e}_2"),
         stage_4=assign("        ", "_4", "{e}_1 + dt * k{e}_3"),
         rk4=assign("    ", "", "{e}_1 + sixth * (k{e}_1 + 2.0 * k{e}_2 + 2.0 * k{e}_3 + k{e}_4)"),
-        step_tail=tail(", 4"),
+        size=len(entries),
         # the slopes latest first: z + h k1, z + h (2 k1 - k2), z + h (3 (k1 - k2) + k3)
         extrapolated_1=", ".join(f"{e}_0 + half * k{e}_1" for e in entries),
         extrapolated_2=", ".join(f"{e}_0 + half * (k{e}_1 + 1.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
         extrapolated_3=", ".join(f"{e}_0 + half * (k{e}_3 + 3.0 * (k{e}_1 + -1.0 * k{e}_2))" for e in entries),
         half_step=assign("        ", "", "{e}_0 + half * k{e}_1"),
-        finite=finite,
+        finite=" and ".join(f"_isfinite({e})" for e in entries),
         increment="".join(
             f", abs({e} - {e}_1)" if e[0] == "a" else f", abs(({e} - {e}_1).real), abs(({e} - {e}_1).imag)"
             for e in entries
         ),
-        # the reflection and the tail, in the iteration loop's stop test
-        converged=(assign("    ", "", "2.0 * {e} - {e}_0") + tail(", iters, slopes")).replace("\n", "\n        "),
-        tail=tail(),
+        reflection=", ".join(f"2.0 * {e} - {e}_0" for e in entries),
+        clearance=clearance,
+        lam=lam(""),
+        s2=s2(""),
+        omv=omv(""),
     )
 
 
@@ -444,17 +440,17 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
     return beta, comp_b, x0, comp_x, y0, comp_y
 
 
-def _end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
-    """The list layout's end-of-step tail on the flat ndarray state."""
+def _tail_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
+    """The list layout's ``tail`` on the flat ndarray state."""
     if not np.isfinite(z).all():
-        return HALT_NONFINITE, -1, None, None, None, None
+        return HALT_NONFINITE, -1, None, None, None
     halt, index = _collision_array(z, g.size, body_limit2, pair_limit2)
     if halt is not None:
-        return halt, index, None, None, None, None
-    return (None, -1, z, *_body_velocity_array(momentum, z, g, r2, c, inertia))
+        return halt, index, None, None, None
+    return (None, -1, *_body_velocity_array(momentum, z, g, r2, c, inertia))
 
 
-def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt):
     """The list layout's ``step`` on the flat ndarray state; its first stage
     takes the (Omega, V) of z that the last tail handed back."""
     half, sixth = 0.5 * dt, dt / 6.0
@@ -463,11 +459,10 @@ def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt, body_limit
     k2 = _rhs_array(momentum, z + half * k1, *args, 2)
     k3 = _rhs_array(momentum, z + half * k2, *args, 3)
     k4 = _rhs_array(momentum, z + dt * k3, *args, 4)
-    z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return (*_end_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2), 4)
+    return z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4
 
 
-def _midpoint_array(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2):
+def _midpoint_array(momentum, z, slopes, g, r2, c, inertia, gtot, dt):
     """The list layout's ``midpoint`` on the flat ndarray state."""
     half = 0.5 * dt
     u = z
@@ -483,10 +478,9 @@ def _midpoint_array(momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit
         if not np.isfinite(unew).all():
             break
         if np.abs(unew - u).max() <= MIDPOINT_TOL:
-            end = _end_array(momentum, 2.0 * unew - z, g, r2, c, inertia, body_limit2, pair_limit2)
-            return (*end, iters, (k, *slopes[:2]))
+            return 2.0 * unew - z, iters, (k, *slopes[:2])
         u = unew
-    return HALT_NO_CONVERGENCE, -1, None, None, None, None, iters, slopes
+    return None, iters, slopes
 
 
 def _load_list(z):
@@ -501,7 +495,7 @@ def _store_list(row, z):
 
 
 # How ``run`` works, chosen once per run by ``_ops``. Both layouts do the same
-# operations in the same order (see ``_LIST_TEMPLATE``): step, midpoint and start,
+# operations in the same order (see ``_LIST_TEMPLATE``): step, midpoint and tail,
 # with z + h k, z + h (((k1 + 2 k2) + 2 k3) + k4) and 2 u - z entry by entry.
 _ARRAYS = SimpleNamespace(
     load=np.array,
@@ -509,12 +503,12 @@ _ARRAYS = SimpleNamespace(
     strengths=np.array,
     step=_step_array,
     midpoint=_midpoint_array,
-    start=_end_array,
+    tail=_tail_array,
 )
 
 
 class _ListOps:
-    """The list layout for n vortices. Its ``step``, ``midpoint`` and ``start``
+    """The list layout for n vortices. Its ``step``, ``midpoint`` and ``tail``
     are each compiled from their own slice of ``_list_source(n)`` at their
     first use and kept as attributes, so a run compiles only what its
     integrator calls. The source is entered in ``linecache`` under its file
@@ -530,10 +524,10 @@ class _ListOps:
             "_TWO_PI": _TWO_PI,
             "_OutsideDomain": _OutsideDomain,
             "_isfinite": cmath.isfinite,
+            "_NAN": math.nan,
             "HALT_BODY": HALT_BODY,
             "HALT_PAIR": HALT_PAIR,
             "HALT_NONFINITE": HALT_NONFINITE,
-            "HALT_NO_CONVERGENCE": HALT_NO_CONVERGENCE,
             "MIDPOINT_TOL": MIDPOINT_TOL,
             "MIDPOINT_MAX_ITER": MIDPOINT_MAX_ITER,
         }
@@ -548,7 +542,7 @@ class _ListOps:
     def __getattr__(self, name):
         """Compile the function ``name`` at its first use; from then on it is an
         attribute, found without this call."""
-        if name not in ("step", "midpoint", "start"):
+        if name not in ("step", "midpoint", "tail"):
             raise AttributeError(name)
         exec(compile(self._texts.pop(name), self._filename, "exec"), self._scope)
         setattr(self, name, self._scope[name])
@@ -570,8 +564,9 @@ def run(config):
     screw pose steps from its pose.
 
     Each step is one call of the layout's ``step`` or ``midpoint``, which
-    returns its evaluation count; a stage outside the fluid domain raises
-    ``_OutsideDomain`` with the count so far. Returns the recorded states,
+    returns the new state and its evaluation count, then one of its ``tail``
+    on that state; a stage outside the fluid domain raises ``_OutsideDomain``
+    with the count so far. Returns the recorded states,
     poses (beta, x0_x, x0_y) and step numbers; then the halt reason (None if
     the run reached its end), vortex index and step (0 for a start inside a
     clearance); then the number of right-hand side evaluations, the one that
@@ -581,9 +576,9 @@ def run(config):
     body, vortices = config.body, config.vortices
     ops = _ops(vortices.n)
     momentum, rk4 = config.chart == MOMENTUM, config.integrator == "rk4"
-    # only the integrator's own function, fetched once: the list layout compiles
-    # each at its first use
-    advance = ops.step if rk4 else ops.midpoint
+    # only the integrator's own function and the tail, fetched once: the list
+    # layout compiles each at its first use
+    advance, tail = ops.step if rk4 else ops.midpoint, ops.tail
     # the loops take Python floats, as numpy scalars would slow them; BodyParams,
     # total_strength and the clearance are floats already, dt need not be
     r2, c, inertia, gtot, dt = body.radius**2, body.c, body.inertia, vortices.total_strength, config.dt
@@ -607,22 +602,23 @@ def run(config):
     n_rec = 1
 
     # a start inside a clearance halts at step 0, before any evaluation; else the
-    # tail hands back (Omega, V) at the start, as each step does at its end
-    halt, halt_index, _, om0, vx0, vy0 = ops.start(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
+    # tail hands back (Omega, V) at the start, as it does after each step
+    halt, halt_index, om0, vx0, vy0 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
     halt_step = nsteps if halt is None else 0
 
     for step in range(halt_step):
         try:
             if rk4:
-                halt, halt_index, z, om1, vx1, vy1, evals = advance(
-                    momentum, z, om0, vx0, vy0, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2
-                )
+                z, evals = advance(momentum, z, om0, vx0, vy0, g, r2, c, inertia, gtot, dt)
             else:
-                halt, halt_index, z, om1, vx1, vy1, evals, slopes = advance(
-                    momentum, z, slopes, g, r2, c, inertia, gtot, dt, body_limit2, pair_limit2
-                )
+                z, evals, slopes = advance(momentum, z, slopes, g, r2, c, inertia, gtot, dt)
         except _OutsideDomain as outside:
             halt, halt_index, evals = HALT_DOMAIN, outside.index, outside.stage
+        else:
+            if z is None:
+                halt, halt_index = HALT_NO_CONVERGENCE, -1
+            else:
+                halt, halt_index, om1, vx1, vy1 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
         n_evals += evals
         if evals > most_evals:  # not max(): its call costs 4% of an RK4 step at N = 0
             most_evals = evals

@@ -2,14 +2,9 @@
 
 The public ``rhs`` is the literal structure-matrix-times-gradient product,
 kept as the test oracle. ``integrate`` hands the config to ``_kernels.run``,
-the one fixed-step RK4 and implicit midpoint loop, whose fused kernels evaluate
-the same product in complex form without assembling the matrix: below
-``_kernels.PAIR_ARRAY_MIN`` vortices as straight-line code on a tuple of Python
-scalars, one function per RK4 step and one per midpoint step (its fixed-point
-iterations included), written out for the run's number of vortices and each
-compiled at its first use in the process, so a run compiles only its
-integrator's functions; as array expressions from there up. The loop names the
-reason it halted.
+the one fixed-step RK4 and implicit midpoint loop, which evaluates the same
+product without assembling the matrix and names the reason it halted (its
+layouts are described there).
 Poses are reconstructed during integration by exact screw increments using
 the average of each step's two endpoint body velocities, from the config's
 starting pose; each step hands the body velocity at its end to the next.

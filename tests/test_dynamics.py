@@ -141,7 +141,7 @@ def test_numpy_scalar_inputs_reach_the_kernels_as_floats(monkeypatch, chart):
     # the written-out steps and tail take every scalar of the config that the
     # two-vortex run's list layout uses
     loops = dynamics._kernels._ops(2)
-    for name in ("step", "midpoint", "start"):
+    for name in ("step", "midpoint", "tail"):
         monkeypatch.setattr(loops, name, spy(getattr(loops, name)))
     for integrator in ("rk4", "midpoint"):
         plain = integrate(config(float, integrator))

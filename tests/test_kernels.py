@@ -24,8 +24,8 @@ from vortexcyl.fluid import MIN_CLEARANCE, VortexSet
 def _slope(ops, momentum, z, g, r2, c, inertia, gtot):
     """The slope of the layout ops at its state z: the one a midpoint step of
     length 0 takes at its first iteration, which converges."""
-    halt, _, _, _, _, _, iters, slopes = ops.midpoint(momentum, z, (), g, r2, c, inertia, gtot, 0.0, 0.0, 0.0)
-    assert (halt, iters, len(slopes)) == (None, 1, 1)
+    new, iters, slopes = ops.midpoint(momentum, z, (), g, r2, c, inertia, gtot, 0.0)
+    assert new is not None and (iters, len(slopes)) == (1, 1)
     return slopes[0]
 
 
@@ -107,7 +107,7 @@ def test_body_velocity_matches_loops(case):
     loops = np.array(_loop_body_velocity(momentum, _kernels._load_list(z), g.tolist(), *rest))
     array = np.array(_kernels._body_velocity_array(momentum, z, g, *rest))
     ops = _kernels._ops(state.n)
-    halt, _, _, *started = ops.start(momentum, ops.load(z), ops.strengths(g), *rest, 0.0, 0.0)
+    halt, _, *started = ops.tail(momentum, ops.load(z), ops.strengths(g), *rest, 0.0, 0.0)
     assert halt is None
     npt.assert_array_equal(started, loops if state.n < _kernels.PAIR_ARRAY_MIN else array)
     # (A + sum g |X|^2 / 2) / I and (L -+ phi) / c sum terms as large as these
@@ -278,21 +278,23 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
         for pair_limit2 in (0.0, 1.0, float(np.max(d2)) if n else 1.0):
             limits = (n, body_limit2, pair_limit2)
             on_flat = _kernels._collision_array(z, *limits) if n else (None, -1)
-            halt, index, *end = ops.start(momentum, loaded, g.tolist(), *rest[:3], body_limit2, pair_limit2)
+            halt, index, *end = ops.tail(momentum, loaded, g.tolist(), *rest[:3], body_limit2, pair_limit2)
             assert (halt, index) == _loop_collision(loaded, *limits) == on_flat
             assert _loop_collision(np.array(loaded, dtype=object), *limits) == on_flat
             if halt is None:
-                assert _bits(end[0]) == _bits(loaded)
-                assert _bits(end[1:]) == _bits(_loop_body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
+                assert _bits(end) == _bits(_loop_body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
+            else:
+                assert end == [None] * 3
 
 
 @settings(max_examples=100, deadline=None)
 @given(_kernel_cases(sizes=_SMALL))
 def test_written_out_step_hands_back_the_body_velocity_bitwise(case):
-    """The (Omega, V) that the written-out RK4 step hands back, which the next
-    step's first stage takes in place of its own, has the bits of the scalar
-    loop at the new state, in both charts; the new state has the bits of RK4 on
-    ``_loop_rhs`` over object ndarrays, the arithmetic of ``_reference_run``."""
+    """The (Omega, V) that the written-out tail hands back after an RK4 step,
+    which the next step's first stage takes in place of its own, has the bits of
+    the scalar loop at the new state, in both charts; the new state has the bits
+    of RK4 on ``_loop_rhs`` over object ndarrays, the arithmetic of
+    ``_reference_run``."""
     chart, body, state, g = case
     n, momentum = state.n, chart == "momentum"
     ops = _kernels._ops(n)
@@ -301,9 +303,10 @@ def test_written_out_step_hands_back_the_body_velocity_bitwise(case):
     gtot = float(g.sum())
     slope = _slope(ops, momentum, z, strengths, *rest, gtot)
     dt = 1e-9 * body.radius / (1.0 + max(map(abs, slope)))  # a step too short to leave the domain
-    *_, om, vx, vy = ops.start(momentum, z, strengths, *rest, 0.0, 0.0)
+    *_, om, vx, vy = ops.tail(momentum, z, strengths, *rest, 0.0, 0.0)
     assert _bits((om, vx, vy)) == _bits(_loop_body_velocity(momentum, z, strengths, *rest))
-    halt, _, new, *handed, evals = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt, 0.0, 0.0)
+    new, evals = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt)
+    halt, _, *handed = ops.tail(momentum, new, strengths, *rest, 0.0, 0.0)
     assert halt is None and evals == 4
     assert _bits(handed) == _bits(_loop_body_velocity(momentum, new, strengths, *rest))
 
@@ -325,11 +328,65 @@ def test_written_out_source_is_readable_to_tools():
     ops = _kernels._list_ops(2)
     source = inspect.getsource(ops.step)
     assert source.startswith("def step(") and "raise _OutsideDomain(1, 4)" in source
-    for name in ("step", "midpoint", "start"):
+    for name in ("step", "midpoint", "tail"):
         code = getattr(ops, name).__code__
         assert code.co_filename == "<vortexcyl list layout, n = 2>"
         assert inspect.getsource(getattr(ops, name)) in _kernels._list_source(2)
         assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(f"def {name}(")
+
+
+@pytest.mark.parametrize("n", range(1, _kernels.PAIR_ARRAY_MIN))
+def test_the_end_of_step_tail_is_written_out_once(n):
+    """The clearance scan and the momentum chart's (Omega, V) at the new state
+    appear once in the written-out source, in ``tail``: ``step`` and ``midpoint``
+    end with the new state, and ``run`` calls the tail after them."""
+    source = _kernels._list_source(n)
+    assert source.count("HALT_BODY") == 1 and source.count("< body_limit2") == n
+    assert source.count("< pair_limit2") == n * (n - 1) // 2
+    assert source.count("om, vx, vy = (a0 + 0.5 * s2) / inertia") == 1
+    ops = _kernels._list_ops(n)
+    assert "HALT_" not in inspect.getsource(ops.step) + inspect.getsource(ops.midpoint)
+    assert "HALT_BODY" in inspect.getsource(ops.tail)
+
+
+@pytest.mark.parametrize("n", [2, _kernels.PAIR_ARRAY_MIN])
+def test_step_and_midpoint_take_no_clearance_and_name_no_halt(monkeypatch, body, n):
+    """On both layouts ``step`` and ``midpoint`` take no clearance and return the
+    new state (None from a midpoint that does not converge) with their evaluation
+    count; only ``tail`` takes the clearances and returns a halt reason, and
+    ``run`` calls it at the start and after each step."""
+    ops = _kernels._ops(n)
+    clearances = {"body_limit2", "pair_limit2"}
+    assert clearances <= set(inspect.signature(ops.tail).parameters)
+    for function in (ops.step, ops.midpoint):
+        assert not clearances & set(inspect.signature(function).parameters)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    z = ops.load(np.concatenate([[0.1, -0.2, 0.3], (3.0 * np.stack([np.cos(angles), np.sin(angles)], 1)).ravel()]))
+    g, rest = ops.strengths(np.linspace(-1.0, 1.5, n)), (body.radius**2, body.c, body.inertia, 0.5)
+    *_, om, vx, vy = ops.tail(False, z, g, *rest[:3], 0.0, 0.0)
+    new, evals = ops.step(False, z, om, vx, vy, g, *rest, 1e-3)
+    assert evals == 4 and len(new) == len(z) and not any(isinstance(v, str) for v in new)
+    new, iters, slopes = ops.midpoint(False, z, (), g, *rest, 1e-3)
+    assert new is not None and len(new) == len(z) and len(slopes) == 1 and 1 <= iters < _kernels.MIDPOINT_MAX_ITER
+    # a huge step takes the fixed-point map past contraction
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert ops.midpoint(False, z, (), g, *rest, 1e6)[0] is None
+    halt, _, *velocity = ops.tail(False, z, g, *rest[:3], 100.0, 0.0)
+    assert (halt, velocity) == (_kernels.HALT_BODY, [None] * 3)
+
+    calls = []
+    tail = ops.tail
+
+    def counted(*args):
+        calls.append(1)
+        return tail(*args)
+
+    monkeypatch.setattr(ops, "tail", counted)
+    vortices = VortexSet(np.linspace(-1.0, 1.5, n), 3.0 * np.stack([np.cos(angles), np.sin(angles)], 1))
+    for integrator in ("rk4", "midpoint"):
+        calls.clear()
+        assert integrate(SimConfig("velocity", body, vortices, [0.1, -0.2, 0.3], 1e-3, 0.01, integrator)).halt is None
+        assert len(calls) == 11
 
 
 @pytest.mark.parametrize("chart", ["momentum", "velocity"])
@@ -486,8 +543,8 @@ def test_list_layout_is_written_out_at_the_first_run_of_each_vortex_count(body, 
 @pytest.mark.parametrize(
     "integrator, compiled, other",
     [
-        ("midpoint", ["midpoint", "start"], ["step"]),
-        ("rk4", ["start", "step"], ["midpoint"]),
+        ("midpoint", ["midpoint", "tail"], ["step"]),
+        ("rk4", ["step", "tail"], ["midpoint"]),
     ],
 )
 def test_a_run_compiles_only_the_functions_of_its_integrator_once(monkeypatch, body, integrator, compiled, other):
