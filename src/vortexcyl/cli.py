@@ -40,7 +40,7 @@ from .dynamics import SimConfig, Trajectory, active_backend, diagnostics, integr
 from .energetics import BodyParams, hamiltonian
 from .fluid import ValidationError, VortexSet
 from .maps import cocycle_sigma, shift_map
-from .oracle import image_vortex_velocity, pushforward_check
+from .oracle import pushforward_check
 from .state import MOMENTUM, CHART_ALIASES, ChartState
 from .structures import (
     interaction_bracket_coefficients, jacobi_residual, momentum_structure_matrix, velocity_structure_matrix,
@@ -203,7 +203,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
     rep = diagnostics(traj)
     config = traj.config
-    lines = [
+    return [
         f"scenario = {config.name or 'unnamed'}",
         f"chart = {config.chart}",
         f"backend = {active_backend()}",
@@ -217,27 +217,8 @@ def _summary_lines(traj: Trajectory, wall: float) -> list[str]:
         f"halt = {traj.halt.reason if traj.halt else 'none'}",
         f"rhs_evals = {traj.rhs_evals}",
         f"max_midpoint_iterations = {traj.max_midpoint_iterations}",
+        f"wall_time_s = {wall:.3f}",
     ]
-    span = traj.times[-1] - traj.times[0]
-    if config.vortices.n == 1 and config.body.mass > 1e3 * np.pi * config.body.radius**2 and span > 0:
-        # near-fixed body over a positive time span: compare the orbit against the image-system oracle
-        with np.errstate(over="ignore"):  # a halted run's last radii can overflow to inf
-            d = np.linalg.norm(traj.states[:, 3:5], axis=1)
-        angles = np.unwrap(np.arctan2(traj.states[:, 4], traj.states[:, 3]))
-        speed_oracle = float(
-            np.linalg.norm(
-                image_vortex_velocity(traj.states[0, 3:5], config.vortices.strengths[0], config.body.radius)
-            )
-        )
-        omega_oracle = speed_oracle / d[0]
-        omega_seen = abs(angles[-1] - angles[0]) / span
-        if np.isfinite(omega_oracle) and omega_oracle > 0:  # far out the image system's velocity cancels to 0
-            lines += [
-                f"orbit_radius_drift = {_fmt(np.max(np.abs(d - d[0])))}",
-                f"orbit_rate_vs_image_oracle = {_fmt(abs(omega_seen - omega_oracle) / omega_oracle)}",
-            ]
-    lines.append(f"wall_time_s = {wall:.3f}")
-    return lines
 
 
 def run(config: SimConfig, outdir: str | Path) -> int:

@@ -114,31 +114,44 @@ def test_simulate_kirchhoff_preset(tmp_path):
     assert abs(final["x0_y"] + 0.2 * final["t"]) <= 1e-12
 
 
-def test_simulate_single_vortex_preset_reports_oracle(tmp_path):
-    out = tmp_path / "fixed"
-    code = cli.main(["simulate", "--preset", "single-vortex-fixed", "--out", str(out), "--t-end", "5.0"])
-    assert code == cli.EXIT_OK
-    summary = (out / "summary.txt").read_text()
-    assert "orbit_radius_drift" in summary
-    assert "orbit_rate_vs_image_oracle" in summary
+_SUMMARY_KEYS = [
+    "scenario",
+    "chart",
+    "backend",
+    "samples",
+    "t_final",
+    "max_rel_H_drift",
+    "max_casimir_drift",
+    "max_L_drift",
+    "min_body_clearance",
+    "min_pair_distance",
+    "halt",
+    "rhs_evals",
+    "max_midpoint_iterations",
+    "wall_time_s",
+]
+
+# the presets, and near-fixed single-vortex runs at the edges: a zero time span, a vortex so far
+# out that the image system's velocity cancels to 0, and one next to the margin, halted at step 0
+_NEAR_FIXED = {"chart": "velocity", "mass": 1e6 * np.pi, "stride": 1}
+_SUMMARY_RUNS = {
+    **{preset: (["--preset", preset], None, cli.EXIT_OK) for preset in sorted(cli.PRESETS)},
+    "zero-span": (["--preset", "single-vortex-fixed", "--t-end", "0"], None, cli.EXIT_OK),
+    "far": ([], _minimal_config(**_NEAR_FIXED, positions=[[1e110, 0.0]], t_end=0.01), cli.EXIT_OK),
+    "halted": ([], _minimal_config(**_NEAR_FIXED, positions=[[1.0 + 2e-9, 0.0]]), cli.EXIT_HALT),
+}
 
 
-def test_zero_length_near_fixed_run_writes_no_orbit_lines(tmp_path):
-    # the orbit rate divides by the time the trajectory spans, which is 0 here
-    out = tmp_path / "fixed"
-    code = cli.main(["simulate", "--preset", "single-vortex-fixed", "--out", str(out), "--t-end", "0"])
-    assert code == cli.EXIT_OK
-    summary = (out / "summary.txt").read_text()
-    assert "orbit_" not in summary and "nan" not in summary
-
-
-def test_far_near_fixed_vortex_writes_no_orbit_lines(tmp_path):
-    # far out, the image system's two velocities cancel to 0, so the oracle's orbit rate is 0
-    raw = _minimal_config(chart="velocity", mass=1e6 * np.pi, positions=[[1e110, 0.0]], t_end=0.01, stride=1)
-    out = tmp_path / "far"
-    assert cli.main(["simulate", str(_write(tmp_path, raw)), "--out", str(out)]) == cli.EXIT_OK
-    summary = (out / "summary.txt").read_text()
-    assert "orbit_" not in summary and "nan" not in summary
+@pytest.mark.parametrize("case", list(_SUMMARY_RUNS))
+def test_every_summary_has_the_same_keys_in_order_and_no_nan(tmp_path, case):
+    args, raw, code = _SUMMARY_RUNS[case]
+    if raw is not None:
+        args = [str(_write(tmp_path, raw))]
+    out = tmp_path / "out"
+    assert cli.main(["simulate", *args, "--out", str(out)]) == code
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == _SUMMARY_KEYS
+    assert not any("nan" in line for line in lines)
 
 
 # configs that validate, but whose energy or Casimir at t = 0 is not finite

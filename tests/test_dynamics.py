@@ -429,3 +429,43 @@ def test_post_processing_matches_per_row_oracle(body, rng, chart, n):
     npt.assert_allclose(traj.l_drift, np.linalg.norm(l_mom - l_mom[0], axis=1), rtol=1e-12, atol=1e-12 * scale)
     inertial = np.array(inertial).reshape(traj.n_samples, n, 2)
     npt.assert_allclose(traj.inertial_positions, inertial, rtol=1e-12, atol=1e-14)
+
+
+# The two physical invariants below fail until the vortex block takes the sign that the body's
+# frame implies. As the program stands (R = 1, mass 3, I = 1), Omega reaches 0.66 by t = 1 in
+# either chart under either integrator, and the far vortex moves 2.0 (translating body) and
+# 98.5 (spinning body) by t = 2.
+_ITEM_12 = "ROADMAP item 12: the vortex block {X_i, Y_i} = -1/Gamma_i turns the flow once the body moves or spins"
+_MASS_3_BODY = BodyParams(mass=3.0, inertia=1.0, radius=1.0)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=_ITEM_12)
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_the_spin_of_a_circle_stays_constant(chart, integrator):
+    # the pressure on a circle acts through its centre, so no torque changes Omega
+    vortices = VortexSet([1.0], [[2.0, 0.0]])
+    start = ChartState("velocity", [0.0, 0.3, 0.0], vortices.positions)  # Omega_0 = 0, V_0 = (0.3, 0)
+    if chart == "momentum":
+        start = shift_map(start, vortices.strengths, _MASS_3_BODY)
+    traj = integrate(SimConfig(chart, _MASS_3_BODY, vortices, start.body, dt=1e-3, t_end=1.0, integrator=integrator))
+    assert traj.halt is None
+    states = ChartState.from_flat(chart, traj.states)
+    if chart == "momentum":
+        states = inverse_shift_map(states, vortices.strengths, _MASS_3_BODY)
+    assert np.max(np.abs(states.body[:, 0])) <= 1e-9
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=_ITEM_12)
+@pytest.mark.parametrize(
+    "body_state, bound", [([0.0, 0.5, 0.0], 1e-3), ([0.7, 0.0, 0.0], 1e-6)], ids=["translating", "spinning"]
+)
+def test_a_far_weak_vortex_stays_put_in_the_inertial_frame(body_state, bound):
+    # a vortex of strength 1e-9 at r = 50 is a fluid particle in a fluid at rest at infinity: it
+    # moves only by the translating circle's dipole, R^2/r^2 of the body's 1.0 (4e-4), and a
+    # spinning circle moves no fluid at all
+    vortices = VortexSet([1e-9], [[30.0, 40.0]])
+    traj = integrate(SimConfig("velocity", _MASS_3_BODY, vortices, body_state, dt=1e-2, t_end=2.0, stride=10))
+    assert traj.halt is None
+    moved = np.linalg.norm(traj.inertial_positions[:, 0] - traj.inertial_positions[0, 0], axis=1)
+    assert np.max(moved) <= bound
