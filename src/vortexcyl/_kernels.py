@@ -4,10 +4,14 @@ Each chart's right-hand side evaluates ``structure_matrix @ grad H`` without
 assembling the matrix (``dynamics.rhs`` keeps that product as the test oracle),
 in one complex-form formula set: with p = X + i Y and V = Vx + i Vy the vortex
 rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY, and the
-velocity chart's body rates are sums of G. A right-hand side takes a flag for
-the momentum chart and gives a new slope; a state with a vortex outside the
-fluid domain raises ``_OutsideDomain`` with its index and the number of
-evaluations made in the step so far (the RK4 stage or the midpoint iteration).
+velocity chart's body rates are Omega' = 2 Re(lam* V) / I and
+V' = (dv - 2 Omega lam - i (c Omega + R^4 s4) V) / c, with lam = sum g (1 - R^2/|p|^2) p,
+s4 = sum g/|p|^4 and dv = sum (G - R^2 G*/p*^2). The product adds sum Im(p* G) / I
+to Omega', the derivative of W_G along a rotation about the centre, which leaves
+W_G unchanged, so that sum is zero and not formed. A right-hand side takes a flag
+for the momentum chart and gives a new slope; a vortex outside the fluid domain
+raises ``_OutsideDomain`` with its index and the number of evaluations made in
+the step so far (the RK4 stage or the midpoint iteration).
 
 ``run`` takes a ``SimConfig``, returns why it halted as text (the ``HALT_*``
 strings) or None, and picks a layout per run from the number of vortices
@@ -132,18 +136,16 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # docstring; per vortex k, d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both
 # only in pair terms), G = dW_G/dX + i dW_G/dY over g (the self term, then each
 # other vortex's pair term in ascending order: its row of ``_kr_grad_complex``) and
-# i = R^2/p*^2; in the momentum chart, with lam = sum g (1 - R^2/d) p and
+# i = R^2/p*^2; lam = sum g (1 - R^2/d) p, and in the momentum chart, with
 # s2 = sum g d, Omega = (A + s2/2) / I and V = (L + i lam) / c. It raises
 # ``_OutsideDomain`` with the index of the first vortex at distance
 # <= R (1 + MIN_CLEARANCE), where the flow is not defined, and the evaluations of
-# the step so far. Its float divisors are body constants or exceed zero by that
-# check, and it takes no modulus, so an overflowing state gives inf or nan entries,
-# not an exception. A divisor that underflows to 0 (two vortices 1e-175 apart, or
-# c I below the smallest float) raises ZeroDivisionError where the array layout's
-# 1 / 0 makes its slope non-finite. step then returns an all-nan state, which the
-# tail halts as non-finite, as it halts the array layout's; midpoint stops
-# iterating, as on a non-finite u, and returns None, which run halts as
-# non-convergent.
+# the step so far. Its float divisors are body constants or positive by that check,
+# and it takes no modulus, so an overflowing state gives inf or nan entries, not an
+# exception. A divisor that underflows to 0 (two vortices 1e-175 apart) raises
+# ZeroDivisionError where the array layout's 1 / 0 makes its slope non-finite; step
+# then returns an all-nan state, which the tail halts as non-finite, and midpoint
+# stops iterating and returns None, which run halts as non-convergent.
 _LIST_TEMPLATE = """\
 def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt):
     half, sixth = 0.5 * dt, dt / 6.0
@@ -209,15 +211,10 @@ _RHS_TEMPLATE = """
         else:
             s4{s} = 0.0{s4}
             dv{s} = 0j{dv}
-            torque{s} = 0.0{torque}
-            l_ov1{s} = (-c * vy{s} + 2.0 * lam{s}.real) / (c * inertia)
-            l_ov2{s} = (c * vx{s} + 2.0 * lam{s}.imag) / (c * inertia)
-            # gtot - sum g (1 - R^4/d2^2), without the cancellation
-            l_v12{s} = r2 * r2 * s4{s} / (c * c)
-            h_om{s}, h_vx{s}, h_vy{s} = inertia * om{s}, c * vx{s}, c * vy{s}
-            ka0{s} = l_ov1{s} * h_vx{s} + l_ov2{s} * h_vy{s} + torque{s} / inertia
-            ka1{s} = -l_ov1{s} * h_om{s} + l_v12{s} * h_vy{s} + dv{s}.real / c
-            ka2{s} = -l_ov2{s} * h_om{s} - l_v12{s} * h_vx{s} + dv{s}.imag / c{rates}"""
+            spin{s} = c * om{s} + r2 * r2 * s4{s}
+            ka0{s} = 2.0 * (lam{s}.real * vx{s} + lam{s}.imag * vy{s}) / inertia
+            ka1{s} = (dv{s}.real - 2.0 * om{s} * lam{s}.real + spin{s} * vy{s}) / c
+            ka2{s} = (dv{s}.imag - 2.0 * om{s} * lam{s}.imag - spin{s} * vx{s}) / c{rates}"""
 
 
 def _list_source(n):
@@ -282,7 +279,6 @@ def _list_source(n):
             grad=grad,
             s4=each(" + g{k} / (d{k}{s} * d{k}{s})", s=s),
             dv=each(" + g{k} * (G{k}{s} - i{k}{s} * G{k}{s}.conjugate())", s=s),
-            torque=each(" + g{k} * (pc{k}{s} * G{k}{s}).imag", s=s),
             rates=each("\n        kp{k}{s} = v{s} - i{k}{s} * vc{s} + 1j * (om{s} * p{k}{s} - G{k}{s})", s=s),
         )
 
@@ -363,16 +359,12 @@ def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1, omv=None):
         out[1] = ly * om + gtot * vy
         out[2] = -lx * om - gtot * vx
     else:
-        sum_lam = (g - g * r2 / d2) @ u[3:].reshape(-1, 2)
-        l_ov1 = (-c * vy + 2.0 * sum_lam[0]) / (c * inertia)
-        l_ov2 = (c * vx + 2.0 * sum_lam[1]) / (c * inertia)
-        # gtot - sum g (1 - R^4/d2^2), without the cancellation
-        l_v12 = r2 * r2 * (g @ (1.0 / (d2 * d2))) / (c * c)
-        h_om, h_vx, h_vy = inertia * om, c * vx, c * vy
-        d_v = ((grad_g - image * grad_g.conj()) @ g) / c
-        out[0] = l_ov1 * h_vx + l_ov2 * h_vy + ((p.conj() * grad_g).imag @ g) / inertia
-        out[1] = -l_ov1 * h_om + l_v12 * h_vy + d_v.real
-        out[2] = -l_ov2 * h_om - l_v12 * h_vx + d_v.imag
+        lam_x, lam_y = (g - g * r2 / d2) @ u[3:].reshape(-1, 2)
+        spin = c * om + r2 * r2 * (g @ (1.0 / (d2 * d2)))
+        dv = (grad_g - image * grad_g.conj()) @ g
+        out[0] = 2.0 * (lam_x * vx + lam_y * vy) / inertia
+        out[1] = (dv.real - 2.0 * om * lam_x + spin * vy) / c
+        out[2] = (dv.imag - 2.0 * om * lam_y - spin * vx) / c
     v = complex(vx, vy)
     out[3:].view(np.complex128)[:] = v - image * v.conjugate() + 1j * (om * p - grad_g)
     return out

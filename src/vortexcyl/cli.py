@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import concurrent.futures
+import dataclasses
 import functools
 import itertools
 import json
@@ -39,9 +40,9 @@ from . import __version__
 from .dynamics import SimConfig, Trajectory, active_backend, diagnostics, integrate
 from .energetics import BodyParams, hamiltonian
 from .fluid import ValidationError, VortexSet
-from .maps import cocycle_sigma, shift_map
+from .maps import cocycle_sigma, inverse_shift_map, shift_map
 from .oracle import pushforward_check
-from .state import MOMENTUM, CHART_ALIASES, ChartState
+from .state import MOMENTUM, VELOCITY, CHART_ALIASES, ChartState, canonical_chart
 from .structures import (
     interaction_bracket_coefficients, jacobi_residual, momentum_structure_matrix, velocity_structure_matrix,
 )
@@ -104,7 +105,7 @@ PRESETS: dict[str, dict] = {
         "stride": 100,
         "integrator": "rk4",
     },
-    # free body started at rest (zero momentum) with an opposite-sign pair
+    # free body with zero momentum (A, L) = 0, so not at rest (V = i lam / c), and an opposite-sign pair
     "two-vortex-free": {
         "name": "two-vortex-free",
         "chart": "momentum",
@@ -392,17 +393,18 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
     return worst
 
 
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.chart:
-        overrides["chart"] = args.chart
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.integrator:
-        overrides["integrator"] = args.integrator
-    return {**raw, **overrides}
+def _config_with_overrides(raw: dict, args: argparse.Namespace) -> SimConfig:
+    """The SimConfig of ``raw`` with the flags' fields. ``--chart`` names the chart of a
+    file without one; naming the other chart, it carries the body triple through the
+    shift map, so the run starts from the same physical state."""
+    overrides = {"dt": args.dt, "t_end": args.t_end, "integrator": args.integrator}
+    given = {"chart": args.chart} if args.chart else {}
+    config = config_from_dict({**given, **raw, **{k: v for k, v in overrides.items() if v is not None}})
+    if args.chart and canonical_chart(args.chart) != config.chart:
+        chart_map = shift_map if config.chart == VELOCITY else inverse_shift_map
+        start = chart_map(config.initial_state, config.vortices.strengths, config.body)
+        config = dataclasses.replace(config, chart=start.chart, body_state=start.body)
+    return config
 
 
 @functools.cache
@@ -420,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
     src.add_argument("config", nargs="?", help="path to a JSON scenario file")
     src.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--chart", choices=sorted(CHART_ALIASES), help="override the chart")
+    sim.add_argument("--chart", choices=sorted(CHART_ALIASES), help="run in this chart from the same physical start")
     sim.add_argument("--dt", type=float, help="override the step size")
     sim.add_argument("--t-end", dest="t_end", type=float, help="override the final time")
     sim.add_argument("--integrator", choices=["rk4", "midpoint"], help="override the integrator")
@@ -439,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "simulate":
             raw = PRESETS[args.preset] if args.preset else _read_config(args.config)
-            return run(config_from_dict(_apply_overrides(raw, args)), args.out)
+            return run(_config_with_overrides(raw, args), args.out)
         if args.command == "verify":
             return verify(args)
         if args.command == "sweep":

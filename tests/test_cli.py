@@ -254,6 +254,35 @@ def test_flag_overrides(tmp_path):
     assert header.startswith("t,Omega,Vx,Vy")
 
 
+@pytest.mark.parametrize("preset", ["single-vortex-fixed", "two-vortex-free"])
+def test_chart_flag_starts_from_the_same_physical_state(tmp_path, preset):
+    # a --chart other than the preset's carries its body triple through the shift
+    # map, so both charts trace the same poses and inertial positions
+    tables = {}
+    for chart, body_cols in (("momentum", "A,Lx,Ly"), ("velocity", "Omega,Vx,Vy")):
+        out = tmp_path / chart
+        argv = ["simulate", "--preset", preset, "--chart", chart, "--t-end", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        assert header.startswith(f"t,{body_cols},X1,Y1,")
+        cols = header.split(",")
+        keep = [i for i, col in enumerate(cols) if col in ("beta", "x0_x", "x0_y") or col.endswith("_in")]
+        tables[chart] = np.array([[float(v) for v in row.split(",")] for row in rows])[:, keep]
+    assert np.abs(tables["momentum"] - tables["velocity"]).max() <= 1e-10
+
+
+def test_chart_flag_names_the_chart_of_a_file_without_one(tmp_path, capsys):
+    raw = _minimal_config()
+    del raw["chart"]
+    path = _write(tmp_path, raw)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "none")]) == cli.EXIT_CONFIG
+    assert "missing config keys: ['chart']" in capsys.readouterr().err
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "bmr"), "--chart", "bmr"]) == cli.EXIT_OK
+    # the file's body triple is read as (Omega, V)
+    rows = (tmp_path / "bmr" / "trajectory.csv").read_text().splitlines()
+    assert rows[0].startswith("t,Omega,Vx,Vy,") and rows[1].startswith("0,0,0,0,")
+
+
 def test_integrator_override_runs_the_midpoint_rule(tmp_path):
     path = _write(tmp_path, _minimal_config(integrator="rk4", t_end=0.1))
     summaries = {}
