@@ -2,9 +2,10 @@
 
 Each chart's right-hand side evaluates ``structure_matrix @ grad H`` without
 assembling the matrix (``dynamics.rhs`` keeps that product as the test oracle),
-in one complex-form formula set: with p = X + i Y and V = Vx + i Vy the vortex
-rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY, and the
-velocity chart's body rates are Omega' = 2 Re(lam* V) / I and
+in one complex-form formula set: with p = X + i Y, L = Lx + i Ly and V = Vx + i Vy
+the vortex rates are V - R^2 V*/p*^2 + i (Omega p - G/g), G = dW_G/dX + i dW_G/dY,
+the momentum chart's body rates A' = Im(L* V) and L' = -i (Omega L + Gamma V), with
+V = (L + i lam) / c, and the velocity chart's Omega' = 2 Re(lam* V) / I and
 V' = (dv - 2 Omega lam - i (c Omega + R^4 s4) V) / c, with lam = sum g (1 - R^2/|p|^2) p,
 s4 = sum g/|p|^4 and dv = sum (G - R^2 G*/p*^2). The product adds sum Im(p* G) / I
 to Omega', the derivative of W_G along a rotation about the centre, which leaves
@@ -22,16 +23,15 @@ the reflection); and ``tail``, which ``run`` calls at the start and after each
 step: finiteness, clearances and the body velocity (Omega, V) that the next
 step starts from. ``step`` and ``midpoint`` return the new state (None if the
 midpoint did not converge) and know no clearance or halt reason.
-Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of three
-body floats and N ``complex`` positions, and each operation is one function of
-straight-line code written out for that N from one template (``_list_source``)
-and compiled at its first use in a process (``_ListOps``), so a run compiles
-only what its integrator calls. A sample
-takes the flat float layout (X, Y interleaved) only when recorded. From there
-up the state is the flat ndarray and the operations compose array
-expressions, with the Kirchhoff-Routh pair terms as one (N, N) grid and one
-matvec. The layouts sum in different orders, so they agree to rounding, not
-bit for bit.
+Below ``PAIR_ARRAY_MIN``, in the list layout, the state is a tuple of the body's
+Omega or A (a float), its V or L and N positions (``complex``), and each operation
+is one function of straight-line code written out for that N from one template
+(``_list_source``) and compiled at its first use in a process (``_ListOps``), so a
+run compiles only what its integrator calls. A sample takes the flat float layout
+(X, Y interleaved) only when recorded. From there up the state is the flat ndarray
+and the operations compose array expressions, with the Kirchhoff-Routh pair terms
+as one (N, N) grid and one matvec. The layouts sum in different orders, so they
+agree to rounding, not bit for bit.
 
 The implicit midpoint iterates u = z + (dt/2) f(u) from the midpoint that the
 last converged slopes f(u) extrapolate to (Hairer, Lubich and Wanner,
@@ -110,11 +110,12 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 
 
 # The list layout, written out for one number of vortices n by ``_list_source``.
-# The state is a tuple: three body floats a0, a1, a2, then n complex positions p0,
-# p1, ... Every entry, vortex and pair term is a local, and each sum is spelled in
-# the order of the loop it replaces. The locals of one right-hand side carry the
-# suffix of its stage (_1 to _4; a midpoint iteration's are _1), the step's start
-# carries _0 where it is not the stage-1 state, and the new state carries none.
+# The state is a tuple: the float a0 (Omega or A), the complex a1 (V or L), then n
+# complex positions p0, p1, ... Every entry, vortex and pair term is a local, and
+# each sum is spelled in the order of the loop it replaces. The locals of one
+# right-hand side carry the suffix of its stage (_1 to _4; a midpoint iteration's
+# are _1), the step's start carries _0 where it is not the stage-1 state, and the
+# new state carries none.
 #
 # step is one RK4 step: four right-hand sides, each at z + h k of the one before,
 # and the combination z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); its first stage takes the
@@ -130,14 +131,17 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # for finiteness, then the clearances (the body first: the vortex nearest it, the
 # lowest index on a tie; then the pairs in row-major order, naming the lower index),
 # then evaluates (Omega, V); it returns (halt reason or None, vortex index or -1,
-# Omega, Vx, Vy).
+# Omega, V).
 #
 # A right-hand side evaluates the complex-form formula set of the module
 # docstring; per vortex k, d = |p|^2, pc = p*, w = g (d - R^2)/p and q = R^2/p (both
 # only in pair terms), G = dW_G/dX + i dW_G/dY over g (the self term, then each
 # other vortex's pair term in ascending order: its row of ``_kr_grad_complex``) and
 # i = R^2/p*^2; lam = sum g (1 - R^2/d) p, and in the momentum chart, with
-# s2 = sum g d, Omega = (A + s2/2) / I and V = (L + i lam) / c. It raises
+# s2 = sum g d, Omega = (A + s2/2) / I and V = (L + i lam) / c. V and L' are formed
+# by parts: Python's complex / float and float * complex take the float as
+# complex(x, 0.0), whose zero cross terms can flip the sign of a zero part
+# (complex(-0.0, 1.0) / c has real part +0.0). It raises
 # ``_OutsideDomain`` with the index of the first vortex at distance
 # <= R (1 + MIN_CLEARANCE), where the flow is not defined, and the evaluations of
 # the step so far. Its float divisors are body constants or positive by that check,
@@ -147,7 +151,7 @@ def _kr_grad_complex(p, d2, g, r2, gtot):
 # then returns an all-nan state, which the tail halts as non-finite, and midpoint
 # stops iterating and returns None, which run halts as non-convergent.
 _LIST_TEMPLATE = """\
-def step(momentum, z, om_1, vx_1, vy_1, g, r2, c, inertia, gtot, dt):
+def step(momentum, z, om_1, v_1, g, r2, c, inertia, gtot, dt):
     half, sixth = 0.5 * dt, dt / 6.0
     domain2 = r2 * _DOMAIN_SCALE
     [{g}] = g
@@ -190,37 +194,34 @@ def tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
     [{g}] = g
     {state} = z
     if not ({finite}):
-        return HALT_NONFINITE, -1, None, None, None{clearance}
+        return HALT_NONFINITE, -1, None, None{clearance}
     if momentum:
         {lam}
         {s2}
         {omv}
-        return None, -1, om, vx, vy
-    return None, -1, a0, a1, a2
+        return None, -1, om, v
+    return None, -1, a0, a1
 """
 
 # One right-hand side at the state of one stage, its locals suffixed by s; the
-# slope it leaves is ka0, ka1, ka2 (body) and kp0, kp1, ... (vortices), suffixed
+# slope it leaves is ka0, ka1 (body) and kp0, kp1, ... (vortices), suffixed
 # alike. {velocity} is where (Omega, V) comes from: computed, or handed back.
 _RHS_TEMPLATE = """
-        # the slope at {where}{domain}{vortex}{velocity}{v}{grad}
+        # the slope at {where}{domain}{vortex}{velocity}{grad}
         if momentum:
-            ka0{s}, ka1{s}, ka2{s} = (
-                -a2{s} * vx{s} + a1{s} * vy{s}, a2{s} * om{s} + gtot * vy{s}, -a1{s} * om{s} - gtot * vx{s}
-            )
+            ka0{s} = (a1{s}.conjugate() * v{s}).imag
+            ka1{s} = complex(a1{s}.imag * om{s} + gtot * v{s}.imag, -a1{s}.real * om{s} - gtot * v{s}.real)
         else:
             s4{s} = 0.0{s4}
             dv{s} = 0j{dv}
-            spin{s} = c * om{s} + r2 * r2 * s4{s}
-            ka0{s} = 2.0 * (lam{s}.real * vx{s} + lam{s}.imag * vy{s}) / inertia
-            ka1{s} = (dv{s}.real - 2.0 * om{s} * lam{s}.real + spin{s} * vy{s}) / c
-            ka2{s} = (dv{s}.imag - 2.0 * om{s} * lam{s}.imag - spin{s} * vx{s}) / c{rates}"""
+            ka0{s} = 2.0 * (lam{s}.conjugate() * v{s}).real / inertia
+            ka1{s} = (dv{s} - 2.0 * om{s} * lam{s} - 1j * (c * om{s} + r2 * r2 * s4{s}) * v{s}) / c{rates}"""
 
 
 def _list_source(n):
     """``_LIST_TEMPLATE`` written out for n vortices; only integers enter the text."""
     vortices = range(n)
-    entries = ["a0", "a1", "a2", *(f"p{k}" for k in vortices)]
+    entries = ["a0", "a1", *(f"p{k}" for k in vortices)]
 
     def each(pattern, sep="", **fields):
         return sep.join(pattern.format(k=k, **fields) for k in vortices)
@@ -239,10 +240,8 @@ def _list_source(n):
         return f"s2{s} = 0.0" + each(" + g{k} * d{k}{s}", s=s)
 
     def omv(s):
-        return (
-            f"om{s}, vx{s}, vy{s} = (a0{s} + 0.5 * s2{s}) / inertia, (a1{s} - lam{s}.imag) / c, "
-            f"(a2{s} + lam{s}.real) / c"
-        )
+        v = f"complex((a1{s}.real - lam{s}.imag) / c, (a1{s}.imag + lam{s}.real) / c)"
+        return f"om{s}, v{s} = (a0{s} + 0.5 * s2{s}) / inertia, {v}"
 
     def rhs(stage, handed=False, count=None):
         """The right-hand side at an RK4 stage, whose exit reports that stage; given the
@@ -253,7 +252,7 @@ def _list_source(n):
         else:
             velocity = (
                 f"\n        {lam(s)}\n        if momentum:\n            {s2(s)}\n            {omv(s)}"
-                f"\n        else:\n            om{s}, vx{s}, vy{s} = a0{s}, a1{s}, a2{s}"
+                f"\n        else:\n            om{s}, v{s} = a0{s}, a1{s}"
             )
         vortex = "\n        pc{k}{s} = p{k}{s}.conjugate()"
         if n > 1:
@@ -274,8 +273,7 @@ def _list_source(n):
                 count=stage if count is None else count,
             ),
             vortex=each(vortex, s=s),
-            velocity=velocity,
-            v=f"\n        v{s} = complex(vx{s}, vy{s})\n        vc{s} = v{s}.conjugate()" if n else "",
+            velocity=velocity + (f"\n        vc{s} = v{s}.conjugate()" if n else ""),
             grad=grad,
             s4=each(" + g{k} / (d{k}{s} * d{k}{s})", s=s),
             dv=each(" + g{k} * (G{k}{s} - i{k}{s} * G{k}{s}.conjugate())", s=s),
@@ -288,13 +286,13 @@ def _list_source(n):
         clearance += (
             f"\n    if {each('d{k} < body_limit2', sep=' or ')}:"
             f"\n        nearest = ({each('d{k}', sep=', ')},)"
-            "\n        return HALT_BODY, nearest.index(min(nearest)), None, None, None"
+            "\n        return HALT_BODY, nearest.index(min(nearest)), None, None"
         )
         for i in vortices:
             for j in range(i + 1, n):
                 clearance += (
                     f"\n    e = p{i} - p{j}\n    if e.real * e.real + e.imag * e.imag < pair_limit2:"
-                    f"\n        return HALT_PAIR, {i}, None, None, None"
+                    f"\n        return HALT_PAIR, {i}, None, None"
                 )
 
     return _LIST_TEMPLATE.format(
@@ -321,7 +319,7 @@ def _list_source(n):
         half_step=assign("        ", "", "{e}_0 + half * k{e}_1"),
         finite=" and ".join(f"_isfinite({e})" for e in entries),
         increment="".join(
-            f", abs({e} - {e}_1)" if e[0] == "a" else f", abs(({e} - {e}_1).real), abs(({e} - {e}_1).imag)"
+            f", abs({e} - {e}_1)" if e == "a0" else f", abs(({e} - {e}_1).real), abs(({e} - {e}_1).imag)"
             for e in entries
         ),
         reflection=", ".join(f"2.0 * {e} - {e}_0" for e in entries),
@@ -333,40 +331,41 @@ def _list_source(n):
 
 
 def _omv_array(z, d2, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a flat momentum-chart state as dot products with g; d2 holds |X_i|^2."""
-    phi = (g - g * r2 / d2) @ z[3:].reshape(-1, 2)
-    return (z[0] + 0.5 * (g @ d2)) / inertia, (z[1] - phi[1]) / c, (z[2] + phi[0]) / c
+    """(Omega, V) of a flat momentum-chart state as dot products with g, V by
+    parts as in the list layout; d2 holds |X_i|^2."""
+    lam_x, lam_y = ((g - g * r2 / d2) @ z[3:].reshape(-1, 2)).tolist()
+    return float((z[0] + 0.5 * (g @ d2)) / inertia), complex((z[1] - lam_y) / c, (z[2] + lam_x) / c)
 
 
 def _rhs_array(momentum, u, g, r2, c, inertia, gtot, stage=1, omv=None):
     """The list layout's right-hand side on the flat ndarray state, as array
     expressions over the vortices; ``stage`` is the one an exit reports, and
-    omv, if given, is the (Omega, Vx, Vy) of u, taken in place of evaluating it."""
-    p = u[3:].view(np.complex128)
+    omv, if given, is the (Omega, V) of u, taken in place of evaluating it. The
+    body rates are Python scalars: numpy's complex / float is not part by part."""
+    w = u[1:].view(np.complex128)  # the body's L or V, then the vortex positions
+    p = w[1:]
     d2 = p.real * p.real + p.imag * p.imag
     inside = d2 <= r2 * _DOMAIN_SCALE
     if inside.any():
         raise _OutsideDomain(int(inside.argmax()), stage)
     grad_g = _kr_grad_complex(p, d2, g, r2, gtot)
     image = r2 / (p * p).conj()
-    out = np.empty_like(u)
     if omv is None:
-        omv = _omv_array(u, d2, g, r2, c, inertia) if momentum else (u[0], u[1], u[2])
-    om, vx, vy = omv
+        omv = _omv_array(u, d2, g, r2, c, inertia) if momentum else (float(u[0]), complex(w[0]))
+    om, v = omv
+    out = np.empty_like(u)
+    rates = out[1:].view(np.complex128)  # the body's L' or V', then the vortices'
     if momentum:
-        lx, ly = u[1], u[2]
-        out[0] = -ly * vx + lx * vy
-        out[1] = ly * om + gtot * vy
-        out[2] = -lx * om - gtot * vx
+        lm = complex(w[0])
+        out[0] = (lm.conjugate() * v).imag
+        rates[0] = complex(lm.imag * om + gtot * v.imag, -lm.real * om - gtot * v.real)
     else:
-        lam_x, lam_y = (g - g * r2 / d2) @ u[3:].reshape(-1, 2)
-        spin = c * om + r2 * r2 * (g @ (1.0 / (d2 * d2)))
-        dv = (grad_g - image * grad_g.conj()) @ g
-        out[0] = 2.0 * (lam_x * vx + lam_y * vy) / inertia
-        out[1] = (dv.real - 2.0 * om * lam_x + spin * vy) / c
-        out[2] = (dv.imag - 2.0 * om * lam_y - spin * vx) / c
-    v = complex(vx, vy)
-    out[3:].view(np.complex128)[:] = v - image * v.conjugate() + 1j * (om * p - grad_g)
+        lam = complex(*((g - g * r2 / d2) @ u[3:].reshape(-1, 2)).tolist())
+        s4 = float(g @ (1.0 / (d2 * d2)))
+        dv = complex((grad_g - image * grad_g.conj()) @ g)
+        out[0] = 2.0 * (lam.conjugate() * v).real / inertia
+        rates[0] = (dv - 2.0 * om * lam - 1j * (c * om + r2 * r2 * s4) * v) / c
+    rates[1:] = v - image * v.conjugate() + 1j * (om * p - grad_g)
     return out
 
 
@@ -390,11 +389,11 @@ def _collision_array(z, n, body_limit2, pair_limit2):
 
 
 def _body_velocity_array(momentum, z, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a flat ndarray state: in the momentum chart from the
-    state, as the list layout's tail has them; else its body entries."""
+    """(Omega, V) of a flat ndarray state as Python scalars: in the momentum chart
+    from the state, as the list layout's tail has them; else its body entries."""
     if momentum:
         return _omv_array(z, z[3::2] * z[3::2] + z[4::2] * z[4::2], g, r2, c, inertia)
-    return z[:3].tolist()
+    return float(z[0]), complex(z[1], z[2])
 
 
 def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
@@ -435,19 +434,19 @@ def _pose_step(beta, comp_b, x0, comp_x, y0, comp_y, om, vx, vy, dt):
 def _tail_array(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2):
     """The list layout's ``tail`` on the flat ndarray state."""
     if not np.isfinite(z).all():
-        return HALT_NONFINITE, -1, None, None, None
+        return HALT_NONFINITE, -1, None, None
     halt, index = _collision_array(z, g.size, body_limit2, pair_limit2)
     if halt is not None:
-        return halt, index, None, None, None
+        return halt, index, None, None
     return (None, -1, *_body_velocity_array(momentum, z, g, r2, c, inertia))
 
 
-def _step_array(momentum, z, om, vx, vy, g, r2, c, inertia, gtot, dt):
+def _step_array(momentum, z, om, v, g, r2, c, inertia, gtot, dt):
     """The list layout's ``step`` on the flat ndarray state; its first stage
     takes the (Omega, V) of z that the last tail handed back."""
     half, sixth = 0.5 * dt, dt / 6.0
     args = (g, r2, c, inertia, gtot)
-    k1 = _rhs_array(momentum, z, *args, 1, (om, vx, vy))
+    k1 = _rhs_array(momentum, z, *args, 1, (om, v))
     k2 = _rhs_array(momentum, z + half * k1, *args, 2)
     k3 = _rhs_array(momentum, z + half * k2, *args, 3)
     k4 = _rhs_array(momentum, z + dt * k3, *args, 4)
@@ -476,14 +475,14 @@ def _midpoint_array(momentum, z, slopes, g, r2, c, inertia, gtot, dt):
 
 
 def _load_list(z):
-    """A flat float state in the list layout: a tuple of three body floats, then N complex positions."""
-    return (*z[:3].tolist(), *z[3:].view(np.complex128).tolist())
+    """A flat float state in the list layout: a tuple of a float, then complex numbers."""
+    return (float(z[0]), *z[1:].view(np.complex128).tolist())
 
 
 def _store_list(row, z):
     """Write the list state z into the flat float ndarray row."""
-    row[:3] = z[:3]
-    row[3:].view(np.complex128)[:] = z[3:]
+    row[0] = z[0]
+    row[1:].view(np.complex128)[:] = z[1:]
 
 
 # How ``run`` works, chosen once per run by ``_ops``. Both layouts do the same
@@ -595,13 +594,13 @@ def run(config):
 
     # a start inside a clearance halts at step 0, before any evaluation; else the
     # tail hands back (Omega, V) at the start, as it does after each step
-    halt, halt_index, om0, vx0, vy0 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
+    halt, halt_index, om0, v0 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
     halt_step = nsteps if halt is None else 0
 
     for step in range(halt_step):
         try:
             if rk4:
-                z, evals = advance(momentum, z, om0, vx0, vy0, g, r2, c, inertia, gtot, dt)
+                z, evals = advance(momentum, z, om0, v0, g, r2, c, inertia, gtot, dt)
             else:
                 z, evals, slopes = advance(momentum, z, slopes, g, r2, c, inertia, gtot, dt)
         except _OutsideDomain as outside:
@@ -610,7 +609,7 @@ def run(config):
             if z is None:
                 halt, halt_index = HALT_NO_CONVERGENCE, -1
             else:
-                halt, halt_index, om1, vx1, vy1 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
+                halt, halt_index, om1, v1 = tail(momentum, z, g, r2, c, inertia, body_limit2, pair_limit2)
         n_evals += evals
         if evals > most_evals:  # not max(): its call costs 4% of an RK4 step at N = 0
             most_evals = evals
@@ -618,11 +617,11 @@ def run(config):
             halt_step = step
             break
 
-        pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (vx0 + vx1), 0.5 * (vy0 + vy1), dt)
+        pose = _pose_step(*pose, 0.5 * (om0 + om1), 0.5 * (v0 + v1).real, 0.5 * (v0 + v1).imag, dt)
         if not (math.isfinite(pose[0]) and math.isfinite(pose[2]) and math.isfinite(pose[4])):
             halt, halt_step = HALT_NONFINITE, step
             break
-        om0, vx0, vy0 = om1, vx1, vy1
+        om0, v0 = om1, v1
 
         if (step + 1) % stride == 0 or step + 1 == nsteps:
             ops.store(rec_states[n_rec], z)

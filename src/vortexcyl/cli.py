@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -33,6 +32,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from .state import MOMENTUM, VELOCITY, CHART_ALIASES, ChartState, canonical_char
 from .structures import (
     interaction_bracket_coefficients, jacobi_residual, momentum_structure_matrix, velocity_structure_matrix,
 )
+
+if TYPE_CHECKING:
+    import concurrent.futures
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,10 +197,10 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     config = traj.config
     header = _csv_header(config)
     inertial = traj.inertial_positions.reshape(traj.n_samples, 2 * config.vortices.n)
-    sums = np.stack([traj.energy, traj.casimir, traj.l_drift], axis=1)
-    table = np.concatenate([traj.times[:, None], traj.states, traj.poses, inertial, sums], axis=1)
-    row = ",".join(["{:.17g}"] * len(header))  # the bytes of _fmt, value by value
-    lines = [",".join(header), *(row.format(*values) for values in table.tolist())]
+    sums = [traj.energy[:, None], traj.casimir[:, None], traj.l_drift[:, None]]
+    table = np.concatenate([traj.times[:, None], traj.states, traj.poses, inertial, *sums], axis=1)
+    row = ",".join(["%.17g"] * len(header))  # the bytes of _fmt, value by value
+    lines = [",".join(header), *(row % tuple(values) for values in table.tolist())]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -229,9 +232,6 @@ def run(config: SimConfig, outdir: str | Path) -> int:
     start = time.perf_counter()
     traj = integrate(config)
     wall = time.perf_counter() - start
-    for name, value in (("energy", traj.energy[0]), ("Casimir", traj.casimir[0])):
-        if not np.isfinite(value):
-            raise ValidationError(f"{name} at t = 0 is {value}, not a finite number")
     outdir = Path(outdir)
     summary = "\n".join(_summary_lines(traj, wall)) + "\n"
     try:
@@ -330,6 +330,8 @@ def _output_names(paths: list[str]) -> list[str]:
 def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     """The kept pool if it has ``workers`` workers, else a new one in its place."""
     global _pool
+    import concurrent.futures  # here, so only a sweep with a pool pays its import (about 5 ms, most of it logging)
+
     if _pool is not None and _pool[0] != workers:
         _close_sweep_pool()
     if _pool is None:

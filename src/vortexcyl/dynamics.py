@@ -172,19 +172,29 @@ def rhs(chart: str, state: ChartState, body: BodyParams, strengths: FloatArray) 
     return structure_matrix(state, strengths, body) @ grad
 
 
+def _conserved(config: SimConfig, states: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Energy, Casimir and momentum L of a stack (M, 3 + 2N) of the config's flat chart states."""
+    g, body = config.vortices.strengths, config.body
+    energy = _energy_stack(config.chart, states, g, body)
+    momentum = states[:, :3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, :3]
+    l_mom = momentum[:, 1:]
+    # the cocycle {Lx, Ly} = Gamma_total of the momentum chart's bracket enters its Casimir
+    casimir = np.sum(l_mom * l_mom, axis=1) - 2.0 * config.vortices.total_strength * momentum[:, 0]
+    return energy, casimir, l_mom
+
+
 def integrate(config: SimConfig) -> Trajectory:
-    """Run one simulation; deterministic for a given config and backend."""
-    body = config.body
+    """Run one simulation; deterministic for a given config and backend. Raises
+    ValidationError, before the first step, if the energy or Casimir at t = 0 is not finite."""
     # a diverging midpoint iteration and a halted run's non-finite sums are reported, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = np.concatenate([config.body_state, config.vortices.positions.reshape(-1)])[None]
+        for name, value in zip(("energy", "Casimir"), _conserved(config, start)):
+            if not np.isfinite(value[0]):
+                raise ValidationError(f"{name} at t = 0 is {value[0]}, not a finite number")
         states, poses, steps, reason, halt_index, halt_step, rhs_evals, max_iters = _kernels.run(config)
-        g = config.vortices.strengths
         pos = states[:, 3:].reshape(states.shape[0], config.vortices.n, 2)
-        energy = _energy_stack(config.chart, states, g, body)
-        momentum = states[:, :3] if config.chart == MOMENTUM else _shift_stack(states, g, body)[:, :3]
-        l_mom = momentum[:, 1:]
-        # the cocycle {Lx, Ly} = Gamma_total of the momentum chart's bracket enters its Casimir
-        casimir = np.sum(l_mom * l_mom, axis=1) - 2.0 * config.vortices.total_strength * momentum[:, 0]
+        energy, casimir, l_mom = _conserved(config, states)
         l_drift = np.linalg.norm(l_mom - l_mom[0], axis=1)
         inertial = to_inertial(poses, pos)
 

@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
-from vortexcyl import cli
+from vortexcyl import _kernels, cli
 from vortexcyl.dynamics import SimConfig, integrate
 from vortexcyl.fluid import ValidationError
 
@@ -180,6 +183,22 @@ def test_non_finite_start_exits_2_with_one_line(tmp_path, capfd, case):
         assert captured.out.splitlines() == [f"{path}: exit 2", f"{good}: exit 0"]
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"{path}: {name} at t = 0 is ")
         assert (out / "good" / "trajectory.csv").exists() and not (out / path.stem).exists()
+
+
+@pytest.mark.parametrize("case, t_end", [*((case, 0.01) for case in sorted(_NON_FINITE_START)), ("far-vortex", 20.0)])
+def test_a_non_finite_start_raises_before_the_drive_loop(monkeypatch, case, t_end):
+    """``integrate`` checks the energy and Casimir at t = 0 before the first
+    step, so the heavy body with its vortex at (1e200, 0) and 20 000 steps to
+    run is rejected at once."""
+    overrides, name = _NON_FINITE_START[case]
+    config = cli.config_from_dict(_minimal_config(**overrides, t_end=t_end))
+
+    def no_run(config):
+        raise AssertionError("the drive loop ran")
+
+    monkeypatch.setattr(_kernels, "run", no_run)
+    with pytest.raises(ValidationError, match=f"^{name} at t = 0 is [^,]*, not a finite number$"):
+        integrate(config)
 
 
 def test_an_unusable_output_directory_exits_2_with_one_line(tmp_path, capfd):
@@ -672,7 +691,7 @@ class _RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(cli, "_pool", None)  # the kept pool of an earlier sweep is restored afterwards
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(_RecordingPool, "shutdowns", [])
@@ -709,6 +728,26 @@ def test_sweep_closes_its_kept_pool_when_a_run_raises(tmp_path, recording_pool, 
     with pytest.raises(RuntimeError, match="worker died"):
         cli.main(["sweep", *paths, "--out", str(tmp_path / "out"), "--jobs", "2"])
     assert recording_pool.shutdowns == [2] and cli._pool is None
+
+
+def test_simulate_does_not_import_the_process_pool(tmp_path):
+    """Only a sweep that starts its pool imports ``concurrent.futures``: a fresh
+    interpreter that runs one ``simulate`` has not imported it."""
+    script = (
+        "import sys\n"
+        "from vortexcyl import cli\n"
+        "assert cli.main(['simulate', '--preset', 'kirchhoff', '--t-end', '0.01', '--out', sys.argv[1]]) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout == "False\n"
 
 
 def test_sweep_on_a_kept_pool_writes_where_the_caller_is(tmp_path, monkeypatch):

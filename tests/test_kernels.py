@@ -1,6 +1,7 @@
 """Fused kernels and the drive loop against the structure-matrix route."""
 import cmath
 import inspect
+import itertools
 import linecache
 import math
 import os
@@ -18,7 +19,7 @@ from conftest import random_state
 from vortexcyl import BodyParams, ChartState, hamiltonian_gradient, rhs, shift_map, structure_matrix
 from vortexcyl import _kernels
 from vortexcyl.dynamics import HaltInfo, SimConfig, integrate
-from vortexcyl.fluid import MIN_CLEARANCE, VortexSet, grad_kirchhoff_routh
+from vortexcyl.fluid import MIN_CLEARANCE, ValidationError, VortexSet, grad_kirchhoff_routh
 
 
 def _slope(ops, momentum, z, g, r2, c, inertia, gtot):
@@ -116,10 +117,11 @@ def test_body_velocity_matches_loops(case):
         (abs(state.body[0]) + np.abs(g) @ d2) / body.inertia,
         (np.abs(state.body[1:]).max() + np.abs(g) @ np.sqrt(d2)) / body.c,
     )
-    npt.assert_allclose(loops, array, rtol=0, atol=1e-13 * scale)
+    npt.assert_allclose(loops.view(float), array.view(float), rtol=0, atol=1e-13 * scale)
     if chart == "velocity":
-        npt.assert_array_equal(loops, state.body)
-        npt.assert_array_equal(array, state.body)
+        body = [state.body[0], complex(*state.body[1:])]
+        npt.assert_array_equal(loops, body)
+        npt.assert_array_equal(array, body)
 
 
 @pytest.mark.parametrize("route", ["grad_kirchhoff_routh", "_kr_grad_complex"])
@@ -171,22 +173,24 @@ def _loop_rhs(momentum, u, g, r2, c, inertia, gtot, stage=1):
     """The list layout's right-hand side as one loop over the vortices, the
     reference for the code ``_kernels._list_source`` writes out: the same
     operations in the same order, so the same bits and the same halts, which
-    report ``stage``."""
+    report ``stage``. The body rates are real-valued, each part of L or V
+    apart; the rate of the complex entry is formed from its two parts."""
     domain2 = r2 * _kernels._DOMAIN_SCALE
     vortices = []  # (p, p*, |p|^2, g, g (|p|^2 - R^2)/p, R^2/p) per vortex
     lam, s2 = 0j, 0.0
-    for gi, p in zip(g, u[3:]):
+    for gi, p in zip(g, u[2:]):
         d2 = p.real * p.real + p.imag * p.imag
         if d2 <= domain2:
             raise _kernels._OutsideDomain(len(vortices), stage)
         vortices.append((p, p.conjugate(), d2, gi, gi * (d2 - r2) / p, r2 / p))
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
+    lx, ly = u[1].real, u[1].imag
     try:
         if momentum:
-            om, vx, vy = (u[0] + 0.5 * s2) / inertia, (u[1] - lam.imag) / c, (u[2] + lam.real) / c
+            om, vx, vy = (u[0] + 0.5 * s2) / inertia, (lx - lam.imag) / c, (ly + lam.real) / c
         else:
-            om, vx, vy = u[0], u[1], u[2]
+            om, vx, vy = u[0], lx, ly
         rates = []
         s4, dv = 0.0, 0j
         if vortices:
@@ -206,13 +210,11 @@ def _loop_rhs(momentum, u, g, r2, c, inertia, gtot, stage=1):
                     s4 += gk / (d2k * d2k)
                     dv += gk * (grad - image * grad.conjugate())
         if momentum:
-            lx, ly = u[1], u[2]
-            return [-ly * vx + lx * vy, ly * om + gtot * vy, -lx * om - gtot * vx, *rates]
+            return [-ly * vx + lx * vy, complex(ly * om + gtot * vy, -lx * om - gtot * vx), *rates]
         spin = c * om + r2 * r2 * s4
         return [
             2.0 * (lam.real * vx + lam.imag * vy) / inertia,
-            (dv.real - 2.0 * om * lam.real + spin * vy) / c,
-            (dv.imag - 2.0 * om * lam.imag - spin * vx) / c,
+            complex((dv.real - 2.0 * om * lam.real + spin * vy) / c, (dv.imag - 2.0 * om * lam.imag - spin * vx) / c),
             *rates,
         ]
     except ZeroDivisionError:
@@ -220,18 +222,18 @@ def _loop_rhs(momentum, u, g, r2, c, inertia, gtot, stage=1):
 
 
 def _loop_body_velocity(momentum, z, g, r2, c, inertia):
-    """(Omega, Vx, Vy) of a list state as one loop over the vortices, the reference
+    """(Omega, V) of a list state as one loop over the vortices, the reference
     for the tail ``_kernels._list_source`` writes out. In the momentum chart, with
     lam = sum g (1 - R^2/|p|^2) p and s2 = sum g |p|^2, Omega = (A + s2/2) / I and
-    V = (L + i lam) / c; in the velocity chart the body entries."""
+    V = (L + i lam) / c, each part of V apart; in the velocity chart the body entries."""
     if not momentum:
-        return z[0], z[1], z[2]
+        return z[0], z[1]
     lam, s2 = 0j, 0.0
-    for gi, p in zip(g, z[3:]):
+    for gi, p in zip(g, z[2:]):
         d2 = p.real * p.real + p.imag * p.imag
         lam += (gi - gi * r2 / d2) * p
         s2 += gi * d2
-    return (z[0] + 0.5 * s2) / inertia, (z[1] - lam.imag) / c, (z[2] + lam.real) / c
+    return (z[0] + 0.5 * s2) / inertia, complex((z[1].real - lam.imag) / c, (z[1].imag + lam.real) / c)
 
 
 def _loop_collision(z, n, body_limit2, pair_limit2):
@@ -241,15 +243,15 @@ def _loop_collision(z, n, body_limit2, pair_limit2):
     in row-major order."""
     nearest, d2min = -1, math.inf
     for i in range(n):
-        p = z[3 + i]
+        p = z[2 + i]
         d2 = p.real * p.real + p.imag * p.imag
         if d2 < d2min:
             nearest, d2min = i, d2
     if d2min < body_limit2:
         return _kernels.HALT_BODY, nearest
     for i in range(n - 1):
-        p = z[3 + i]
-        for q in z[4 + i :]:
+        p = z[2 + i]
+        for q in z[3 + i :]:
             d = p - q
             if d.real * d.real + d.imag * d.imag < pair_limit2:
                 return _kernels.HALT_PAIR, i
@@ -267,24 +269,25 @@ def _bits(values):
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases(sizes=_SMALL))
 def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
-    """Below PAIR_ARRAY_MIN ``run`` loads a tuple of three body floats and N
-    complex positions. The right-hand side written out for N (here a midpoint
-    iteration's) gives the bits of the loop it replaces, on the tuple and on an
-    object ndarray of the same Python scalars, the layout ``_reference_run``
-    drives; the written-out tail finds what the loops and the array scan find."""
+    """Below PAIR_ARRAY_MIN ``run`` loads a tuple of the body's Omega or A as a
+    float, its V or L and N positions as complex numbers. The right-hand side
+    written out for N (here a midpoint iteration's) gives the bits of the loop
+    it replaces, on the tuple and on an object ndarray of the same Python
+    scalars, the layout ``_reference_run`` drives; the written-out tail finds
+    what the loops and the array scan find."""
     chart, body, state, g = case
     z, n = state.flat(), state.n
     ops = _kernels._ops(n)
     assert ops is _kernels._list_ops(n)
     loaded = ops.load(z)
-    assert type(loaded) is tuple and [type(v) for v in loaded] == [float] * 3 + [complex] * n
+    assert type(loaded) is tuple and [type(v) for v in loaded] == [float] + [complex] * (n + 1)
     flat = np.empty(z.size)
     ops.store(flat, loaded)
     assert flat.tobytes() == z.tobytes()
 
     momentum, rest = chart == "momentum", (body.radius**2, body.c, body.inertia, float(g.sum()))
     on_list = _slope(ops, momentum, loaded, ops.strengths(g), *rest)
-    assert [type(v) for v in on_list] == [float] * 3 + [complex] * n
+    assert [type(v) for v in on_list] == [float] + [complex] * (n + 1)
     assert _bits(on_list) == _bits(_loop_rhs(momentum, list(loaded), g.tolist(), *rest))
     assert _bits(_loop_rhs(momentum, np.array(loaded, dtype=object), g.tolist(), *rest)) == _bits(on_list)
 
@@ -300,7 +303,27 @@ def test_loops_on_lists_match_loops_on_arrays_bitwise(case):
             if halt is None:
                 assert _bits(end) == _bits(_loop_body_velocity(momentum, loaded, g.tolist(), *rest[:3]))
             else:
-                assert end == [None] * 3
+                assert end == [None] * 2
+
+
+@pytest.mark.parametrize("positions", [[], [[2.0, 0.0]], [[2.0, 0.0], [-3.0, 0.0]]])
+@pytest.mark.parametrize("chart", ["momentum", "velocity"])
+def test_zero_body_entries_keep_the_loops_signs(body, chart, positions):
+    """Zero body entries of either sign, with no vortex or with vortices on the
+    x axis (lam = +0 + 0j), where Python's complex / float and float * complex
+    can turn the sign of a zero part: the written-out slope and tail keep the
+    bits of the real-valued loops."""
+    n, momentum = len(positions), chart == "momentum"
+    ops = _kernels._ops(n)
+    g = [1.0, -0.5][:n]
+    rest = (body.radius**2, body.c, body.inertia)
+    values = (0.0, -0.0, 1.5, -2.25)
+    for triple in itertools.product(values, repeat=3):
+        z = ops.load(np.concatenate([triple, np.reshape(positions, -1)]))
+        slope = _slope(ops, momentum, z, g, *rest, sum(g))
+        assert _bits(slope) == _bits(_loop_rhs(momentum, list(z), g, *rest, sum(g)))
+        *_, om, v = ops.tail(momentum, z, g, *rest, 0.0, 0.0)
+        assert _bits((om, v)) == _bits(_loop_body_velocity(momentum, z, g, *rest))
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,9 +342,9 @@ def test_written_out_step_hands_back_the_body_velocity_bitwise(case):
     gtot = float(g.sum())
     slope = _slope(ops, momentum, z, strengths, *rest, gtot)
     dt = 1e-9 * body.radius / (1.0 + max(map(abs, slope)))  # a step too short to leave the domain
-    *_, om, vx, vy = ops.tail(momentum, z, strengths, *rest, 0.0, 0.0)
-    assert _bits((om, vx, vy)) == _bits(_loop_body_velocity(momentum, z, strengths, *rest))
-    new, evals = ops.step(momentum, z, om, vx, vy, strengths, *rest, gtot, dt)
+    *_, om, v = ops.tail(momentum, z, strengths, *rest, 0.0, 0.0)
+    assert _bits((om, v)) == _bits(_loop_body_velocity(momentum, z, strengths, *rest))
+    new, evals = ops.step(momentum, z, om, v, strengths, *rest, gtot, dt)
     halt, _, *handed = ops.tail(momentum, new, strengths, *rest, 0.0, 0.0)
     assert halt is None and evals == 4
     assert _bits(handed) == _bits(_loop_body_velocity(momentum, new, strengths, *rest))
@@ -359,7 +382,7 @@ def test_the_end_of_step_tail_is_written_out_once(n):
     source = _kernels._list_source(n)
     assert source.count("HALT_BODY") == 1 and source.count("< body_limit2") == n
     assert source.count("< pair_limit2") == n * (n - 1) // 2
-    assert source.count("om, vx, vy = (a0 + 0.5 * s2) / inertia") == 1
+    assert source.count("om, v = (a0 + 0.5 * s2) / inertia") == 1
     ops = _kernels._list_ops(n)
     assert "HALT_" not in inspect.getsource(ops.step) + inspect.getsource(ops.midpoint)
     assert "HALT_BODY" in inspect.getsource(ops.tail)
@@ -379,8 +402,8 @@ def test_step_and_midpoint_take_no_clearance_and_name_no_halt(monkeypatch, body,
     angles = 2.0 * np.pi * np.arange(n) / n
     z = ops.load(np.concatenate([[0.1, -0.2, 0.3], (3.0 * np.stack([np.cos(angles), np.sin(angles)], 1)).ravel()]))
     g, rest = ops.strengths(np.linspace(-1.0, 1.5, n)), (body.radius**2, body.c, body.inertia, 0.5)
-    *_, om, vx, vy = ops.tail(False, z, g, *rest[:3], 0.0, 0.0)
-    new, evals = ops.step(False, z, om, vx, vy, g, *rest, 1e-3)
+    *_, om, v = ops.tail(False, z, g, *rest[:3], 0.0, 0.0)
+    new, evals = ops.step(False, z, om, v, g, *rest, 1e-3)
     assert evals == 4 and len(new) == len(z) and not any(isinstance(v, str) for v in new)
     new, iters, slopes = ops.midpoint(False, z, (), g, *rest, 1e-3)
     assert new is not None and len(new) == len(z) and len(slopes) == 1 and 1 <= iters < _kernels.MIDPOINT_MAX_ITER
@@ -388,7 +411,7 @@ def test_step_and_midpoint_take_no_clearance_and_name_no_halt(monkeypatch, body,
     with np.errstate(over="ignore", invalid="ignore"):
         assert ops.midpoint(False, z, (), g, *rest, 1e6)[0] is None
     halt, _, *velocity = ops.tail(False, z, g, *rest[:3], 100.0, 0.0)
-    assert (halt, velocity) == (_kernels.HALT_BODY, [None] * 3)
+    assert (halt, velocity) == (_kernels.HALT_BODY, [None] * 2)
 
     calls = []
     tail = ops.tail
@@ -621,9 +644,10 @@ def _reference_run(cfg):
     and the stages and the midpoint start are array expressions. From
     PAIR_ARRAY_MIN up the array is the flat float state and the kernels are
     the array forms. Below, it is an object array of the Python scalars that
-    ``run`` holds in a list (three body floats, N complex positions), so the
-    same expressions do the same Python arithmetic, and the kernels are the
-    scalar loops, ``_loop_rhs`` for the code ``run`` writes out. Evaluations and midpoint iterations are counted as each
+    ``run`` holds in a list (the body's Omega or A as a float, its V or L and N
+    positions as complex numbers), so the same expressions do the same Python
+    arithmetic, and the kernels are the scalar loops, ``_loop_rhs`` for the code
+    ``run`` writes out. Evaluations and midpoint iterations are counted as each
     evaluation starts. A start inside a clearance halts at step 0 before any
     evaluation."""
     body, n = cfg.body, cfg.vortices.n
@@ -634,7 +658,7 @@ def _reference_run(cfg):
     loops = n < _kernels.PAIR_ARRAY_MIN
     if loops:
         collision, body_velocity = _loop_collision, _loop_body_velocity
-        z = np.array([*z0[:3].tolist(), *(complex(x, y) for x, y in z0[3:].reshape(-1, 2).tolist())], dtype=object)
+        z = np.array([float(z0[0]), *(complex(x, y) for x, y in z0[1:].reshape(-1, 2).tolist())], dtype=object)
         g = g.tolist()
 
         def f(u, stage=1):
@@ -650,7 +674,7 @@ def _reference_run(cfg):
     def flat(z):
         if not loops:
             return z
-        return np.array([*z[:3], *(part for p in z[3:] for part in (p.real, p.imag))], dtype=np.float64)
+        return np.array([z[0], *(part for p in z[1:] for part in (p.real, p.imag))], dtype=np.float64)
 
     def finite(z):
         return all(cmath.isfinite(v) for v in z.tolist())
@@ -717,7 +741,8 @@ def _reference_run(cfg):
         if halt[0] is not None:
             break
         v1 = body_velocity(momentum, z, g, *args[:3])
-        carry = _kernels._pose_step(*carry, *(0.5 * (a + b) for a, b in zip(v0, v1)), dt)
+        (om0, w0), (om1, w1) = v0, v1
+        carry = _kernels._pose_step(*carry, 0.5 * (om0 + om1), 0.5 * (w0.real + w1.real), 0.5 * (w0.imag + w1.imag), dt)
         if not all(map(math.isfinite, carry[::2])):
             halt = (_kernels.HALT_NONFINITE, -1, step)
             break
@@ -802,8 +827,10 @@ HALTS = {
     ),
     "nonfinite": ("state became non-finite", "velocity", "rk4", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]], [0, 0, 0], 1.0, 5.0, None),
     "nonfinite-body": ("state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1, 0, 1], 1e300, 1e301, None),
-    # Omega = 1e300 stays finite, the pose angle Omega dt does not
-    "nonfinite-pose": ("state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1e300, 0, 0], 1e10, 1e10, None),
+    # Omega = 1e154 stays finite, and so does the energy A^2 / 2I at t = 0; the pose angle Omega dt does not
+    "nonfinite-pose": (
+        "state became non-finite", "momentum", "rk4", [], np.zeros((0, 2)), [1e154, 0, 0], 1e155, 1e155, None
+    ),
     "no-convergence": (
         "implicit midpoint iteration did not converge", "momentum", "midpoint", [4.0, 4.0], [[2.5, 0.0], [2.75, 0.0]],
         [0, 0, 0], 1.0, 5.0, None,
@@ -934,21 +961,26 @@ _UNDERFLOW_PAD = [
 
 @pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
 def test_an_underflowing_divisor_halts_alike_on_both_layouts(integrator):
+    """The drive loop on such a state; its energy at t = 0 is not finite, so
+    ``integrate`` rejects it before the loop."""
     body = BodyParams(mass=1.0, inertia=1.0, radius=1e-150)
     halts = []
     for positions in (_UNDERFLOW_PAIR, _UNDERFLOW_PAIR + _UNDERFLOW_PAD):
         vortices = VortexSet(np.ones(len(positions)), positions)
         config = SimConfig("velocity", body, vortices, [0.0, 0.0, 0.0], 1e-3, 1e-3, integrator, 1, 1e-300)
-        traj = integrate(config)
-        assert traj.n_samples == 1
-        halts.append(traj.halt)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in ``integrate``
+            states, _, _, *halt, _, _ = _kernels.run(config)
+        assert len(states) == 1
+        halts.append(tuple(halt))
+        with pytest.raises(ValidationError, match="^energy at t = 0 is "):
+            integrate(config)
     assert _kernels._ops(len(_UNDERFLOW_PAIR)) is _kernels._list_ops(2) and _kernels._ops(8) is _kernels._ARRAYS
     reason = _kernels.HALT_NONFINITE if integrator == "rk4" else _kernels.HALT_NO_CONVERGENCE
-    assert halts == [HaltInfo(reason, -1, 0.0)] * 2
+    assert halts == [(reason, -1, 0)] * 2
 
 
 def test_an_overflowing_pose_angle_halts_as_non_finite():
-    # Omega = A / I = 1e300 is finite, Omega dt = 1e310 is not
-    body = BodyParams(mass=1.0, inertia=1e-200, radius=1.0)
-    traj = integrate(SimConfig("momentum", body, VortexSet([], np.zeros((0, 2))), [1e100, 0.0, 0.0], 1e10, 1e10))
+    # Omega = A / I = 1e154 and the energy A Omega / 2 = 5e307 at t = 0 are finite, Omega dt = 1e309 is not
+    body = BodyParams(mass=1.0, inertia=1.0, radius=1.0)
+    traj = integrate(SimConfig("momentum", body, VortexSet([], np.zeros((0, 2))), [1e154, 0.0, 0.0], 1e155, 1e155))
     assert traj.halt == HaltInfo(_kernels.HALT_NONFINITE, -1, 0.0) and traj.n_samples == 1
