@@ -8,8 +8,11 @@ call of each public certificate function of ``structures``, ``energetics``,
 row's states in one generator call.
 ``sweep`` validates every file in this process first, then runs the valid
 configs here, one after another, when one worker would do, and otherwise in a
-process pool of at most one worker per config that stays up for the next
-``sweep`` with the same worker count.
+process pool of at most one worker per config (by default one per CPU this
+process may run on) that stays up for the next ``sweep`` with the same worker
+count. The pool gets one task per worker: a contiguous share of the configs,
+run one after another, whose results come back together; they are printed in
+input order.
 Exit codes: 0 success, 1 a ``verify`` certificate failed, 2 bad config or
 usage (also a ``t_end`` off the ``dt`` grid by more than a relative 1e-9, a
 table of recorded samples larger than physical memory, more than 2**53 steps
@@ -350,6 +353,13 @@ def _close_sweep_pool() -> None:
 atexit.register(_close_sweep_pool)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says; else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_run(config: SimConfig, outdir: Path) -> tuple[int, str]:
     """``run`` for one sweep entry: its exit code, and the message of a run it rejects."""
     try:
@@ -361,11 +371,18 @@ def _sweep_run(config: SimConfig, outdir: Path) -> tuple[int, str]:
 def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int:
     """Run several scenarios with isolated output directories.
 
-    Every file is read and validated here, in input order. The valid configs
-    run one after another in this process when one worker would do, and
-    otherwise in the kept process pool (see ``_pool``), replaced when the
-    worker count changes and closed when the sweep raises. A config that ``run``
-    rejects prints its ``path: message`` line and exits 2, like an invalid file."""
+    Every file is read and validated here, in input order. The workers are at
+    most ``jobs`` (by default the CPUs this process may run on) and at most
+    the valid configs. With one worker the configs run one after another in
+    this process; otherwise they run in the kept process pool (see ``_pool``),
+    replaced when the worker count changes and closed when the sweep raises.
+    Each worker gets one task: a contiguous share of ceil(configs / workers)
+    configs in input order, run one after another, its results sent back in
+    one message. So configs of very unequal length can finish later than they
+    would one task each, and when a run raises anything but
+    ``ValidationError`` the ``exit`` lines of the configs before it in its
+    share are not printed. A config that ``run`` rejects prints its
+    ``path: message`` line and exits 2, like an invalid file."""
     if jobs is not None and jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     outroot = Path(outroot).absolute()  # a kept worker's working directory is the one it was forked in
@@ -378,8 +395,11 @@ def sweep(paths: list[str], outroot: str | Path, jobs: int | None = None) -> int
             configs.append(None)
     valid = [(config, outroot / name) for config, name in zip(configs, _output_names(paths)) if config is not None]
     # the pool starts all its workers at the first task, so start no more than there are configs
-    workers = min(jobs or os.cpu_count() or 1, len(valid))
-    results = _sweep_pool(workers).map(_sweep_run, *zip(*valid)) if workers > 1 else itertools.starmap(_sweep_run, valid)
+    workers = min(jobs or _usable_cpus(), len(valid))
+    if workers > 1:  # one pickled task, and one message back, per worker
+        results = _sweep_pool(workers).map(_sweep_run, *zip(*valid), chunksize=-(-len(valid) // workers))
+    else:
+        results = itertools.starmap(_sweep_run, valid)
     worst = EXIT_OK
     try:
         for path, config in zip(paths, configs):
@@ -431,10 +451,22 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the structure/Jacobi/pushforward certification suite")
 
-    sw = sub.add_parser("sweep", help="run several scenarios, in a process pool when long enough")
+    sw = sub.add_parser(
+        "sweep",
+        help="run several scenarios, in a process pool when more than one worker and config",
+        description="Run several scenarios with isolated output directories. With more than one worker "
+        "and more than one valid config, each worker of a process pool runs one contiguous share of the "
+        "configs, one after another, so configs of very unequal length can finish later than they would "
+        "one task each. Results print in input order.",
+    )
     sw.add_argument("configs", nargs="+", help="JSON scenario files")
     sw.add_argument("--out", required=True, help="root output directory")
-    sw.add_argument("--jobs", type=int, default=None, help="at most this many worker processes")
+    sw.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="at most this many worker processes (default: the CPUs this process may run on)",
+    )
     return parser
 
 

@@ -209,17 +209,18 @@ def test_an_unusable_output_directory_exits_2_with_one_line(tmp_path, capfd):
         assert cli.main(["simulate", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         err = capfd.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
-    # a sweep entry whose output directory is taken by a file exits 2; the next one runs
-    first, second = (_write(tmp_path, _minimal_config(t_end=0.01), name) for name in ("a.json", "b.json"))
-    for jobs in ("1", "2"):  # in this process, and on the pool
+    # a sweep entry whose output directory is taken by a file exits 2; the next ones run,
+    # also the one that shares its pool worker
+    paths = [_write(tmp_path, _minimal_config(t_end=0.01), name) for name in ("a.json", "b.json", "c.json")]
+    for jobs in ("1", "2"):  # in this process, and on the pool in shares of 2 and 1
         out = tmp_path / f"sweep-{jobs}"
         out.mkdir()
         (out / "a").write_text("")
-        assert cli.main(["sweep", str(first), str(second), "--out", str(out), "--jobs", jobs]) == cli.EXIT_CONFIG
+        assert cli.main(["sweep", *map(str, paths), "--out", str(out), "--jobs", jobs]) == cli.EXIT_CONFIG
         captured = capfd.readouterr()
-        assert captured.out.splitlines() == [f"{first}: exit 2", f"{second}: exit 0"]
-        assert captured.err.count("\n") == 1 and captured.err.startswith(f"{first}: cannot write {out / 'a'}: ")
-        assert (out / "b" / "trajectory.csv").exists()
+        assert captured.out.splitlines() == [f"{p}: exit {code}" for p, code in zip(paths, (2, 0, 0))]
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"{paths[0]}: cannot write {out / 'a'}: ")
+        assert (out / "b" / "trajectory.csv").exists() and (out / "c" / "trajectory.csv").exists()
 
 
 def test_a_vortex_next_to_the_margin_halts_at_step_0_with_a_finite_energy(tmp_path, capsys):
@@ -672,16 +673,19 @@ def test_stride_beyond_the_run_records_its_start_and_end_like_stride_nsteps(tmp_
 
 
 class _RecordingPool:
-    """Stands in for the process pool: records its worker count and shutdowns, and runs nothing."""
+    """Stands in for the process pool: records its worker count, the configs per task and
+    its shutdowns, and runs nothing."""
 
     workers = []
+    chunksizes = []
     shutdowns = []
 
     def __init__(self, max_workers=None):
         self.max_workers = max_workers
         self.workers.append(max_workers)
 
-    def map(self, fn, configs, outdirs):
+    def map(self, fn, configs, outdirs, chunksize=1):
+        self.chunksizes.append(chunksize)
         return iter([(cli.EXIT_OK, "") for _ in configs])
 
     def shutdown(self, cancel_futures=False):
@@ -693,19 +697,34 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(cli, "_pool", None)  # the kept pool of an earlier sweep is restored afterwards
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(_RecordingPool, "chunksizes", [])
     monkeypatch.setattr(_RecordingPool, "shutdowns", [])
     return _RecordingPool
 
 
-@pytest.mark.parametrize("count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (3, "8", 3), (3, "1", 1)])
+@pytest.mark.parametrize(
+    "count, jobs, workers", [(1, "5000", 1), (2, None, 2), (4, "2", 2), (5, "2", 2), (3, "8", 3), (3, "1", 1)]
+)
 def test_sweep_starts_no_more_workers_than_configs(tmp_path, recording_pool, count, jobs, workers):
     # a pool of one worker is never started: those configs run in this process
     paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(count)]
     out = tmp_path / "out"
     assert cli.main(["sweep", *paths, "--out", str(out), *(["--jobs", jobs] if jobs else [])]) == 0
     assert recording_pool.workers == ([workers] if workers > 1 else [])
+    # one share per pooled worker: 5 configs on 2 workers go as shares of 3 and 2
+    assert recording_pool.chunksizes == ([-(-count // workers)] if workers > 1 else [])
     assert all((out / f"c{k}" / "trajectory.csv").exists() == (workers == 1) for k in range(count))
+
+
+def test_sweep_without_jobs_counts_only_the_cpus_it_may_run_on(tmp_path, recording_pool, monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    paths = [str(_write(tmp_path, _minimal_config(), f"c{k}.json")) for k in range(2)]
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *paths, "--out", str(out)]) == 0
+    assert recording_pool.workers == []  # cpu_count says 64, but one CPU is one worker: no pool
+    assert all((out / f"c{k}" / "trajectory.csv").exists() for k in range(2))
 
 
 def test_sweep_keeps_its_pool_while_the_worker_count_holds(tmp_path, recording_pool):
@@ -717,7 +736,7 @@ def test_sweep_keeps_its_pool_while_the_worker_count_holds(tmp_path, recording_p
 
 
 def test_sweep_closes_its_kept_pool_when_a_run_raises(tmp_path, recording_pool, monkeypatch):
-    def raising_map(self, fn, configs, outdirs):
+    def raising_map(self, fn, configs, outdirs, chunksize=1):
         raise RuntimeError("worker died")
         yield
 
